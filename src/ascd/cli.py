@@ -167,8 +167,13 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> list:
             path = tok.split("=", 1)[1]
         else:
             continue
-        with open(path) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(path) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config {path}: {exc}")
+        if not isinstance(loaded, dict):
+            parser.error(f"--config {path}: expected a JSON object")
         parser.set_defaults(**loaded)
         for sub in parser.sub_parsers:
             sub.set_defaults(**loaded)
@@ -346,7 +351,8 @@ def cmd_sweep(args) -> int:
         return 1
 
     if args.jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs,
+                                                 len(cells))) as pool:
             outcomes = list(pool.map(_sweep_worker, cells))
     else:
         outcomes = [_sweep_worker(c) for c in cells]
@@ -420,6 +426,12 @@ def cmd_hardcase(args) -> int:
         return 2
     if args.n <= 2:
         print("error: --n must be greater than 2", file=sys.stderr)
+        return 2
+    # the worst start is verified over at least one full sweep
+    min_steps = args.n if args.start == "worst" else 1
+    if args.steps < min_steps:
+        print(f"error: --steps must be at least {min_steps} with "
+              f"--start {args.start}", file=sys.stderr)
         return 2
     out_dir = _out_dir(args)
     hc = hc_mod.HardCase.build(args.alpha, args.n)

@@ -98,10 +98,11 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
     """Load a ``label index:value ...`` text file into column form.
 
     Feature indices are 1-based.  Each line is one row of the matrix; the
-    labels become the target vector.  Explicitly zero-valued features are
-    not stored.  Columns without a single entry are dropped with a warning
-    (the remaining columns are re-indexed).  ``binarize`` maps every stored
-    value to 1, the usual bag-of-words treatment.
+    labels become the target vector.  Labels and values must be finite;
+    explicitly zero-valued features are not stored.  Columns without a
+    single entry are dropped with a warning (the remaining columns are
+    re-indexed).  ``binarize`` maps every stored value to 1, the usual
+    bag-of-words treatment.
     """
     labels: list[float] = []
     entries: dict[int, list[tuple[int, float]]] = {}
@@ -113,10 +114,14 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
                 continue
             parts = line.split()
             try:
-                labels.append(float(parts[0]))
+                label = float(parts[0])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad label "
                                  f"{parts[0]!r}") from exc
+            if not math.isfinite(label):
+                raise ValueError(f"{path}:{lineno}: non-finite label "
+                                 f"{parts[0]!r}")
+            labels.append(label)
             row = len(labels) - 1
             seen = set()
             for token in parts[1:]:
@@ -130,6 +135,9 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
                 if idx < 1:
                     raise ValueError(f"{path}:{lineno}: feature indices "
                                      "are 1-based")
+                if not math.isfinite(val):
+                    raise ValueError(f"{path}:{lineno}: non-finite feature "
+                                     f"{token!r}")
                 if idx in seen:
                     raise ValueError(f"{path}:{lineno}: duplicate feature "
                                      f"{idx}")

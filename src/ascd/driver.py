@@ -1,16 +1,17 @@
 """The descent loop: update rules, estimate bookkeeping, traces, diagnostics.
 
 One run executes a fixed budget of single-coordinate steps.  Selection is
-one of: uniform (``ucd``), steepest with a fresh full gradient every step
-(``scd``), or the approximate-steepest family (``ascd`` and variants) that
-tracks gradient estimates through cross-coordinate oracles.  The
-approximate rules support two pick modes over the safe active set:
-``argmax-lower`` takes the best certified lower bound (greedy; degenerates
-to hammering one coordinate when every other bound has collapsed), while
-``uniform-set`` draws uniformly from the set, which is the regime the
-one-step progress and equilibrium analyses describe.  Every run records a
-per-step trace; diagnostics that need the true gradient (bound soundness,
-steepest containment, the one-step progress sandwich) run every
+uniform (``ucd``), steepest with a fresh full gradient every step (``scd``),
+or a tracked rule that runs the score, set and pick stages of ``selector``.
+``_scores`` fixes the units: ``ascd-gsq`` compares the negated model
+decrease bounds, every other tracked rule its magnitude interval squared.
+``u-ascd``, ``l-ascd`` and ``a-ascd`` use their O(n) heuristic set, the
+rest the sorted safe set.  The pick ``argmax-lower`` takes the best lower
+score (greedy; degenerates to hammering one coordinate when every other
+bound has collapsed), while ``uniform-set`` draws uniformly from the set,
+the regime the one-step progress and equilibrium analyses describe.  Every
+run records a per-step trace; diagnostics that need the true gradient (bound
+soundness, steepest containment, the one-step progress sandwich) run every
 ``diag_every`` steps.
 """
 
@@ -24,10 +25,9 @@ import numpy as np
 from .oracles import OracleContext, OracleSpec, oracle_row
 from .problem import CompositeProblem, ResidualState
 from .selector import (ActiveSet, Bounds, GradientEstimate, active_set,
-                       compute_bounds, gsq_active_set, gsq_bounds,
-                       gsr_bounds, gss_score_interval, heuristic_active_set,
-                       select_ascd, select_gsq, select_scd, select_ucd,
-                       update_estimates)
+                       compute_bounds, gsq_bounds, gsr_bounds,
+                       gss_score_interval, heuristic_active_set, select_ascd,
+                       select_scd, select_ucd, update_estimates)
 
 __all__ = [
     "UpdateRule",
@@ -143,7 +143,6 @@ class RunConfig:
     pick: str = "argmax-lower"        # or "uniform-set": draw u.a.r. from the set
     x0: np.ndarray | None = None
     diag_every: int | None = None     # default n; 0 disables
-    refresh_every: int | None = None  # residual refresh cadence, default 10n
     rho_support: int | None = None    # treat the first s coords as the target set
     time_steps: bool = False
     gram_limit: int = 2048
@@ -197,23 +196,22 @@ class RunResult:
         return np.inf
 
 
-def _selection_state(rule, est, x, lmax, psi_reg):
-    """Bounds-like scores and active set for one ascd-family iteration."""
-    if rule in ("ascd", "u-ascd", "l-ascd", "a-ascd"):
-        bounds = compute_bounds(est)
-        aset = active_set(bounds) if rule == "ascd" else \
-            heuristic_active_set(rule, bounds)
-        return bounds, aset, None
+def _scores(rule: str, est: GradientEstimate, x: np.ndarray,
+            problem: CompositeProblem) -> Bounds:
+    """Score stage of the tracked rules, in the units the set compares."""
+    lmax, reg = problem.lipschitz_max, problem.psi_reg
+    if rule == "ascd-gsq":
+        # a smaller model value is a better coordinate
+        q = gsq_bounds(est, x, lmax, reg)
+        return Bounds(upper=-q.v, lower=-q.w)
     if rule == "ascd-gss":
-        lo, hi = gss_score_interval(est, x, psi_reg)
-        bounds = Bounds(upper=hi, lower=lo)
-        return bounds, active_set(bounds), None
-    if rule == "ascd-gsr":
-        lo, hi = gsr_bounds(est, x, lmax, psi_reg)
-        bounds = Bounds(upper=hi, lower=lo)
-        return bounds, active_set(bounds), None
-    q = gsq_bounds(est, x, lmax, psi_reg)
-    return None, gsq_active_set(q), q
+        lower, upper = gss_score_interval(est, x, reg)
+    elif rule == "ascd-gsr":
+        lower, upper = gsr_bounds(est, x, lmax, reg)
+    else:
+        b = compute_bounds(est)
+        lower, upper = b.lower, b.upper
+    return Bounds(upper=upper ** 2, lower=lower ** 2)
 
 
 def run(config: RunConfig) -> RunResult:
@@ -223,7 +221,6 @@ def run(config: RunConfig) -> RunResult:
     rng = np.random.default_rng(config.seed)
     state = problem.residual_state(config.x0)
     diag_every = n if config.diag_every is None else config.diag_every
-    refresh_every = config.refresh_every or 10 * n
 
     tracked = config.rule not in ("ucd", "scd")
     est = ctx = None
@@ -252,15 +249,15 @@ def run(config: RunConfig) -> RunResult:
             i_t = select_ucd(n, rng)
             aset = ActiveSet(indices=np.arange(n), avg_score=0.0)
         else:
-            bounds, aset, q = _selection_state(config.rule, est, state.x,
-                                               problem.lipschitz_max,
-                                               problem.psi_reg)
+            scores = _scores(config.rule, est, state.x, problem)
+            if config.rule in ("u-ascd", "l-ascd", "a-ascd"):
+                aset = heuristic_active_set(config.rule, scores)
+            else:
+                aset = active_set(scores)
             if config.pick == "uniform-set":
                 i_t = int(aset.indices[rng.integers(len(aset))])
-            elif q is not None:
-                i_t = select_gsq(q, aset, rng)
             else:
-                i_t = select_ascd(bounds, aset, rng)
+                i_t = select_ascd(scores, aset, rng)
 
         f_t = problem.objective(state)
         diag = diag_every and t % diag_every == 0
@@ -310,7 +307,7 @@ def run(config: RunConfig) -> RunResult:
             else:
                 update_estimates(est, i_t, 0.0, None, None, (g_new, r_new))
 
-        if (t + 1) % refresh_every == 0:
+        if (t + 1) % (10 * n) == 0:
             state.refresh(problem.matrix)
 
         cols["t"].append(t)

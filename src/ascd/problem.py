@@ -42,6 +42,8 @@ class ColumnSparseMatrix:
             raise ValueError("row index out of range")
         if np.any(vals == 0.0):
             raise ValueError("explicit zero values are not allowed")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("matrix values must be finite")
         # strictly increasing rows within each column: the only places where
         # consecutive nnz entries may be non-increasing are column boundaries
         if rows.size > 1:
@@ -96,9 +98,6 @@ class ColumnSparseMatrix:
             raise IndexError(f"column index {i} out of range")
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.rows[lo:hi], self.vals[lo:hi]
-
-    def col_nnz(self) -> np.ndarray:
-        return np.diff(self.indptr)
 
     def col_norms_sq(self) -> np.ndarray:
         """Squared Euclidean norm of every column, ``O(nnz)``."""
@@ -212,6 +211,8 @@ class CompositeProblem:
         target = np.asarray(target, dtype=np.float64)
         if target.shape != (matrix.n_rows,):
             raise ValueError("target length must equal the number of rows")
+        if not np.all(np.isfinite(target)):
+            raise ValueError("target values must be finite")
         norms_sq = matrix.col_norms_sq()
         if np.any(norms_sq == 0.0):
             bad = int(np.argmin(norms_sq))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hardcase import LowDimEmbedding
-from .selector import GradientEstimate, active_set, compute_bounds
+from .selector import Bounds, GradientEstimate, active_set, compute_bounds
 
 __all__ = [
     "RatioSimConfig",
@@ -224,8 +224,8 @@ def ascd_embedding_dynamics(emb: LowDimEmbedding, steps: int, delta: float,
     exits = entries = 0
 
     for t in range(steps):
-        bounds = compute_bounds(est)
-        aset = active_set(bounds)
+        b = compute_bounds(est)
+        aset = active_set(Bounds(upper=b.upper ** 2, lower=b.lower ** 2))
         member = np.zeros(n, dtype=bool)
         member[aset.indices] = True
         if member_prev is not None:

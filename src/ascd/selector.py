@@ -1,13 +1,16 @@
 """Coordinate selection rules.
 
 Uniform and steepest selection are one-liners.  The approximate-steepest
-machinery maintains, for every coordinate, an estimate of the smooth partial
-gradient together with a certified error radius.  From those it derives
-safe upper/lower bounds on the gradient magnitudes, builds the smallest
-"active set" of coordinates that provably contains the steepest one, and
-picks among the best lower bounds.  Composite variants score coordinates by
-the steepest directional derivative (gs-s), the longest model step (gs-r)
-or the best model decrease (gs-q) instead of the raw gradient.
+rules track, for every coordinate, an estimate of the smooth partial
+gradient with a certified error radius, and select in three stages.  The
+*score* stage brackets each coordinate's score in a ``Bounds`` interval,
+larger being better: the gradient magnitude (``compute_bounds``), the
+steepest directional derivative (gs-s), the model step length (gs-r) or the
+best model decrease (gs-q).  The *set* stage, ``active_set``, keeps the
+smallest prefix that provably contains the best coordinate (or one of the
+O(n) heuristic sets).  The *pick*, ``select_ascd``, draws among the best
+lower scores of the set.  Set and pick compare scores as given; the caller
+of the score stage chooses the units.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ __all__ = [
     "gss_score_interval",
     "gsr_bounds",
     "gsq_bounds",
-    "gsq_active_set",
-    "select_gsq",
 ]
 
 
@@ -62,7 +63,11 @@ class GradientEstimate:
 
 @dataclass
 class Bounds:
-    """Per-coordinate bounds ``lower <= |grad_i| <= upper``."""
+    """Per-coordinate score interval ``lower <= score_i <= upper``.
+
+    Larger scores are better.  ``compute_bounds`` returns this interval for
+    the gradient magnitudes ``|grad_i|`` themselves.
+    """
 
     upper: np.ndarray
     lower: np.ndarray
@@ -83,59 +88,43 @@ class ActiveSet:
         return int(self.indices.size)
 
 
+def _abs_interval(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Range of |t| for t in [lo, hi]."""
+    straddle = (lo <= 0.0) & (hi >= 0.0)
+    amin = np.where(straddle, 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+    amax = np.maximum(np.abs(lo), np.abs(hi))
+    return amin, amax
+
+
 def compute_bounds(estimate: GradientEstimate) -> Bounds:
-    """Interval arithmetic on ``g +- r``.
+    """Interval arithmetic on ``g +- r``: bounds on ``|grad_i|``.
 
     The upper bound is the larger endpoint magnitude; the lower bound is 0
     when the interval straddles zero and the smaller endpoint magnitude
     otherwise.  Radius ``+inf`` yields ``(upper, lower) = (inf, 0)``.
     """
     g, r = estimate.g, estimate.r
-    lo_end, hi_end = g - r, g + r
-    upper = np.maximum(np.abs(lo_end), np.abs(hi_end))
-    lower = np.where((lo_end <= 0.0) & (hi_end >= 0.0), 0.0,
-                     np.minimum(np.abs(lo_end), np.abs(hi_end)))
+    lower, upper = _abs_interval(g - r, g + r)
     return Bounds(upper=upper, lower=lower)
 
 
-def _smallest_valid_prefix(score: np.ndarray, exclude_val: np.ndarray,
-                           descending: bool) -> tuple[np.ndarray, float]:
-    """Shared prefix construction for the active sets.
-
-    Sort by ``score`` (descending for gradient bounds, ascending for model
-    values), then return the shortest prefix I such that every coordinate
-    outside it satisfies the strict exclusion test against av(I), the mean
-    of ``score`` over I.  Exclusion means ``exclude_val[j] < av(I)`` in the
-    descending case and ``> av(I)`` ascending.  Falls back to all of [n].
+def active_set(scores: Bounds) -> ActiveSet:
+    """Smallest prefix, in descending order of the lower score, whose
+    average lower score strictly dominates every excluded coordinate's
+    upper score.  Contains the best coordinate; ``O(n log n)`` by sorting,
+    falling back to all of [n].
     """
-    n = score.size
-    sign = -1.0 if descending else 1.0
-    order = np.argsort(sign * score, kind="stable")
-    av = np.cumsum(score[order]) / np.arange(1, n + 1)
-    # worst excluded value for every prefix size: max over the tail when
-    # excluding needs "< av", min over the tail when it needs "> av"
+    lower, upper = scores.lower, scores.upper
+    n = lower.size
+    order = np.argsort(-lower, kind="stable")
+    av = np.cumsum(lower[order]) / np.arange(1, n + 1)
+    # largest excluded upper score for every prefix size
     tail = np.empty(n)
-    rev = exclude_val[order][::-1]
-    if descending:
-        tail[:n - 1] = np.maximum.accumulate(rev)[::-1][1:]
-        tail[n - 1] = -np.inf
-        valid = tail < av
-    else:
-        tail[:n - 1] = np.minimum.accumulate(rev)[::-1][1:]
-        tail[n - 1] = np.inf
-        valid = tail > av
+    tail[:n - 1] = np.maximum.accumulate(upper[order][::-1])[::-1][1:]
+    tail[n - 1] = -np.inf
+    valid = tail < av
     k = int(np.argmax(valid)) + 1 if valid.any() else n
-    return np.sort(order[:k]), float(av[k - 1])
-
-
-def active_set(bounds: Bounds) -> ActiveSet:
-    """Smallest prefix (in squared-lower-bound descending order) whose
-    average squared lower bound strictly dominates every excluded
-    coordinate's squared upper bound.  ``O(n log n)`` by sorting.
-    """
-    idx, av = _smallest_valid_prefix(bounds.lower ** 2, bounds.upper ** 2,
-                                     descending=True)
-    return ActiveSet(indices=idx, avg_score=av)
+    return ActiveSet(indices=np.sort(order[:k]), avg_score=float(av[k - 1]))
 
 
 def select_ucd(n: int, rng: np.random.Generator) -> int:
@@ -152,23 +141,23 @@ def select_scd(gradient: np.ndarray) -> int:
     return int(np.argmax(np.abs(gradient)))
 
 
-def select_ascd(bounds: Bounds, aset: ActiveSet,
+def select_ascd(scores: Bounds, aset: ActiveSet,
                 rng: np.random.Generator) -> int:
-    """Uniform draw among the maximisers of the lower bound over the set."""
-    sub = bounds.lower[aset.indices]
+    """Uniform draw among the maximisers of the lower score over the set."""
+    sub = scores.lower[aset.indices]
     cands = aset.indices[sub == sub.max()]
     return int(cands[rng.integers(cands.size)])
 
 
-def heuristic_active_set(variant: str, bounds: Bounds) -> ActiveSet:
+def heuristic_active_set(variant: str, scores: Bounds) -> ActiveSet:
     """O(n) replacements for the sorted active set.
 
-    ``u-ascd`` keeps the upper-bound argmax, ``l-ascd`` the lower-bound
-    argmax, and ``a-ascd`` every coordinate whose upper bound reaches the
-    best lower bound.  Only a-ascd is guaranteed to contain the true
-    steepest coordinate.
+    ``u-ascd`` keeps the upper-score argmax, ``l-ascd`` the lower-score
+    argmax, and ``a-ascd`` every coordinate whose upper score reaches the
+    best lower score.  Only a-ascd is guaranteed to contain the best
+    coordinate.
     """
-    u, low = bounds.upper, bounds.lower
+    u, low = scores.upper, scores.lower
     if variant == "u-ascd":
         idx = np.flatnonzero(u == u.max())
     elif variant == "l-ascd":
@@ -177,7 +166,7 @@ def heuristic_active_set(variant: str, bounds: Bounds) -> ActiveSet:
         idx = np.flatnonzero(u >= low.max())
     else:
         raise ValueError(f"unknown heuristic variant {variant!r}")
-    return ActiveSet(indices=idx, avg_score=float(np.mean(low[idx] ** 2)))
+    return ActiveSet(indices=idx, avg_score=float(np.mean(low[idx])))
 
 
 def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,
@@ -206,14 +195,6 @@ def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,
 # ---------------------------------------------------------------------------
 # composite scores
 # ---------------------------------------------------------------------------
-
-
-def _abs_interval(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Range of |t| for t in [lo, hi]."""
-    straddle = (lo <= 0.0) & (hi >= 0.0)
-    amin = np.where(straddle, 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-    amax = np.maximum(np.abs(lo), np.abs(hi))
-    return amin, amax
 
 
 def gss_score_interval(estimate: GradientEstimate, x: np.ndarray,
@@ -313,19 +294,3 @@ def gsq_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
     l_star = np.where(finite, l_star, np.inf)
     return GsqBounds(v=v, w=w, u_star=u_star, l_star=l_star)
 
-
-def gsq_active_set(gsq: GsqBounds) -> ActiveSet:
-    """Smallest prefix (in upper-bound ascending order) whose average upper
-    bound strictly undercuts every excluded coordinate's lower bound.
-    Contains the exact best-model-decrease coordinate.
-    """
-    idx, av = _smallest_valid_prefix(gsq.w, gsq.v, descending=False)
-    return ActiveSet(indices=idx, avg_score=av)
-
-
-def select_gsq(gsq: GsqBounds, aset: ActiveSet,
-               rng: np.random.Generator) -> int:
-    """Uniform draw among the minimisers of the model upper bound."""
-    sub = gsq.w[aset.indices]
-    cands = aset.indices[sub == sub.min()]
-    return int(cands[rng.integers(cands.size)])

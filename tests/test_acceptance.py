@@ -21,8 +21,8 @@ from ascd.oracles import OracleSpec
 from ascd.problem import (ColumnSparseMatrix, CompositeProblem, Regularizer,
                           model_value)
 from ascd.ratiosim import RatioSimConfig, rho_infinity, simulate_rho
-from ascd.selector import GradientEstimate, active_set, compute_bounds, \
-    gsq_bounds
+from ascd.selector import Bounds, GradientEstimate, active_set, \
+    compute_bounds, gsq_bounds
 
 SANDWICH_SLACK = 1e-10
 ORACLES = [OracleSpec("g1"), OracleSpec("g2", epsilon=0.5, seed=101),
@@ -206,8 +206,8 @@ def test_criterion_08_active_set_vs_exhaustive():
         g = rng.normal(0.0, 2.0, n)
         r = np.where(rng.random(n) < 0.1, np.inf, rng.uniform(0.0, 2.0, n))
         bounds = compute_bounds(GradientEstimate(g=g, r=r))
-        aset = active_set(bounds)
         lsq, usq = bounds.lower ** 2, bounds.upper ** 2
+        aset = active_set(Bounds(upper=usq, lower=lsq))
         # validity of the certificate is asserted unconditionally
         outside = np.setdiff1d(np.arange(n), aset.indices)
         assert np.all(usq[outside] < aset.avg_score)

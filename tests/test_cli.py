@@ -112,6 +112,16 @@ class TestRun:
                    "--steps", "5", "--out", str(tmp_path)])
         assert rc == 1
 
+    def test_non_finite_data_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.svm"
+        path.write_text("1 1:1.0 2:0.5\n2 1:nan 2:1.0\n3 1:2.0 2:1.0\n")
+        rc = main(["run", "--data", str(path), "--steps", "5",
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "nan.svm:2" in err
+        assert "Traceback" not in err
+
     def test_both_penalties_rejected(self, dataset, tmp_path):
         rc = main(["run", "--data", str(dataset), "--l1", "1", "--l2", "1",
                    "--steps", "5", "--out", str(tmp_path)])
@@ -135,6 +145,16 @@ class TestRun:
         assert summary["rule"] == "scd"
         assert summary["steps"] == 80
         assert summary["l2"] == 0.25
+
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_bad_config_file(self, dataset, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--data", str(dataset),
+                  "--steps", "5", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_missing_required_flag(self, dataset):
         with pytest.raises(SystemExit):
@@ -185,6 +205,29 @@ class TestSweep:
             head = (tmp_path / f).read_text().splitlines()[0]
             assert head == TRACE_HEADER
 
+    def test_jobs_capped_by_cells(self, dataset, tmp_path, monkeypatch):
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("ascd.cli.ProcessPoolExecutor", InlinePool)
+        rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
+                   "--seeds", "1,2", "--jobs", "64",
+                   "--out", str(tmp_path), "--tag", "j"])
+        assert rc == 0
+        assert seen == [2]
+
     def test_cell_cap(self, dataset, tmp_path):
         rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
                    "--seeds", "1,2,3", "--epsilons", "0,1", "--max-cells",
@@ -228,6 +271,13 @@ class TestHardcase:
         rc = main(["hardcase", "--n", "10", "--alpha", "0.6", "--steps",
                    "10", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags", [["--steps", "5"],
+                                       ["--start", "ones", "--steps", "0"]])
+    def test_too_few_steps(self, tmp_path, capsys, flags):
+        rc = main(["hardcase", "--n", "10", *flags, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --steps")
 
     def test_byte_determinism(self, tmp_path):
         args = ["hardcase", "--n", "15", "--alpha", "0.05", "--steps", "45"]

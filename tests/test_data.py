@@ -101,6 +101,14 @@ class TestSvmlight:
         with pytest.raises(ValueError, match=r"bad\.svm:2"):
             load_svmlight(path)
 
+    @pytest.mark.parametrize("text", ["1 1:1\nnan 1:2\n",
+                                      "1 1:1\n2 1:inf\n"])
+    def test_non_finite_reports_line(self, tmp_path, text):
+        path = tmp_path / "nf.svm"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"nf\.svm:2: non-finite"):
+            load_svmlight(path)
+
     def test_duplicate_feature_rejected(self, tmp_path):
         path = tmp_path / "dup.svm"
         path.write_text("1 2:1 2:3\n")

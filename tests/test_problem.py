@@ -31,6 +31,12 @@ class TestColumnSparseMatrix:
             ColumnSparseMatrix.from_columns(
                 2, [(np.array([0]), np.array([0.0]))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ColumnSparseMatrix.from_columns(
+                2, [(np.array([0, 1]), np.array([1.0, bad]))])
+
     def test_rejects_row_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             ColumnSparseMatrix.from_columns(
@@ -222,3 +228,8 @@ def test_zero_column_rejected():
                                                np.array([]))])
     with pytest.raises(ValueError, match="zero norm"):
         CompositeProblem(m, np.zeros(2))
+
+
+def test_non_finite_target_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        CompositeProblem(identity_matrix(2), np.array([0.0, np.nan]))

@@ -5,16 +5,26 @@ from numpy.testing import assert_allclose
 
 from ascd.problem import Regularizer, model_value
 from ascd.selector import (Bounds, GradientEstimate, active_set,
-                           compute_bounds, gsq_active_set, gsq_bounds,
-                           gsr_bounds, gss_score_interval,
-                           heuristic_active_set, select_ascd, select_scd,
-                           select_ucd, select_gsq, update_estimates)
+                           compute_bounds, gsq_bounds, gsr_bounds,
+                           gss_score_interval, heuristic_active_set,
+                           select_ascd, select_scd, select_ucd,
+                           update_estimates)
 
 INF = np.inf
 
 
 def est(g, r):
     return GradientEstimate(g=np.asarray(g, float), r=np.asarray(r, float))
+
+
+def squared(b):
+    """Magnitude bounds in the units the active set compares."""
+    return Bounds(upper=b.upper ** 2, lower=b.lower ** 2)
+
+
+def gsq_scores(q):
+    """Model-decrease bounds as scores: a smaller model value is better."""
+    return Bounds(upper=-q.v, lower=-q.w)
 
 
 class TestComputeBounds:
@@ -39,19 +49,19 @@ class TestComputeBounds:
 
 class TestActiveSet:
     def test_all_unknown_keeps_everything(self):
-        b = compute_bounds(GradientEstimate.uninformed(5))
+        b = squared(compute_bounds(GradientEstimate.uninformed(5)))
         assert list(active_set(b).indices) == list(range(5))
 
     def test_exact_separated(self):
-        b = Bounds(upper=np.sqrt([9.0, 4.0, 1.0]),
-                   lower=np.sqrt([9.0, 4.0, 1.0]))
+        b = Bounds(upper=np.array([9.0, 4.0, 1.0]),
+                   lower=np.array([9.0, 4.0, 1.0]))
         aset = active_set(b)
         assert list(aset.indices) == [0]
         assert aset.avg_score == pytest.approx(9.0)
 
     def test_overlapping_pair(self):
-        b = Bounds(upper=np.sqrt([9.0, 10.24, 1.0]),
-                   lower=np.sqrt([9.0, 4.0, 1.0]))
+        b = Bounds(upper=np.array([9.0, 10.24, 1.0]),
+                   lower=np.array([9.0, 4.0, 1.0]))
         aset = active_set(b)
         assert list(aset.indices) == [0, 1]
         assert aset.avg_score == pytest.approx(6.5)
@@ -63,7 +73,7 @@ class TestActiveSet:
             g = rng.normal(0, 2, n)
             r = np.where(rng.random(n) < 0.15, np.inf, rng.uniform(0, 2, n))
             b = compute_bounds(est(g, r))
-            aset = active_set(b)
+            aset = active_set(squared(b))
             outside = np.setdiff1d(np.arange(n), aset.indices)
             assert np.all(b.upper[outside] ** 2 < aset.avg_score)
             assert int(np.argmax(b.upper)) in aset.indices
@@ -77,7 +87,7 @@ class TestActiveSet:
         for _ in range(trials):
             n = int(rng.integers(2, 8))
             b = compute_bounds(est(rng.normal(0, 2, n), rng.uniform(0, 2, n)))
-            aset = active_set(b)
+            aset = active_set(squared(b))
             lsq, usq = b.lower ** 2, b.upper ** 2
             order = np.argsort(-lsq, kind="stable")
             best = None
@@ -125,13 +135,13 @@ class TestPicks:
         for _ in range(50):
             g = rng.normal(0, 3, 12)
             e = GradientEstimate.exact(g)
-            b = compute_bounds(e)
+            b = squared(compute_bounds(e))
             pick = select_ascd(b, active_set(b), rng)
             assert pick == select_scd(g)
 
     def test_ascd_uninformed_is_uniform(self):
         rng = np.random.default_rng(9)
-        b = compute_bounds(GradientEstimate.uninformed(10))
+        b = squared(compute_bounds(GradientEstimate.uninformed(10)))
         aset = active_set(b)
         counts = np.bincount([select_ascd(b, aset, rng)
                               for _ in range(50_000)], minlength=10)
@@ -151,7 +161,7 @@ class TestPicks:
 class TestHeuristicSets:
     def test_exact_bounds_contain_steepest(self):
         g = np.array([1.0, -4.0, 2.0])
-        b = compute_bounds(GradientEstimate.exact(g))
+        b = squared(compute_bounds(GradientEstimate.exact(g)))
         for variant in ("u-ascd", "l-ascd", "a-ascd"):
             assert 1 in heuristic_active_set(variant, b).indices
 
@@ -260,7 +270,7 @@ class TestGsq:
         q = gsq_bounds(GradientEstimate.exact(np.zeros(3)), np.zeros(3),
                        1.0, Regularizer())
         q.v[:] = q.w[:] = np.array([-3.0, -1.0, 0.0])
-        aset = gsq_active_set(q)
+        aset = active_set(gsq_scores(q))
         assert list(aset.indices) == [0]
 
     def test_exact_reduces_to_argmin(self):
@@ -269,8 +279,8 @@ class TestGsq:
         g = rng.normal(0, 2, 8)
         x = rng.normal(0, 1, 8)
         q = gsq_bounds(GradientEstimate.exact(g), x, 1.5, reg)
-        aset = gsq_active_set(q)
-        pick = select_gsq(q, aset, rng)
+        scores = gsq_scores(q)
+        pick = select_ascd(scores, active_set(scores), rng)
         assert pick == int(np.argmin(q.w))
 
     def test_set_mean_model_decrease_beats_uniform(self):
@@ -288,7 +298,7 @@ class TestGsq:
             r = rng.uniform(0, 2, n)
             g = true_g + rng.uniform(-1, 1, n) * r  # sound by construction
             q = gsq_bounds(est(g, r), x, L, reg)
-            aset = gsq_active_set(q)
+            aset = active_set(gsq_scores(q))
             y_star = reg.model_argmin(x, true_g, L)
             mins = model_value(x, y_star, true_g, L, reg)
             assert mins[aset.indices].mean() <= mins.mean() + 1e-12
@@ -305,9 +315,10 @@ class TestGsq:
             reg = Regularizer(kind, 0.8 if kind != "none" else 0.0)
             q = gsq_bounds(est(rng.normal(0, 2, n), rng.uniform(0, 2, n)),
                            rng.normal(0, 1, n), 1.5, reg)
-            aset = gsq_active_set(q)
+            aset = active_set(gsq_scores(q))
             outside = np.setdiff1d(np.arange(n), aset.indices)
-            assert np.all(q.v[outside] > aset.avg_score)
+            # the set average of -w is -av(I): every excluded v exceeds av(I)
+            assert np.all(q.v[outside] > -aset.avg_score)
             assert int(np.argmin(q.w)) in aset.indices
             for k in range(1, len(aset)):
                 found = False
