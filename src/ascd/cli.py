@@ -25,7 +25,7 @@ import numpy as np
 
 from . import hardcase as hc_mod
 from .data import SynthConfig, generate_synthetic, load_svmlight, \
-    save_svmlight, take_columns
+    save_svmlight, take_columns, write_csv
 from .driver import RULES, RunConfig, UpdateRule, run, write_trace_csv
 from .oracles import ORACLE_KINDS, OracleSpec
 from .problem import CompositeProblem, Regularizer
@@ -445,11 +445,8 @@ def cmd_hardcase(args) -> int:
         cycling_ok, first_failure = None, None
 
     trace_path = os.path.join(out_dir, args.tag + ".csv")
-    with open(trace_path, "w") as fh:
-        fh.write("t,i,omega,grad_inf\n")
-        for t in range(args.steps):
-            fh.write(f"{t},{int(picks[t])},{float(omega[t])!r},"
-                     f"{float(grad_inf[t])!r}\n")
+    write_csv(trace_path, "t,i,omega,grad_inf",
+              (np.arange(args.steps), picks, omega, grad_inf))
     _write_json({
         "schema_version": SCHEMA_VERSION,
         "kind": "hardcase",
@@ -483,11 +480,8 @@ def cmd_ratio_sim(args) -> int:
         return 2
     trace = simulate_rho(config)
     trace_path = os.path.join(out_dir, args.tag + ".csv")
-    with open(trace_path, "w") as fh:
-        fh.write("t,rho,active_size\n")
-        for t in range(config.steps):
-            fh.write(f"{t},{float(trace.rho[t])!r},"
-                     f"{int(trace.active_size[t])}\n")
+    write_csv(trace_path, "t,rho,active_size",
+              (np.arange(config.steps), trace.rho, trace.active_size))
     tail = trace.rho[3 * config.steps // 4:]
     _write_json({
         "schema_version": SCHEMA_VERSION,

@@ -1,4 +1,4 @@
-"""Synthetic sparse regression data and svmlight-format I/O.
+"""Synthetic sparse regression data, svmlight-format I/O and CSV output.
 
 The generator draws a dense Gaussian matrix, shifts every entry by one to
 correlate the columns, rescales each column by ten times a standard normal
@@ -23,6 +23,7 @@ __all__ = [
     "load_svmlight",
     "save_svmlight",
     "take_columns",
+    "write_csv",
 ]
 
 
@@ -191,3 +192,25 @@ def take_columns(matrix: ColumnSparseMatrix, k: int,
     chosen = np.sort(rng.choice(matrix.n_cols, size=k, replace=False))
     return ColumnSparseMatrix.from_columns(
         matrix.n_rows, (matrix.col(int(j)) for j in chosen))
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns as CSV rows under ``header``.
+
+    Integer columns are written with ``str`` and float columns with
+    ``repr``, which reads back exactly with ``float``; NaN becomes an empty
+    field.
+    """
+    columns = [np.asarray(col) for col in columns]
+    if len({col.shape for col in columns}) > 1:
+        raise ValueError("CSV columns must have equal lengths")
+    fields = []
+    for col in columns:
+        values = col.tolist()
+        if col.dtype.kind in "iu":
+            fields.append(map(str, values))
+        else:
+            fields.append(["" if math.isnan(v) else repr(v) for v in values])
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*fields))

@@ -9,10 +9,14 @@ decrease bounds, every other tracked rule its magnitude interval squared.
 rest the sorted safe set.  The pick ``argmax-lower`` takes the best lower
 score (greedy; degenerates to hammering one coordinate when every other
 bound has collapsed), while ``uniform-set`` draws uniformly from the set,
-the regime the one-step progress and equilibrium analyses describe.  Every
-run records a per-step trace; diagnostics that need the true gradient (bound
-soundness, steepest containment, the one-step progress sandwich) run every
-``diag_every`` steps.
+the regime the one-step progress and equilibrium analyses describe.
+
+Every run records one trace: the columns named in ``TRACE_COLUMNS``, plus
+the step length ``gamma``, allocated once per run and filled in place, one
+row per step.  ``write_trace_csv`` writes them under ``TRACE_HEADER``.
+Diagnostics that need the true gradient (bound soundness, steepest
+containment, the one-step progress sandwich) fill their columns every
+``diag_every`` steps and leave NaN elsewhere.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_csv
 from .oracles import OracleContext, OracleSpec, oracle_row
 from .problem import CompositeProblem, ResidualState
 from .selector import (ActiveSet, Bounds, GradientEstimate, active_set,
@@ -34,6 +39,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "RULES",
+    "TRACE_COLUMNS",
     "TRACE_HEADER",
     "step",
     "run",
@@ -45,8 +51,9 @@ __all__ = [
 RULES = ("ucd", "scd", "ascd", "u-ascd", "l-ascd", "a-ascd",
          "ascd-gss", "ascd-gsq", "ascd-gsr")
 
-TRACE_HEADER = ("t,i,f,grad_inf,grad2sq,active_size,rho,"
-                "tau_ucd,tau_ascd,tau_scd,wall_ns")
+TRACE_COLUMNS = ("t", "i", "f", "grad_inf", "grad2sq", "active_size", "rho",
+                 "tau_ucd", "tau_ascd", "tau_scd", "wall_ns")
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
 # float slack for the true-gradient diagnostics
 SOUNDNESS_SLACK = 1e-8
@@ -78,13 +85,14 @@ class UpdateRule:
 
 
 def step(problem: CompositeProblem, state: ResidualState, i: int,
-         rule: UpdateRule) -> tuple[float, float, float]:
-    """Move coordinate i; return ``(gamma, g_new, r_new)``.
+         rule: UpdateRule) -> tuple[float, float]:
+    """Move coordinate i; return ``(gamma, g_new)``.
 
-    ``(g_new, r_new)`` is the update rule's estimate of the smooth partial
-    gradient at the new point.  Exact line search on a smooth problem knows
-    it vanished; every other case recomputes it exactly in O(nnz(a_i)),
-    so radii keep growing only through the passive-coordinate oracles.
+    ``g_new`` is the smooth partial gradient at the new point, known
+    exactly: exact line search on a smooth problem knows it vanished, and
+    every other case recomputes it in O(nnz(a_i)).  So the moved
+    coordinate's radius is zero, and radii keep growing only through the
+    passive-coordinate oracles.
     """
     g_i = problem.partial_gradient(state, i)
     if not np.isfinite(g_i):
@@ -99,15 +107,15 @@ def step(problem: CompositeProblem, state: ResidualState, i: int,
     state.apply_step(problem.matrix, i, gamma)
     if rule.kind == "line_search":
         if problem.psi_reg.kind == "none":
-            return gamma, 0.0, 0.0
+            return gamma, 0.0
         # exact minimisation with a nonzero iterate pins the smooth
         # gradient at the subgradient-optimality value; reporting it
         # exactly (not the float recomputation) keeps the composite
         # steepest score at exactly zero for the refreshed coordinate
         x_new = float(state.x[i])
         if x_new != 0.0:
-            return gamma, -problem.psi_reg.lam * np.sign(x_new), 0.0
-    return gamma, problem.partial_gradient(state, i), 0.0
+            return gamma, -problem.psi_reg.lam * np.sign(x_new)
+    return gamma, problem.partial_gradient(state, i)
 
 
 def progress_tau(gradient: np.ndarray, active_indices: np.ndarray,
@@ -145,7 +153,6 @@ class RunConfig:
     diag_every: int | None = None     # default n; 0 disables
     rho_support: int | None = None    # treat the first s coords as the target set
     time_steps: bool = False
-    gram_limit: int = 2048
 
     def __post_init__(self):
         if self.steps < 1:
@@ -226,19 +233,23 @@ def run(config: RunConfig) -> RunResult:
     est = ctx = None
     if tracked:
         spec = config.oracle or OracleSpec("g3")
-        ctx = OracleContext(spec, problem.matrix, config.gram_limit)
+        ctx = OracleContext(spec, problem.matrix)
         if config.init == "true-gradient":
             est = GradientEstimate.exact(problem.full_gradient(state))
         else:
             est = GradientEstimate.uninformed(n)
 
-    cols = {name: [] for name in ("t", "i", "f", "grad_inf", "grad2sq",
-                                  "active_size", "rho", "tau_ucd",
-                                  "tau_ascd", "tau_scd", "wall_ns", "gamma")}
+    steps = config.steps
+    # a column stays NaN on the steps that do not write it
+    cols = {name: np.full(steps, np.nan)
+            for name in TRACE_COLUMNS + ("gamma",)}
+    cols.update(t=np.arange(steps, dtype=np.int64),
+                i=np.zeros(steps, dtype=np.int64),
+                active_size=np.zeros(steps, dtype=np.int64))
     sound_bad = contain_bad = sandwich_bad = 0
     t_start = time.perf_counter()
 
-    for t in range(config.steps):
+    for t in range(steps):
         tick = time.perf_counter_ns() if config.time_steps else 0
         true_g = None
         if config.rule == "scd":
@@ -259,18 +270,26 @@ def run(config: RunConfig) -> RunResult:
             else:
                 i_t = select_ascd(scores, aset, rng)
 
-        f_t = problem.objective(state)
-        diag = diag_every and t % diag_every == 0
-        grad_inf = grad2sq = rho = tau_u = tau_a = tau_s = np.nan
-        if diag:
+        cols["i"][t] = i_t
+        cols["f"][t] = problem.objective(state)
+        cols["active_size"][t] = len(aset)
+        if diag_every and t % diag_every == 0:
             if true_g is None:
                 true_g = problem.full_gradient(state)
             grad_inf = float(np.max(np.abs(true_g)))
-            grad2sq = float(true_g @ true_g)
+            cols["grad_inf"][t] = grad_inf
+            cols["grad2sq"][t] = float(true_g @ true_g)
             tau_u, tau_a, tau_s = progress_tau(true_g, aset.indices,
                                                problem.lipschitz_max)
+            cols["tau_ucd"][t] = tau_u
+            cols["tau_ascd"][t] = tau_a
+            cols["tau_scd"][t] = tau_s
+            # only the safe set on squared magnitudes promises the sandwich;
+            # ucd and scd hold it by construction, the other scores and sets
+            # need not
             slack = SANDWICH_SLACK
-            if (tau_u > tau_a * (1 + slack) + 1e-300
+            if config.rule == "ascd" and (
+                    tau_u > tau_a * (1 + slack) + 1e-300
                     or tau_a > tau_s * (1 + slack) + 1e-300):
                 sandwich_bad += 1
             if tracked:
@@ -292,52 +311,29 @@ def run(config: RunConfig) -> RunResult:
                     if best_out > best_in + tol:
                         contain_bad += 1
             if config.rho_support is not None:
-                rho = float(np.count_nonzero(
+                cols["rho"][t] = float(np.count_nonzero(
                     aset.indices < config.rho_support)) / len(aset)
 
         try:
-            gamma, g_new, r_new = step(problem, state, i_t, config.update)
+            gamma, g_new = step(problem, state, i_t, config.update)
         except (FloatingPointError, ValueError) as exc:
             raise type(exc)(f"step {t}: {exc}") from exc
+        cols["gamma"][t] = gamma
         if tracked:
+            row_g = row_d = None
             if gamma != 0.0:
                 row_g, row_d = oracle_row(ctx, i_t)
-                update_estimates(est, i_t, gamma, row_g, row_d,
-                                 (g_new, r_new))
-            else:
-                update_estimates(est, i_t, 0.0, None, None, (g_new, r_new))
+            update_estimates(est, i_t, gamma, row_g, row_d, g_new)
 
         if (t + 1) % (10 * n) == 0:
             state.refresh(problem.matrix)
 
-        cols["t"].append(t)
-        cols["i"].append(i_t)
-        cols["f"].append(f_t)
-        cols["grad_inf"].append(grad_inf)
-        cols["grad2sq"].append(grad2sq)
-        cols["active_size"].append(len(aset))
-        cols["rho"].append(rho)
-        cols["tau_ucd"].append(tau_u)
-        cols["tau_ascd"].append(tau_a)
-        cols["tau_scd"].append(tau_s)
-        cols["wall_ns"].append(float(time.perf_counter_ns() - tick)
-                               if config.time_steps else np.nan)
-        cols["gamma"].append(gamma)
+        if config.time_steps:
+            cols["wall_ns"][t] = time.perf_counter_ns() - tick
 
     return RunResult(
         config=config,
-        t=np.asarray(cols["t"], dtype=np.int64),
-        i=np.asarray(cols["i"], dtype=np.int64),
-        f=np.asarray(cols["f"]),
-        grad_inf=np.asarray(cols["grad_inf"]),
-        grad2sq=np.asarray(cols["grad2sq"]),
-        active_size=np.asarray(cols["active_size"], dtype=np.int64),
-        rho=np.asarray(cols["rho"]),
-        tau_ucd=np.asarray(cols["tau_ucd"]),
-        tau_ascd=np.asarray(cols["tau_ascd"]),
-        tau_scd=np.asarray(cols["tau_scd"]),
-        wall_ns=np.asarray(cols["wall_ns"]),
-        gamma=np.asarray(cols["gamma"]),
+        **cols,
         final_x=state.x.copy(),
         final_f=problem.objective(state),
         soundness_violations=sound_bad,
@@ -347,31 +343,9 @@ def run(config: RunConfig) -> RunResult:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float) and np.isnan(value):
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_trace_csv(result: RunResult, path) -> None:
     """Write the per-step trace; missing diagnostics become empty fields."""
-    with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        wall = result.wall_ns
-        for k in range(result.t.size):
-            row = [
-                str(int(result.t[k])),
-                str(int(result.i[k])),
-                repr(float(result.f[k])),
-                _fmt(float(result.grad_inf[k])),
-                _fmt(float(result.grad2sq[k])),
-                str(int(result.active_size[k])),
-                _fmt(float(result.rho[k])),
-                _fmt(float(result.tau_ucd[k])),
-                _fmt(float(result.tau_ascd[k])),
-                _fmt(float(result.tau_scd[k])),
-                "" if np.isnan(wall[k]) else str(int(wall[k])),
-            ]
-            fh.write(",".join(row) + "\n")
+    columns = {name: getattr(result, name) for name in TRACE_COLUMNS}
+    if result.config.time_steps:
+        columns["wall_ns"] = result.wall_ns.astype(np.int64)
+    write_csv(path, TRACE_HEADER, columns.values())

@@ -38,6 +38,7 @@ __all__ = [
     "OracleOutput",
     "OracleContext",
     "ORACLE_KINDS",
+    "GRAM_LIMIT",
     "exact_change",
     "jl_simulated_product",
     "oracle_estimate",
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 ORACLE_KINDS = ("g1", "g2", "g3", "g4", "bh")
+
+# largest column count for which the exact kinds build the dense Gram matrix
+GRAM_LIMIT = 2048
 
 # salts so that g2 and g4 consume unrelated pseudo-random streams
 _SALT_G2 = np.uint64(0x9E3779B97F4A7C15)
@@ -144,17 +148,17 @@ class OracleContext:
     """Per-run precomputation backing the vectorised row queries.
 
     Column norms are always precomputed.  For the exact kinds (g1, g2) the
-    dense Gram matrix is materialised when it fits, otherwise rows are
-    recomputed on the fly at ``O(nnz(A))`` per query.
+    dense Gram matrix is materialised when the matrix has at most
+    ``GRAM_LIMIT`` columns, otherwise rows are recomputed on the fly at
+    ``O(nnz(A))`` per query.
     """
 
-    def __init__(self, spec: OracleSpec, matrix: ColumnSparseMatrix,
-                 gram_limit: int = 2048):
+    def __init__(self, spec: OracleSpec, matrix: ColumnSparseMatrix):
         self.spec = spec
         self.matrix = matrix
         self.norms = np.sqrt(matrix.col_norms_sq())
         self.gram = None
-        if spec.kind in ("g1", "g2") and matrix.n_cols <= gram_limit:
+        if spec.kind in ("g1", "g2") and matrix.n_cols <= GRAM_LIMIT:
             dense = matrix.to_dense()
             self.gram = dense.T @ dense
 

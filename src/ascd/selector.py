@@ -170,25 +170,24 @@ def heuristic_active_set(variant: str, scores: Bounds) -> ActiveSet:
 
 
 def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,
-                     row_estimate: np.ndarray, row_error: np.ndarray,
-                     active_output: tuple[float, float]) -> GradientEstimate:
+                     row_estimate: np.ndarray | None,
+                     row_error: np.ndarray | None,
+                     g_new: float) -> GradientEstimate:
     """One bookkeeping step after moving coordinate ``i_t`` by ``gamma``.
 
     Passive coordinates get ``g += gamma * g_ij`` and ``r += |gamma| *
-    delta_ij``; the active coordinate is overwritten with the update rule's
-    own output.  A zero step leaves the passive entries untouched (this
-    also avoids 0 * inf).  Mutates and returns ``estimate``.
+    delta_ij``; the active coordinate is overwritten with its exact new
+    gradient ``g_new`` and radius zero.  A zero step leaves the passive
+    entries untouched and needs no row (this also avoids 0 * inf).
+    Mutates and returns ``estimate``.
     """
     if not np.isfinite(gamma):
         raise ValueError("non-finite step")
     if gamma != 0.0:
-        old_g, old_r = estimate.g[i_t], estimate.r[i_t]
         estimate.g += gamma * row_estimate
         estimate.r += abs(gamma) * row_error
-        estimate.g[i_t], estimate.r[i_t] = old_g, old_r
-    g_new, r_new = active_output
     estimate.g[i_t] = g_new
-    estimate.r[i_t] = r_new
+    estimate.r[i_t] = 0.0
     return estimate
 
 

@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from ascd.data import (SynthConfig, _draw_column, generate_synthetic,
-                       load_svmlight, save_svmlight, take_columns)
+                       load_svmlight, save_svmlight, take_columns, write_csv)
 from ascd.problem import CompositeProblem
 
 
@@ -160,3 +162,37 @@ class TestTakeColumns:
             take_columns(m, 0)
         with pytest.raises(ValueError):
             take_columns(m, 6)
+
+
+def _int_and_float_columns(size):
+    return st.tuples(arrays(np.int64, size), arrays(np.float64, size))
+
+
+class TestWriteCsv:
+    @settings(deadline=None)
+    @given(st.integers(0, 20).flatmap(_int_and_float_columns))
+    def test_round_trip(self, tmp_path_factory, columns):
+        ints, floats = columns
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        write_csv(path, "k,x", (ints, floats))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "k,x" and len(lines) == ints.size + 1
+        fields = [line.split(",") for line in lines[1:]]
+        back_int = np.array([int(k) for k, _ in fields], dtype=np.int64)
+        back_float = np.array([float(x) if x else np.nan for _, x in fields])
+        assert np.array_equal(back_int, ints)
+        nan = np.isnan(floats)
+        assert np.array_equal(np.isnan(back_float), nan)
+        # bit-exact, so the sign of zero survives too
+        assert np.array_equal(back_float[~nan].view(np.int64),
+                              floats[~nan].view(np.int64))
+
+    def test_nan_is_empty_field(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        write_csv(path, "t,x", (np.arange(2), np.array([np.nan, 0.5])))
+        assert path.read_text() == "t,x\n0,\n1,0.5\n"
+
+    def test_unequal_lengths_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "bad.csv", "a,b", (np.arange(3),
+                                                    np.zeros(2)))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import ascd.driver
 from ascd.data import SynthConfig, generate_synthetic
 from ascd.driver import (RunConfig, UpdateRule, progress_delta, progress_tau,
-                         run, step, write_trace_csv, TRACE_HEADER)
+                         run, step, write_trace_csv, TRACE_COLUMNS,
+                         TRACE_HEADER)
 from ascd.oracles import OracleSpec
 from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
+from ascd.selector import ActiveSet
 
 
 def identity_problem(n, b=None, reg=None):
@@ -26,23 +29,24 @@ class TestStep:
         prob = identity_problem(2)
         prob.lipschitz_max = 4.0  # pretend a larger global constant
         st = prob.residual_state(np.array([2.0, 0.0]))
-        gamma, g_new, r_new = step(prob, st, 0, UpdateRule("fixed"))
+        gamma, g_new = step(prob, st, 0, UpdateRule("fixed"))
         assert gamma == pytest.approx(-0.5)
-        assert r_new == 0.0
+        # recomputed exactly at the new point x_0 = 1.5
+        assert g_new == pytest.approx(1.5)
 
     def test_line_search_solves_1d(self):
         prob = identity_problem(1)
         st = prob.residual_state(np.array([5.0]))
-        gamma, g_new, r_new = step(prob, st, 0, UpdateRule("line_search"))
+        gamma, g_new = step(prob, st, 0, UpdateRule("line_search"))
         assert gamma == pytest.approx(-5.0)
         assert st.x[0] == pytest.approx(0.0)
-        assert g_new == 0.0 and r_new == 0.0
+        assert g_new == 0.0
 
     def test_prox_soft_threshold(self):
         prob = identity_problem(1, b=np.array([3.0]), reg=Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([0.0]))
         # grad = -3, L = 1: model minimiser is soft(3, 1) = 2
-        gamma, _, _ = step(prob, st, 0, UpdateRule("prox"))
+        gamma, _ = step(prob, st, 0, UpdateRule("prox"))
         assert gamma == pytest.approx(2.0)
 
     def test_prox_example_from_slope(self):
@@ -50,15 +54,15 @@ class TestStep:
         prob = identity_problem(1, b=np.array([-3.0]), reg=Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([0.0]))
         assert prob.partial_gradient(st, 0) == pytest.approx(3.0)
-        gamma, _, _ = step(prob, st, 0, UpdateRule("prox"))
+        gamma, _ = step(prob, st, 0, UpdateRule("prox"))
         assert gamma == pytest.approx(-2.0)
 
     def test_line_search_l1_reports_subgradient_value(self):
         prob = identity_problem(1, b=np.array([3.0]), reg=Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([0.0]))
-        gamma, g_new, r_new = step(prob, st, 0, UpdateRule("line_search"))
+        gamma, g_new = step(prob, st, 0, UpdateRule("line_search"))
         assert st.x[0] == pytest.approx(2.0)
-        assert g_new == -1.0 and r_new == 0.0
+        assert g_new == -1.0
         # the composite steepest score vanishes exactly at the minimiser
         assert abs(g_new + 1.0 * np.sign(st.x[0])) == 0.0
 
@@ -167,6 +171,37 @@ class TestRun:
                 assert res.containment_violations == 0, (kind, init)
                 assert res.sandwich_violations == 0, (kind, init)
 
+    def test_sandwich_counted_for_ascd_only(self):
+        # the gs-q set makes no promise about squared gradient magnitudes,
+        # so its runs report no sandwich violations even when the ordering
+        # fails on them
+        m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=1))
+        lam = 0.1 * float(np.max(np.abs(m.col_dots(b))))
+        prob = CompositeProblem(m, b, Regularizer("l1", lam))
+        res = run(RunConfig(problem=prob, steps=8 * prob.n, rule="ascd-gsq",
+                            update=UpdateRule("line_search"),
+                            oracle=OracleSpec("g1"), seed=0,
+                            init="true-gradient", diag_every=1))
+        assert res.sandwich_violations == 0
+        assert res.soundness_violations == 0
+
+    def test_sandwich_counter_catches_broken_set(self, monkeypatch):
+        # a set holding only the coordinate with the smallest upper score
+        # breaks tau_ucd <= tau_ascd on every diagnosed step
+        def worst_only(scores):
+            i = int(np.argmin(scores.upper))
+            return ActiveSet(indices=np.array([i]),
+                             avg_score=float(scores.lower[i]))
+
+        monkeypatch.setattr(ascd.driver, "active_set", worst_only)
+        m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=1))
+        prob = CompositeProblem(m, b, Regularizer("l2", 1.0))
+        res = run(RunConfig(problem=prob, steps=4 * prob.n, rule="ascd",
+                            update=UpdateRule("line_search"),
+                            oracle=OracleSpec("g1"), seed=0,
+                            init="true-gradient", diag_every=1))
+        assert res.sandwich_violations == res.t.size
+
     def test_final_f_ordering_small_ridge(self):
         # greedy <= tracked-approximate <= uniform for most seeds
         wins = 0
@@ -202,6 +237,32 @@ class TestRun:
         row1 = lines[2].split(",")
         assert row1[3] == "" and row1[7] == ""
         assert row0[3] != ""
+
+    def test_trace_csv_timed_wall_ns_integers(self, tmp_path):
+        prob = random_problem(11)
+        res = run(RunConfig(problem=prob, steps=12, rule="ucd", seed=0,
+                            diag_every=5, time_steps=True))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(res, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == TRACE_HEADER == ",".join(TRACE_COLUMNS)
+        walls = [line.split(",")[-1] for line in lines[1:]]
+        assert len(walls) == 12 and all(w.isdigit() for w in walls)
+        assert [int(w) for w in walls] == res.wall_ns.tolist()
+
+    def test_trace_dtypes(self):
+        prob = random_problem(11)
+        res = run(RunConfig(problem=prob, steps=9, rule="ascd",
+                            oracle=OracleSpec("g3"), seed=0, diag_every=4))
+        for name in TRACE_COLUMNS + ("gamma",):
+            col = getattr(res, name)
+            assert col.shape == (9,), name
+            assert col.dtype == (np.int64 if name in ("t", "i", "active_size")
+                                 else np.float64), name
+        assert res.t.tolist() == list(range(9))
+        diag = np.isfinite(res.grad_inf)
+        assert diag.tolist() == [t % 4 == 0 for t in range(9)]
+        assert np.all(np.isnan(res.wall_ns)) and np.all(np.isfinite(res.gamma))
 
     def test_wall_times_only_when_asked(self):
         prob = random_problem(12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ascd.oracles
 from ascd.oracles import (OracleContext, OracleSpec, exact_change,
                           jl_simulated_product, oracle_estimate, oracle_row)
 from ascd.problem import ColumnSparseMatrix
@@ -143,11 +144,12 @@ class TestOracleRow:
                 assert est[j] == pytest.approx(out.estimate, abs=1e-10)
                 assert err[j] == pytest.approx(out.error, abs=1e-12)
 
-    def test_gram_fallback_agrees(self):
+    def test_gram_fallback_agrees(self, monkeypatch):
         m = make_matrix(11)
         spec = OracleSpec("g2", epsilon=0.3, seed=9)
-        with_gram = OracleContext(spec, m, gram_limit=2048)
-        without = OracleContext(spec, m, gram_limit=0)
+        with_gram = OracleContext(spec, m)
+        monkeypatch.setattr(ascd.oracles, "GRAM_LIMIT", 0)
+        without = OracleContext(spec, m)
         assert with_gram.gram is not None and without.gram is None
         for i in range(m.n_cols):
             a, da = oracle_row(with_gram, i)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 from itertools import combinations
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from ascd.driver import SANDWICH_SLACK, progress_tau
 from ascd.problem import Regularizer, model_value
 from ascd.selector import (Bounds, GradientEstimate, active_set,
                            compute_bounds, gsq_bounds, gsr_bounds,
@@ -47,6 +50,26 @@ class TestComputeBounds:
         assert_allclose(b.lower, np.abs(g))
 
 
+_FINITE = st.floats(-1e100, 1e100)
+
+
+def _sound_estimate(n):
+    """A true gradient and an estimate whose intervals contain it.
+
+    Radii are nonnegative or infinite; the true entries are clipped into
+    ``[g - r, g + r]`` as ``compute_bounds`` evaluates them.
+    """
+    radius = st.one_of(st.floats(0, 1e100), st.just(np.inf))
+
+    def build(parts):
+        centre, r, draw = parts
+        return np.clip(draw, centre - r, centre + r), est(centre, r)
+
+    return st.tuples(arrays(np.float64, n, elements=_FINITE),
+                     arrays(np.float64, n, elements=radius),
+                     arrays(np.float64, n, elements=_FINITE)).map(build)
+
+
 class TestActiveSet:
     def test_all_unknown_keeps_everything(self):
         b = squared(compute_bounds(GradientEstimate.uninformed(5)))
@@ -77,6 +100,18 @@ class TestActiveSet:
             outside = np.setdiff1d(np.arange(n), aset.indices)
             assert np.all(b.upper[outside] ** 2 < aset.avg_score)
             assert int(np.argmax(b.upper)) in aset.indices
+
+    @given(st.integers(1, 30).flatmap(_sound_estimate))
+    def test_sound_intervals_keep_steepest_and_sandwich(self, drawn):
+        # the promise the driver's sandwich counter relies on, for any
+        # sound estimate: the steepest coordinate stays in the set and the
+        # in-set mean of g^2 is at least the overall mean
+        g_true, e = drawn
+        aset = active_set(squared(compute_bounds(e)))
+        ag = np.abs(g_true)
+        assert np.max(ag[aset.indices]) >= np.max(ag) * (1 - 1e-12)
+        tau_u, tau_a, _ = progress_tau(g_true, aset.indices, 1.0)
+        assert tau_u <= tau_a * (1 + SANDWICH_SLACK) + 1e-300
 
     def test_prefix_matches_brute_force_when_prefix_optimal(self):
         # the sorted prefix is always a valid certificate; when the true
@@ -181,21 +216,21 @@ class TestUpdateEstimates:
     def test_arithmetic(self):
         e = est([0.0, 1.0], [0.0, 2.0])
         update_estimates(e, 0, 0.5, np.array([0.0, 3.0]),
-                         np.array([0.0, 4.0]), (7.0, 0.0))
+                         np.array([0.0, 4.0]), 7.0)
         assert e.g[1] == pytest.approx(2.5)
         assert e.r[1] == pytest.approx(4.0)
         assert e.g[0] == 7.0 and e.r[0] == 0.0
 
     def test_zero_step_keeps_passive(self):
         e = est([1.0, -1.0], [np.inf, 2.0])
-        update_estimates(e, 0, 0.0, None, None, (1.0, 0.0))
+        update_estimates(e, 0, 0.0, None, None, 1.0)
         assert e.g[1] == -1.0 and e.r[1] == 2.0
         assert e.g[0] == 1.0 and e.r[0] == 0.0
 
     def test_inf_radius_stays_inf(self):
         e = est([0.0, 0.0], [np.inf, np.inf])
         update_estimates(e, 0, 0.5, np.array([1.0, 1.0]),
-                         np.array([1.0, 1.0]), (2.0, 0.0))
+                         np.array([1.0, 1.0]), 2.0)
         assert np.isinf(e.r[1]) and e.r[0] == 0.0
 
 
