@@ -3,7 +3,7 @@ coordinate selection, plus the measurement tools around them."""
 
 from .problem import (ColumnSparseMatrix, CompositeProblem, Regularizer,
                       ResidualState, model_value)
-from .oracles import OracleOutput, OracleSpec, oracle_estimate
+from .oracles import OracleSpec
 from .selector import (ActiveSet, Bounds, GradientEstimate, active_set,
                        compute_bounds, select_ascd, select_scd, select_ucd)
 from .driver import (RunConfig, RunResult, UpdateRule, progress_delta,
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ColumnSparseMatrix", "CompositeProblem", "Regularizer", "ResidualState",
-    "model_value", "OracleOutput", "OracleSpec", "oracle_estimate",
+    "model_value", "OracleSpec",
     "ActiveSet", "Bounds", "GradientEstimate", "active_set", "compute_bounds",
     "select_ascd", "select_scd", "select_ucd", "RunConfig", "RunResult",
     "UpdateRule", "progress_delta", "progress_tau", "run", "write_trace_csv",

@@ -303,12 +303,7 @@ def _execute_run(flags: dict, out_dir: str) -> dict:
 
 
 def cmd_run(args) -> int:
-    out_dir = _out_dir(args)
-    try:
-        _execute_run(_run_flag_dict(args), out_dir)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _execute_run(_run_flag_dict(args), _out_dir(args))
     return 0
 
 
@@ -346,9 +341,8 @@ def cmd_sweep(args) -> int:
                         flags["tag"] = tag
                         cells.append((tag, flags, out_dir))
     if len(cells) > args.max_cells:
-        print(f"error: {len(cells)} cells exceed --max-cells={args.max_cells}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"{len(cells)} cells exceed "
+                         f"--max-cells={args.max_cells}")
 
     if args.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs,
@@ -420,21 +414,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_hardcase(args) -> int:
-    if not 0.0 < args.alpha < 0.5:
-        print("error: --alpha must lie strictly between 0 and 0.5",
-              file=sys.stderr)
-        return 2
-    if args.n <= 2:
-        print("error: --n must be greater than 2", file=sys.stderr)
-        return 2
     # the worst start is verified over at least one full sweep
     min_steps = args.n if args.start == "worst" else 1
     if args.steps < min_steps:
-        print(f"error: --steps must be at least {min_steps} with "
-              f"--start {args.start}", file=sys.stderr)
-        return 2
-    out_dir = _out_dir(args)
+        raise ValueError(f"--steps must be at least {min_steps} with "
+                         f"--start {args.start}")
     hc = hc_mod.HardCase.build(args.alpha, args.n)
+    out_dir = _out_dir(args)
     if args.start == "worst":
         report = hc_mod.verify_cycling(hc, args.steps)
         picks, omega, grad_inf = report.picks, report.omega, report.grad_inf
@@ -469,15 +455,11 @@ def cmd_hardcase(args) -> int:
 
 
 def cmd_ratio_sim(args) -> int:
+    config = RatioSimConfig(n=args.n, s=args.s, c=args.c, t_inf=args.t_inf,
+                            steps=args.steps, seed=args.seed,
+                            reentry=args.reentry)
+    limit = rho_infinity(args.n, args.s, args.c, args.t_inf)
     out_dir = _out_dir(args)
-    try:
-        config = RatioSimConfig(n=args.n, s=args.s, c=args.c,
-                                t_inf=args.t_inf, steps=args.steps,
-                                seed=args.seed, reentry=args.reentry)
-        limit = rho_infinity(args.n, args.s, args.c, args.t_inf)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     trace = simulate_rho(config)
     trace_path = os.path.join(out_dir, args.tag + ".csv")
     write_csv(trace_path, "t,rho,active_size",
@@ -586,6 +568,11 @@ _REQUIRED = {
 
 
 def main(argv=None) -> int:
+    """Run the subcommand named in ``argv``; return the exit code.
+
+    Rejected input (argparse, or ``ValueError``/``OSError`` raised by the
+    command) gives 2 and one ``error:`` line; 1 is a failed outcome.
+    """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     argv = _apply_config_defaults(parser, argv)
@@ -594,7 +581,11 @@ def main(argv=None) -> int:
         if getattr(args, dest) is None:
             parser.error(f"--{dest.replace('_', '-')} is required "
                          "(flag or --config entry)")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

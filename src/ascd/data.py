@@ -46,8 +46,16 @@ class SynthConfig:
     noise_sigma: float = 0.1
 
     def __post_init__(self):
+        # generate_synthetic would crash or redraw an empty column forever
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("need at least one row and one column")
+        if not self.keep_probability > 0:
+            raise ValueError("keep probability must be positive "
+                             "(need n_cols >= 2 and sparsity_factor > 0)")
+        if self.column_scale_factor == 0:
+            raise ValueError("column_scale_factor must be nonzero")
+        if self.support_frac > 1:
+            raise ValueError("support_frac must be at most 1")
 
     @property
     def keep_probability(self) -> float:

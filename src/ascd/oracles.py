@@ -35,13 +35,9 @@ from .problem import ColumnSparseMatrix
 
 __all__ = [
     "OracleSpec",
-    "OracleOutput",
     "OracleContext",
     "ORACLE_KINDS",
     "GRAM_LIMIT",
-    "exact_change",
-    "jl_simulated_product",
-    "oracle_estimate",
     "oracle_row",
 ]
 
@@ -74,12 +70,6 @@ class OracleSpec:
             raise ValueError("epsilon and hessian_bound must be nonnegative")
 
 
-@dataclass
-class OracleOutput:
-    estimate: float
-    error: float
-
-
 def _splitmix64(z: np.ndarray) -> np.ndarray:
     z = (z + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -98,50 +88,6 @@ def _pair_uniform(seed: int, salt: np.uint64, i, j, n: int) -> np.ndarray:
         mixed = _splitmix64(key ^ _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ salt))
     u = (mixed >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
     return 2.0 * u - 1.0
-
-
-def exact_change(matrix: ColumnSparseMatrix, i: int, j: int) -> float:
-    """Sparse column product ``<a_i, a_j>``."""
-    ri, vi = matrix.col(i)
-    rj, vj = matrix.col(j)
-    _, ii, jj = np.intersect1d(ri, rj, assume_unique=True,
-                               return_indices=True)
-    return float(vi[ii] @ vj[jj])
-
-
-def jl_simulated_product(matrix: ColumnSparseMatrix, i: int, j: int,
-                         epsilon: float, seed: int = 0) -> float:
-    """Simulated sketch product: exact value plus a uniform draw from the
-    allowed error interval, clamped to the Cauchy-Schwarz range.
-
-    Symmetric and deterministic in ``(i, j, seed)``.
-    """
-    ri, vi = matrix.col(i)
-    rj, vj = matrix.col(j)
-    bound = float(np.sqrt((vi @ vi) * (vj @ vj)))
-    u = float(_pair_uniform(seed, _SALT_G2, i, j, matrix.n_cols))
-    s = exact_change(matrix, i, j) + epsilon * bound * u
-    return float(np.clip(s, -bound, bound))
-
-
-def oracle_estimate(spec: OracleSpec, matrix: ColumnSparseMatrix,
-                    column_norms: np.ndarray, i: int, j: int) -> OracleOutput:
-    """Single-pair estimate of the per-unit-gamma change of coordinate i
-    when coordinate j moves.
-    """
-    bound = float(column_norms[i] * column_norms[j])
-    if spec.kind == "g1":
-        return OracleOutput(exact_change(matrix, i, j), 0.0)
-    if spec.kind == "g2":
-        est = jl_simulated_product(matrix, i, j, spec.epsilon, spec.seed)
-        return OracleOutput(est, spec.epsilon * bound)
-    if spec.kind == "g3":
-        return OracleOutput(0.0, bound)
-    if spec.kind == "g4":
-        u = float(_pair_uniform(spec.seed, _SALT_G4, i, j, matrix.n_cols))
-        return OracleOutput(bound * u, 2.0 * bound)
-    # bh: centre of the bounded-Hessian interval
-    return OracleOutput(0.0, spec.hessian_bound * bound)
 
 
 class OracleContext:

@@ -4,9 +4,11 @@ import os
 import jsonschema
 import pytest
 
+import ascd.hardcase
 from ascd.cli import (GENERATE_SUMMARY_SCHEMA, HARDCASE_SUMMARY_SCHEMA,
                       RATIO_SUMMARY_SCHEMA, RUN_SUMMARY_SCHEMA,
                       SWEEP_SUMMARY_SCHEMA, main)
+from ascd.data import SynthConfig
 from ascd.driver import TRACE_HEADER
 
 
@@ -110,7 +112,7 @@ class TestRun:
     def test_bad_data_path(self, tmp_path):
         rc = main(["run", "--data", str(tmp_path / "nope.svm"),
                    "--steps", "5", "--out", str(tmp_path)])
-        assert rc == 1
+        assert rc == 2
 
     def test_non_finite_data_rejected(self, tmp_path, capsys):
         path = tmp_path / "nan.svm"
@@ -118,14 +120,14 @@ class TestRun:
         rc = main(["run", "--data", str(path), "--steps", "5",
                    "--out", str(tmp_path)])
         err = capsys.readouterr().err
-        assert rc == 1
+        assert rc == 2
         assert err.startswith("error: ") and "nan.svm:2" in err
         assert "Traceback" not in err
 
     def test_both_penalties_rejected(self, dataset, tmp_path):
         rc = main(["run", "--data", str(dataset), "--l1", "1", "--l2", "1",
                    "--steps", "5", "--out", str(tmp_path)])
-        assert rc == 1
+        assert rc == 2
 
     def test_env_var_out_dir(self, dataset, tmp_path, monkeypatch):
         monkeypatch.setenv("ASCD_OUT", str(tmp_path / "env"))
@@ -232,7 +234,7 @@ class TestSweep:
         rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
                    "--seeds", "1,2,3", "--epsilons", "0,1", "--max-cells",
                    "5", "--out", str(tmp_path), "--tag", "cap"])
-        assert rc == 1
+        assert rc == 2
 
     def test_partial_failure_reported(self, dataset, tmp_path):
         rc = main(["sweep", "--data", str(dataset), "--l2", "0.1",
@@ -266,6 +268,19 @@ class TestHardcase:
         assert rc == 0
         summary = read_json(tmp_path / "ones.json")
         assert summary["cycling_checked"] is False
+
+    def test_failed_verification_exits_1(self, tmp_path, capsys,
+                                         monkeypatch):
+        real = ascd.hardcase.verify_cycling
+        # a negative tolerance fails every shrink check
+        monkeypatch.setattr(ascd.hardcase, "verify_cycling",
+                            lambda hc, steps: real(hc, steps, rel_tol=-1.0))
+        rc = main(["hardcase", "--n", "10", "--steps", "10",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert read_json(tmp_path / "hardcase.json")["cycling_ok"] is False
+        assert capsys.readouterr().err.startswith(
+            "cycling verification failed at step 0")
 
     def test_alpha_out_of_range(self, tmp_path):
         rc = main(["hardcase", "--n", "10", "--alpha", "0.6", "--steps",
@@ -316,3 +331,39 @@ class TestRatioSim:
         for name in ("ratio.csv", "ratio.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+
+class TestRejectedInput:
+    """Every subcommand turns rejected input into exit 2 and one line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--rows", "0", "--cols", "10"],
+        ["generate", "--rows", "10", "--cols", "10", "--support-frac", "2"],
+        ["sweep", "--data", "{data}", "--steps", "1n", "--seeds", "x"],
+        ["sweep", "--data", "{data}", "--steps", "1n", "--seeds", "1,2,3",
+         "--epsilons", "0,1", "--max-cells", "5"],
+        ["run", "--data", "{tmp}/nope.svm", "--steps", "5"],
+        ["hardcase", "--n", "10", "--alpha", "0.6", "--steps", "10"],
+        ["ratio-sim", "--n", "10", "--s", "20", "--t-inf", "50",
+         "--steps", "100"],
+    ], ids=["generate-rows", "generate-support-frac", "sweep-seeds",
+            "sweep-max-cells", "run-missing-data", "hardcase-alpha",
+            "ratio-sim-s"])
+    def test_exit_2_single_error_line(self, dataset, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        argv = [a.format(data=dataset, tmp=tmp_path) for a in argv]
+        rc = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        written = os.listdir(out) if out.exists() else []
+        assert not [f for f in written if f.endswith((".csv", ".json"))]
+
+    @pytest.mark.parametrize("overrides", [
+        {"n_cols": 1}, {"sparsity_factor": 0.0}, {"sparsity_factor": -1.0},
+        {"column_scale_factor": 0.0}, {"support_frac": 2.0}])
+    def test_synth_config_rejects_hanging_inputs(self, overrides):
+        # each of these made generate_synthetic loop forever or crash
+        with pytest.raises(ValueError):
+            SynthConfig(**{"n_rows": 5, "n_cols": 10, **overrides})

@@ -8,7 +8,7 @@ from ascd.driver import (RunConfig, UpdateRule, progress_delta, progress_tau,
                          TRACE_HEADER)
 from ascd.oracles import OracleSpec
 from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
-from ascd.selector import ActiveSet
+from ascd.selector import ActiveSet, GradientEstimate
 
 
 def identity_problem(n, b=None, reg=None):
@@ -201,6 +201,22 @@ class TestRun:
                             oracle=OracleSpec("g1"), seed=0,
                             init="true-gradient", diag_every=1))
         assert res.sandwich_violations == res.t.size
+
+    def test_soundness_checks_the_sign(self, monkeypatch):
+        # right magnitudes, wrong signs: the interval g +- r misses the true
+        # gradient, which the gs-s, gs-r and gs-q scores rely on
+        class Negated(GradientEstimate):
+            @classmethod
+            def exact(cls, gradient):
+                return super().exact(-np.asarray(gradient))
+
+        monkeypatch.setattr(ascd.driver, "GradientEstimate", Negated)
+        m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=1))
+        prob = CompositeProblem(m, b, Regularizer("l2", 1.0))
+        res = run(RunConfig(problem=prob, steps=1, rule="ascd",
+                            oracle=OracleSpec("g1"), init="true-gradient",
+                            diag_every=1))
+        assert res.soundness_violations == 1
 
     def test_final_f_ordering_small_ridge(self):
         # greedy <= tracked-approximate <= uniform for most seeds

@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ascd.oracles
-from ascd.oracles import (OracleContext, OracleSpec, exact_change,
-                          jl_simulated_product, oracle_estimate, oracle_row)
+from ascd.oracles import OracleContext, OracleSpec, oracle_row
 from ascd.problem import ColumnSparseMatrix
+from reference_oracle import (exact_change, jl_simulated_product,
+                              oracle_estimate)
 
 
 def make_matrix(seed=0, d=15, n=10, density=0.6):
