@@ -16,10 +16,12 @@ The output directory defaults to the ``ASCD_OUT`` environment variable.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -203,10 +205,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--oracle-seed", type=int, default=None,
                    help="defaults to --seed")
     p.add_argument("--update", default="fixed",
-                   choices=["fixed", "line-search", "prox"])
+                   choices=["fixed", "line-search"])
     p.add_argument("--step-scale", type=float, default=1.0)
     p.add_argument("--per-coordinate", action="store_true",
-                   help="use per-coordinate constants in the fixed/prox step")
+                   help="use per-coordinate constants in the fixed step")
     p.add_argument("--steps", default=None,
                    help="step budget; accepts multiples of n like '10n'")
     p.add_argument("--init", default="none",
@@ -220,14 +222,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time", action="store_true",
                    help="collect wall times (nondeterministic fields)")
     p.add_argument("--tag", default="run", help="output file basename")
-
-
-def _run_flag_dict(args) -> dict:
-    keys = ("data", "binarize", "take_cols", "take_seed", "l2", "l1", "rule",
-            "oracle", "epsilon", "hessian_bound", "oracle_seed", "update",
-            "step_scale", "per_coordinate", "steps", "init", "pick",
-            "diag_every", "rho_support", "time", "tag", "seed")
-    return {k: getattr(args, k) for k in keys}
 
 
 def _build_problem(flags: dict) -> CompositeProblem:
@@ -277,11 +271,8 @@ def _execute_run(flags: dict, out_dir: str) -> dict:
         "n_rows": problem.d,
         "n_cols": problem.n,
         "rule": flags["rule"],
-        "update": {"kind": config.update.kind,
-                   "step_scale": config.update.step_scale,
-                   "per_coordinate": config.update.per_coordinate},
-        "oracle": {"kind": spec.kind, "epsilon": spec.epsilon,
-                   "hessian_bound": spec.hessian_bound, "seed": spec.seed},
+        "update": asdict(config.update),
+        "oracle": asdict(spec),
         "l1": flags["l1"],
         "l2": flags["l2"],
         "steps": steps,
@@ -303,7 +294,7 @@ def _execute_run(flags: dict, out_dir: str) -> dict:
 
 
 def cmd_run(args) -> int:
-    _execute_run(_run_flag_dict(args), _out_dir(args))
+    _execute_run(vars(args), _out_dir(args))
     return 0
 
 
@@ -315,31 +306,27 @@ def _sweep_worker(payload) -> tuple[str, dict | None, str | None]:
         return tag, None, f"{type(exc).__name__}: {exc}"
 
 
-def _split(text: str) -> list[str]:
-    return [tok for tok in text.split(",") if tok != ""]
+def _split(flag: str, text: str, convert=str) -> list:
+    """Comma-list flag value; a token ``convert`` rejects names the flag."""
+    try:
+        return [convert(tok) for tok in text.split(",") if tok != ""]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:
+    axes = (_split("--rules", args.rules) or [args.rule],
+            _split("--oracles", args.oracles) or [args.oracle],
+            _split("--epsilons", args.epsilons, float) or [args.epsilon],
+            _split("--seeds", args.seeds, int) or [args.seed],
+            _split("--inits", args.inits) or [args.init])
     out_dir = _out_dir(args)
-    base = _run_flag_dict(args)
-    rules = _split(args.rules) or [base["rule"]]
-    oracles = _split(args.oracles) or [base["oracle"]]
-    epsilons = [float(e) for e in _split(args.epsilons)] or [base["epsilon"]]
-    seeds = [int(s) for s in _split(args.seeds)] or [base["seed"]]
-    inits = _split(args.inits) or [base["init"]]
-
     cells = []
-    for rule in rules:
-        for oracle in oracles:
-            for eps in epsilons:
-                for seed in seeds:
-                    for init in inits:
-                        flags = dict(base, rule=rule, oracle=oracle,
-                                     epsilon=eps, seed=seed, init=init)
-                        tag = f"{base['tag']}_{rule}_{oracle}_eps{eps:g}" \
-                              f"_seed{seed}_{init}"
-                        flags["tag"] = tag
-                        cells.append((tag, flags, out_dir))
+    for rule, oracle, eps, seed, init in itertools.product(*axes):
+        tag = f"{args.tag}_{rule}_{oracle}_eps{eps:g}_seed{seed}_{init}"
+        flags = dict(vars(args), rule=rule, oracle=oracle, epsilon=eps,
+                     seed=seed, init=init, tag=tag)
+        cells.append((tag, flags, out_dir))
     if len(cells) > args.max_cells:
         raise ValueError(f"{len(cells)} cells exceed "
                          f"--max-cells={args.max_cells}")
@@ -351,27 +338,24 @@ def cmd_sweep(args) -> int:
     else:
         outcomes = [_sweep_worker(c) for c in cells]
 
-    summary_csv = os.path.join(out_dir, base["tag"] + "_summary.csv")
-    failed = []
-    with open(summary_csv, "w") as fh:
-        fh.write("tag,rule,oracle,epsilon,seed,init,final_f,"
-                 "mean_active_size,epochs\n")
-        for (tag, flags, _), (_, summary, err) in zip(cells, outcomes):
-            if err is not None:
-                failed.append({"tag": tag, "error": err})
-                continue
-            fh.write(",".join([
-                tag, flags["rule"], flags["oracle"], repr(flags["epsilon"]),
-                str(flags["seed"]), flags["init"], repr(summary["final_f"]),
-                repr(summary["mean_active_size"]), repr(summary["epochs"]),
-            ]) + "\n")
+    flag_cols = ("tag", "rule", "oracle", "epsilon", "seed", "init")
+    summary_cols = ("final_f", "mean_active_size", "epochs")
+    rows, failed = [], []
+    for (tag, flags, _), (_, summary, err) in zip(cells, outcomes):
+        if err is None:
+            rows.append([flags[k] for k in flag_cols]
+                        + [summary[k] for k in summary_cols])
+        else:
+            failed.append({"tag": tag, "error": err})
+    summary_csv = os.path.join(out_dir, args.tag + "_summary.csv")
+    write_csv(summary_csv, ",".join(flag_cols + summary_cols), zip(*rows))
     _write_json({
         "schema_version": SCHEMA_VERSION,
         "kind": "sweep",
         "cells": len(cells),
         "failed": failed,
         "summary_csv": os.path.basename(summary_csv),
-    }, os.path.join(out_dir, base["tag"] + "_sweep.json"))
+    }, os.path.join(out_dir, args.tag + "_sweep.json"))
     if failed:
         for item in failed:
             print(f"failed cell {item['tag']}: {item['error']}",
@@ -398,13 +382,7 @@ def cmd_generate(args) -> int:
     _write_json({
         "schema_version": SCHEMA_VERSION,
         "kind": "generate",
-        "n_rows": config.n_rows,
-        "n_cols": config.n_cols,
-        "seed": config.seed,
-        "column_scale_factor": config.column_scale_factor,
-        "sparsity_factor": config.sparsity_factor,
-        "support_frac": config.support_frac,
-        "noise_sigma": config.noise_sigma,
+        **asdict(config),
         "keep_probability": config.keep_probability,
         "nnz": matrix.nnz,
         "density": matrix.nnz / (matrix.n_rows * matrix.n_cols),
@@ -468,13 +446,7 @@ def cmd_ratio_sim(args) -> int:
     _write_json({
         "schema_version": SCHEMA_VERSION,
         "kind": "ratio-sim",
-        "n": config.n,
-        "s": config.s,
-        "c": config.c,
-        "t_inf": config.t_inf,
-        "steps": config.steps,
-        "seed": config.seed,
-        "reentry": config.reentry,
+        **asdict(config),
         "designated": trace.designated,
         "rho_closed_form": limit.value,
         "rho_simple_bound": limit.simple_bound,

@@ -75,21 +75,23 @@ def generate_synthetic(config: SynthConfig) -> tuple[ColumnSparseMatrix,
                                                      np.ndarray]:
     """Draw ``(A, b)`` deterministically from the config seed.
 
-    Columns that come out entirely empty after sparsification are redrawn
-    (continuing the same stream) so that every coordinate keeps a positive
-    Lipschitz constant.
+    Each column is drawn once.  A column that keeps no entry after
+    sparsification keeps one of its nonzero entries, chosen from the same
+    stream, so that every coordinate has a positive Lipschitz constant.
     """
     rng = np.random.default_rng(config.seed)
     d, n = config.n_rows, config.n_cols
     p = config.keep_probability
     cols = []
     for _ in range(n):
-        while True:
-            dense = _draw_column(rng, d, config.column_scale_factor)
-            keep = rng.random(d) < p
-            keep &= dense != 0.0
-            if keep.any():
-                break
+        dense = _draw_column(rng, d, config.column_scale_factor)
+        nonzero = dense != 0.0
+        keep = (rng.random(d) < p) & nonzero
+        if not keep.any():
+            if not nonzero.any():
+                raise ValueError("a column underflowed to zero; "
+                                 "column_scale_factor is too small")
+            keep[rng.choice(np.flatnonzero(nonzero))] = True
         idx = np.flatnonzero(keep)
         cols.append((idx, dense[idx]))
     matrix = ColumnSparseMatrix.from_columns(d, cols)
@@ -205,9 +207,9 @@ def take_columns(matrix: ColumnSparseMatrix, k: int,
 def write_csv(path, header: str, columns) -> None:
     """Write equal-length columns as CSV rows under ``header``.
 
-    Integer columns are written with ``str`` and float columns with
-    ``repr``, which reads back exactly with ``float``; NaN becomes an empty
-    field.
+    Integer and string columns are written with ``str`` and float columns
+    with ``repr``, which reads back exactly with ``float``; NaN becomes an
+    empty field.
     """
     columns = [np.asarray(col) for col in columns]
     if len({col.shape for col in columns}) > 1:
@@ -215,7 +217,7 @@ def write_csv(path, header: str, columns) -> None:
     fields = []
     for col in columns:
         values = col.tolist()
-        if col.dtype.kind in "iu":
+        if col.dtype.kind in "iuU":
             fields.append(map(str, values))
         else:
             fields.append(["" if math.isnan(v) else repr(v) for v in values])

@@ -64,13 +64,13 @@ SANDWICH_SLACK = 1e-10
 class UpdateRule:
     """How the active coordinate moves.
 
-    ``fixed`` minimises the quadratic model with the global constant L
-    (scaled by ``step_scale``, or the per-coordinate constant when
-    ``per_coordinate`` is set); with no composite penalty this is the plain
-    step ``-grad/L``.  ``prox`` is the same model minimiser spelled out for
-    composite problems.  ``line_search`` minimises the objective exactly
-    along the coordinate, which for this quadratic problem class is the
-    model minimiser at the per-coordinate constant.
+    ``fixed`` minimises the coordinate model, the proximal step under an l1
+    penalty, with the global constant L (scaled by ``step_scale``, or the
+    per-coordinate constant when ``per_coordinate`` is set); with no
+    composite penalty this is the plain step ``-grad/L``.  ``line_search``
+    minimises the objective exactly along the coordinate, which for this
+    quadratic problem class is the model minimiser at the per-coordinate
+    constant.
     """
 
     kind: str = "fixed"
@@ -78,7 +78,7 @@ class UpdateRule:
     per_coordinate: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "line_search", "prox"):
+        if self.kind not in ("fixed", "line_search"):
             raise ValueError(f"unknown update rule {self.kind!r}")
         if not self.step_scale > 0:
             raise ValueError("step_scale must be positive")

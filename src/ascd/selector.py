@@ -6,11 +6,13 @@ gradient with a certified error radius, and select in three stages.  The
 *score* stage brackets each coordinate's score in a ``Bounds`` interval,
 larger being better: the gradient magnitude (``compute_bounds``), the
 steepest directional derivative (gs-s), the model step length (gs-r) or the
-best model decrease (gs-q).  The *set* stage, ``active_set``, keeps the
-smallest prefix that provably contains the best coordinate (or one of the
-O(n) heuristic sets).  The *pick*, ``select_ascd``, draws among the best
-lower scores of the set.  Set and pick compare scores as given; the caller
-of the score stage chooses the units.
+best model decrease (gs-q); the first three are distances to a segment,
+bracketed by one helper, ``_distance_range``.  The *set* stage,
+``active_set``, keeps the smallest prefix that provably contains the best
+coordinate (or one of the O(n) heuristic sets).  The *pick*,
+``select_ascd``, draws among the best lower scores of the set.  Set and
+pick compare scores as given; the caller of the score stage chooses the
+units.
 """
 
 from __future__ import annotations
@@ -88,23 +90,21 @@ class ActiveSet:
         return int(self.indices.size)
 
 
-def _abs_interval(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Range of |t| for t in [lo, hi]."""
-    straddle = (lo <= 0.0) & (hi >= 0.0)
-    amin = np.where(straddle, 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-    amax = np.maximum(np.abs(lo), np.abs(hi))
-    return amin, amax
+def _distance_range(lo, hi, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Range of the distance from t in [lo, hi] to the segment [a, b]."""
+    return (np.maximum(np.maximum(a - hi, lo - b), 0.0),
+            np.maximum(np.maximum(a - lo, hi - b), 0.0))
 
 
 def compute_bounds(estimate: GradientEstimate) -> Bounds:
-    """Interval arithmetic on ``g +- r``: bounds on ``|grad_i|``.
+    """Interval arithmetic on ``g +- r``: bounds on ``|grad_i|``, the
+    distance from the gradient to 0.
 
-    The upper bound is the larger endpoint magnitude; the lower bound is 0
-    when the interval straddles zero and the smaller endpoint magnitude
-    otherwise.  Radius ``+inf`` yields ``(upper, lower) = (inf, 0)``.
+    The lower bound is 0 when the interval straddles zero.  Radius ``+inf``
+    yields ``(upper, lower) = (inf, 0)``.
     """
     g, r = estimate.g, estimate.r
-    lower, upper = _abs_interval(g - r, g + r)
+    lower, upper = _distance_range(g - r, g + r, 0.0, 0.0)
     return Bounds(upper=upper, lower=lower)
 
 
@@ -200,29 +200,21 @@ def gss_score_interval(estimate: GradientEstimate, x: np.ndarray,
                        reg: Regularizer) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate interval for the steepest-direction score.
 
-    For an l1 penalty the exact score at gradient value g is
-    ``max(|g| - lam, 0)`` when ``x_i = 0`` and ``|g + lam * sign(x_i)|``
-    otherwise; with the gradient only known to lie in ``g +- r`` the score
-    is bracketed by evaluating the monotone pieces.  ``lam = 0`` reduces to
-    the plain gradient magnitude bounds.
+    For an l1 penalty the exact score at gradient value g is its distance
+    to ``-subdiff psi(x_i)``: the segment ``[-lam, lam]`` when ``x_i = 0``
+    (so ``max(|g| - lam, 0)``) and the point ``-lam * sign(x_i)`` otherwise.
+    With the gradient only known to lie in ``g +- r`` the score ranges over
+    the distances from that interval.  ``lam = 0`` reduces to the plain
+    gradient magnitude bounds.
     """
     if reg.kind not in ("none", "l1"):
         raise ValueError("gs-s scores support only the l1 penalty")
     lam = reg.lam
     g, r = estimate.g, estimate.r
-    lo_end, hi_end = g - r, g + r
-
-    # x_i != 0: |g + lam * s| over the shifted interval
-    shift = lam * np.sign(x)
-    lo_nz, hi_nz = _abs_interval(lo_end + shift, hi_end + shift)
-
-    # x_i == 0: max(|g| - lam, 0); zero iff the interval meets [-lam, lam]
-    amin, amax = _abs_interval(lo_end, hi_end)
-    lo_z = np.maximum(amin - lam, 0.0)
-    hi_z = np.maximum(amax - lam, 0.0)
-
     at_zero = x == 0.0
-    return (np.where(at_zero, lo_z, lo_nz), np.where(at_zero, hi_z, hi_nz))
+    a = np.where(at_zero, -lam, -lam * np.sign(x))
+    b = np.where(at_zero, lam, a)
+    return _distance_range(g - r, g + r, a, b)
 
 
 def gsr_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
@@ -234,15 +226,10 @@ def gsr_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
     endpoints; the |y| range over that segment is returned.
     """
     g, r = estimate.g, estimate.r
-    with np.errstate(invalid="ignore"):
-        y_hi = reg.model_argmin(x, g - r, lipschitz)
-        y_lo = reg.model_argmin(x, g + r, lipschitz)
-    # infinite radii: the segment is the whole line
-    unknown = ~np.isfinite(r)
-    if unknown.any():
-        y_lo = np.where(unknown, -np.inf, y_lo)
-        y_hi = np.where(unknown, np.inf, y_hi)
-    return _abs_interval(y_lo, y_hi)
+    # an infinite radius gives minimisers -inf and +inf: the whole line
+    y_lo = reg.model_argmin(x, g + r, lipschitz)
+    y_hi = reg.model_argmin(x, g - r, lipschitz)
+    return _distance_range(y_lo, y_hi, 0.0, 0.0)
 
 
 @dataclass

@@ -1,14 +1,17 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 import ascd.hardcase
 from ascd.cli import (GENERATE_SUMMARY_SCHEMA, HARDCASE_SUMMARY_SCHEMA,
                       RATIO_SUMMARY_SCHEMA, RUN_SUMMARY_SCHEMA,
                       SWEEP_SUMMARY_SCHEMA, main)
-from ascd.data import SynthConfig
+from ascd.data import SynthConfig, load_svmlight
 from ascd.driver import TRACE_HEADER
 
 
@@ -38,6 +41,19 @@ class TestGenerate:
         assert rc == 0
         assert (tmp_path / "syn.svm").read_bytes() == dataset.read_bytes()
 
+    def test_tiny_keep_probability_finishes(self, tmp_path):
+        # almost every column keeps no entry of its one draw
+        src = os.path.dirname(os.path.dirname(ascd.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ascd.cli", "generate", "--rows", "5",
+             "--cols", "10", "--sparsity-factor", "1e-9",
+             "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0
+        matrix, _ = load_svmlight(tmp_path / "synthetic.svm")
+        assert matrix.n_cols == 10
+        assert np.all(np.diff(matrix.indptr) > 0)
+
 
 class TestRun:
     def test_trace_and_summary(self, dataset, tmp_path):
@@ -56,7 +72,7 @@ class TestRun:
 
     def test_byte_determinism(self, dataset, tmp_path):
         args = ["run", "--data", str(dataset), "--l1", "2.0", "--rule",
-                "ascd-gss", "--update", "prox", "--oracle", "g2",
+                "ascd-gss", "--update", "fixed", "--oracle", "g2",
                 "--epsilon", "0.5", "--steps", "3n", "--seed", "3"]
         rc = main(args + ["--out", str(tmp_path / "a"), "--tag", "x"])
         rc2 = main(args + ["--out", str(tmp_path / "b"), "--tag", "x"])
@@ -349,7 +365,8 @@ class TestRejectedInput:
     ], ids=["generate-rows", "generate-support-frac", "sweep-seeds",
             "sweep-max-cells", "run-missing-data", "hardcase-alpha",
             "ratio-sim-s"])
-    def test_exit_2_single_error_line(self, dataset, tmp_path, capsys, argv):
+    def test_exit_2_single_error_line(self, dataset, tmp_path, capsys, argv,
+                                      request):
         out = tmp_path / "out"
         argv = [a.format(data=dataset, tmp=tmp_path) for a in argv]
         rc = main([*argv, "--out", str(out)])
@@ -357,8 +374,18 @@ class TestRejectedInput:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        if request.node.callspec.id == "sweep-seeds":
+            assert "--seeds" in err
         written = os.listdir(out) if out.exists() else []
         assert not [f for f in written if f.endswith((".csv", ".json"))]
+
+    def test_prox_update_rejected(self, dataset, capsys):
+        # the fixed step is already the proximal step under an l1 penalty
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--data", str(dataset), "--steps", "5",
+                  "--update", "prox"])
+        assert exc.value.code == 2
+        assert "--update" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
         {"n_cols": 1}, {"sparsity_factor": 0.0}, {"sparsity_factor": -1.0},

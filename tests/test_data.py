@@ -37,6 +37,12 @@ class TestGenerate:
         assert np.all(np.diff(m.indptr) > 0)
         CompositeProblem(m, np.zeros(30))  # no zero-norm rejection
 
+    def test_column_underflowing_to_zero_rejected(self):
+        # a subnormal scale rounds whole columns to zero: no entry to keep
+        with pytest.raises(ValueError, match="underflowed"):
+            generate_synthetic(SynthConfig(n_rows=3, n_cols=50, seed=0,
+                                           column_scale_factor=5e-324))
+
     def test_column_mean_tracks_one_after_scaling(self):
         # the unit shift makes each raw column average out to its scale
         rng = np.random.default_rng(5)

@@ -46,7 +46,7 @@ class TestStep:
         prob = identity_problem(1, b=np.array([3.0]), reg=Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([0.0]))
         # grad = -3, L = 1: model minimiser is soft(3, 1) = 2
-        gamma, _ = step(prob, st, 0, UpdateRule("prox"))
+        gamma, _ = step(prob, st, 0, UpdateRule("fixed"))
         assert gamma == pytest.approx(2.0)
 
     def test_prox_example_from_slope(self):
@@ -54,7 +54,7 @@ class TestStep:
         prob = identity_problem(1, b=np.array([-3.0]), reg=Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([0.0]))
         assert prob.partial_gradient(st, 0) == pytest.approx(3.0)
-        gamma, _ = step(prob, st, 0, UpdateRule("prox"))
+        gamma, _ = step(prob, st, 0, UpdateRule("fixed"))
         assert gamma == pytest.approx(-2.0)
 
     def test_line_search_l1_reports_subgradient_value(self):
@@ -148,7 +148,7 @@ class TestRun:
     def test_monotone_descent_all_rules(self):
         for reg, update in ((None, UpdateRule("fixed")),
                             (Regularizer("l2", 0.7), UpdateRule("line_search")),
-                            (Regularizer("l1", 0.4), UpdateRule("prox"))):
+                            (Regularizer("l1", 0.4), UpdateRule("fixed"))):
             prob = random_problem(7, reg=reg)
             for rule in ("ucd", "scd", "ascd", "a-ascd", "ascd-gss"):
                 if rule == "ascd-gss" and reg is not None and reg.kind == "l2":

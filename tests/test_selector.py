@@ -30,6 +30,30 @@ def gsq_scores(q):
     return Bounds(upper=-q.v, lower=-q.w)
 
 
+def gss_exact(t, x, lam):
+    """gs-s score at gradient value t: the distance to -subdiff lam|x_i|."""
+    return np.where(x == 0.0, np.maximum(np.abs(t) - lam, 0.0),
+                    np.abs(t + lam * np.sign(x)))
+
+
+def kink_range(score, e, lam):
+    """Min and max of a score over every ``[g - r, g + r]``, for a score
+    that is linear away from the kinks -lam and lam: the extremes lie at
+    the ends or at the kinks clamped into the interval."""
+    lo, hi = e.g - e.r, e.g + e.r
+    pts = np.stack([lo, hi, np.clip(-lam, lo, hi), np.clip(lam, lo, hi)])
+    vals = score(pts)
+    return vals.min(axis=0), vals.max(axis=0)
+
+
+def _estimates(n):
+    """Estimates with some zero gradients and some zero or infinite radii."""
+    grad = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
+    radius = st.one_of(st.just(0.0), st.floats(0, 1e6), st.just(np.inf))
+    return st.builds(est, arrays(np.float64, n, elements=grad),
+                     arrays(np.float64, n, elements=radius))
+
+
 class TestComputeBounds:
     def test_plain_interval(self):
         b = compute_bounds(est([2.0], [0.5]))
@@ -48,6 +72,14 @@ class TestComputeBounds:
         b = compute_bounds(GradientEstimate.exact(g))
         assert_allclose(b.upper, np.abs(g))
         assert_allclose(b.lower, np.abs(g))
+
+    @given(st.integers(1, 20).flatmap(_estimates))
+    def test_tight(self, e):
+        # the interval is exactly the range of |t|, not just a cover of it
+        b = compute_bounds(e)
+        lower, upper = kink_range(np.abs, e, 0.0)
+        assert np.array_equal(b.lower, lower)
+        assert np.array_equal(b.upper, upper)
 
 
 _FINITE = st.floats(-1e100, 1e100)
@@ -404,6 +436,19 @@ class TestGssScores:
                 s = score(grad, x)
                 assert lo[0] <= s + 1e-12
                 assert s <= hi[0] + 1e-12
+
+    @given(st.integers(1, 20).flatmap(
+        lambda n: st.tuples(_estimates(n),
+                            arrays(np.float64, n, elements=st.one_of(
+                                st.just(0.0), st.floats(-10, 10))),
+                            st.one_of(st.just(0.0), st.floats(0, 1e3)))))
+    def test_tight(self, drawn):
+        e, x, lam = drawn
+        reg = Regularizer("l1", lam)
+        lo, hi = gss_score_interval(e, x, reg)
+        lower, upper = kink_range(lambda t: gss_exact(t, x, lam), e, lam)
+        assert np.array_equal(lo, lower)
+        assert np.array_equal(hi, upper)
 
     def test_uninformed(self):
         lo, hi = gss_score_interval(GradientEstimate.uninformed(2),
