@@ -19,6 +19,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -150,7 +151,10 @@ def _parse_steps(text: str, n: int) -> int:
     """Either a plain count or a multiple of the dimension, e.g. ``10n``."""
     text = text.strip().lower()
     if text.endswith("n"):
-        return max(1, int(round(float(text[:-1] or "1") * n)))
+        epochs = float(text[:-1] or "1")
+        if not np.isfinite(epochs):
+            raise ValueError(f"--steps {text}: not a finite multiple of n")
+        return max(1, int(round(epochs * n)))
     return int(text)
 
 
@@ -200,15 +204,11 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--oracle", default="g3", choices=ORACLE_KINDS)
     p.add_argument("--epsilon", type=float, default=0.0,
                    help="g2 relative error level")
-    p.add_argument("--hessian-bound", type=float, default=0.0,
-                   help="bh curvature bound")
     p.add_argument("--oracle-seed", type=int, default=None,
                    help="defaults to --seed")
     p.add_argument("--update", default="fixed",
                    choices=["fixed", "line-search"])
     p.add_argument("--step-scale", type=float, default=1.0)
-    p.add_argument("--per-coordinate", action="store_true",
-                   help="use per-coordinate constants in the fixed step")
     p.add_argument("--steps", default=None,
                    help="step budget; accepts multiples of n like '10n'")
     p.add_argument("--init", default="none",
@@ -244,15 +244,13 @@ def _execute_run(flags: dict, out_dir: str) -> dict:
     steps = _parse_steps(str(flags["steps"]), problem.n)
     oracle_seed = flags["oracle_seed"]
     spec = OracleSpec(flags["oracle"], epsilon=flags["epsilon"],
-                      hessian_bound=flags["hessian_bound"],
                       seed=flags["seed"] if oracle_seed is None else oracle_seed)
     config = RunConfig(
         problem=problem,
         steps=steps,
         rule=flags["rule"],
         update=UpdateRule(flags["update"].replace("-", "_"),
-                          step_scale=flags["step_scale"],
-                          per_coordinate=flags["per_coordinate"]),
+                          step_scale=flags["step_scale"]),
         oracle=spec,
         seed=flags["seed"],
         init=flags["init"],
@@ -369,14 +367,23 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_GENERATE_FLAGS = {"n_rows": "--rows", "n_cols": "--cols", "seed": "--seed",
+                   "column_scale_factor": "--scale-factor",
+                   "sparsity_factor": "--sparsity-factor",
+                   "support_frac": "--support-frac",
+                   "noise_sigma": "--noise-sigma"}
+
+
 def cmd_generate(args) -> int:
+    try:
+        config = SynthConfig(**{
+            field: getattr(args, flag[2:].replace("-", "_"))
+            for field, flag in _GENERATE_FLAGS.items()})
+        matrix, target = generate_synthetic(config)
+    except ValueError as exc:  # name the flags, not the config fields
+        raise ValueError(re.sub(r"\w+", lambda m: _GENERATE_FLAGS.get(
+            m[0], m[0]), str(exc))) from exc
     out_dir = _out_dir(args)
-    config = SynthConfig(n_rows=args.rows, n_cols=args.cols, seed=args.seed,
-                         column_scale_factor=args.scale_factor,
-                         sparsity_factor=args.sparsity_factor,
-                         support_frac=args.support_frac,
-                         noise_sigma=args.noise_sigma)
-    matrix, target = generate_synthetic(config)
     svm_path = os.path.join(out_dir, args.tag + ".svm")
     save_svmlight(matrix, target, svm_path)
     _write_json({

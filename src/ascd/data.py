@@ -46,9 +46,12 @@ class SynthConfig:
     noise_sigma: float = 0.1
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         # generate_synthetic would crash or redraw an empty column forever
         if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("need at least one row and one column")
+            raise ValueError("n_rows and n_cols must be at least 1")
         if not self.keep_probability > 0:
             raise ValueError("keep probability must be positive "
                              "(need n_cols >= 2 and sparsity_factor > 0)")
@@ -75,9 +78,9 @@ def generate_synthetic(config: SynthConfig) -> tuple[ColumnSparseMatrix,
                                                      np.ndarray]:
     """Draw ``(A, b)`` deterministically from the config seed.
 
-    Each column is drawn once.  A column that keeps no entry after
-    sparsification keeps one of its nonzero entries, chosen from the same
-    stream, so that every coordinate has a positive Lipschitz constant.
+    Each column is drawn once and keeps only entries with a nonzero square.
+    A column that keeps none after sparsification keeps one such entry,
+    chosen from the same stream, so every Lipschitz constant is positive.
     """
     rng = np.random.default_rng(config.seed)
     d, n = config.n_rows, config.n_cols
@@ -85,12 +88,12 @@ def generate_synthetic(config: SynthConfig) -> tuple[ColumnSparseMatrix,
     cols = []
     for _ in range(n):
         dense = _draw_column(rng, d, config.column_scale_factor)
-        nonzero = dense != 0.0
+        nonzero = dense * dense != 0.0
         keep = (rng.random(d) < p) & nonzero
         if not keep.any():
             if not nonzero.any():
-                raise ValueError("a column underflowed to zero; "
-                                 "column_scale_factor is too small")
+                raise ValueError("a column's squared norm underflowed to "
+                                 "zero; column_scale_factor is too small")
             keep[rng.choice(np.flatnonzero(nonzero))] = True
         idx = np.flatnonzero(keep)
         cols.append((idx, dense[idx]))

@@ -5,11 +5,11 @@ uniform (``ucd``), steepest with a fresh full gradient every step (``scd``),
 or a tracked rule that runs the score, set and pick stages of ``selector``.
 ``_scores`` fixes the units: ``ascd-gsq`` compares the negated model
 decrease bounds, every other tracked rule its magnitude interval squared.
-``u-ascd``, ``l-ascd`` and ``a-ascd`` use their O(n) heuristic set, the
-rest the sorted safe set.  The pick ``argmax-lower`` takes the best lower
-score (greedy; degenerates to hammering one coordinate when every other
-bound has collapsed), while ``uniform-set`` draws uniformly from the set,
-the regime the one-step progress and equilibrium analyses describe.
+``u-ascd`` and ``a-ascd`` use their O(n) heuristic set, the rest the
+sorted safe set.  The pick ``argmax-lower`` takes the best lower score
+(greedy; degenerates to hammering one coordinate when every other bound
+has collapsed), while ``uniform-set`` draws uniformly from the set, the
+regime the one-step progress and equilibrium analyses describe.
 
 Every run records one trace: the columns named in ``TRACE_COLUMNS``, plus
 the step length ``gamma``, allocated once per run and filled in place, one
@@ -48,8 +48,8 @@ __all__ = [
     "write_trace_csv",
 ]
 
-RULES = ("ucd", "scd", "ascd", "u-ascd", "l-ascd", "a-ascd",
-         "ascd-gss", "ascd-gsq", "ascd-gsr")
+RULES = ("ucd", "scd", "ascd", "u-ascd", "a-ascd", "ascd-gss", "ascd-gsq",
+         "ascd-gsr")
 
 TRACE_COLUMNS = ("t", "i", "f", "grad_inf", "grad2sq", "active_size", "rho",
                  "tau_ucd", "tau_ascd", "tau_scd", "wall_ns")
@@ -65,23 +65,21 @@ class UpdateRule:
     """How the active coordinate moves.
 
     ``fixed`` minimises the coordinate model, the proximal step under an l1
-    penalty, with the global constant L (scaled by ``step_scale``, or the
-    per-coordinate constant when ``per_coordinate`` is set); with no
-    composite penalty this is the plain step ``-grad/L``.  ``line_search``
-    minimises the objective exactly along the coordinate, which for this
-    quadratic problem class is the model minimiser at the per-coordinate
-    constant.
+    penalty, with the global constant ``L / step_scale``; with no composite
+    penalty this is the plain step ``-grad * step_scale / L``.
+    ``line_search`` minimises the objective exactly along the coordinate,
+    which for this quadratic problem class is the model minimiser at the
+    coordinate's own constant.
     """
 
     kind: str = "fixed"
     step_scale: float = 1.0
-    per_coordinate: bool = False
 
     def __post_init__(self):
         if self.kind not in ("fixed", "line_search"):
             raise ValueError(f"unknown update rule {self.kind!r}")
-        if not self.step_scale > 0:
-            raise ValueError("step_scale must be positive")
+        if not 0 < self.step_scale < np.inf:
+            raise ValueError("step_scale must be positive and finite")
 
 
 def step(problem: CompositeProblem, state: ResidualState, i: int,
@@ -97,12 +95,8 @@ def step(problem: CompositeProblem, state: ResidualState, i: int,
     g_i = problem.partial_gradient(state, i)
     if not np.isfinite(g_i):
         raise FloatingPointError(f"non-finite gradient on coordinate {i}")
-    if rule.kind == "line_search":
-        l_eff = float(problem.lipschitz[i])
-    else:
-        l_base = (float(problem.lipschitz[i]) if rule.per_coordinate
-                  else problem.lipschitz_max)
-        l_eff = l_base / rule.step_scale
+    l_eff = (float(problem.lipschitz[i]) if rule.kind == "line_search"
+             else problem.lipschitz_max / rule.step_scale)
     gamma = float(problem.psi_reg.model_argmin(state.x[i], g_i, l_eff))
     state.apply_step(problem.matrix, i, gamma)
     if rule.kind == "line_search":
@@ -263,7 +257,7 @@ def run(config: RunConfig) -> RunResult:
             i_t = select_ucd(n, rng)
         else:
             scores = _scores(config.rule, est, state.x, problem)
-            if config.rule in ("u-ascd", "l-ascd", "a-ascd"):
+            if config.rule in ("u-ascd", "a-ascd"):
                 aset = heuristic_active_set(config.rule, scores)
             else:
                 aset = active_set(scores)

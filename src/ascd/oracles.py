@@ -16,9 +16,7 @@ Available kinds:
 * ``g4``   a fixed pseudo-random value in the Cauchy-Schwarz interval; its
            certified error is the interval diameter ``2 ||a_i|| * ||a_j||``
            (the true product can sit at the opposite end of the interval,
-           so the radius alone would not be a valid certificate),
-* ``bh``   zero estimate with error ``M * ||a_i|| * ||a_j||`` for smooth
-           losses with Hessian bounded by M.
+           so the radius alone would not be a valid certificate).
 
 All estimators are pure functions of ``(kind, matrix, seed, i, j)``; the g2
 and g4 draws are keyed on the unordered pair so they are symmetric and do
@@ -41,7 +39,7 @@ __all__ = [
     "oracle_row",
 ]
 
-ORACLE_KINDS = ("g1", "g2", "g3", "g4", "bh")
+ORACLE_KINDS = ("g1", "g2", "g3", "g4")
 
 # largest column count for which the exact kinds build the dense Gram matrix
 GRAM_LIMIT = 2048
@@ -55,19 +53,18 @@ _SALT_G4 = np.uint64(0xC2B2AE3D27D4EB4F)
 class OracleSpec:
     """Which estimator to use and its parameters.
 
-    ``epsilon`` is only read by g2 and ``hessian_bound`` only by bh.
+    ``epsilon`` is only read by g2.
     """
 
     kind: str = "g3"
     epsilon: float = 0.0
-    hessian_bound: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ORACLE_KINDS:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
-        if self.epsilon < 0 or self.hessian_bound < 0:
-            raise ValueError("epsilon and hessian_bound must be nonnegative")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be nonnegative and finite")
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -134,7 +131,5 @@ def oracle_row(ctx: OracleContext, i: int) -> tuple[np.ndarray, np.ndarray]:
         return np.clip(s, -bounds, bounds), spec.epsilon * bounds
     if spec.kind == "g3":
         return np.zeros(n), bounds
-    if spec.kind == "g4":
-        u = _pair_uniform(spec.seed, _SALT_G4, i, np.arange(n), n)
-        return bounds * u, 2.0 * bounds
-    return np.zeros(n), spec.hessian_bound * bounds
+    u = _pair_uniform(spec.seed, _SALT_G4, i, np.arange(n), n)
+    return bounds * u, 2.0 * bounds

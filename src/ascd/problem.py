@@ -134,8 +134,8 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in ("none", "l2", "l1"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lambda must be nonnegative and finite")
         if self.kind == "none":
             self.lam = 0.0
 
@@ -216,7 +216,7 @@ class CompositeProblem:
         norms_sq = matrix.col_norms_sq()
         if np.any(norms_sq == 0.0):
             bad = int(np.argmin(norms_sq))
-            raise ValueError(f"column {bad} has zero norm; the per-coordinate "
+            raise ValueError(f"column {bad} has zero norm; its coordinate "
                              "step size would be undefined")
         self.matrix = matrix
         self.target = target

@@ -10,9 +10,10 @@ best model decrease (gs-q); the first three are distances to a segment,
 bracketed by one helper, ``_distance_range``.  The *set* stage,
 ``active_set``, keeps the smallest prefix that provably contains the best
 coordinate (or one of the O(n) heuristic sets).  The *pick*,
-``select_ascd``, draws among the best lower scores of the set.  Set and
-pick compare scores as given; the caller of the score stage chooses the
-units.
+``select_ascd``, draws among the best lower scores of the set; the safe
+set keeps every maximiser of the lower score, whose upper score reaches
+every prefix average.  Set and pick compare scores as given; the caller
+of the score stage chooses the units.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ __all__ = [
 
 @dataclass
 class GradientEstimate:
-    """Tracked gradient vector with per-coordinate error radii.
+    """Tracked gradient vector with an error radius for every coordinate.
 
     Whenever the radii are sound, the true smooth partial gradient of
     coordinate i lies in ``[g[i] - r[i], g[i] + r[i]]``.  Radii may be
@@ -117,7 +118,9 @@ def active_set(scores: Bounds) -> ActiveSet:
     lower, upper = scores.lower, scores.upper
     n = lower.size
     order = np.argsort(-lower, kind="stable")
-    av = np.cumsum(lower[order]) / np.arange(1, n + 1)
+    ranked = lower[order]
+    # capped, a rounded average cannot drop a tie for the best lower score
+    av = np.minimum(np.cumsum(ranked) / np.arange(1, n + 1), ranked[0])
     # largest excluded upper score for every prefix size
     tail = np.empty(n)
     tail[:n - 1] = np.maximum.accumulate(upper[order][::-1])[::-1][1:]
@@ -152,16 +155,13 @@ def select_ascd(scores: Bounds, aset: ActiveSet,
 def heuristic_active_set(variant: str, scores: Bounds) -> ActiveSet:
     """O(n) replacements for the sorted active set.
 
-    ``u-ascd`` keeps the upper-score argmax, ``l-ascd`` the lower-score
-    argmax, and ``a-ascd`` every coordinate whose upper score reaches the
-    best lower score.  Only a-ascd is guaranteed to contain the best
-    coordinate.
+    ``u-ascd`` keeps the upper-score argmax and ``a-ascd`` every
+    coordinate whose upper score reaches the best lower score.  Only a-ascd
+    is guaranteed to contain the best coordinate.
     """
     u, low = scores.upper, scores.lower
     if variant == "u-ascd":
         idx = np.flatnonzero(u == u.max())
-    elif variant == "l-ascd":
-        idx = np.flatnonzero(low == low.max())
     elif variant == "a-ascd":
         idx = np.flatnonzero(u >= low.max())
     else:

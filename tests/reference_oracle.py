@@ -56,8 +56,5 @@ def oracle_estimate(spec: OracleSpec, matrix: ColumnSparseMatrix,
         return OracleOutput(est, spec.epsilon * bound)
     if spec.kind == "g3":
         return OracleOutput(0.0, bound)
-    if spec.kind == "g4":
-        u = float(_pair_uniform(spec.seed, _SALT_G4, i, j, matrix.n_cols))
-        return OracleOutput(bound * u, 2.0 * bound)
-    # bh: centre of the bounded-Hessian interval
-    return OracleOutput(0.0, spec.hessian_bound * bound)
+    u = float(_pair_uniform(spec.seed, _SALT_G4, i, j, matrix.n_cols))
+    return OracleOutput(bound * u, 2.0 * bound)

@@ -352,21 +352,48 @@ class TestRatioSim:
 class TestRejectedInput:
     """Every subcommand turns rejected input into exit 2 and one line."""
 
-    @pytest.mark.parametrize("argv", [
-        ["generate", "--rows", "0", "--cols", "10"],
-        ["generate", "--rows", "10", "--cols", "10", "--support-frac", "2"],
-        ["sweep", "--data", "{data}", "--steps", "1n", "--seeds", "x"],
-        ["sweep", "--data", "{data}", "--steps", "1n", "--seeds", "1,2,3",
-         "--epsilons", "0,1", "--max-cells", "5"],
-        ["run", "--data", "{tmp}/nope.svm", "--steps", "5"],
-        ["hardcase", "--n", "10", "--alpha", "0.6", "--steps", "10"],
-        ["ratio-sim", "--n", "10", "--s", "20", "--t-inf", "50",
-         "--steps", "100"],
-    ], ids=["generate-rows", "generate-support-frac", "sweep-seeds",
-            "sweep-max-cells", "run-missing-data", "hardcase-alpha",
-            "ratio-sim-s"])
+    @pytest.mark.parametrize("argv,named", [
+        pytest.param(["generate", "--rows", "0", "--cols", "10"], "--rows",
+                     id="generate-rows"),
+        pytest.param(["generate", "--rows", "10", "--cols", "10",
+                      "--support-frac", "2"], "--support-frac",
+                     id="generate-support-frac"),
+        # the squared column norms underflow although no value does
+        pytest.param(["generate", "--rows", "20", "--cols", "10",
+                      "--scale-factor", "1e-200"], "--scale-factor",
+                     id="generate-underflow"),
+        pytest.param(["generate", "--rows", "10", "--cols", "10",
+                      "--noise-sigma", "nan"], "--noise-sigma",
+                     id="generate-noise-nan"),
+        pytest.param(["sweep", "--data", "{data}", "--steps", "1n",
+                      "--seeds", "x"], "--seeds", id="sweep-seeds"),
+        pytest.param(["sweep", "--data", "{data}", "--steps", "1n",
+                      "--seeds", "1,2,3", "--epsilons", "0,1",
+                      "--max-cells", "5"], "--max-cells",
+                     id="sweep-max-cells"),
+        pytest.param(["run", "--data", "{tmp}/nope.svm", "--steps", "5"],
+                     None, id="run-missing-data"),
+        pytest.param(["run", "--data", "{data}", "--steps", "infn"],
+                     "--steps", id="run-steps-inf"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--l2", "nan"], "lambda", id="run-l2-nan"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--l2", "inf"], "lambda", id="run-l2-inf"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--l1", "nan"], "lambda", id="run-l1-nan"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--step-scale", "inf"], "step_scale",
+                     id="run-step-scale-inf"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--oracle", "g2", "--epsilon", "nan"], "epsilon",
+                     id="run-epsilon-nan"),
+        pytest.param(["hardcase", "--n", "10", "--alpha", "0.6",
+                      "--steps", "10"], None, id="hardcase-alpha"),
+        pytest.param(["ratio-sim", "--n", "10", "--s", "20", "--t-inf", "50",
+                      "--steps", "100"], None, id="ratio-sim-s"),
+    ])
     def test_exit_2_single_error_line(self, dataset, tmp_path, capsys, argv,
-                                      request):
+                                      named):
         out = tmp_path / "out"
         argv = [a.format(data=dataset, tmp=tmp_path) for a in argv]
         rc = main([*argv, "--out", str(out)])
@@ -374,18 +401,27 @@ class TestRejectedInput:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
-        if request.node.callspec.id == "sweep-seeds":
-            assert "--seeds" in err
+        # the message names the flag or field to fix
+        if named is not None:
+            assert named in err
         written = os.listdir(out) if out.exists() else []
-        assert not [f for f in written if f.endswith((".csv", ".json"))]
+        assert not [f for f in written if f.endswith((".csv", ".json",
+                                                      ".svm"))]
 
-    def test_prox_update_rejected(self, dataset, capsys):
-        # the fixed step is already the proximal step under an l1 penalty
+    # each of these names re-ran another configuration and was removed
+    @pytest.mark.parametrize("argv,flag", [
+        (["--update", "prox"], "--update"),
+        (["--rule", "l-ascd"], "--rule"),
+        (["--oracle", "bh"], "--oracle"),
+        (["--hessian-bound", "1"], "--hessian-bound"),
+        (["--per-coordinate"], "--per-coordinate"),
+    ], ids=["update-prox", "rule-l-ascd", "oracle-bh", "hessian-bound",
+            "per-coordinate"])
+    def test_prox_update_rejected(self, dataset, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--data", str(dataset), "--steps", "5",
-                  "--update", "prox"])
+            main(["run", "--data", str(dataset), "--steps", "5", *argv])
         assert exc.value.code == 2
-        assert "--update" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
         {"n_cols": 1}, {"sparsity_factor": 0.0}, {"sparsity_factor": -1.0},

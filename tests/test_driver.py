@@ -6,7 +6,7 @@ from ascd.data import SynthConfig, generate_synthetic
 from ascd.driver import (RunConfig, UpdateRule, progress_delta, progress_tau,
                          run, step, write_trace_csv, TRACE_COLUMNS,
                          TRACE_HEADER)
-from ascd.oracles import OracleSpec
+from ascd.oracles import ORACLE_KINDS, OracleSpec
 from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
 from ascd.selector import ActiveSet, GradientEstimate
 
@@ -161,9 +161,9 @@ class TestRun:
 
     def test_soundness_and_containment_every_oracle(self):
         prob = random_problem(9, reg=Regularizer("l2", 0.2))
-        for kind in ("g1", "g2", "g3", "g4", "bh"):
+        for kind in ORACLE_KINDS:
             for init in ("none", "true-gradient"):
-                spec = OracleSpec(kind, epsilon=0.5, hessian_bound=1.0, seed=4)
+                spec = OracleSpec(kind, epsilon=0.5, seed=4)
                 res = run(RunConfig(problem=prob, steps=150, rule="ascd",
                                     oracle=spec, seed=3, init=init,
                                     diag_every=1))
