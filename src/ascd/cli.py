@@ -158,6 +158,16 @@ def _parse_steps(text: str, n: int) -> int:
     return int(text)
 
 
+def _named(flags: dict, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a rejection names the flags, not the
+    fields, that ``flags`` maps."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]),
+                                str(exc))) from exc
+
+
 def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> list:
     """Pre-scan for --config and install its contents as parser defaults.
 
@@ -227,30 +237,38 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 def _build_problem(flags: dict) -> CompositeProblem:
     matrix, target = load_svmlight(flags["data"], binarize=flags["binarize"])
     if flags["take_cols"] is not None:
-        matrix = take_columns(matrix, flags["take_cols"], flags["take_seed"])
+        matrix = _named({"k": "--take-cols", "seed": "--take-seed"},
+                        take_columns, matrix, flags["take_cols"],
+                        flags["take_seed"])
     if flags["l1"] and flags["l2"]:
         raise ValueError("choose one of --l1/--l2")
-    if flags["l1"]:
-        reg = Regularizer("l1", flags["l1"])
-    elif flags["l2"]:
-        reg = Regularizer("l2", flags["l2"])
-    else:
-        reg = Regularizer()
+    kind = "l1" if flags["l1"] else "l2" if flags["l2"] else "none"
+    reg = _named({"lambda": f"--{kind}"}, Regularizer, kind,
+                 flags.get(kind, 0.0))
     return CompositeProblem(matrix, target, reg)
+
+
+# run-time fields that rejections name, and the flags that set them
+_RUN_FLAGS = {"seed": "--seed", "diag_every": "--diag-every",
+              "rho_support": "--rho-support", "step_scale": "--step-scale"}
 
 
 def _execute_run(flags: dict, out_dir: str) -> dict:
     problem = _build_problem(flags)
     steps = _parse_steps(str(flags["steps"]), problem.n)
     oracle_seed = flags["oracle_seed"]
-    spec = OracleSpec(flags["oracle"], epsilon=flags["epsilon"],
-                      seed=flags["seed"] if oracle_seed is None else oracle_seed)
-    config = RunConfig(
+    seed_flag = "--seed" if oracle_seed is None else "--oracle-seed"
+    spec = _named({"seed": seed_flag, "epsilon": "--epsilon"}, OracleSpec,
+                  flags["oracle"], epsilon=flags["epsilon"],
+                  seed=flags["seed"] if oracle_seed is None else oracle_seed)
+    config = _named(
+        _RUN_FLAGS, RunConfig,
         problem=problem,
         steps=steps,
         rule=flags["rule"],
-        update=UpdateRule(flags["update"].replace("-", "_"),
-                          step_scale=flags["step_scale"]),
+        update=_named(_RUN_FLAGS, UpdateRule,
+                      flags["update"].replace("-", "_"),
+                      step_scale=flags["step_scale"]),
         oracle=spec,
         seed=flags["seed"],
         init=flags["init"],
@@ -375,14 +393,10 @@ _GENERATE_FLAGS = {"n_rows": "--rows", "n_cols": "--cols", "seed": "--seed",
 
 
 def cmd_generate(args) -> int:
-    try:
-        config = SynthConfig(**{
-            field: getattr(args, flag[2:].replace("-", "_"))
-            for field, flag in _GENERATE_FLAGS.items()})
-        matrix, target = generate_synthetic(config)
-    except ValueError as exc:  # name the flags, not the config fields
-        raise ValueError(re.sub(r"\w+", lambda m: _GENERATE_FLAGS.get(
-            m[0], m[0]), str(exc))) from exc
+    config = _named(_GENERATE_FLAGS, SynthConfig, **{
+        field: getattr(args, flag[2:].replace("-", "_"))
+        for field, flag in _GENERATE_FLAGS.items()})
+    matrix, target = _named(_GENERATE_FLAGS, generate_synthetic, config)
     out_dir = _out_dir(args)
     svm_path = os.path.join(out_dir, args.tag + ".svm")
     save_svmlight(matrix, target, svm_path)

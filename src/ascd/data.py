@@ -201,6 +201,8 @@ def take_columns(matrix: ColumnSparseMatrix, k: int,
     """Random column subset of size k, order preserved."""
     if not 1 <= k <= matrix.n_cols:
         raise ValueError("k must be between 1 and the number of columns")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(matrix.n_cols, size=k, replace=False))
     return ColumnSparseMatrix.from_columns(

@@ -157,6 +157,10 @@ class RunConfig:
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.pick not in ("argmax-lower", "uniform-set"):
             raise ValueError(f"unknown pick mode {self.pick!r}")
+        for name in ("seed", "diag_every", "rho_support"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass

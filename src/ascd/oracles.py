@@ -18,6 +18,11 @@ Available kinds:
            (the true product can sit at the opposite end of the interval,
            so the radius alone would not be a valid certificate).
 
+Only g1 and g2 form the exact row ``A^T a_i``: a row of the dense Gram
+matrix when n is at most ``GRAM_LIMIT``, otherwise a gather over a
+row-major copy of A that costs the nonzeros of the rows of A meeting
+a_i's support, never a pass over all of A.
+
 All estimators are pure functions of ``(kind, matrix, seed, i, j)``; the g2
 and g4 draws are keyed on the unordered pair so they are symmetric and do
 not change between calls.
@@ -65,6 +70,8 @@ class OracleSpec:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
         if not 0 <= self.epsilon < np.inf:
             raise ValueError("epsilon must be nonnegative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -90,10 +97,11 @@ def _pair_uniform(seed: int, salt: np.uint64, i, j, n: int) -> np.ndarray:
 class OracleContext:
     """Per-run precomputation backing the vectorised row queries.
 
-    Column norms are always precomputed.  For the exact kinds (g1, g2) the
-    dense Gram matrix is materialised when the matrix has at most
-    ``GRAM_LIMIT`` columns, otherwise rows are recomputed on the fly at
-    ``O(nnz(A))`` per query.
+    Column norms are always precomputed.  The exact kinds (g1, g2) need
+    the row ``A^T a_i``: with at most ``GRAM_LIMIT`` columns it is a row of
+    the dense Gram matrix, built once.  With more columns a row-major copy
+    of A is built once instead (O(nnz) memory), and row i gathers the rows
+    of A that meet a_i's support, at ``O(sum of their nnz)`` per query.
     """
 
     def __init__(self, spec: OracleSpec, matrix: ColumnSparseMatrix):
@@ -101,17 +109,36 @@ class OracleContext:
         self.matrix = matrix
         self.norms = np.sqrt(matrix.col_norms_sq())
         self.gram = None
-        if spec.kind in ("g1", "g2") and matrix.n_cols <= GRAM_LIMIT:
+        if spec.kind not in ("g1", "g2"):
+            return
+        if matrix.n_cols <= GRAM_LIMIT:
             dense = matrix.to_dense()
             self.gram = dense.T @ dense
+            return
+        # stable: each row of A lists its entries in increasing column order
+        order = np.argsort(matrix.rows, kind="stable")
+        self._row_ptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows),
+                  out=self._row_ptr[1:])
+        self._row_cols = np.repeat(
+            np.arange(matrix.n_cols, dtype=np.int32),
+            np.diff(matrix.indptr))[order]
+        self._row_vals = matrix.vals[order]
 
     def _dot_row(self, i: int) -> np.ndarray:
         if self.gram is not None:
             return self.gram[i]
+        # column j sums a_i[r] * A[r, j] over increasing r, the order of
+        # ColumnSparseMatrix.col_dots without its zero terms: the same bits
         rows, vals = self.matrix.col(i)
-        dense = np.zeros(self.matrix.n_rows)
-        dense[rows] = vals
-        return self.matrix.col_dots(dense)
+        starts = self._row_ptr[rows]
+        counts = self._row_ptr[rows + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        entries = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+        return np.bincount(self._row_cols[entries],
+                           weights=np.repeat(vals, counts)
+                           * self._row_vals[entries],
+                           minlength=self.matrix.n_cols)
 
 
 def oracle_row(ctx: OracleContext, i: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 
 ``ascd.oracles.oracle_row`` answers a whole row at once; the tests compare
 it entry by entry against ``oracle_estimate`` here, which computes one pair
-``(i, j)`` straight from the two sparse columns.
+``(i, j)`` straight from the two sparse columns, and its exact rows bit for
+bit against ``col_dots_row``.
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,14 @@ def exact_change(matrix: ColumnSparseMatrix, i: int, j: int) -> float:
     _, ii, jj = np.intersect1d(ri, rj, assume_unique=True,
                                return_indices=True)
     return float(vi[ii] @ vj[jj])
+
+
+def col_dots_row(matrix: ColumnSparseMatrix, i: int) -> np.ndarray:
+    """Row ``A^T a_i`` from one pass over all of A with a dense a_i."""
+    rows, vals = matrix.col(i)
+    dense = np.zeros(matrix.n_rows)
+    dense[rows] = vals
+    return matrix.col_dots(dense)
 
 
 def jl_simulated_product(matrix: ColumnSparseMatrix, i: int, j: int,

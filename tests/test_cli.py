@@ -376,17 +376,34 @@ class TestRejectedInput:
         pytest.param(["run", "--data", "{data}", "--steps", "infn"],
                      "--steps", id="run-steps-inf"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
-                      "--l2", "nan"], "lambda", id="run-l2-nan"),
+                      "--l2", "nan"], "--l2", id="run-l2-nan"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
-                      "--l2", "inf"], "lambda", id="run-l2-inf"),
+                      "--l2", "inf"], "--l2", id="run-l2-inf"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
-                      "--l1", "nan"], "lambda", id="run-l1-nan"),
+                      "--l1", "nan"], "--l1", id="run-l1-nan"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
-                      "--step-scale", "inf"], "step_scale",
+                      "--step-scale", "inf"], "--step-scale",
                      id="run-step-scale-inf"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
-                      "--oracle", "g2", "--epsilon", "nan"], "epsilon",
+                      "--oracle", "g2", "--epsilon", "nan"], "--epsilon",
                      id="run-epsilon-nan"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--seed", "-1"], "--seed", id="run-seed-negative"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--oracle-seed", "-1"], "--oracle-seed",
+                     id="run-oracle-seed-negative"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--diag-every", "-1"], "--diag-every",
+                     id="run-diag-every-negative"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--rho-support", "-1"], "--rho-support",
+                     id="run-rho-support-negative"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--take-cols", "0"], "--take-cols",
+                     id="run-take-cols-zero"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--take-cols", "5", "--take-seed", "-1"], "--take-seed",
+                     id="run-take-seed-negative"),
         pytest.param(["hardcase", "--n", "10", "--alpha", "0.6",
                       "--steps", "10"], None, id="hardcase-alpha"),
         pytest.param(["ratio-sim", "--n", "10", "--s", "20", "--t-inf", "50",

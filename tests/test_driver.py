@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 import ascd.driver
+import ascd.oracles
 from ascd.data import SynthConfig, generate_synthetic
 from ascd.driver import (RunConfig, UpdateRule, progress_delta, progress_tau,
                          run, step, write_trace_csv, TRACE_COLUMNS,
                          TRACE_HEADER)
-from ascd.oracles import ORACLE_KINDS, OracleSpec
+from ascd.oracles import ORACLE_KINDS, OracleContext, OracleSpec
 from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
 from ascd.selector import ActiveSet, GradientEstimate
+from reference_oracle import col_dots_row
 
 
 def identity_problem(n, b=None, reg=None):
@@ -325,6 +327,41 @@ class TestRun:
             RunConfig(problem=prob, steps=5, rule="sgd")
         with pytest.raises(ValueError):
             RunConfig(problem=prob, steps=5, init="warm")
+
+    @pytest.mark.parametrize("field", ["seed", "diag_every", "rho_support"])
+    def test_rejects_negative_field(self, field):
+        # a negative diag_every diagnosed every step, a negative rho_support
+        # wrote rho = 0 on every diagnosed step
+        prob = random_problem(15)
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
+            RunConfig(problem=prob, steps=5, **{field: -1})
+
+    def test_exact_rows_avoid_col_dots(self, monkeypatch):
+        # above the Gram limit every exact row comes from the row-major
+        # copy; the reference run computes each row with col_dots
+        matrix, target = generate_synthetic(
+            SynthConfig(n_rows=60, n_cols=200, seed=3))
+        lam = 0.1 * float(np.max(np.abs(matrix.col_dots(target))))
+        prob = CompositeProblem(matrix, target, Regularizer("l1", lam))
+        cfg = RunConfig(problem=prob, steps=300, rule="ascd-gss",
+                        update=UpdateRule("line_search"),
+                        oracle=OracleSpec("g1"), seed=0, init="none",
+                        diag_every=0)
+        monkeypatch.setattr(ascd.oracles, "GRAM_LIMIT", 0)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(OracleContext, "_dot_row",
+                            lambda ctx, i: col_dots_row(ctx.matrix, i))
+            reference = run(cfg)
+
+        def refuse(*_):
+            raise AssertionError("col_dots called for an oracle row")
+
+        monkeypatch.setattr(ColumnSparseMatrix, "col_dots", refuse)
+        gathered = run(cfg)
+        assert np.count_nonzero(gathered.gamma) > 0
+        assert np.array_equal(gathered.i, reference.i)
+        assert gathered.final_f == reference.final_f
 
     def test_numeric_failure_reports_step_index(self):
         prob = random_problem(16)

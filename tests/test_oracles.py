@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import ascd.oracles
-from ascd.oracles import OracleContext, OracleSpec, oracle_row
+from ascd.oracles import (_SALT_G2, OracleContext, OracleSpec, _pair_uniform,
+                          oracle_row)
 from ascd.problem import ColumnSparseMatrix
-from reference_oracle import (exact_change, jl_simulated_product,
-                              oracle_estimate)
+from reference_oracle import (col_dots_row, exact_change,
+                              jl_simulated_product, oracle_estimate)
 
 
 def make_matrix(seed=0, d=15, n=10, density=0.6):
@@ -14,6 +17,28 @@ def make_matrix(seed=0, d=15, n=10, density=0.6):
     dense = rng.standard_normal((d, n))
     dense[rng.random((d, n)) > density] = 0.0
     dense[0, :] = rng.standard_normal(n) + 2.0  # keep columns non-empty
+    return ColumnSparseMatrix.from_dense(dense)
+
+
+def _nonzero(width=10.0):
+    return st.floats(-width, width).filter(bool)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Random sparse matrices with an empty row, a one-entry column and a
+    column that shares no row with it."""
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(0, 8))
+    dense = draw(arrays(np.float64, (d, n),
+                        elements=st.one_of(st.just(0.0), _nonzero())))
+    r = draw(st.integers(0, d - 1))
+    single = np.zeros(d)
+    single[r] = draw(_nonzero())
+    apart = draw(arrays(np.float64, d, elements=_nonzero()))
+    apart[r] = 0.0
+    dense = np.column_stack([dense, single, apart])
+    dense = np.insert(dense, draw(st.integers(0, d)), 0.0, axis=0)
     return ColumnSparseMatrix.from_dense(dense)
 
 
@@ -157,6 +182,30 @@ class TestOracleRow:
             b, db = oracle_row(without, i)
             assert_allclose(a, b, atol=1e-10)
             assert_allclose(da, db)
+
+    @settings(deadline=None)
+    @given(sparse_matrices(), st.floats(0.0, 2.0), st.integers(0, 2 ** 32))
+    def test_row_major_rows_match_col_dots(self, m, eps, seed):
+        # the row-major gather adds the same products in the same order
+        # as col_dots, so the rows agree bit for bit
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(ascd.oracles, "GRAM_LIMIT", 0)
+            g1 = OracleContext(OracleSpec("g1"), m)
+            g2 = OracleContext(OracleSpec("g2", epsilon=eps, seed=seed), m)
+        assert g1.gram is None and g2.gram is None
+        n = m.n_cols
+        for i in range(n):
+            ref = col_dots_row(m, i)
+            est, err = oracle_row(g1, i)
+            assert np.array_equal(est, ref)
+            assert np.array_equal(np.signbit(est), np.signbit(ref))
+            assert not err.any()
+            bounds = g2.norms[i] * g2.norms
+            u = _pair_uniform(seed, _SALT_G2, i, np.arange(n), n)
+            est, err = oracle_row(g2, i)
+            assert np.array_equal(
+                est, np.clip(ref + eps * bounds * u, -bounds, bounds))
+            assert np.array_equal(err, eps * bounds)
 
     def test_row_deterministic(self):
         m = make_matrix(12)
