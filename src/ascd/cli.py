@@ -148,14 +148,21 @@ def _out_dir(args) -> str:
 
 
 def _parse_steps(text: str, n: int) -> int:
-    """Either a plain count or a multiple of the dimension, e.g. ``10n``."""
+    """Either a positive count or a positive multiple of the dimension,
+    e.g. ``10n``; a rejection names ``--steps``."""
     text = text.strip().lower()
-    if text.endswith("n"):
-        epochs = float(text[:-1] or "1")
-        if not np.isfinite(epochs):
-            raise ValueError(f"--steps {text}: not a finite multiple of n")
-        return max(1, int(round(epochs * n)))
-    return int(text)
+    try:
+        if text.endswith("n"):
+            epochs = float(text[:-1] or "1")
+            if not (np.isfinite(epochs) and epochs > 0):
+                raise ValueError("not a positive finite multiple of n")
+            return max(1, int(round(epochs * n)))
+        steps = int(text)
+    except ValueError as exc:
+        raise ValueError(f"--steps {text}: {exc}") from exc
+    if steps < 1:
+        raise ValueError(f"--steps {text}: need at least one step")
+    return steps
 
 
 def _named(flags: dict, build, *args, **kwargs):
@@ -331,6 +338,8 @@ def _split(flag: str, text: str, convert=str) -> list:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs {args.jobs}: need at least one worker")
     axes = (_split("--rules", args.rules) or [args.rule],
             _split("--oracles", args.oracles) or [args.oracle],
             _split("--epsilons", args.epsilons, float) or [args.epsilon],

@@ -6,7 +6,7 @@ or a tracked rule that runs the score, set and pick stages of ``selector``.
 ``_scores`` fixes the units: ``ascd-gsq`` compares the negated model
 decrease bounds, every other tracked rule its magnitude interval squared.
 ``u-ascd`` and ``a-ascd`` use their O(n) heuristic set, the rest the
-sorted safe set.  The pick ``argmax-lower`` takes the best lower score
+safe set.  The pick ``argmax-lower`` takes the best lower score
 (greedy; degenerates to hammering one coordinate when every other bound
 has collapsed), while ``uniform-set`` draws uniformly from the set, the
 regime the one-step progress and equilibrium analyses describe.

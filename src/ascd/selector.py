@@ -8,8 +8,10 @@ larger being better: the gradient magnitude (``compute_bounds``), the
 steepest directional derivative (gs-s), the model step length (gs-r) or the
 best model decrease (gs-q); the first three are distances to a segment,
 bracketed by one helper, ``_distance_range``.  The *set* stage,
-``active_set``, keeps the smallest prefix that provably contains the best
-coordinate (or one of the O(n) heuristic sets).  The *pick*,
+``active_set``, keeps the smallest prefix, in descending order of the lower
+score, that provably contains the best coordinate (or one of the O(n)
+heuristic sets); an O(n) screen finds the prefix length in the common
+cases and a full sort is left as the fallback.  The *pick*,
 ``select_ascd``, draws among the best lower scores of the set; the safe
 set keeps every maximiser of the lower score, whose upper score reaches
 every prefix average.  Set and pick compare scores as given; the caller
@@ -110,13 +112,43 @@ def compute_bounds(estimate: GradientEstimate) -> Bounds:
 
 
 def active_set(scores: Bounds) -> ActiveSet:
-    """Smallest prefix, in descending order of the lower score, whose
-    average lower score strictly dominates every excluded coordinate's
-    upper score.  Contains the best coordinate; ``O(n log n)`` by sorting,
-    falling back to all of [n].
+    """Smallest prefix, in descending order of the lower score (stable on
+    ties), whose average lower score strictly dominates every excluded
+    coordinate's upper score.  Contains the best coordinate; all of [n]
+    when no shorter prefix is valid.
+
+    An ``O(n)`` screen usually fixes the prefix length without a sort.
+    The prefix average never exceeds the best lower score ``top``, so every
+    coordinate with ``upper >= top`` is in every valid prefix, and the
+    prefix reaches at least the stable position ``p`` of the last of them.
+    When ``p = n`` the set is all of [n]; when the ``p`` coordinates up to
+    it already form a valid prefix, they are the set.  Otherwise the full
+    stable sort finds the length.  Indices, and ``avg_score`` whenever the
+    set is not all of [n], are the same either way: the screen sums the
+    same values in the same descending order.
     """
     lower, upper = scores.lower, scores.upper
     n = lower.size
+    top = lower.max()
+    reach = np.flatnonzero(upper >= top)
+    if reach.size:
+        # the last of them in stable order: smallest lower score m, then
+        # largest index j; the prefix up to it is every larger lower score
+        # and the ties for m up to index j
+        m = lower[reach].min()
+        j = reach[lower[reach] == m][-1]
+        inside = lower > m
+        inside[:j + 1] |= lower[:j + 1] == m
+        p = int(np.count_nonzero(inside))
+        if p == n:
+            # nothing is excluded, the average is no threshold
+            return ActiveSet(indices=np.arange(n),
+                             avg_score=float(min(lower.sum() / n, top)))
+        # the sequential sum of the sorted prefix, as the fallback adds it
+        av = min(np.cumsum(np.sort(lower[inside])[::-1])[-1] / p, top)
+        if upper[~inside].max() < av:
+            return ActiveSet(indices=np.flatnonzero(inside),
+                             avg_score=float(av))
     order = np.argsort(-lower, kind="stable")
     ranked = lower[order]
     # capped, a rounded average cannot drop a tie for the best lower score
@@ -153,7 +185,7 @@ def select_ascd(scores: Bounds, aset: ActiveSet,
 
 
 def heuristic_active_set(variant: str, scores: Bounds) -> ActiveSet:
-    """O(n) replacements for the sorted active set.
+    """O(n) replacements for the safe active set.
 
     ``u-ascd`` keeps the upper-score argmax and ``a-ascd`` every
     coordinate whose upper score reaches the best lower score.  Only a-ascd

@@ -1,0 +1,30 @@
+"""Sorted-prefix reference for the safe active set.
+
+``ascd.selector.active_set`` screens for the prefix length in O(n) and
+sorts only when the screen cannot decide; ``sorted_active_set`` here always
+runs the full stable sort, the definition the screen must reproduce.
+"""
+
+import numpy as np
+
+from ascd.selector import ActiveSet, Bounds
+
+
+def sorted_active_set(scores: Bounds) -> ActiveSet:
+    """Smallest prefix, in stable descending order of the lower score,
+    whose average lower score, capped at the best lower score, strictly
+    dominates every excluded upper score; all of [n] if none is shorter.
+    """
+    lower, upper = scores.lower, scores.upper
+    n = lower.size
+    order = np.argsort(-lower, kind="stable")
+    ranked = lower[order]
+    # capped, a rounded average cannot drop a tie for the best lower score
+    av = np.minimum(np.cumsum(ranked) / np.arange(1, n + 1), ranked[0])
+    # largest excluded upper score for every prefix size
+    tail = np.empty(n)
+    tail[:n - 1] = np.maximum.accumulate(upper[order][::-1])[::-1][1:]
+    tail[n - 1] = -np.inf
+    valid = tail < av
+    k = int(np.argmax(valid)) + 1 if valid.any() else n
+    return ActiveSet(indices=np.sort(order[:k]), avg_score=float(av[k - 1]))

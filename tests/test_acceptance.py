@@ -12,6 +12,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ascd.data import SynthConfig, generate_synthetic
 from ascd.driver import RunConfig, UpdateRule, run
@@ -195,6 +197,37 @@ def test_criterion_07_gsq_bound_soundness():
             assert np.all(mins <= q.w[0] + 1e-6)
     print("\nACCEPTANCE 7 (model-decrease bounds sandwich the grid "
           "minimiser, 3000 instances x 20 slopes): PASS")
+
+
+_SMALL = st.one_of(st.just(0.0), st.sampled_from([0.5, -1.0, 2.0]),
+                   st.floats(-5.0, 5.0))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=_SMALL),
+    arrays(np.float64, n, elements=_SMALL),
+    arrays(np.float64, n, elements=st.one_of(
+        st.just(0.0), st.floats(0.0, 3.0), st.just(np.inf))),
+    st.sampled_from(["none", "l1", "l2"]),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.floats(0.5, 4.0))))
+def test_gsq_bound_soundness_vectors(drawn):
+    # criterion 7 on whole vectors: zero and tied entries, mixed finite and
+    # infinite radii, every coordinate bounded at once
+    x, g, r, kind, lam, lipschitz = drawn
+    reg = Regularizer(kind, lam if kind != "none" else 0.0)
+    q = gsq_bounds(GradientEstimate(g=g, r=r), x, lipschitz, reg)
+    psi0 = reg.psi(x)
+    for i in range(x.size):
+        if np.isinf(r[i]):
+            # nothing known: only the y = 0 fallback bounds the decrease
+            assert q.v[i] == -np.inf and q.w[i] == psi0[i]
+            continue
+        slopes = np.linspace(g[i] - r[i], g[i] + r[i], 7)
+        mins = _grid_min_rows(x[i], slopes, lipschitz, reg)
+        assert np.all(q.v[i] <= mins + 1e-9 * (1 + np.abs(mins)))
+        assert np.all(mins <= q.w[i] + 1e-6 * (1 + abs(q.w[i])))
 
 
 def test_criterion_08_active_set_vs_exhaustive():

@@ -375,6 +375,22 @@ class TestRejectedInput:
                      None, id="run-missing-data"),
         pytest.param(["run", "--data", "{data}", "--steps", "infn"],
                      "--steps", id="run-steps-inf"),
+        # a multiple of n that is not positive used to run one step
+        pytest.param(["run", "--data", "{data}", "--steps=-3n"],
+                     "--steps", id="run-steps-negative-multiple"),
+        pytest.param(["run", "--data", "{data}", "--steps=-0.5n"],
+                     "--steps", id="run-steps-negative-fraction"),
+        pytest.param(["run", "--data", "{data}", "--steps", "0n"],
+                     "--steps", id="run-steps-zero-multiple"),
+        pytest.param(["run", "--data", "{data}", "--steps", "0"],
+                     "--steps", id="run-steps-zero"),
+        pytest.param(["run", "--data", "{data}", "--steps", "x"],
+                     "--steps", id="run-steps-not-a-number"),
+        # a worker count below one used to run serially
+        pytest.param(["sweep", "--data", "{data}", "--steps", "1n",
+                      "--jobs", "0"], "--jobs", id="sweep-jobs-zero"),
+        pytest.param(["sweep", "--data", "{data}", "--steps", "1n",
+                      "--jobs", "-4"], "--jobs", id="sweep-jobs-negative"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
                       "--l2", "nan"], "--l2", id="run-l2-nan"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",

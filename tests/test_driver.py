@@ -11,6 +11,7 @@ from ascd.oracles import ORACLE_KINDS, OracleContext, OracleSpec
 from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
 from ascd.selector import ActiveSet, GradientEstimate
 from reference_oracle import col_dots_row
+from reference_selector import sorted_active_set
 
 
 def identity_problem(n, b=None, reg=None):
@@ -203,6 +204,28 @@ class TestRun:
                             oracle=OracleSpec("g1"), seed=0,
                             init="true-gradient", diag_every=1))
         assert res.sandwich_violations == res.t.size
+
+    def test_screened_set_matches_sorted_reference(self, monkeypatch):
+        # the O(n) screen in active_set changes no pick, objective value,
+        # set size or diagnostic against the full stable sort
+        m, b = generate_synthetic(SynthConfig(n_rows=40, n_cols=30, seed=2))
+        lam = 0.1 * float(np.max(np.abs(m.col_dots(b))))
+        prob = CompositeProblem(m, b, Regularizer("l1", lam))
+        configs = [RunConfig(problem=prob, steps=3 * prob.n, rule=rule,
+                             update=UpdateRule("line_search"),
+                             oracle=OracleSpec(kind, epsilon=0.1, seed=1),
+                             seed=4, init=init, pick=pick, diag_every=1)
+                   for rule in ("ascd", "ascd-gss", "ascd-gsq", "ascd-gsr")
+                   for kind in ("g1", "g2", "g4")
+                   for init in ("none", "true-gradient")
+                   for pick in ("argmax-lower", "uniform-set")]
+        screened = [run(cfg) for cfg in configs]
+        monkeypatch.setattr(ascd.driver, "active_set", sorted_active_set)
+        for cfg, got in zip(configs, screened):
+            want = run(cfg)
+            for name in ("i", "f", "active_size", "tau_ascd", "final_x"):
+                assert np.array_equal(getattr(got, name), getattr(want, name),
+                                      equal_nan=True), (cfg.rule, name)
 
     def test_soundness_checks_the_sign(self, monkeypatch):
         # right magnitudes, wrong signs: the interval g +- r misses the true

@@ -12,6 +12,7 @@ from ascd.selector import (Bounds, GradientEstimate, active_set,
                            gss_score_interval, heuristic_active_set,
                            select_ascd, select_scd, select_ucd,
                            update_estimates)
+from reference_selector import sorted_active_set
 
 INF = np.inf
 
@@ -196,6 +197,69 @@ class TestActiveSet:
                 assert len(aset) == len(best)
         # discrepancies are expected but should stay the minority
         assert smaller_exists < trials / 2
+
+
+def _tied_estimates(n):
+    """Estimates whose values come from a few numbers, so scores tie
+    exactly; radii zero, finite or infinite."""
+    grad = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, -3.0]),
+                     st.floats(-10, 10))
+    radius = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0]),
+                       st.floats(0, 10), st.just(np.inf))
+    return st.builds(est, arrays(np.float64, n, elements=grad),
+                     arrays(np.float64, n, elements=radius))
+
+
+class TestActiveSetScreen:
+    """The O(n) screen returns what the full stable sort returns."""
+
+    @given(st.integers(1, 24).flatmap(lambda n: st.tuples(
+        _tied_estimates(n),
+        arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, -1.0,
+                                                        2.0])),
+        st.sampled_from([("none", 0.0), ("l1", 0.5), ("l2", 2.0)]))))
+    def test_matches_sorted_reference(self, drawn):
+        e, x, (kind, lam) = drawn
+        q = gsq_bounds(e, x, 1.5, Regularizer(kind, lam))
+        for scores in (squared(compute_bounds(e)), gsq_scores(q)):
+            got, want = active_set(scores), sorted_active_set(scores)
+            assert np.array_equal(got.indices, want.indices)
+            # with nothing excluded the average is no threshold; the screen
+            # sums all of [n] unsorted
+            if len(want) < scores.lower.size:
+                assert got.avg_score == want.avg_score
+
+    @pytest.mark.parametrize("upper,lower,expected,sorts", [
+        # every radius infinite: the last upper reaching the top lower
+        # score is the last coordinate
+        ([INF] * 5, [0.0] * 5, [0, 1, 2, 3, 4], 0),
+        # exact scores: the lone maximiser is a valid prefix
+        ([9.0, 4.0, 1.0], [9.0, 4.0, 1.0], [0], 0),
+        # the forced prefix [0, 1] averages 5.5, below upper 6 of
+        # coordinate 2: only the sort finds the length 3
+        ([10.0, 10.0, 6.0, 0.0], [10.0, 1.0, 1.0, 0.0], [0, 1, 2], 1),
+        # an excluded upper score equal to the forced prefix average 3 is
+        # not strictly dominated
+        ([4.0, 4.0, 3.0], [4.0, 2.0, 0.0], [0, 1, 2], 1),
+    ], ids=["all-unknown", "screen-prefix", "sort-fallback",
+            "equal-to-average"])
+    def test_one_case_per_path(self, monkeypatch, upper, lower, expected,
+                               sorts):
+        scores = Bounds(upper=np.array(upper), lower=np.array(lower))
+        want = sorted_active_set(scores)
+        calls = []
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        got = active_set(scores)
+        assert list(got.indices) == expected == list(want.indices)
+        assert len(calls) == sorts
+        if len(expected) < len(lower):
+            assert got.avg_score == want.avg_score
 
 
 class TestPicks:
