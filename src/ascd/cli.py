@@ -241,7 +241,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tag", default="run", help="output file basename")
 
 
-def _build_problem(flags: dict) -> CompositeProblem:
+def _build_problem(flags: dict) -> tuple[CompositeProblem, int]:
+    """The problem and the step budget, which every sweep cell shares."""
     matrix, target = load_svmlight(flags["data"], binarize=flags["binarize"])
     if flags["take_cols"] is not None:
         matrix = _named({"k": "--take-cols", "seed": "--take-seed"},
@@ -252,7 +253,8 @@ def _build_problem(flags: dict) -> CompositeProblem:
     kind = "l1" if flags["l1"] else "l2" if flags["l2"] else "none"
     reg = _named({"lambda": f"--{kind}"}, Regularizer, kind,
                  flags.get(kind, 0.0))
-    return CompositeProblem(matrix, target, reg)
+    problem = CompositeProblem(matrix, target, reg)
+    return problem, _parse_steps(str(flags["steps"]), problem.n)
 
 
 # run-time fields that rejections name, and the flags that set them
@@ -260,9 +262,8 @@ _RUN_FLAGS = {"seed": "--seed", "diag_every": "--diag-every",
               "rho_support": "--rho-support", "step_scale": "--step-scale"}
 
 
-def _execute_run(flags: dict, out_dir: str) -> dict:
-    problem = _build_problem(flags)
-    steps = _parse_steps(str(flags["steps"]), problem.n)
+def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
+                 out_dir: str) -> dict:
     oracle_seed = flags["oracle_seed"]
     seed_flag = "--seed" if oracle_seed is None else "--oracle-seed"
     spec = _named({"seed": seed_flag, "epsilon": "--epsilon"}, OracleSpec,
@@ -317,14 +318,15 @@ def _execute_run(flags: dict, out_dir: str) -> dict:
 
 
 def cmd_run(args) -> int:
-    _execute_run(vars(args), _out_dir(args))
+    flags = vars(args)
+    _execute_run(flags, *_build_problem(flags), _out_dir(args))
     return 0
 
 
 def _sweep_worker(payload) -> tuple[str, dict | None, str | None]:
-    tag, flags, out_dir = payload
+    tag, flags, problem, steps, out_dir = payload
     try:
-        return tag, _execute_run(flags, out_dir), None
+        return tag, _execute_run(flags, problem, steps, out_dir), None
     except Exception as exc:  # reported per cell, sweep keeps going
         return tag, None, f"{type(exc).__name__}: {exc}"
 
@@ -345,13 +347,16 @@ def cmd_sweep(args) -> int:
             _split("--epsilons", args.epsilons, float) or [args.epsilon],
             _split("--seeds", args.seeds, int) or [args.seed],
             _split("--inits", args.inits) or [args.init])
+    # every cell shares the problem and the step budget, so a bad shared
+    # flag is rejected once, before any cell runs or any file is written
+    problem, steps = _build_problem(vars(args))
     out_dir = _out_dir(args)
     cells = []
     for rule, oracle, eps, seed, init in itertools.product(*axes):
         tag = f"{args.tag}_{rule}_{oracle}_eps{eps:g}_seed{seed}_{init}"
         flags = dict(vars(args), rule=rule, oracle=oracle, epsilon=eps,
                      seed=seed, init=init, tag=tag)
-        cells.append((tag, flags, out_dir))
+        cells.append((tag, flags, problem, steps, out_dir))
     if len(cells) > args.max_cells:
         raise ValueError(f"{len(cells)} cells exceed "
                          f"--max-cells={args.max_cells}")
@@ -366,7 +371,7 @@ def cmd_sweep(args) -> int:
     flag_cols = ("tag", "rule", "oracle", "epsilon", "seed", "init")
     summary_cols = ("final_f", "mean_active_size", "epochs")
     rows, failed = [], []
-    for (tag, flags, _), (_, summary, err) in zip(cells, outcomes):
+    for (tag, flags, *_), (_, summary, err) in zip(cells, outcomes):
         if err is None:
             rows.append([flags[k] for k in flag_cols]
                         + [summary[k] for k in summary_cols])

@@ -4,12 +4,12 @@ One run executes a fixed budget of single-coordinate steps.  Selection is
 uniform (``ucd``), steepest with a fresh full gradient every step (``scd``),
 or a tracked rule that runs the score, set and pick stages of ``selector``.
 ``_scores`` fixes the units: ``ascd-gsq`` compares the negated model
-decrease bounds, every other tracked rule its magnitude interval squared.
-``u-ascd`` and ``a-ascd`` use their O(n) heuristic set, the rest the
-safe set.  The pick ``argmax-lower`` takes the best lower score
-(greedy; degenerates to hammering one coordinate when every other bound
-has collapsed), while ``uniform-set`` draws uniformly from the set, the
-regime the one-step progress and equilibrium analyses describe.
+decrease bounds, every other tracked rule its magnitude interval squared;
+every tracked rule then keeps the safe set.  The pick ``argmax-lower``
+takes the best lower score (greedy; degenerates to hammering one
+coordinate when every other bound has collapsed), while ``uniform-set``
+draws uniformly from the set, the regime the one-step progress and
+equilibrium analyses describe.
 
 Every run records one trace: the columns named in ``TRACE_COLUMNS``, plus
 the step length ``gamma``, allocated once per run and filled in place, one
@@ -29,10 +29,11 @@ import numpy as np
 from .data import write_csv
 from .oracles import OracleContext, OracleSpec, oracle_row
 from .problem import CompositeProblem, ResidualState
+from .ratiosim import measure_rho
 from .selector import (ActiveSet, Bounds, GradientEstimate, active_set,
                        compute_bounds, gsq_bounds, gsr_bounds,
-                       gss_score_interval, heuristic_active_set, select_ascd,
-                       select_scd, select_ucd, update_estimates)
+                       gss_score_interval, select_ascd, select_scd,
+                       select_ucd, update_estimates)
 
 __all__ = [
     "UpdateRule",
@@ -48,8 +49,7 @@ __all__ = [
     "write_trace_csv",
 ]
 
-RULES = ("ucd", "scd", "ascd", "u-ascd", "a-ascd", "ascd-gss", "ascd-gsq",
-         "ascd-gsr")
+RULES = ("ucd", "scd", "ascd", "ascd-gss", "ascd-gsq", "ascd-gsr")
 
 TRACE_COLUMNS = ("t", "i", "f", "grad_inf", "grad2sq", "active_size", "rho",
                  "tau_ucd", "tau_ascd", "tau_scd", "wall_ns")
@@ -261,10 +261,7 @@ def run(config: RunConfig) -> RunResult:
             i_t = select_ucd(n, rng)
         else:
             scores = _scores(config.rule, est, state.x, problem)
-            if config.rule in ("u-ascd", "a-ascd"):
-                aset = heuristic_active_set(config.rule, scores)
-            else:
-                aset = active_set(scores)
+            aset = active_set(scores)
             if config.pick == "uniform-set":
                 i_t = int(aset.indices[rng.integers(len(aset))])
             else:
@@ -284,24 +281,22 @@ def run(config: RunConfig) -> RunResult:
             cols["tau_ucd"][t] = tau_u
             cols["tau_ascd"][t] = tau_a
             cols["tau_scd"][t] = tau_s
-            # only the safe set on squared magnitudes promises the sandwich;
-            # ucd and scd hold it by construction, the other scores and sets
-            # need not
-            slack = SANDWICH_SLACK
-            if config.rule == "ascd" and (
-                    tau_u > tau_a * (1 + slack) + 1e-300
-                    or tau_a > tau_s * (1 + slack) + 1e-300):
-                sandwich_bad += 1
-            if tracked:
-                tol = SOUNDNESS_SLACK * (1.0 + grad_inf)
-                if np.any(np.abs(true_g - est.g) > est.r + tol):
-                    sound_bad += 1
-                if config.rule in ("ascd", "a-ascd") and len(aset) < n:
-                    # containment guarantee, tie-tolerant: no excluded
-                    # coordinate may be meaningfully steeper than the best
-                    # kept one (on l1 problems every solved coordinate sits
-                    # exactly at the penalty level, so the argmax is decided
-                    # by ulp noise)
+            tol = SOUNDNESS_SLACK * (1.0 + grad_inf)
+            if tracked and np.any(np.abs(true_g - est.g) > est.r + tol):
+                sound_bad += 1
+            # only the safe set on squared magnitudes promises the sandwich
+            # and containment; ucd and scd hold them by construction, the
+            # other scores need not
+            if config.rule == "ascd":
+                slack = SANDWICH_SLACK
+                if (tau_u > tau_a * (1 + slack) + 1e-300
+                        or tau_a > tau_s * (1 + slack) + 1e-300):
+                    sandwich_bad += 1
+                if len(aset) < n:
+                    # tie-tolerant: no excluded coordinate may be
+                    # meaningfully steeper than the best kept one (on l1
+                    # problems every solved coordinate sits exactly at the
+                    # penalty level, so the argmax is decided by ulp noise)
                     mask = np.zeros(n, dtype=bool)
                     mask[aset.indices] = True
                     best_in = float(np.max(np.abs(true_g[mask])))
@@ -309,8 +304,7 @@ def run(config: RunConfig) -> RunResult:
                     if best_out > best_in + tol:
                         contain_bad += 1
             if config.rho_support is not None:
-                cols["rho"][t] = float(np.count_nonzero(
-                    aset.indices < config.rho_support)) / len(aset)
+                cols["rho"][t] = measure_rho(aset.indices, config.rho_support)
 
         try:
             gamma, g_new = step(problem, state, i_t, config.update)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hardcase import LowDimEmbedding
-from .selector import Bounds, GradientEstimate, active_set, compute_bounds
+from .selector import (Bounds, GradientEstimate, active_set, compute_bounds,
+                       update_estimates)
 
 __all__ = [
     "RatioSimConfig",
@@ -251,9 +252,7 @@ def ascd_embedding_dynamics(emb: LowDimEmbedding, steps: int, delta: float,
         if gamma != 0.0:
             x[i] += gamma
             grad = emb.gradient(x)
-            est.r += abs(gamma) * delta
-        est.g[i] = grad[i]
-        est.r[i] = 0.0
+        update_estimates(est, i, gamma, 0.0, delta, grad[i])
 
     times = np.asarray(durations, dtype=np.float64)
     settled = times[times.size // 4:] if times.size else times

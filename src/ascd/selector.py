@@ -9,13 +9,12 @@ steepest directional derivative (gs-s), the model step length (gs-r) or the
 best model decrease (gs-q); the first three are distances to a segment,
 bracketed by one helper, ``_distance_range``.  The *set* stage,
 ``active_set``, keeps the smallest prefix, in descending order of the lower
-score, that provably contains the best coordinate (or one of the O(n)
-heuristic sets); an O(n) screen finds the prefix length in the common
-cases and a full sort is left as the fallback.  The *pick*,
-``select_ascd``, draws among the best lower scores of the set; the safe
-set keeps every maximiser of the lower score, whose upper score reaches
-every prefix average.  Set and pick compare scores as given; the caller
-of the score stage chooses the units.
+score, that provably contains the best coordinate; an O(n) screen finds
+the prefix length in the common cases and a full sort is left as the
+fallback.  The *pick*, ``select_ascd``, draws among the best lower scores
+of the set; the safe set keeps every maximiser of the lower score, whose
+upper score reaches every prefix average.  Set and pick compare scores as
+given; the caller of the score stage chooses the units.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "select_ucd",
     "select_scd",
     "select_ascd",
-    "heuristic_active_set",
     "update_estimates",
     "gss_score_interval",
     "gsr_bounds",
@@ -184,23 +182,6 @@ def select_ascd(scores: Bounds, aset: ActiveSet,
     return int(cands[rng.integers(cands.size)])
 
 
-def heuristic_active_set(variant: str, scores: Bounds) -> ActiveSet:
-    """O(n) replacements for the safe active set.
-
-    ``u-ascd`` keeps the upper-score argmax and ``a-ascd`` every
-    coordinate whose upper score reaches the best lower score.  Only a-ascd
-    is guaranteed to contain the best coordinate.
-    """
-    u, low = scores.upper, scores.lower
-    if variant == "u-ascd":
-        idx = np.flatnonzero(u == u.max())
-    elif variant == "a-ascd":
-        idx = np.flatnonzero(u >= low.max())
-    else:
-        raise ValueError(f"unknown heuristic variant {variant!r}")
-    return ActiveSet(indices=idx, avg_score=float(np.mean(low[idx])))
-
-
 def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,
                      row_estimate: np.ndarray | None,
                      row_error: np.ndarray | None,
@@ -269,14 +250,11 @@ class GsqBounds:
     """Bounds on the best model decrease ``min_y V_i``.
 
     ``v <= min_y V_i(x, y, grad_i) <= w`` whenever the gradient estimate is
-    sound; ``u_star`` and ``l_star`` are the model minimisers at the signed
-    interval endpoints.
+    sound.
     """
 
     v: np.ndarray
     w: np.ndarray
-    u_star: np.ndarray
-    l_star: np.ndarray
 
 
 def gsq_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
@@ -298,17 +276,15 @@ def gsq_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
     hi_f = np.where(finite, hi, 0.0)
     lo_f = np.where(finite, lo, 0.0)
 
-    u_star = reg.model_argmin(x, hi_f, lipschitz)
-    l_star = reg.model_argmin(x, lo_f, lipschitz)
-    val_u = model_value(x, u_star, hi_f, lipschitz, reg)
-    val_l = model_value(x, l_star, lo_f, lipschitz, reg)
-    omega_u = val_u + np.maximum(0.0, u_star * (lo_f - hi_f))
-    omega_l = val_l + np.maximum(0.0, l_star * (hi_f - lo_f))
+    y_u = reg.model_argmin(x, hi_f, lipschitz)
+    y_l = reg.model_argmin(x, lo_f, lipschitz)
+    val_u = model_value(x, y_u, hi_f, lipschitz, reg)
+    val_l = model_value(x, y_l, lo_f, lipschitz, reg)
+    omega_u = val_u + np.maximum(0.0, y_u * (lo_f - hi_f))
+    omega_l = val_l + np.maximum(0.0, y_l * (hi_f - lo_f))
     psi0 = reg.psi(x)
 
     v = np.where(finite, np.minimum(val_u, val_l), -np.inf)
     w = np.where(finite, np.minimum(np.minimum(omega_u, omega_l), psi0), psi0)
-    u_star = np.where(finite, u_star, -np.inf)
-    l_star = np.where(finite, l_star, np.inf)
-    return GsqBounds(v=v, w=w, u_star=u_star, l_star=l_star)
+    return GsqBounds(v=v, w=w)
 

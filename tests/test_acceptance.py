@@ -309,23 +309,16 @@ def test_criterion_09_empirical_ordering():
         f0 = prob.objective(prob.residual_state())
         level = f_star + 1e-3 * (f0 - f_star)
         epochs = {}
-        finals = {}
         for rule, oracle, init in (
                 ("scd", None, "none"),
                 ("ascd", OracleSpec("g4", seed=seed), "none"),
-                ("a-ascd", OracleSpec("g4", seed=seed), "none"),
                 ("ucd", None, "none")):
             res = run(RunConfig(problem=prob, steps=10 * prob.n, rule=rule,
                                 update=update, oracle=oracle, seed=seed,
                                 init=init, diag_every=0))
             epochs[rule] = res.epochs_to_reach(level)
-            finals[rule] = res.final_f
         if epochs["scd"] <= epochs["ascd"] <= epochs["ucd"]:
             ridge_wins += 1
-        assert epochs["a-ascd"] == epochs["ascd"] or (
-            np.isinf(epochs["a-ascd"]) and np.isinf(epochs["ascd"]))
-        assert finals["a-ascd"] <= 1.1 * finals["ascd"]
-        assert finals["a-ascd"] >= finals["ascd"] / 1.1
     assert ridge_wins >= 4
 
     lasso_wins = 0
@@ -338,9 +331,6 @@ def test_criterion_09_empirical_ordering():
         f0 = prob.objective(prob.residual_state())
         level = f_star + 1e-3 * (f0 - f_star)
         epochs = {}
-        # the heuristic-set comparison lives on the ridge side: the
-        # heuristic variants score raw gradient magnitudes, which on l1
-        # problems sit at the penalty level for every solved coordinate
         for name, rule, oracle, init in (
                 ("scd", "ascd-gss", OracleSpec("g1", seed=seed),
                  "true-gradient"),

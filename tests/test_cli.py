@@ -371,6 +371,13 @@ class TestRejectedInput:
                       "--seeds", "1,2,3", "--epsilons", "0,1",
                       "--max-cells", "5"], "--max-cells",
                      id="sweep-max-cells"),
+        # a flag every cell shares used to fail each cell with exit 1
+        pytest.param(["sweep", "--data", "{data}", "--steps=-3n",
+                      "--seeds", "1,2"], "--steps",
+                     id="sweep-steps-negative-multiple"),
+        pytest.param(["sweep", "--data", "{data}", "--steps", "1n",
+                      "--seeds", "1,2", "--l2", "nan"], "--l2",
+                     id="sweep-l2-nan"),
         pytest.param(["run", "--data", "{tmp}/nope.svm", "--steps", "5"],
                      None, id="run-missing-data"),
         pytest.param(["run", "--data", "{data}", "--steps", "infn"],
@@ -441,15 +448,17 @@ class TestRejectedInput:
         assert not [f for f in written if f.endswith((".csv", ".json",
                                                       ".svm"))]
 
-    # each of these names re-ran another configuration and was removed
+    # each of these names was removed
     @pytest.mark.parametrize("argv,flag", [
         (["--update", "prox"], "--update"),
         (["--rule", "l-ascd"], "--rule"),
+        (["--rule", "u-ascd"], "--rule"),
+        (["--rule", "a-ascd"], "--rule"),
         (["--oracle", "bh"], "--oracle"),
         (["--hessian-bound", "1"], "--hessian-bound"),
         (["--per-coordinate"], "--per-coordinate"),
-    ], ids=["update-prox", "rule-l-ascd", "oracle-bh", "hessian-bound",
-            "per-coordinate"])
+    ], ids=["update-prox", "rule-l-ascd", "rule-u-ascd", "rule-a-ascd",
+            "oracle-bh", "hessian-bound", "per-coordinate"])
     def test_prox_update_rejected(self, dataset, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--data", str(dataset), "--steps", "5", *argv])

@@ -4,12 +4,12 @@ import pytest
 import ascd.driver
 import ascd.oracles
 from ascd.data import SynthConfig, generate_synthetic
-from ascd.driver import (RunConfig, UpdateRule, progress_delta, progress_tau,
-                         run, step, write_trace_csv, TRACE_COLUMNS,
-                         TRACE_HEADER)
+from ascd.driver import (RULES, RunConfig, UpdateRule, progress_delta,
+                         progress_tau, run, step, write_trace_csv,
+                         TRACE_COLUMNS, TRACE_HEADER)
 from ascd.oracles import ORACLE_KINDS, OracleContext, OracleSpec
 from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
-from ascd.selector import ActiveSet, GradientEstimate
+from ascd.selector import ActiveSet, GradientEstimate, active_set
 from reference_oracle import col_dots_row
 from reference_selector import sorted_active_set
 
@@ -153,7 +153,7 @@ class TestRun:
                             (Regularizer("l2", 0.7), UpdateRule("line_search")),
                             (Regularizer("l1", 0.4), UpdateRule("fixed"))):
             prob = random_problem(7, reg=reg)
-            for rule in ("ucd", "scd", "ascd", "a-ascd", "ascd-gss"):
+            for rule in RULES:
                 if rule == "ascd-gss" and reg is not None and reg.kind == "l2":
                     continue
                 res = run(RunConfig(problem=prob, steps=150, rule=rule,
@@ -161,6 +161,25 @@ class TestRun:
                                     seed=1, diag_every=0))
                 drops = np.diff(np.append(res.f, res.final_f))
                 assert np.all(drops <= 1e-12 * (1 + np.abs(res.f))), rule
+
+    def test_every_tracked_rule_runs_the_safe_set(self, monkeypatch):
+        # score, then one active_set call, then the pick, on every step
+        calls = []
+
+        def counted(scores):
+            calls.append(scores.lower.size)
+            return active_set(scores)
+
+        monkeypatch.setattr(ascd.driver, "active_set", counted)
+        prob = random_problem(5, reg=Regularizer("l1", 0.3))
+        tracked = [rule for rule in RULES if rule not in ("ucd", "scd")]
+        for rule in tracked:
+            for pick in ("argmax-lower", "uniform-set"):
+                calls.clear()
+                run(RunConfig(problem=prob, steps=40, rule=rule, pick=pick,
+                              oracle=OracleSpec("g2", epsilon=0.3, seed=2),
+                              seed=1, diag_every=0))
+                assert calls == [prob.n] * 40, (rule, pick)
 
     def test_soundness_and_containment_every_oracle(self):
         prob = random_problem(9, reg=Regularizer("l2", 0.2))
