@@ -121,8 +121,17 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
     labels: list[float] = []
     entries: dict[int, list[tuple[int, float]]] = {}
     n_cols = 0
-    with open(path) as fh:
+    # undecodable bytes are kept as lone surrogates, so the line that
+    # holds one can be named
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xdc00
+                    raise ValueError(f"{path}:{lineno}: not UTF-8 text "
+                                     f"(byte 0x{byte:02x})") from None
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -162,9 +171,9 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
     if not labels:
         raise ValueError(f"{path}: empty file")
 
-    empty = sorted(set(range(n_cols)) - set(entries))
+    empty = n_cols - len(entries)
     if empty:
-        warnings.warn(f"{path}: dropping {len(empty)} empty column(s)",
+        warnings.warn(f"{path}: dropping {empty} empty column(s)",
                       stacklevel=2)
     cols = []
     for j in sorted(entries):

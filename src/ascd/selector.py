@@ -9,12 +9,14 @@ steepest directional derivative (gs-s), the model step length (gs-r) or the
 best model decrease (gs-q); the first three are distances to a segment,
 bracketed by one helper, ``_distance_range``.  The *set* stage,
 ``active_set``, keeps the smallest prefix, in descending order of the lower
-score, that provably contains the best coordinate; an O(n) screen finds
-the prefix length in the common cases and a full sort is left as the
-fallback.  The *pick*, ``select_ascd``, draws among the best lower scores
-of the set; the safe set keeps every maximiser of the lower score, whose
-upper score reaches every prefix average.  Set and pick compare scores as
-given; the caller of the score stage chooses the units.
+score, that provably contains the best coordinate.  It tries, in order:
+all of [n] when every upper score reaches the best lower score, the
+maximisers of the lower score when only they reach it, an O(n) screen
+for the prefix length, and a full sort as the fallback.  The *pick*,
+``select_ascd``, draws among the best lower scores of the set; the safe
+set keeps every maximiser of the lower score, whose upper score reaches
+every prefix average.  Set and pick compare scores as given; the caller
+of the score stage chooses the units.
 """
 
 from __future__ import annotations
@@ -115,38 +117,59 @@ def active_set(scores: Bounds) -> ActiveSet:
     coordinate's upper score.  Contains the best coordinate; all of [n]
     when no shorter prefix is valid.
 
-    An ``O(n)`` screen usually fixes the prefix length without a sort.
     The prefix average never exceeds the best lower score ``top``, so every
-    coordinate with ``upper >= top`` is in every valid prefix, and the
-    prefix reaches at least the stable position ``p`` of the last of them.
-    When ``p = n`` the set is all of [n]; when the ``p`` coordinates up to
-    it already form a valid prefix, they are the set.  Otherwise the full
-    stable sort finds the length.  Indices, and ``avg_score`` whenever the
-    set is not all of [n], are the same either way: the screen sums the
-    same values in the same descending order.
+    coordinate with ``upper >= top`` is in every valid prefix.  Four paths
+    decide the length, cheapest first:
+
+    * all of [n] reaches ``top``: the set is all of [n];
+    * only the maximisers of the lower score reach ``top``: they lead the
+      stable order and every other upper score is below ``top``, so they
+      are the set whenever their average rounds to ``top``;
+    * an ``O(n)`` screen: the prefix reaches at least the stable position
+      ``p`` of the last coordinate reaching ``top``; when ``p = n`` the set
+      is all of [n], and when the ``p`` coordinates up to it already form a
+      valid prefix, they are the set;
+    * otherwise the full stable sort finds the length.
+
+    Indices, and ``avg_score`` whenever the set is not all of [n], are the
+    same on every path: each sums the same values in the same descending
+    order.
     """
     lower, upper = scores.lower, scores.upper
     n = lower.size
     top = lower.max()
     reach = np.flatnonzero(upper >= top)
-    if reach.size:
+    p = reach.size
+    if 0 < p < n:
         # the last of them in stable order: smallest lower score m, then
         # largest index j; the prefix up to it is every larger lower score
         # and the ties for m up to index j
-        m = lower[reach].min()
-        j = reach[lower[reach] == m][-1]
+        at = lower[reach]
+        m = at.min()
+        j = reach[at == m][-1]
+        ties = lower[:j + 1] == m
+        if m == top and np.count_nonzero(ties) == p:
+            # that prefix is reach, and every upper score outside it is
+            # below top; the count rejects an inverted interval, a
+            # maximiser whose upper score is below top
+            av = min(np.cumsum(at)[-1] / p, top)
+            # rounded below top, an excluded upper may sit in [av, top)
+            if av == top:
+                return ActiveSet(indices=reach, avg_score=float(av))
         inside = lower > m
-        inside[:j + 1] |= lower[:j + 1] == m
+        inside[:j + 1] |= ties
         p = int(np.count_nonzero(inside))
-        if p == n:
-            # nothing is excluded, the average is no threshold
-            return ActiveSet(indices=np.arange(n),
-                             avg_score=float(min(lower.sum() / n, top)))
-        # the sequential sum of the sorted prefix, as the fallback adds it
-        av = min(np.cumsum(np.sort(lower[inside])[::-1])[-1] / p, top)
-        if upper[~inside].max() < av:
-            return ActiveSet(indices=np.flatnonzero(inside),
-                             avg_score=float(av))
+        if p < n:
+            # the sequential sum of the sorted prefix, as the fallback
+            # adds it
+            av = min(np.cumsum(np.sort(lower[inside])[::-1])[-1] / p, top)
+            if upper[~inside].max() < av:
+                return ActiveSet(indices=np.flatnonzero(inside),
+                                 avg_score=float(av))
+    if p == n:
+        # nothing is excluded, the average is no threshold
+        return ActiveSet(indices=np.arange(n),
+                         avg_score=float(min(lower.sum() / n, top)))
     order = np.argsort(-lower, kind="stable")
     ranked = lower[order]
     # capped, a rounded average cannot drop a tie for the best lower score
@@ -177,7 +200,8 @@ def select_scd(gradient: np.ndarray) -> int:
 def select_ascd(scores: Bounds, aset: ActiveSet,
                 rng: np.random.Generator) -> int:
     """Uniform draw among the maximisers of the lower score over the set."""
-    sub = scores.lower[aset.indices]
+    sub = (scores.lower if len(aset) == scores.lower.size
+           else scores.lower[aset.indices])
     cands = aset.indices[sub == sub.max()]
     return int(cands[rng.integers(cands.size)])
 

@@ -380,6 +380,8 @@ class TestRejectedInput:
                      id="sweep-l2-nan"),
         pytest.param(["run", "--data", "{tmp}/nope.svm", "--steps", "5"],
                      None, id="run-missing-data"),
+        pytest.param(["run", "--data", "{tmp}/latin1.svm", "--steps", "5"],
+                     "latin1.svm:2", id="run-data-not-utf8"),
         pytest.param(["run", "--data", "{data}", "--steps", "infn"],
                      "--steps", id="run-steps-inf"),
         # a multiple of n that is not positive used to run one step
@@ -435,6 +437,7 @@ class TestRejectedInput:
     def test_exit_2_single_error_line(self, dataset, tmp_path, capsys, argv,
                                       named):
         out = tmp_path / "out"
+        (tmp_path / "latin1.svm").write_bytes(b"1 1:1\n2 2:\xff\n")
         argv = [a.format(data=dataset, tmp=tmp_path) for a in argv]
         rc = main([*argv, "--out", str(out)])
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +96,22 @@ class TestSvmlight:
             matrix, _ = load_svmlight(path)
         assert matrix.shape == (2, 2)
 
+    def test_empty_columns_counted_without_a_range(self, tmp_path):
+        # the count of empty columns used to build a set of every index
+        # up to the largest one
+        path = tmp_path / "wide.svm"
+        path.write_text("1 1:1 1000000:2\n2 3:1\n")
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning,
+                              match="dropping 999997 empty column"):
+                matrix, _ = load_svmlight(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert matrix.shape == (2, 3)
+
     def test_explicit_zero_not_stored(self, tmp_path):
         path = tmp_path / "zero.svm"
         path.write_text("1 1:0 2:3\n")
@@ -107,6 +124,14 @@ class TestSvmlight:
         path = tmp_path / "bad.svm"
         path.write_text("1 1:1\n2 7:x\n")
         with pytest.raises(ValueError, match=r"bad\.svm:2"):
+            load_svmlight(path)
+
+    def test_non_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "latin1.svm"
+        path.write_bytes(b"1 1:1\n2 2:1 # caf\xe9\n")
+        with pytest.raises(ValueError,
+                           match=r"latin1\.svm:2: not UTF-8 text "
+                                 r"\(byte 0xe9\)"):
             load_svmlight(path)
 
     @pytest.mark.parametrize("text", ["1 1:1\nnan 1:2\n",

@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 
 from ascd.driver import SANDWICH_SLACK, progress_tau
 from ascd.problem import Regularizer, model_value
-from ascd.selector import (Bounds, GradientEstimate, active_set,
-                           compute_bounds, gsq_bounds, gsr_bounds,
-                           gss_score_interval, select_ascd, select_scd,
-                           select_ucd, update_estimates)
+from ascd.selector import (ActiveSet, Bounds, GradientEstimate,
+                           active_set, compute_bounds, gsq_bounds,
+                           gsr_bounds, gss_score_interval, select_ascd,
+                           select_scd, select_ucd, update_estimates)
 from reference_selector import sorted_active_set
 
 INF = np.inf
@@ -209,18 +209,36 @@ def _tied_estimates(n):
                      arrays(np.float64, n, elements=radius))
 
 
+def _both_scores(drawn):
+    """Squared magnitude and gs-q scores of one estimate."""
+    e, x, (kind, lam) = drawn
+    q = gsq_bounds(e, x, 1.5, Regularizer(kind, lam))
+    return squared(compute_bounds(e)), gsq_scores(q)
+
+
+# only the two maximisers reach the top lower score
+MAXIMISERS_ONLY = Bounds(upper=np.array([9.0, 4.0, 9.0, 1.0]),
+                         lower=np.array([9.0, 1.0, 9.0, 0.0]))
+# ten lower scores of 0.1 average to 0.09999999999999999, which the
+# eleventh upper score equals: no shorter prefix is valid
+ROUNDED_AVERAGE = Bounds(upper=np.array([0.1] * 10 + [0.09999999999999999]),
+                         lower=np.array([0.1] * 10 + [0.0]))
+
+
 class TestActiveSetScreen:
-    """The O(n) screen returns what the full stable sort returns."""
+    """The short cuts and the O(n) screen return what the full stable sort
+    returns."""
 
     @given(st.integers(1, 24).flatmap(lambda n: st.tuples(
         _tied_estimates(n),
         arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, -1.0,
                                                         2.0])),
-        st.sampled_from([("none", 0.0), ("l1", 0.5), ("l2", 2.0)]))))
-    def test_matches_sorted_reference(self, drawn):
-        e, x, (kind, lam) = drawn
-        q = gsq_bounds(e, x, 1.5, Regularizer(kind, lam))
-        for scores in (squared(compute_bounds(e)), gsq_scores(q)):
+        st.sampled_from([("none", 0.0), ("l1", 0.5), ("l2", 2.0)])))
+        .map(_both_scores))
+    @example((MAXIMISERS_ONLY,))
+    @example((ROUNDED_AVERAGE,))
+    def test_matches_sorted_reference(self, score_sets):
+        for scores in score_sets:
             got, want = active_set(scores), sorted_active_set(scores)
             assert np.array_equal(got.indices, want.indices)
             # with nothing excluded the average is no threshold; the screen
@@ -229,22 +247,32 @@ class TestActiveSetScreen:
                 assert got.avg_score == want.avg_score
 
     @pytest.mark.parametrize("upper,lower,expected,sorts", [
-        # every radius infinite: the last upper reaching the top lower
-        # score is the last coordinate
+        # every radius infinite: every upper score reaches the top lower
+        # score
         ([INF] * 5, [0.0] * 5, [0, 1, 2, 3, 4], 0),
-        # exact scores: the lone maximiser is a valid prefix
-        ([9.0, 4.0, 1.0], [9.0, 4.0, 1.0], [0], 0),
+        # coordinates 0 and 1 reach the top lower score 8; their prefix
+        # averages 7.5, above upper score 2 of coordinate 2
+        ([10.0, 9.0, 2.0], [8.0, 7.0, 1.0], [0, 1], 0),
         # the forced prefix [0, 1] averages 5.5, below upper 6 of
         # coordinate 2: only the sort finds the length 3
         ([10.0, 10.0, 6.0, 0.0], [10.0, 1.0, 1.0, 0.0], [0, 1, 2], 1),
         # an excluded upper score equal to the forced prefix average 3 is
         # not strictly dominated
         ([4.0, 4.0, 3.0], [4.0, 2.0, 0.0], [0, 1, 2], 1),
+        (MAXIMISERS_ONLY.upper, MAXIMISERS_ONLY.lower, [0, 2], 0),
+        # the short cut declines, and the screen's prefix of ten leaves
+        # out an upper score equal to its average
+        (ROUNDED_AVERAGE.upper, ROUNDED_AVERAGE.lower, list(range(11)), 1),
+        # maximiser 0 has an inverted interval, below the top lower score,
+        # so only maximiser 1 reaches it; the stable order still puts 0
+        # first and the screen's prefix is all of [n]
+        ([0.5, 2.0], [1.0, 1.0], [0, 1], 0),
     ], ids=["all-unknown", "screen-prefix", "sort-fallback",
-            "equal-to-average"])
+            "equal-to-average", "maximisers-only", "rounded-average",
+            "inverted-maximiser"])
     def test_one_case_per_path(self, monkeypatch, upper, lower, expected,
                                sorts):
-        scores = Bounds(upper=np.array(upper), lower=np.array(lower))
+        scores = Bounds(upper=np.asarray(upper), lower=np.asarray(lower))
         want = sorted_active_set(scores)
         calls = []
         argsort = np.argsort
@@ -300,6 +328,19 @@ class TestPicks:
                               for _ in range(50_000)], minlength=10)
         sigma = np.sqrt(50_000 * 0.1 * 0.9)
         assert np.all(np.abs(counts - 5_000) < 3 * sigma)
+
+    def test_ascd_full_set_draws_as_gathered(self):
+        # a full set reads the lower scores in place, a shorter one gathers
+        # them; the same candidates in the same order give the same draw
+        b = Bounds(upper=np.full(6, INF),
+                   lower=np.array([2.0, 5.0, 1.0, 5.0, 5.0, 0.0]))
+        full = active_set(b)
+        assert len(full) == 6
+        gathered = ActiveSet(indices=np.array([1, 3, 4]), avg_score=5.0)
+        for seed in range(20):
+            assert (select_ascd(b, full, np.random.default_rng(seed))
+                    == select_ascd(b, gathered,
+                                   np.random.default_rng(seed)))
 
     def test_ascd_tie_split(self):
         rng = np.random.default_rng(11)
