@@ -34,7 +34,7 @@ from .oracles import ORACLE_KINDS, OracleSpec
 from .problem import CompositeProblem, Regularizer
 from .ratiosim import RatioSimConfig, rho_infinity, simulate_rho
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # JSON summary schemas (field names are part of the CLI contract)
 _COMMON = {"schema_version": {"type": "integer"},
@@ -45,7 +45,8 @@ RUN_SUMMARY_SCHEMA = {
     "required": ["schema_version", "kind", "data", "n_rows", "n_cols",
                  "rule", "update", "oracle", "l1", "l2", "steps", "epochs",
                  "seed", "init", "pick", "final_f", "mean_active_size",
-                 "violations", "trace_csv"],
+                 "min_active_size", "max_active_size", "distinct_picks",
+                 "useful_steps", "oracle_rows", "violations", "trace_csv"],
     "properties": {
         **_COMMON,
         "data": {"type": "string"},
@@ -63,6 +64,11 @@ RUN_SUMMARY_SCHEMA = {
         "pick": {"enum": ["argmax-lower", "uniform-set"]},
         "final_f": {"type": "number"},
         "mean_active_size": {"type": "number"},
+        "min_active_size": {"type": "integer"},
+        "max_active_size": {"type": "integer"},
+        "distinct_picks": {"type": "integer"},
+        "useful_steps": {"type": "integer"},
+        "oracle_rows": {"type": "integer"},
         "violations": {"type": "object"},
         "trace_csv": {"type": "string"},
         "wall_time_s": {"type": "number"},
@@ -306,6 +312,7 @@ def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
         "pick": flags["pick"],
         "final_f": result.final_f,
         "mean_active_size": result.mean_active_size,
+        **result.counters(),
         "violations": {"soundness": result.soundness_violations,
                        "containment": result.containment_violations,
                        "sandwich": result.sandwich_violations},

@@ -5,11 +5,13 @@ uniform (``ucd``), steepest with a fresh full gradient every step (``scd``),
 or a tracked rule that runs the score, set and pick stages of ``selector``.
 ``_scores`` fixes the units: ``ascd-gsq`` compares the negated model
 decrease bounds, every other tracked rule its magnitude interval squared;
-every tracked rule then keeps the safe set.  The pick ``argmax-lower``
-takes the best lower score (greedy; degenerates to hammering one
-coordinate when every other bound has collapsed), while ``uniform-set``
-draws uniformly from the set, the regime the one-step progress and
-equilibrium analyses describe.
+every tracked rule then keeps the safe set.  With g1 and a true-gradient
+start the estimate stays exact, so the magnitude rules score one array and
+their set is the maximisers of that score: the steepest rule on the
+estimate.  The pick ``argmax-lower`` takes the best lower score (greedy;
+degenerates to hammering one coordinate when every other bound has
+collapsed), while ``uniform-set`` draws uniformly from the set, the regime
+the one-step progress and equilibrium analyses describe.
 
 Every run records one trace: the columns named in ``TRACE_COLUMNS``, plus
 the step length ``gamma``, allocated once per run and filled in place, one
@@ -161,6 +163,9 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if self.rho_support is not None and self.rho_support > self.problem.n:
+            raise ValueError(f"rho_support must be at most the "
+                             f"{self.problem.n} coordinates")
 
 
 @dataclass
@@ -189,6 +194,20 @@ class RunResult:
     def mean_active_size(self) -> float:
         return float(np.mean(self.active_size))
 
+    def counters(self) -> dict:
+        """Run counters, read off the trace: distinct coordinates picked,
+        useful steps (gamma != 0), oracle rows fetched (one per useful
+        step of a tracked rule) and the active set size range."""
+        useful = int(np.count_nonzero(self.gamma))
+        return {
+            "distinct_picks": int(np.unique(self.i).size),
+            "useful_steps": useful,
+            "oracle_rows": useful if self.config.rule not in ("ucd", "scd")
+            else 0,
+            "min_active_size": int(self.active_size.min()),
+            "max_active_size": int(self.active_size.max()),
+        }
+
     def epochs_to_reach(self, level: float) -> float:
         """First step (in epochs of n) whose recorded f is at or below
         ``level``; inf if the level is never reached."""
@@ -216,6 +235,10 @@ def _scores(rule: str, est: GradientEstimate, x: np.ndarray,
     else:
         b = compute_bounds(est)
         lower, upper = b.lower, b.upper
+    if lower is upper:
+        # an exact estimate: one array of scores, squared once
+        s = lower ** 2
+        return Bounds(upper=s, lower=s)
     return Bounds(upper=upper ** 2, lower=lower ** 2)
 
 

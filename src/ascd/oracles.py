@@ -8,7 +8,7 @@ radius ``delta_ij >= 0`` such that the true change lies in
 
 Available kinds:
 
-* ``g1``   exact dot products, zero error,
+* ``g1``   exact dot products, zero error (no error row: ``None``),
 * ``g2``   simulated sketch products: the exact value perturbed uniformly
            within ``eps * ||a_i|| * ||a_j||`` and clamped to the
            Cauchy-Schwarz interval,
@@ -141,17 +141,20 @@ class OracleContext:
                            minlength=self.matrix.n_cols)
 
 
-def oracle_row(ctx: OracleContext, i: int) -> tuple[np.ndarray, np.ndarray]:
+def oracle_row(ctx: OracleContext,
+               i: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Estimates and errors for all pairs ``(i, j)``, ``j`` in ``[n]``.
 
-    The entry at j = i is computed like any other; the caller that tracks
-    the active coordinate separately simply overwrites it.
+    g1 is exact and returns no error row (``None``), which
+    ``update_estimates`` reads as zero error.  The entry at j = i is
+    computed like any other; the caller that tracks the active coordinate
+    separately simply overwrites it.
     """
     spec = ctx.spec
+    if spec.kind == "g1":
+        return ctx._dot_row(i), None
     n = ctx.matrix.n_cols
     bounds = ctx.norms[i] * ctx.norms
-    if spec.kind == "g1":
-        return ctx._dot_row(i), np.zeros(n)
     if spec.kind == "g2":
         u = _pair_uniform(spec.seed, _SALT_G2, i, np.arange(n), n)
         s = ctx._dot_row(i) + spec.epsilon * bounds * u

@@ -7,16 +7,20 @@ gradient with a certified error radius, and select in three stages.  The
 larger being better: the gradient magnitude (``compute_bounds``), the
 steepest directional derivative (gs-s), the model step length (gs-r) or the
 best model decrease (gs-q); the first three are distances to a segment,
-bracketed by one helper, ``_distance_range``.  The *set* stage,
+bracketed by one helper, ``_distance_range``.  An exact estimate (every
+radius 0, ``GradientEstimate.is_exact``) scores once: those three stages
+evaluate the distance at ``g`` and return that one array as both bounds
+(``lower is upper``).  gs-q keeps two bounds even then, because its upper
+bound keeps the ``y = 0`` fallback ``psi(x_i)``.  The *set* stage,
 ``active_set``, keeps the smallest prefix, in descending order of the lower
 score, that provably contains the best coordinate.  It tries, in order:
 all of [n] when every upper score reaches the best lower score, the
-maximisers of the lower score when only they reach it, an O(n) screen
-for the prefix length, and a full sort as the fallback.  The *pick*,
-``select_ascd``, draws among the best lower scores of the set; the safe
-set keeps every maximiser of the lower score, whose upper score reaches
-every prefix average.  Set and pick compare scores as given; the caller
-of the score stage chooses the units.
+maximisers of the lower score when only they reach it (one array of scores
+always is this case), an O(n) screen for the prefix length, and a full
+sort as the fallback.  The *pick*, ``select_ascd``, draws among the best
+lower scores of the set; the safe set keeps every maximiser of the lower
+score, whose upper score reaches every prefix average.  Set and pick
+compare scores as given; the caller of the score stage chooses the units.
 """
 
 from __future__ import annotations
@@ -51,10 +55,16 @@ class GradientEstimate:
     Whenever the radii are sound, the true smooth partial gradient of
     coordinate i lies in ``[g[i] - r[i], g[i] + r[i]]``.  Radii may be
     ``+inf`` (nothing is known, e.g. before the first refresh).
+
+    ``is_exact`` marks an estimate built by ``exact`` that has taken only
+    zero-error rows since (``update_estimates`` with ``row_error=None``):
+    every radius is 0, and the score stages evaluate one array instead of
+    an interval.  ``r`` stays an array of zeros for readers of the radii.
     """
 
     g: np.ndarray
     r: np.ndarray
+    is_exact: bool = False
 
     @classmethod
     def uninformed(cls, n: int) -> "GradientEstimate":
@@ -63,7 +73,7 @@ class GradientEstimate:
     @classmethod
     def exact(cls, gradient: np.ndarray) -> "GradientEstimate":
         g = np.array(gradient, dtype=np.float64)
-        return cls(g=g, r=np.zeros_like(g))
+        return cls(g=g, r=np.zeros_like(g), is_exact=True)
 
 
 @dataclass
@@ -71,7 +81,8 @@ class Bounds:
     """Per-coordinate score interval ``lower <= score_i <= upper``.
 
     Larger scores are better.  ``compute_bounds`` returns this interval for
-    the gradient magnitudes ``|grad_i|`` themselves.
+    the gradient magnitudes ``|grad_i|`` themselves.  Known scores are one
+    array given as both bounds (``lower is upper``).
     """
 
     upper: np.ndarray
@@ -104,8 +115,12 @@ def compute_bounds(estimate: GradientEstimate) -> Bounds:
     distance from the gradient to 0.
 
     The lower bound is 0 when the interval straddles zero.  Radius ``+inf``
-    yields ``(upper, lower) = (inf, 0)``.
+    yields ``(upper, lower) = (inf, 0)``.  An exact estimate gets ``|g|``
+    as both bounds.
     """
+    if estimate.is_exact:
+        d = np.abs(estimate.g)
+        return Bounds(upper=d, lower=d)
     g, r = estimate.g, estimate.r
     lower, upper = _distance_range(g - r, g + r, 0.0, 0.0)
     return Bounds(upper=upper, lower=lower)
@@ -124,7 +139,8 @@ def active_set(scores: Bounds) -> ActiveSet:
     * all of [n] reaches ``top``: the set is all of [n];
     * only the maximisers of the lower score reach ``top``: they lead the
       stable order and every other upper score is below ``top``, so they
-      are the set whenever their average rounds to ``top``;
+      are the set whenever their average rounds to ``top``.  One array as
+      both bounds (``lower is upper``) is always this case;
     * an ``O(n)`` screen: the prefix reaches at least the stable position
       ``p`` of the last coordinate reaching ``top``; when ``p = n`` the set
       is all of [n], and when the ``p`` coordinates up to it already form a
@@ -138,13 +154,19 @@ def active_set(scores: Bounds) -> ActiveSet:
     lower, upper = scores.lower, scores.upper
     n = lower.size
     top = lower.max()
-    reach = np.flatnonzero(upper >= top)
+    reach = (upper >= top).nonzero()[0]
     p = reach.size
     if 0 < p < n:
+        at = lower[reach]
+        if lower is upper:
+            # one array: reach is its maximisers, and every other score is
+            # below top
+            av = top if p == 1 else min(np.cumsum(at)[-1] / p, top)
+            if av == top:
+                return ActiveSet(indices=reach, avg_score=float(av))
         # the last of them in stable order: smallest lower score m, then
         # largest index j; the prefix up to it is every larger lower score
         # and the ties for m up to index j
-        at = lower[reach]
         m = at.min()
         j = reach[at == m][-1]
         ties = lower[:j + 1] == m
@@ -216,13 +238,17 @@ def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,
     delta_ij``; the active coordinate is overwritten with its exact new
     gradient ``g_new`` and radius zero.  A zero step leaves the passive
     entries untouched and needs no row (this also avoids 0 * inf).
+    ``row_error=None`` is an exact row (g1): the radii do not move, and an
+    exact estimate stays exact; any error row ends ``is_exact``.
     Mutates and returns ``estimate``.
     """
     if not np.isfinite(gamma):
         raise ValueError("non-finite step")
     if gamma != 0.0:
         estimate.g += gamma * row_estimate
-        estimate.r += abs(gamma) * row_error
+        if row_error is not None:
+            estimate.r += abs(gamma) * row_error
+            estimate.is_exact = False
     estimate.g[i_t] = g_new
     estimate.r[i_t] = 0.0
     return estimate
@@ -241,16 +267,20 @@ def gss_score_interval(estimate: GradientEstimate, x: np.ndarray,
     to ``-subdiff psi(x_i)``: the segment ``[-lam, lam]`` when ``x_i = 0``
     (so ``max(|g| - lam, 0)``) and the point ``-lam * sign(x_i)`` otherwise.
     With the gradient only known to lie in ``g +- r`` the score ranges over
-    the distances from that interval.  ``lam = 0`` reduces to the plain
-    gradient magnitude bounds.
+    the distances from that interval; an exact estimate gets the score at
+    ``g`` as both ends.  ``lam = 0`` reduces to the plain gradient
+    magnitude bounds.
     """
     if reg.kind not in ("none", "l1"):
         raise ValueError("gs-s scores support only the l1 penalty")
     lam = reg.lam
-    g, r = estimate.g, estimate.r
     at_zero = x == 0.0
     a = np.where(at_zero, -lam, -lam * np.sign(x))
     b = np.where(at_zero, lam, a)
+    g, r = estimate.g, estimate.r
+    if estimate.is_exact:
+        d = np.maximum(np.maximum(a - g, g - b), 0.0)
+        return d, d
     return _distance_range(g - r, g + r, a, b)
 
 
@@ -260,9 +290,13 @@ def gsr_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
 
     The model minimiser is nonincreasing in the gradient value, so over
     ``g +- r`` it sweeps the segment between the minimisers at the two
-    endpoints; the |y| range over that segment is returned.
+    endpoints; the |y| range over that segment is returned.  An exact
+    estimate has one minimiser, whose |y| is both ends.
     """
     g, r = estimate.g, estimate.r
+    if estimate.is_exact:
+        d = np.abs(reg.model_argmin(x, g, lipschitz))
+        return d, d
     # an infinite radius gives minimisers -inf and +inf: the whole line
     y_lo = reg.model_argmin(x, g + r, lipschitz)
     y_hi = reg.model_argmin(x, g - r, lipschitz)

@@ -1,0 +1,28 @@
+"""The benchmark harness still runs against the package.
+
+``benchmarks/harness.py`` reads package internals that no other test
+covers (the estimate's radii, the oracle context, the traced call
+arguments).  One traced pass over each g1 workload, every instance once,
+must report a correct result with no failed check.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["ridge-g1", "lasso-g1"])
+def test_traced_workload_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0, proc.stderr

@@ -70,6 +70,25 @@ class TestRun:
         assert summary["epochs"] == pytest.approx(10.0)
         assert "wall_time_s" not in summary
 
+    @pytest.mark.parametrize("rule", ["ascd", "ucd"])
+    def test_summary_counters_match_trace(self, dataset, tmp_path, rule):
+        rc = main(["run", "--data", str(dataset), "--l1", "0.5",
+                   "--rule", rule, "--oracle", "g1", "--update",
+                   "line-search", "--steps", "3n", "--seed", "2", "--init",
+                   "true-gradient", "--out", str(tmp_path), "--tag", "c"])
+        assert rc == 0
+        summary = read_json(tmp_path / "c.json")
+        trace = np.genfromtxt(tmp_path / "c.csv", delimiter=",",
+                              names=True)
+        assert summary["schema_version"] == 2
+        assert summary["distinct_picks"] == np.unique(trace["i"]).size
+        assert summary["min_active_size"] == trace["active_size"].min()
+        assert summary["max_active_size"] == trace["active_size"].max()
+        assert 0 < summary["useful_steps"] <= summary["steps"]
+        # a row is fetched for every useful step of a tracked rule only
+        assert summary["oracle_rows"] == (
+            summary["useful_steps"] if rule == "ascd" else 0)
+
     def test_byte_determinism(self, dataset, tmp_path):
         args = ["run", "--data", str(dataset), "--l1", "2.0", "--rule",
                 "ascd-gss", "--update", "fixed", "--oracle", "g2",
@@ -423,6 +442,10 @@ class TestRejectedInput:
         pytest.param(["run", "--data", "{data}", "--steps", "5",
                       "--rho-support", "-1"], "--rho-support",
                      id="run-rho-support-negative"),
+        # the 40-column data has no 41st coordinate; every rho read 1.0
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--rho-support", "41"], "--rho-support",
+                     id="run-rho-support-above-n"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
                       "--take-cols", "0"], "--take-cols",
                      id="run-take-cols-zero"),

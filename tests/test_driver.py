@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -427,3 +429,101 @@ class TestRun:
         r1_sq = 2 * f0 * n
         for t in range(1, 10 * n):
             assert res.f[t] <= 2 * 1.0 * r1_sq / t + 1e-12
+
+
+def _grid_problems():
+    m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=1))
+    ridge = CompositeProblem(m, b, Regularizer("l2", 1.0))
+    m, b = generate_synthetic(SynthConfig(n_rows=40, n_cols=30, seed=2))
+    lam = 0.02 * float(np.max(np.abs(m.col_dots(b))))
+    return {"ridge": ridge,
+            "lasso": CompositeProblem(m, b, Regularizer("l1", lam))}
+
+
+# (problem, rule, pick, oracle, init) -> the first 16 hex digits of the
+# sha256 of the i, active_size, f and gamma columns, recorded before
+# exact estimates scored once; the g3 and g4 cells run the interval path
+SAME_RESULTS = {
+    ("ridge", "ascd", "argmax-lower", "g1", "true-gradient"):
+        "4bb8245315358a0a",
+    ("ridge", "ascd", "uniform-set", "g1", "true-gradient"):
+        "4bb8245315358a0a",
+    ("ridge", "ascd-gss", "argmax-lower", "g1", "true-gradient"):
+        "4bb8245315358a0a",
+    ("ridge", "ascd-gss", "uniform-set", "g1", "true-gradient"):
+        "4bb8245315358a0a",
+    ("ridge", "ascd-gsr", "argmax-lower", "g1", "true-gradient"):
+        "4bb8245315358a0a",
+    ("ridge", "ascd-gsr", "uniform-set", "g1", "true-gradient"):
+        "4bb8245315358a0a",
+    ("ridge", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
+        "4bb8245315358a0a",
+    ("ridge", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
+        "4bb8245315358a0a",
+    ("lasso", "ascd", "argmax-lower", "g1", "true-gradient"):
+        "22adffec572e2c4f",
+    ("lasso", "ascd", "uniform-set", "g1", "true-gradient"):
+        "22adffec572e2c4f",
+    ("lasso", "ascd-gss", "argmax-lower", "g1", "true-gradient"):
+        "6a150445505ee91d",
+    ("lasso", "ascd-gss", "uniform-set", "g1", "true-gradient"):
+        "6a150445505ee91d",
+    ("lasso", "ascd-gsr", "argmax-lower", "g1", "true-gradient"):
+        "ab339714bf5e2d3c",
+    ("lasso", "ascd-gsr", "uniform-set", "g1", "true-gradient"):
+        "ab339714bf5e2d3c",
+    ("lasso", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
+        "7e8695dd96655c8e",
+    ("lasso", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
+        "7e8695dd96655c8e",
+    ("ridge", "ascd", "uniform-set", "g3", "true-gradient"):
+        "e25c9c9c8253ae68",
+    ("lasso", "ascd-gss", "argmax-lower", "g4", "none"):
+        "c423a33879eff867",
+}
+
+
+class TestExactPath:
+    """g1 from a true-gradient start scores one array per step and gives
+    the same results as the interval path."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        return _grid_problems()
+
+    @pytest.mark.parametrize("cell", list(SAME_RESULTS),
+                             ids=["-".join(c) for c in SAME_RESULTS])
+    def test_same_results(self, problems, cell):
+        name, rule, pick, kind, init = cell
+        prob = problems[name]
+        res = run(RunConfig(problem=prob, steps=3 * prob.n, rule=rule,
+                            update=UpdateRule("line_search"),
+                            oracle=OracleSpec(kind, seed=1), seed=4,
+                            init=init, pick=pick, diag_every=1))
+        digest = hashlib.sha256()
+        for column in ("i", "active_size", "f", "gamma"):
+            digest.update(getattr(res, column).tobytes())
+        assert digest.hexdigest()[:16] == SAME_RESULTS[cell]
+        assert (res.soundness_violations, res.containment_violations,
+                res.sandwich_violations) == (0, 0, 0)
+
+    @pytest.mark.parametrize("kind,init,exact_steps", [
+        ("g1", "true-gradient", 20), ("g1", "none", 0),
+        ("g2", "true-gradient", 1)])
+    def test_exactness_comes_from_the_estimate(self, monkeypatch, kind, init,
+                                               exact_steps):
+        # g2 with epsilon 0 adds zero error rows: its first row ends the
+        # one-array path
+        seen = []
+        real = ascd.driver.active_set
+
+        def spy(scores):
+            seen.append(scores.lower is scores.upper)
+            return real(scores)
+
+        monkeypatch.setattr(ascd.driver, "active_set", spy)
+        prob = random_problem(17)
+        run(RunConfig(problem=prob, steps=20, rule="ascd",
+                      update=UpdateRule("line_search"),
+                      oracle=OracleSpec(kind), init=init, diag_every=0))
+        assert seen == [True] * exact_steps + [False] * (20 - exact_steps)

@@ -289,6 +289,97 @@ class TestActiveSetScreen:
             assert got.avg_score == want.avg_score
 
 
+def _one_array_scores(n):
+    """Scores with exact ties; three 0.7s, or six or more 0.1s or 1.1s,
+    average to below their value."""
+    return arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([0.0, 0.1, 0.7, 0.6999999999999998, 1.1, 2.0]),
+        st.floats(0, 3)))
+
+
+class TestOneArraySet:
+    """An exact estimate's scores are one array, passed as both bounds."""
+
+    @given(st.integers(1, 24).flatmap(_one_array_scores))
+    @example(np.array([0.7, 0.7, 0.7, 0.1]))
+    # the maximisers average to 0.6999999999999998, which the excluded
+    # score equals: it is not strictly dominated
+    @example(np.array([0.7, 0.6999999999999998, 0.7, 0.7, 0.0]))
+    @example(np.array([0.1] * 10 + [0.0]))
+    @example(np.array([2.0, 1.0, 2.0]))
+    def test_matches_sorted_reference(self, s):
+        scores = Bounds(upper=s, lower=s)
+        got, want = active_set(scores), sorted_active_set(scores)
+        assert np.array_equal(got.indices, want.indices)
+        # with nothing excluded the average is no threshold
+        if len(want) < s.size:
+            assert got.avg_score == want.avg_score
+
+    @pytest.mark.parametrize("s,shortcut", [
+        ([2.0, 1.0, 2.0, 0.5], True), ([0.7, 0.7, 0.7, 0.1], False)],
+        ids=["maximisers", "rounded-average"])
+    def test_equal_copies_take_the_general_path(self, monkeypatch, s,
+                                                shortcut):
+        # only the general path counts; an equal copy as the upper bound
+        # gets the same set through it
+        s = np.array(s)
+        calls = []
+        count = np.count_nonzero
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return count(*args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", counting)
+        one = active_set(Bounds(upper=s, lower=s))
+        one_calls = len(calls)
+        two = active_set(Bounds(upper=s.copy(), lower=s))
+        assert len(calls) > one_calls
+        assert np.array_equal(one.indices, two.indices)
+        assert one.avg_score == two.avg_score
+        assert (one_calls == 0) == shortcut
+
+
+class TestExactEstimate:
+    """An exact estimate scores once, and stays exact under exact rows."""
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        arrays(np.float64, n, elements=st.one_of(
+            st.sampled_from([0.0, 0.5, -0.5, 2.0]), st.floats(-1e6, 1e6))),
+        arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, -1.0])))))
+    def test_one_array_equals_zero_radius(self, drawn):
+        g, x = drawn
+        exact, zero = GradientEstimate.exact(g), est(g, np.zeros_like(g))
+        assert exact.is_exact and not zero.is_exact
+        reg = Regularizer("l1", 0.5)
+        b, ref = compute_bounds(exact), compute_bounds(zero)
+        pairs = [((b.lower, b.upper), (ref.lower, ref.upper)),
+                 (gss_score_interval(exact, x, reg),
+                  gss_score_interval(zero, x, reg)),
+                 (gsr_bounds(exact, x, 1.5, reg),
+                  gsr_bounds(zero, x, 1.5, reg))]
+        for (lower, upper), (want_lower, want_upper) in pairs:
+            assert lower is upper
+            assert np.array_equal(lower, want_lower)
+            assert np.array_equal(upper, want_upper)
+
+    def test_exact_row_keeps_it_exact(self):
+        e = GradientEstimate.exact(np.array([1.0, -2.0]))
+        update_estimates(e, 0, 0.5, np.array([0.0, 4.0]), None, 0.25)
+        assert e.is_exact
+        assert list(e.g) == [0.25, 0.0] and not e.r.any()
+
+    def test_error_row_ends_exactness(self):
+        # even a zero error row: only g1 rows come without one
+        e = GradientEstimate.exact(np.array([1.0, -2.0]))
+        update_estimates(e, 0, 0.0, None, None, 0.25)
+        assert e.is_exact
+        update_estimates(e, 0, 0.5, np.array([0.0, 4.0]), np.zeros(2), 0.25)
+        assert not e.is_exact
+        b = compute_bounds(e)
+        assert b.lower is not b.upper
+
+
 class TestPicks:
     def test_ucd_single(self):
         assert select_ucd(1, np.random.default_rng(0)) == 0
