@@ -16,6 +16,7 @@ The output directory defaults to the ``ASCD_OUT`` environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -34,91 +35,77 @@ from .oracles import ORACLE_KINDS, OracleSpec
 from .problem import CompositeProblem, Regularizer
 from .ratiosim import RatioSimConfig, rho_infinity, simulate_rho
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # JSON summary schemas (field names are part of the CLI contract)
 _COMMON = {"schema_version": {"type": "integer"},
            "kind": {"type": "string"}}
 
-RUN_SUMMARY_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "kind", "data", "n_rows", "n_cols",
-                 "rule", "update", "oracle", "l1", "l2", "steps", "epochs",
-                 "seed", "init", "pick", "final_f", "mean_active_size",
-                 "min_active_size", "max_active_size", "distinct_picks",
-                 "useful_steps", "oracle_rows", "violations", "trace_csv"],
-    "properties": {
-        **_COMMON,
-        "data": {"type": "string"},
-        "n_rows": {"type": "integer"},
-        "n_cols": {"type": "integer"},
-        "rule": {"enum": list(RULES)},
-        "update": {"type": "object"},
-        "oracle": {"type": ["object", "null"]},
-        "l1": {"type": "number"},
-        "l2": {"type": "number"},
-        "steps": {"type": "integer"},
-        "epochs": {"type": "number"},
-        "seed": {"type": "integer"},
-        "init": {"enum": ["none", "true-gradient"]},
-        "pick": {"enum": ["argmax-lower", "uniform-set"]},
-        "final_f": {"type": "number"},
-        "mean_active_size": {"type": "number"},
-        "min_active_size": {"type": "integer"},
-        "max_active_size": {"type": "integer"},
-        "distinct_picks": {"type": "integer"},
-        "useful_steps": {"type": "integer"},
-        "oracle_rows": {"type": "integer"},
-        "violations": {"type": "object"},
-        "trace_csv": {"type": "string"},
-        "wall_time_s": {"type": "number"},
-    },
-}
 
-HARDCASE_SUMMARY_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "kind", "n", "alpha", "c_alpha", "steps",
-                 "start", "cycling_checked", "cycling_ok", "omega_max",
-                 "trace_csv"],
-    "properties": {
-        **_COMMON,
-        "n": {"type": "integer"},
-        "alpha": {"type": "number"},
-        "c_alpha": {"type": "number"},
-        "steps": {"type": "integer"},
-        "start": {"enum": ["worst", "ones"]},
-        "cycling_checked": {"type": "boolean"},
-        "cycling_ok": {"type": ["boolean", "null"]},
-        "first_failure": {"type": ["integer", "null"]},
-        "omega_max": {"type": "number"},
-        "trace_csv": {"type": "string"},
-    },
-}
+def _summary_schema(properties: dict, optional=()) -> dict:
+    """Every listed field is required unless named in ``optional``."""
+    return {"type": "object", "properties": properties,
+            "required": [k for k in properties if k not in optional]}
 
-RATIO_SUMMARY_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "kind", "n", "s", "c", "t_inf", "steps",
-                 "seed", "reentry", "designated", "rho_closed_form",
-                 "rho_simple_bound", "rho_empirical_mean", "exits",
-                 "entries", "trace_csv"],
-    "properties": {
-        **_COMMON,
-        "n": {"type": "integer"},
-        "s": {"type": "integer"},
-        "c": {"type": "number"},
-        "t_inf": {"type": "number"},
-        "steps": {"type": "integer"},
-        "seed": {"type": "integer"},
-        "reentry": {"enum": ["geometric", "fixed"]},
-        "designated": {"type": "integer"},
-        "rho_closed_form": {"type": "number"},
-        "rho_simple_bound": {"type": "number"},
-        "rho_empirical_mean": {"type": "number"},
-        "exits": {"type": "integer"},
-        "entries": {"type": "integer"},
-        "trace_csv": {"type": "string"},
-    },
-}
+
+RUN_SUMMARY_SCHEMA = _summary_schema({
+    **_COMMON,
+    "data": {"type": "string"},
+    "n_rows": {"type": "integer"},
+    "n_cols": {"type": "integer"},
+    "rule": {"enum": list(RULES)},
+    "update": {"type": "object"},
+    "oracle": {"type": ["object", "null"]},
+    "l1": {"type": "number"},
+    "l2": {"type": "number"},
+    "steps": {"type": "integer"},
+    "epochs": {"type": "number"},
+    "seed": {"type": "integer"},
+    "init": {"enum": ["none", "true-gradient"]},
+    "pick": {"enum": ["argmax-lower", "uniform-set"]},
+    "final_f": {"type": "number"},
+    "mean_active_size": {"type": "number"},
+    "min_active_size": {"type": "integer"},
+    "max_active_size": {"type": "integer"},
+    "distinct_picks": {"type": "integer"},
+    "useful_steps": {"type": "integer"},
+    "oracle_rows": {"type": "integer"},
+    "violations": {"type": "object"},
+    "trace_csv": {"type": "string"},
+    "wall_time_s": {"type": "number"},
+}, optional=("wall_time_s",))
+
+HARDCASE_SUMMARY_SCHEMA = _summary_schema({
+    **_COMMON,
+    "n": {"type": "integer"},
+    "alpha": {"type": "number"},
+    "c_alpha": {"type": "number"},
+    "steps": {"type": "integer"},
+    "start": {"enum": ["worst", "ones"]},
+    "cycling_checked": {"type": "boolean"},
+    "cycling_ok": {"type": ["boolean", "null"]},
+    "first_failure": {"type": ["integer", "null"]},
+    "omega_max": {"type": "number"},
+    "trace_csv": {"type": "string"},
+}, optional=("first_failure",))
+
+RATIO_SUMMARY_SCHEMA = _summary_schema({
+    **_COMMON,
+    "n": {"type": "integer"},
+    "s": {"type": "integer"},
+    "c": {"type": "number"},
+    "t_inf": {"type": "number"},
+    "steps": {"type": "integer"},
+    "seed": {"type": "integer"},
+    "reentry": {"enum": ["geometric", "fixed"]},
+    "designated": {"type": "integer"},
+    "rho_closed_form": {"type": "number"},
+    "rho_simple_bound": {"type": "number"},
+    "rho_empirical_mean": {"type": "number"},
+    "exits": {"type": "integer"},
+    "entries": {"type": "integer"},
+    "trace_csv": {"type": "string"},
+})
 
 GENERATE_SUMMARY_SCHEMA = {
     "type": "object",
@@ -129,16 +116,12 @@ GENERATE_SUMMARY_SCHEMA = {
     "properties": {**_COMMON},
 }
 
-SWEEP_SUMMARY_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "kind", "cells", "failed", "summary_csv"],
-    "properties": {
-        **_COMMON,
-        "cells": {"type": "integer"},
-        "failed": {"type": "array"},
-        "summary_csv": {"type": "string"},
-    },
-}
+SWEEP_SUMMARY_SCHEMA = _summary_schema({
+    **_COMMON,
+    "cells": {"type": "integer"},
+    "failed": {"type": "array"},
+    "summary_csv": {"type": "string"},
+})
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -159,10 +142,10 @@ def _parse_steps(text: str, n: int) -> int:
     text = text.strip().lower()
     try:
         if text.endswith("n"):
-            epochs = float(text[:-1] or "1")
-            if not (np.isfinite(epochs) and epochs > 0):
-                raise ValueError("not a positive finite multiple of n")
-            return max(1, int(round(epochs * n)))
+            count = float(text[:-1] or "1") * n
+            if not (np.isfinite(count) and count > 0):
+                raise ValueError("the step count is not positive and finite")
+            return max(1, int(round(count)))
         steps = int(text)
     except ValueError as exc:
         raise ValueError(f"--steps {text}: {exc}") from exc
@@ -181,14 +164,35 @@ def _named(flags: dict, build, *args, **kwargs):
                                 str(exc))) from exc
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> list:
-    """Pre-scan for --config and install its contents as parser defaults.
+def _config_value(action: argparse.Action, value):
+    """A ``--config`` value, converted as the command line converts the
+    flag's text; a rejection says what the flag takes."""
+    if action.nargs == 0 or isinstance(value, bool):
+        if action.nargs == 0 and isinstance(value, bool):
+            return value  # only on/off flags take booleans
+    elif value is None and action.default is None:
+        return None
+    elif isinstance(value, (str, int, float)):
+        with contextlib.suppress(ValueError):
+            converted = (action.type or str)(str(value))
+            if action.choices is None or converted in action.choices:
+                return converted
+    raise ValueError("expected " + (
+        "true or false" if action.nargs == 0 else
+        "one of " + ", ".join(action.choices) if action.choices else
+        (action.type or str).__name__))
 
-    Defaults go onto every subcommand parser: argparse re-applies subparser
-    defaults into a fresh namespace, so setting them on the top parser
-    alone would be overwritten.
+
+def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> None:
+    """Pre-scan for --config and install its contents as defaults of the
+    subcommand that ``argv`` names.  argparse converts only string
+    defaults, so a value for a known flag goes through that flag's type
+    and choices first; keys that name no flag are installed as they are.
     """
-    argv = list(argv)
+    sub = parser.sub_parsers.get(argv[0]) if argv else None
+    if sub is None:
+        return  # parse_args reports the missing or unknown subcommand
+    actions = {action.dest: action for action in sub._actions}
     for k, tok in enumerate(argv):
         if tok == "--config" and k + 1 < len(argv):
             path = argv[k + 1]
@@ -203,10 +207,13 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> list:
             parser.error(f"--config {path}: {exc}")
         if not isinstance(loaded, dict):
             parser.error(f"--config {path}: expected a JSON object")
-        parser.set_defaults(**loaded)
-        for sub in parser.sub_parsers:
-            sub.set_defaults(**loaded)
-    return argv
+        for key in [name for name in loaded if name in actions]:
+            try:
+                loaded[key] = _config_value(actions[key], loaded[key])
+            except ValueError as exc:
+                raise ValueError(f"--config {path}: {key} "
+                                 f"{json.dumps(loaded[key])}: {exc}") from None
+        sub.set_defaults(**loaded)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +248,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="how the active coordinate is drawn from the set")
     p.add_argument("--diag-every", type=int, default=None,
                    help="true-gradient diagnostics cadence (default n)")
-    p.add_argument("--rho-support", type=int, default=None)
     p.add_argument("--time", action="store_true",
                    help="collect wall times (nondeterministic fields)")
     p.add_argument("--tag", default="run", help="output file basename")
@@ -265,7 +271,7 @@ def _build_problem(flags: dict) -> tuple[CompositeProblem, int]:
 
 # run-time fields that rejections name, and the flags that set them
 _RUN_FLAGS = {"seed": "--seed", "diag_every": "--diag-every",
-              "rho_support": "--rho-support", "step_scale": "--step-scale"}
+              "step_scale": "--step-scale"}
 
 
 def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
@@ -288,7 +294,6 @@ def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
         init=flags["init"],
         pick=flags["pick"],
         diag_every=flags["diag_every"],
-        rho_support=flags["rho_support"],
         time_steps=flags["time"],
     )
     result = run(config)
@@ -475,9 +480,10 @@ def cmd_hardcase(args) -> int:
 
 
 def cmd_ratio_sim(args) -> int:
-    config = RatioSimConfig(n=args.n, s=args.s, c=args.c, t_inf=args.t_inf,
-                            steps=args.steps, seed=args.seed,
-                            reentry=args.reentry)
+    config = _named({"n": "--n", "s": "--s", "c": "--c", "t_inf": "--t-inf",
+                     "steps": "--steps"}, RatioSimConfig, n=args.n, s=args.s,
+                    c=args.c, t_inf=args.t_inf, steps=args.steps,
+                    seed=args.seed, reentry=args.reentry)
     limit = rho_infinity(args.n, args.s, args.c, args.t_inf)
     out_dir = _out_dir(args)
     trace = simulate_rho(config)
@@ -568,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--tag", default="ratio")
     q.set_defaults(func=cmd_ratio_sim)
 
-    parser.sub_parsers = [g, r, s, h, q]
+    parser.sub_parsers = sub.choices
     return parser
 
 
@@ -589,13 +595,13 @@ def main(argv=None) -> int:
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    argv = _apply_config_defaults(parser, argv)
-    args = parser.parse_args(argv)
-    for dest in _REQUIRED[args.command]:
-        if getattr(args, dest) is None:
-            parser.error(f"--{dest.replace('_', '-')} is required "
-                         "(flag or --config entry)")
     try:
+        _apply_config_defaults(parser, argv)
+        args = parser.parse_args(argv)
+        for dest in _REQUIRED[args.command]:
+            if getattr(args, dest) is None:
+                parser.error(f"--{dest.replace('_', '-')} is required "
+                             "(flag or --config entry)")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,6 @@ import numpy as np
 from .data import write_csv
 from .oracles import OracleContext, OracleSpec, oracle_row
 from .problem import CompositeProblem, ResidualState
-from .ratiosim import measure_rho
 from .selector import (ActiveSet, Bounds, GradientEstimate, active_set,
                        compute_bounds, gsq_bounds, gsr_bounds,
                        gss_score_interval, select_ascd, select_scd,
@@ -53,7 +52,7 @@ __all__ = [
 
 RULES = ("ucd", "scd", "ascd", "ascd-gss", "ascd-gsq", "ascd-gsr")
 
-TRACE_COLUMNS = ("t", "i", "f", "grad_inf", "grad2sq", "active_size", "rho",
+TRACE_COLUMNS = ("t", "i", "f", "grad_inf", "grad2sq", "active_size",
                  "tau_ucd", "tau_ascd", "tau_scd", "wall_ns")
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
@@ -147,7 +146,6 @@ class RunConfig:
     pick: str = "argmax-lower"        # or "uniform-set": draw u.a.r. from the set
     x0: np.ndarray | None = None
     diag_every: int | None = None     # default n; 0 disables
-    rho_support: int | None = None    # treat the first s coords as the target set
     time_steps: bool = False
 
     def __post_init__(self):
@@ -159,13 +157,10 @@ class RunConfig:
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.pick not in ("argmax-lower", "uniform-set"):
             raise ValueError(f"unknown pick mode {self.pick!r}")
-        for name in ("seed", "diag_every", "rho_support"):
+        for name in ("seed", "diag_every"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.rho_support is not None and self.rho_support > self.problem.n:
-            raise ValueError(f"rho_support must be at most the "
-                             f"{self.problem.n} coordinates")
 
 
 @dataclass
@@ -177,7 +172,6 @@ class RunResult:
     grad_inf: np.ndarray
     grad2sq: np.ndarray
     active_size: np.ndarray
-    rho: np.ndarray
     tau_ucd: np.ndarray
     tau_ascd: np.ndarray
     tau_scd: np.ndarray
@@ -326,8 +320,6 @@ def run(config: RunConfig) -> RunResult:
                     best_out = float(np.max(np.abs(true_g[~mask])))
                     if best_out > best_in + tol:
                         contain_bad += 1
-            if config.rho_support is not None:
-                cols["rho"][t] = measure_rho(aset.indices, config.rho_support)
 
         try:
             gamma, g_new = step(problem, state, i_t, config.update)

@@ -67,7 +67,7 @@ def rho_infinity(n: int, s: int, c: float, t_inf: float) -> RhoLimit:
     ``rho = 2cs / (cs + n - s - T + sqrt(theta))``; also returns the simple
     bound ``1 - (n-s)/T``.
     """
-    if not (1 <= s <= n and 0 < c <= 1 and t_inf > 0):
+    if not (1 <= s <= n and 0 < c <= 1 and 0 < t_inf < math.inf):
         raise ValueError("invalid parameters")
     theta = (n ** 2 + (c - 1) ** 2 * s ** 2 + 2 * n * ((c - 1) * s - t_inf)
              + 2 * (1 + c) * s * t_inf + t_inf ** 2)
@@ -101,8 +101,8 @@ class RatioSimConfig:
             raise ValueError("need 1 <= s <= n")
         if not 0 < self.c <= 1:
             raise ValueError("need 0 < c <= 1")
-        if self.t_inf <= 0 or self.steps < 1:
-            raise ValueError("t_inf and steps must be positive")
+        if not (0 < self.t_inf < math.inf and self.steps >= 1):
+            raise ValueError("need 0 < t_inf < inf and steps >= 1")
         if self.reentry not in ("geometric", "fixed"):
             raise ValueError(f"unknown reentry mode {self.reentry!r}")
 

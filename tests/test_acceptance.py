@@ -308,7 +308,7 @@ def test_criterion_09_empirical_ordering():
         f_star = prob.objective(prob.residual_state(x_star))
         f0 = prob.objective(prob.residual_state())
         level = f_star + 1e-3 * (f0 - f_star)
-        epochs = {}
+        epochs, picks = {}, {}
         for rule, oracle, init in (
                 ("scd", None, "none"),
                 ("ascd", OracleSpec("g4", seed=seed), "none"),
@@ -316,7 +316,11 @@ def test_criterion_09_empirical_ordering():
             res = run(RunConfig(problem=prob, steps=10 * prob.n, rule=rule,
                                 update=update, oracle=oracle, seed=seed,
                                 init=init, diag_every=0))
-            epochs[rule] = res.epochs_to_reach(level)
+            epochs[rule], picks[rule] = res.epochs_to_reach(level), res.i
+        # negative control: with g4 and no start every lower bound is 0,
+        # so the ascd arm draws exactly ucd's coordinates and its ordering
+        # against ucd holds as an equality, not as a gain
+        assert np.array_equal(picks["ascd"], picks["ucd"]), seed
         if epochs["scd"] <= epochs["ascd"] <= epochs["ucd"]:
             ridge_wins += 1
     assert ridge_wins >= 4
@@ -330,7 +334,7 @@ def test_criterion_09_empirical_ordering():
         f_star = _lasso_reference(prob)
         f0 = prob.objective(prob.residual_state())
         level = f_star + 1e-3 * (f0 - f_star)
-        epochs = {}
+        epochs, picks = {}, {}
         for name, rule, oracle, init in (
                 ("scd", "ascd-gss", OracleSpec("g1", seed=seed),
                  "true-gradient"),
@@ -339,7 +343,8 @@ def test_criterion_09_empirical_ordering():
             res = run(RunConfig(problem=prob, steps=10 * prob.n, rule=rule,
                                 update=update, oracle=oracle, seed=seed,
                                 init=init, diag_every=0))
-            epochs[name] = res.epochs_to_reach(level)
+            epochs[name], picks[name] = res.epochs_to_reach(level), res.i
+        assert np.array_equal(picks["ascd"], picks["ucd"]), seed
         if epochs["scd"] <= epochs["ascd"] <= epochs["ucd"]:
             lasso_wins += 1
     assert lasso_wins >= 4
@@ -347,7 +352,8 @@ def test_criterion_09_empirical_ordering():
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     print(f"\nACCEPTANCE 9 (epoch ordering greedy <= tracked <= uniform, "
-          f"ridge {ridge_wins}/5 and lasso {lasso_wins}/5 seeds, "
+          f"ridge {ridge_wins}/5 and lasso {lasso_wins}/5 seeds, tracked "
+          f"picks equal to uniform's on every seed, "
           f"{elapsed:.0f}s): PASS")
 
 

@@ -12,7 +12,7 @@ from ascd.cli import (GENERATE_SUMMARY_SCHEMA, HARDCASE_SUMMARY_SCHEMA,
                       RATIO_SUMMARY_SCHEMA, RUN_SUMMARY_SCHEMA,
                       SWEEP_SUMMARY_SCHEMA, main)
 from ascd.data import SynthConfig, load_svmlight
-from ascd.driver import TRACE_HEADER
+from ascd.driver import TRACE_COLUMNS, TRACE_HEADER
 
 
 def read_json(path):
@@ -80,7 +80,7 @@ class TestRun:
         summary = read_json(tmp_path / "c.json")
         trace = np.genfromtxt(tmp_path / "c.csv", delimiter=",",
                               names=True)
-        assert summary["schema_version"] == 2
+        assert summary["schema_version"] == 3
         assert summary["distinct_picks"] == np.unique(trace["i"]).size
         assert summary["min_active_size"] == trace["active_size"].min()
         assert summary["max_active_size"] == trace["active_size"].max()
@@ -133,7 +133,7 @@ class TestRun:
         summary = read_json(tmp_path / "t.json")
         assert summary["wall_time_s"] > 0
         first = (tmp_path / "t.csv").read_text().splitlines()[1]
-        assert first.split(",")[10] != ""
+        assert first.split(",")[TRACE_COLUMNS.index("wall_ns")] != ""
 
     def test_take_cols_and_binarize(self, dataset, tmp_path):
         rc = main(["run", "--data", str(dataset), "--binarize",
@@ -182,6 +182,20 @@ class TestRun:
         assert summary["rule"] == "scd"
         assert summary["steps"] == 80
         assert summary["l2"] == 0.25
+
+    def test_config_values_take_flag_types(self, dataset, tmp_path):
+        # a number for a float flag, a boolean for a switch and null for a
+        # flag whose default is unset pass; each lands as the flag's type
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 80, "l2": 1, "binarize": True,
+                                   "take_cols": None, "seed": "4"}))
+        rc = main(["run", "--config", str(cfg), "--data", str(dataset),
+                   "--out", str(tmp_path), "--tag", "c"])
+        assert rc == 0
+        summary = read_json(tmp_path / "c.json")
+        assert summary["steps"] == 80 and summary["n_cols"] == 40
+        assert summary["l2"] == 1.0 and isinstance(summary["l2"], float)
+        assert summary["seed"] == 4
 
     @pytest.mark.parametrize("content", [None, "{not json"])
     def test_bad_config_file(self, dataset, tmp_path, content):
@@ -371,6 +385,10 @@ class TestRatioSim:
 class TestRejectedInput:
     """Every subcommand turns rejected input into exit 2 and one line."""
 
+    # --config files of the rows below, each with a value of the wrong type
+    CONFIGS = {"seed-float.json": {"seed": 1.5}, "l2-list.json": {"l2": [1]},
+               "binarize-string.json": {"binarize": "yes"}}
+
     @pytest.mark.parametrize("argv,named", [
         pytest.param(["generate", "--rows", "0", "--cols", "10"], "--rows",
                      id="generate-rows"),
@@ -414,6 +432,9 @@ class TestRejectedInput:
                      "--steps", id="run-steps-zero"),
         pytest.param(["run", "--data", "{data}", "--steps", "x"],
                      "--steps", id="run-steps-not-a-number"),
+        # a finite multiple whose step count overflows to inf
+        pytest.param(["run", "--data", "{data}", "--steps", "1e308n"],
+                     "--steps", id="run-steps-overflow"),
         # a worker count below one used to run serially
         pytest.param(["sweep", "--data", "{data}", "--steps", "1n",
                       "--jobs", "0"], "--jobs", id="sweep-jobs-zero"),
@@ -440,13 +461,6 @@ class TestRejectedInput:
                       "--diag-every", "-1"], "--diag-every",
                      id="run-diag-every-negative"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
-                      "--rho-support", "-1"], "--rho-support",
-                     id="run-rho-support-negative"),
-        # the 40-column data has no 41st coordinate; every rho read 1.0
-        pytest.param(["run", "--data", "{data}", "--steps", "5",
-                      "--rho-support", "41"], "--rho-support",
-                     id="run-rho-support-above-n"),
-        pytest.param(["run", "--data", "{data}", "--steps", "5",
                       "--take-cols", "0"], "--take-cols",
                      id="run-take-cols-zero"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
@@ -456,11 +470,26 @@ class TestRejectedInput:
                       "--steps", "10"], None, id="hardcase-alpha"),
         pytest.param(["ratio-sim", "--n", "10", "--s", "20", "--t-inf", "50",
                       "--steps", "100"], None, id="ratio-sim-s"),
+        pytest.param(["ratio-sim", "--n", "10", "--s", "2", "--t-inf", "inf",
+                      "--steps", "100"], "--t-inf", id="ratio-sim-t-inf-inf"),
+        # argparse converts only string defaults, so each of these reached
+        # run: a TypeError, a TypeError, and a silently accepted switch
+        pytest.param(["run", "--data", "{data}", "--steps", "5", "--config",
+                      "{tmp}/seed-float.json"], "seed 1.5",
+                     id="run-config-seed-float"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5", "--config",
+                      "{tmp}/l2-list.json"], "l2 [1]",
+                     id="run-config-l2-list"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5", "--config",
+                      "{tmp}/binarize-string.json"], "binarize \"yes\"",
+                     id="run-config-binarize-string"),
     ])
     def test_exit_2_single_error_line(self, dataset, tmp_path, capsys, argv,
                                       named):
         out = tmp_path / "out"
         (tmp_path / "latin1.svm").write_bytes(b"1 1:1\n2 2:\xff\n")
+        for name, content in self.CONFIGS.items():
+            (tmp_path / name).write_text(json.dumps(content))
         argv = [a.format(data=dataset, tmp=tmp_path) for a in argv]
         rc = main([*argv, "--out", str(out)])
         err = capsys.readouterr().err
@@ -483,8 +512,9 @@ class TestRejectedInput:
         (["--oracle", "bh"], "--oracle"),
         (["--hessian-bound", "1"], "--hessian-bound"),
         (["--per-coordinate"], "--per-coordinate"),
+        (["--rho-support", "4"], "--rho-support"),
     ], ids=["update-prox", "rule-l-ascd", "rule-u-ascd", "rule-a-ascd",
-            "oracle-bh", "hessian-bound", "per-coordinate"])
+            "oracle-bh", "hessian-bound", "per-coordinate", "rho-support"])
     def test_prox_update_rejected(self, dataset, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--data", str(dataset), "--steps", "5", *argv])

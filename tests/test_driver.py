@@ -294,10 +294,10 @@ class TestRun:
         assert lines[0] == TRACE_HEADER
         assert len(lines) == 26
         row0 = lines[1].split(",")
-        assert len(row0) == 11
+        assert len(row0) == 10
         # diagnostics only on the cadence; empty fields elsewhere
         row1 = lines[2].split(",")
-        assert row1[3] == "" and row1[7] == ""
+        assert row1[3] == "" and row1[6] == ""
         assert row0[3] != ""
 
     def test_trace_csv_timed_wall_ns_integers(self, tmp_path):
@@ -356,13 +356,6 @@ class TestRun:
                             seed=1, init="true-gradient", diag_every=0))
         assert res.active_size[0] == 1
 
-    def test_rho_column(self):
-        prob = random_problem(14, d=30, n=10)
-        res = run(RunConfig(problem=prob, steps=20, rule="ascd",
-                            oracle=OracleSpec("g3"), seed=0, diag_every=1,
-                            rho_support=4))
-        assert np.all((res.rho >= 0) & (res.rho <= 1))
-
     def test_rejects_bad_config(self):
         prob = random_problem(15)
         with pytest.raises(ValueError):
@@ -372,10 +365,9 @@ class TestRun:
         with pytest.raises(ValueError):
             RunConfig(problem=prob, steps=5, init="warm")
 
-    @pytest.mark.parametrize("field", ["seed", "diag_every", "rho_support"])
+    @pytest.mark.parametrize("field", ["seed", "diag_every"])
     def test_rejects_negative_field(self, field):
-        # a negative diag_every diagnosed every step, a negative rho_support
-        # wrote rho = 0 on every diagnosed step
+        # a negative diag_every diagnosed every step
         prob = random_problem(15)
         with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
             RunConfig(problem=prob, steps=5, **{field: -1})

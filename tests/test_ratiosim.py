@@ -66,6 +66,12 @@ class TestRhoInfinity:
             rho_infinity(10, 20, 1.0, 5)
         with pytest.raises(ValueError):
             rho_infinity(10, 5, 0.0, 5)
+        # an infinite t_inf made theta nan and the limit nan
+        for t_inf in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                rho_infinity(10, 5, 1.0, t_inf)
+            with pytest.raises(ValueError):
+                RatioSimConfig(n=10, s=5, t_inf=t_inf)
 
 
 class TestSimulateRho:

@@ -1,0 +1,29 @@
+"""The README's `run` trace header and its Library snippet match the code."""
+
+import re
+from pathlib import Path
+
+from ascd.driver import TRACE_HEADER
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _section(title: str) -> str:
+    start = README.index(f"\n## {title}\n")
+    end = README.find("\n## ", start + 1)
+    return README[start:end if end != -1 else None]
+
+
+def test_run_trace_header():
+    block = re.search(r"`run` traces have the header\s*```\n(.*?)\n```",
+                      _section("Trace format"), re.S)
+    assert block is not None
+    assert block[1] == TRACE_HEADER
+
+
+def test_library_snippet_runs(capsys):
+    snippet = re.search(r"```python\n(.*?)```", _section("Library"), re.S)
+    assert snippet is not None
+    exec(compile(snippet[1], "README.md", "exec"), {})
+    final_f, mean_active_size = map(float, capsys.readouterr().out.split())
+    assert final_f >= 0 and mean_active_size >= 1
