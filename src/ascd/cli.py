@@ -35,7 +35,7 @@ from .oracles import ORACLE_KINDS, OracleSpec
 from .problem import CompositeProblem, Regularizer
 from .ratiosim import RatioSimConfig, rho_infinity, simulate_rho
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # JSON summary schemas (field names are part of the CLI contract)
 _COMMON = {"schema_version": {"type": "integer"},
@@ -138,19 +138,24 @@ def _out_dir(args) -> str:
 
 def _parse_steps(text: str, n: int) -> int:
     """Either a positive count or a positive multiple of the dimension,
-    e.g. ``10n``; a rejection names ``--steps``."""
+    e.g. ``10n``, that the trace's 64-bit step index can count; a
+    rejection names ``--steps``."""
     text = text.strip().lower()
     try:
         if text.endswith("n"):
             count = float(text[:-1] or "1") * n
             if not (np.isfinite(count) and count > 0):
                 raise ValueError("the step count is not positive and finite")
-            return max(1, int(round(count)))
-        steps = int(text)
+            steps = max(1, int(round(count)))
+        else:
+            steps = int(text)
     except ValueError as exc:
         raise ValueError(f"--steps {text}: {exc}") from exc
     if steps < 1:
         raise ValueError(f"--steps {text}: need at least one step")
+    if steps > np.iinfo(np.int64).max:
+        raise ValueError(f"--steps {text}: more steps than a 64-bit "
+                         "index counts")
     return steps
 
 
@@ -186,8 +191,9 @@ def _config_value(action: argparse.Action, value):
 def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> None:
     """Pre-scan for --config and install its contents as defaults of the
     subcommand that ``argv`` names.  argparse converts only string
-    defaults, so a value for a known flag goes through that flag's type
-    and choices first; keys that name no flag are installed as they are.
+    defaults, so each value goes through its flag's type and choices
+    first; keys that name no flag of the subcommand are ignored, so none
+    can replace the parser's own defaults such as ``func``.
     """
     sub = parser.sub_parsers.get(argv[0]) if argv else None
     if sub is None:
@@ -204,16 +210,17 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> None:
             with open(path) as fh:
                 loaded = json.load(fh)
         except (OSError, ValueError) as exc:
-            parser.error(f"--config {path}: {exc}")
+            raise ValueError(f"--config {path}: {exc}") from None
         if not isinstance(loaded, dict):
-            parser.error(f"--config {path}: expected a JSON object")
+            raise ValueError(f"--config {path}: expected a JSON object")
+        defaults = {}
         for key in [name for name in loaded if name in actions]:
             try:
-                loaded[key] = _config_value(actions[key], loaded[key])
+                defaults[key] = _config_value(actions[key], loaded[key])
             except ValueError as exc:
                 raise ValueError(f"--config {path}: {key} "
                                  f"{json.dumps(loaded[key])}: {exc}") from None
-        sub.set_defaults(**loaded)
+        sub.set_defaults(**defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +241,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--oracle", default="g3", choices=ORACLE_KINDS)
     p.add_argument("--epsilon", type=float, default=0.0,
                    help="g2 relative error level")
-    p.add_argument("--oracle-seed", type=int, default=None,
-                   help="defaults to --seed")
     p.add_argument("--update", default="fixed",
                    choices=["fixed", "line-search"])
-    p.add_argument("--step-scale", type=float, default=1.0)
     p.add_argument("--steps", default=None,
                    help="step budget; accepts multiples of n like '10n'")
     p.add_argument("--init", default="none",
@@ -271,24 +275,20 @@ def _build_problem(flags: dict) -> tuple[CompositeProblem, int]:
 
 # run-time fields that rejections name, and the flags that set them
 _RUN_FLAGS = {"seed": "--seed", "diag_every": "--diag-every",
-              "step_scale": "--step-scale"}
+              "steps": "--steps"}
 
 
 def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
                  out_dir: str) -> dict:
-    oracle_seed = flags["oracle_seed"]
-    seed_flag = "--seed" if oracle_seed is None else "--oracle-seed"
-    spec = _named({"seed": seed_flag, "epsilon": "--epsilon"}, OracleSpec,
+    spec = _named({"seed": "--seed", "epsilon": "--epsilon"}, OracleSpec,
                   flags["oracle"], epsilon=flags["epsilon"],
-                  seed=flags["seed"] if oracle_seed is None else oracle_seed)
+                  seed=flags["seed"])
     config = _named(
         _RUN_FLAGS, RunConfig,
         problem=problem,
         steps=steps,
         rule=flags["rule"],
-        update=_named(_RUN_FLAGS, UpdateRule,
-                      flags["update"].replace("-", "_"),
-                      step_scale=flags["step_scale"]),
+        update=UpdateRule(flags["update"].replace("-", "_")),
         oracle=spec,
         seed=flags["seed"],
         init=flags["init"],
@@ -296,7 +296,7 @@ def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
         diag_every=flags["diag_every"],
         time_steps=flags["time"],
     )
-    result = run(config)
+    result = _named(_RUN_FLAGS, run, config)
     trace_path = os.path.join(out_dir, flags["tag"] + ".csv")
     write_trace_csv(result, trace_path)
     summary = {

@@ -113,10 +113,10 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
 
     Feature indices are 1-based.  Each line is one row of the matrix; the
     labels become the target vector.  Labels and values must be finite;
-    explicitly zero-valued features are not stored.  Columns without a
-    single entry are dropped with a warning (the remaining columns are
-    re-indexed).  ``binarize`` maps every stored value to 1, the usual
-    bag-of-words treatment.
+    explicitly zero-valued features are not stored, and a file that stores
+    none is rejected.  Columns without a single entry are dropped with a
+    warning (the remaining columns are re-indexed).  ``binarize`` maps
+    every stored value to 1, the usual bag-of-words treatment.
     """
     labels: list[float] = []
     entries: dict[int, list[tuple[int, float]]] = {}
@@ -170,6 +170,8 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
                     entries.setdefault(idx - 1, []).append((row, val))
     if not labels:
         raise ValueError(f"{path}: empty file")
+    if not entries:
+        raise ValueError(f"{path}: no row stores a nonzero feature")
 
     empty = n_cols - len(entries)
     if empty:

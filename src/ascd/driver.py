@@ -66,21 +66,18 @@ class UpdateRule:
     """How the active coordinate moves.
 
     ``fixed`` minimises the coordinate model, the proximal step under an l1
-    penalty, with the global constant ``L / step_scale``; with no composite
-    penalty this is the plain step ``-grad * step_scale / L``.
+    penalty, with the global constant ``L``; with no composite penalty this
+    is the plain step ``-grad / L``.
     ``line_search`` minimises the objective exactly along the coordinate,
     which for this quadratic problem class is the model minimiser at the
     coordinate's own constant.
     """
 
     kind: str = "fixed"
-    step_scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("fixed", "line_search"):
             raise ValueError(f"unknown update rule {self.kind!r}")
-        if not 0 < self.step_scale < np.inf:
-            raise ValueError("step_scale must be positive and finite")
 
 
 def step(problem: CompositeProblem, state: ResidualState, i: int,
@@ -97,7 +94,7 @@ def step(problem: CompositeProblem, state: ResidualState, i: int,
     if not np.isfinite(g_i):
         raise FloatingPointError(f"non-finite gradient on coordinate {i}")
     l_eff = (float(problem.lipschitz[i]) if rule.kind == "line_search"
-             else problem.lipschitz_max / rule.step_scale)
+             else problem.lipschitz_max)
     gamma = float(problem.psi_reg.model_argmin(state.x[i], g_i, l_eff))
     state.apply_step(problem.matrix, i, gamma)
     if rule.kind == "line_search":
@@ -244,6 +241,19 @@ def run(config: RunConfig) -> RunResult:
     state = problem.residual_state(config.x0)
     diag_every = n if config.diag_every is None else config.diag_every
 
+    steps = config.steps
+    try:
+        # a column stays NaN on the steps that do not write it
+        cols = {name: np.full(steps, np.nan)
+                for name in TRACE_COLUMNS + ("gamma",)}
+        cols.update(t=np.arange(steps, dtype=np.int64),
+                    i=np.zeros(steps, dtype=np.int64),
+                    active_size=np.zeros(steps, dtype=np.int64))
+    except (MemoryError, ValueError):
+        # numpy raises ValueError for a length beyond its largest array
+        raise ValueError(f"steps {steps}: a trace that long does not fit "
+                         "in memory") from None
+
     tracked = config.rule not in ("ucd", "scd")
     est = ctx = None
     if tracked:
@@ -254,13 +264,6 @@ def run(config: RunConfig) -> RunResult:
         else:
             est = GradientEstimate.uninformed(n)
 
-    steps = config.steps
-    # a column stays NaN on the steps that do not write it
-    cols = {name: np.full(steps, np.nan)
-            for name in TRACE_COLUMNS + ("gamma",)}
-    cols.update(t=np.arange(steps, dtype=np.int64),
-                i=np.zeros(steps, dtype=np.int64),
-                active_size=np.zeros(steps, dtype=np.int64))
     sound_bad = contain_bad = sandwich_bad = 0
     if config.rule == "ucd":
         # every coordinate, the same set on every step

@@ -15,12 +15,12 @@ bound keeps the ``y = 0`` fallback ``psi(x_i)``.  The *set* stage,
 ``active_set``, keeps the smallest prefix, in descending order of the lower
 score, that provably contains the best coordinate.  It tries, in order:
 all of [n] when every upper score reaches the best lower score, the
-maximisers of the lower score when only they reach it (one array of scores
-always is this case), an O(n) screen for the prefix length, and a full
-sort as the fallback.  The *pick*, ``select_ascd``, draws among the best
-lower scores of the set; the safe set keeps every maximiser of the lower
-score, whose upper score reaches every prefix average.  Set and pick
-compare scores as given; the caller of the score stage chooses the units.
+maximisers of one array of scores, an O(n) screen for the prefix length,
+and a full sort as the fallback.  The *pick*, ``select_ascd``, draws among
+the best lower scores of the set; the safe set keeps every maximiser of
+the lower score, whose upper score reaches every prefix average.  Set and
+pick compare scores as given; the caller of the score stage chooses the
+units.
 """
 
 from __future__ import annotations
@@ -137,10 +137,10 @@ def active_set(scores: Bounds) -> ActiveSet:
     decide the length, cheapest first:
 
     * all of [n] reaches ``top``: the set is all of [n];
-    * only the maximisers of the lower score reach ``top``: they lead the
-      stable order and every other upper score is below ``top``, so they
-      are the set whenever their average rounds to ``top``.  One array as
-      both bounds (``lower is upper``) is always this case;
+    * one array as both bounds (``lower is upper``): only its maximisers
+      reach ``top``, they lead the stable order and every other score is
+      below ``top``, so they are the set whenever their average rounds to
+      ``top``;
     * an ``O(n)`` screen: the prefix reaches at least the stable position
       ``p`` of the last coordinate reaching ``top``; when ``p = n`` the set
       is all of [n], and when the ``p`` coordinates up to it already form a
@@ -169,17 +169,8 @@ def active_set(scores: Bounds) -> ActiveSet:
         # and the ties for m up to index j
         m = at.min()
         j = reach[at == m][-1]
-        ties = lower[:j + 1] == m
-        if m == top and np.count_nonzero(ties) == p:
-            # that prefix is reach, and every upper score outside it is
-            # below top; the count rejects an inverted interval, a
-            # maximiser whose upper score is below top
-            av = min(np.cumsum(at)[-1] / p, top)
-            # rounded below top, an excluded upper may sit in [av, top)
-            if av == top:
-                return ActiveSet(indices=reach, avg_score=float(av))
         inside = lower > m
-        inside[:j + 1] |= ties
+        inside[:j + 1] |= lower[:j + 1] == m
         p = int(np.count_nonzero(inside))
         if p < n:
             # the sequential sum of the sorted prefix, as the fallback

@@ -199,6 +199,30 @@ def test_criterion_07_gsq_bound_soundness():
           "minimiser, 3000 instances x 20 slopes): PASS")
 
 
+@settings(deadline=None, max_examples=500)
+@given(x=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+       g=st.floats(-10.0, 10.0), r=st.floats(0.0, 5.0),
+       lipschitz=st.floats(0.1, 10.0),
+       kind=st.sampled_from(["none", "l1", "l2"]), lam=st.floats(0.0, 3.0),
+       t=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+def test_gsq_bounds_sound_at_model_argmin(x, g, r, lipschitz, kind, lam, t):
+    # criterion 7 with the exact minimiser in place of the grid: for any
+    # slope s in [g - r, g + r], v <= min_y V(x, y, s) <= w, the minimum
+    # taken at model_argmin
+    reg = Regularizer(kind, lam if kind != "none" else 0.0)
+    q = gsq_bounds(GradientEstimate(g=np.array([g]), r=np.array([r])),
+                   np.array([x]), lipschitz, reg)
+    s = min(max((g - r) + 2.0 * r * t, g - r), g + r)
+    y = reg.model_argmin(x, s, lipschitz)
+    best = float(model_value(x, y, s, lipschitz, reg))
+    # float slack on the scale of the model's terms
+    y_max = (abs(g) + r + reg.lam * (1.0 + abs(x))) / lipschitz + abs(x)
+    tol = 1e-12 * (1.0 + (abs(g) + r) * y_max + (lipschitz + reg.lam)
+                   * (1.0 + y_max) ** 2)
+    assert q.v[0] <= best + tol
+    assert best <= q.w[0] + tol
+
+
 _SMALL = st.one_of(st.just(0.0), st.sampled_from([0.5, -1.0, 2.0]),
                    st.floats(-5.0, 5.0))
 

@@ -80,7 +80,7 @@ class TestRun:
         summary = read_json(tmp_path / "c.json")
         trace = np.genfromtxt(tmp_path / "c.csv", delimiter=",",
                               names=True)
-        assert summary["schema_version"] == 3
+        assert summary["schema_version"] == 4
         assert summary["distinct_picks"] == np.unique(trace["i"]).size
         assert summary["min_active_size"] == trace["active_size"].min()
         assert summary["max_active_size"] == trace["active_size"].max()
@@ -197,15 +197,22 @@ class TestRun:
         assert summary["l2"] == 1.0 and isinstance(summary["l2"], float)
         assert summary["seed"] == 4
 
-    @pytest.mark.parametrize("content", [None, "{not json"])
-    def test_bad_config_file(self, dataset, tmp_path, content):
+    @pytest.mark.parametrize("content", [{"func": 1},
+                                         {"command": "sweep"}],
+                             ids=["func", "command"])
+    def test_config_ignores_non_flag_keys(self, dataset, tmp_path,
+                                          content):
+        # a key that names no flag used to replace the parser's own
+        # default: "func" ended in a TypeError, "command" was accepted
         cfg = tmp_path / "cfg.json"
-        if content is not None:
-            cfg.write_text(content)
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(cfg), "--data", str(dataset),
-                  "--steps", "5", "--out", str(tmp_path)])
-        assert exc.value.code == 2
+        cfg.write_text(json.dumps(content))
+        args = ["run", "--data", str(dataset), "--steps", "5", "--tag", "c"]
+        assert main([*args, "--config", str(cfg),
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main([*args, "--out", str(tmp_path / "b")]) == 0
+        for name in ("c.csv", "c.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
 
     def test_missing_required_flag(self, dataset):
         with pytest.raises(SystemExit):
@@ -385,9 +392,16 @@ class TestRatioSim:
 class TestRejectedInput:
     """Every subcommand turns rejected input into exit 2 and one line."""
 
-    # --config files of the rows below, each with a value of the wrong type
+    # --config files of the rows below: values of the wrong type, and a
+    # JSON value that is not an object
     CONFIGS = {"seed-float.json": {"seed": 1.5}, "l2-list.json": {"l2": [1]},
-               "binarize-string.json": {"binarize": "yes"}}
+               "binarize-string.json": {"binarize": "yes"},
+               "list.json": [1]}
+    # input files of the rows below, as raw bytes
+    FILES = {"latin1.svm": b"1 1:1\n2 2:\xff\n",
+             "labels-only.svm": b"1\n2\n",
+             "zero-features.svm": b"1 1:0\n2 2:0\n",
+             "not-json.json": b"{not json"}
 
     @pytest.mark.parametrize("argv,named", [
         pytest.param(["generate", "--rows", "0", "--cols", "10"], "--rows",
@@ -419,6 +433,13 @@ class TestRejectedInput:
                      None, id="run-missing-data"),
         pytest.param(["run", "--data", "{tmp}/latin1.svm", "--steps", "5"],
                      "latin1.svm:2", id="run-data-not-utf8"),
+        # files that store no feature used to fail in a reduction over an
+        # empty matrix
+        pytest.param(["run", "--data", "{tmp}/labels-only.svm", "--steps",
+                      "5"], "labels-only.svm", id="run-data-labels-only"),
+        pytest.param(["run", "--data", "{tmp}/zero-features.svm",
+                      "--steps", "5"], "zero-features.svm",
+                     id="run-data-zero-features"),
         pytest.param(["run", "--data", "{data}", "--steps", "infn"],
                      "--steps", id="run-steps-inf"),
         # a multiple of n that is not positive used to run one step
@@ -435,6 +456,13 @@ class TestRejectedInput:
         # a finite multiple whose step count overflows to inf
         pytest.param(["run", "--data", "{data}", "--steps", "1e308n"],
                      "--steps", id="run-steps-overflow"),
+        # counts beyond a 64-bit index used to fail in numpy's allocation
+        # with a message that named no flag
+        pytest.param(["run", "--data", "{data}", "--steps",
+                      "100000000000000000000"], "--steps",
+                     id="run-steps-beyond-int64"),
+        pytest.param(["run", "--data", "{data}", "--steps", "1e30n"],
+                     "--steps", id="run-steps-multiple-beyond-int64"),
         # a worker count below one used to run serially
         pytest.param(["sweep", "--data", "{data}", "--steps", "1n",
                       "--jobs", "0"], "--jobs", id="sweep-jobs-zero"),
@@ -447,16 +475,10 @@ class TestRejectedInput:
         pytest.param(["run", "--data", "{data}", "--steps", "5",
                       "--l1", "nan"], "--l1", id="run-l1-nan"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
-                      "--step-scale", "inf"], "--step-scale",
-                     id="run-step-scale-inf"),
-        pytest.param(["run", "--data", "{data}", "--steps", "5",
                       "--oracle", "g2", "--epsilon", "nan"], "--epsilon",
                      id="run-epsilon-nan"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
                       "--seed", "-1"], "--seed", id="run-seed-negative"),
-        pytest.param(["run", "--data", "{data}", "--steps", "5",
-                      "--oracle-seed", "-1"], "--oracle-seed",
-                     id="run-oracle-seed-negative"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
                       "--diag-every", "-1"], "--diag-every",
                      id="run-diag-every-negative"),
@@ -483,11 +505,21 @@ class TestRejectedInput:
         pytest.param(["run", "--data", "{data}", "--steps", "5", "--config",
                       "{tmp}/binarize-string.json"], "binarize \"yes\"",
                      id="run-config-binarize-string"),
+        # these three printed an argparse usage line before the error
+        pytest.param(["run", "--data", "{data}", "--steps", "5", "--config",
+                      "{tmp}/nope.json"], "--config", id="run-config-missing"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5", "--config",
+                      "{tmp}/not-json.json"], "--config",
+                     id="run-config-not-json"),
+        pytest.param(["run", "--data", "{data}", "--steps", "5", "--config",
+                      "{tmp}/list.json"], "--config",
+                     id="run-config-not-object"),
     ])
     def test_exit_2_single_error_line(self, dataset, tmp_path, capsys, argv,
                                       named):
         out = tmp_path / "out"
-        (tmp_path / "latin1.svm").write_bytes(b"1 1:1\n2 2:\xff\n")
+        for name, content in self.FILES.items():
+            (tmp_path / name).write_bytes(content)
         for name, content in self.CONFIGS.items():
             (tmp_path / name).write_text(json.dumps(content))
         argv = [a.format(data=dataset, tmp=tmp_path) for a in argv]
@@ -503,6 +535,31 @@ class TestRejectedInput:
         assert not [f for f in written if f.endswith((".csv", ".json",
                                                       ".svm"))]
 
+    def test_steps_beyond_memory(self, dataset, tmp_path, capsys,
+                                 monkeypatch):
+        # a count below the 64-bit limit whose trace cannot be allocated;
+        # the patched allocation raises, so the OS is asked for nothing
+        # (2**62 rows also exceed numpy's largest array, should the patch
+        # miss)
+        steps = 2 ** 62
+        full, refused = np.full, []
+
+        def refuse(shape, *args, **kwargs):
+            if shape == steps:
+                refused.append(shape)
+                raise MemoryError("patched allocation")
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", refuse)
+        out = tmp_path / "out"
+        rc = main(["run", "--data", str(dataset), "--steps", str(steps),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and refused
+        assert err.startswith("error: --steps ") and err.count("\n") == 1
+        assert not [f for f in os.listdir(out)
+                    if f.endswith((".csv", ".json"))]
+
     # each of these names was removed
     @pytest.mark.parametrize("argv,flag", [
         (["--update", "prox"], "--update"),
@@ -513,8 +570,11 @@ class TestRejectedInput:
         (["--hessian-bound", "1"], "--hessian-bound"),
         (["--per-coordinate"], "--per-coordinate"),
         (["--rho-support", "4"], "--rho-support"),
+        (["--step-scale", "inf"], "--step-scale"),
+        (["--oracle-seed", "-1"], "--oracle-seed"),
     ], ids=["update-prox", "rule-l-ascd", "rule-u-ascd", "rule-a-ascd",
-            "oracle-bh", "hessian-bound", "per-coordinate", "rho-support"])
+            "oracle-bh", "hessian-bound", "per-coordinate", "rho-support",
+            "run-step-scale-inf", "run-oracle-seed-negative"])
     def test_prox_update_rejected(self, dataset, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--data", str(dataset), "--steps", "5", *argv])

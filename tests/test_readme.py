@@ -1,8 +1,10 @@
-"""The README's `run` trace header and its Library snippet match the code."""
+"""The README's `run` trace header, its Library snippet and the flags it
+names match the code."""
 
 import re
 from pathlib import Path
 
+from ascd.cli import build_parser
 from ascd.driver import TRACE_HEADER
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -27,3 +29,13 @@ def test_library_snippet_runs(capsys):
     exec(compile(snippet[1], "README.md", "exec"), {})
     final_f, mean_active_size = map(float, capsys.readouterr().out.split())
     assert final_f >= 0 and mean_active_size >= 1
+
+
+def test_named_flags_exist():
+    # a deleted flag cannot linger in the docs; the install section's
+    # flags belong to pip
+    known = {opt for sub in build_parser().sub_parsers.values()
+             for action in sub._actions for opt in action.option_strings}
+    text = README.replace(_section("Install and test"), "")
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+    assert named and named <= known, sorted(named - known)
