@@ -30,7 +30,8 @@ import numpy as np
 from . import hardcase as hc_mod
 from .data import SynthConfig, generate_synthetic, load_svmlight, \
     save_svmlight, take_columns, write_csv
-from .driver import RULES, RunConfig, UpdateRule, run, write_trace_csv
+from .driver import (RULES, RunConfig, UpdateRule, allocate_trace, run,
+                     write_trace_csv)
 from .oracles import ORACLE_KINDS, OracleSpec
 from .problem import CompositeProblem, Regularizer
 from .ratiosim import RatioSimConfig, rho_infinity, simulate_rho
@@ -360,8 +361,10 @@ def cmd_sweep(args) -> int:
             _split("--seeds", args.seeds, int) or [args.seed],
             _split("--inits", args.inits) or [args.init])
     # every cell shares the problem and the step budget, so a bad shared
-    # flag is rejected once, before any cell runs or any file is written
+    # flag is rejected once, before any cell runs or any file is written,
+    # as is a budget whose trace does not fit
     problem, steps = _build_problem(vars(args))
+    _named(_RUN_FLAGS, allocate_trace, steps)
     out_dir = _out_dir(args)
     cells = []
     for rule, oracle, eps, seed, init in itertools.product(*axes):
@@ -446,13 +449,14 @@ def cmd_hardcase(args) -> int:
                          f"--start {args.start}")
     hc = hc_mod.HardCase.build(args.alpha, args.n)
     out_dir = _out_dir(args)
+    steps_flag = {"steps": "--steps"}
     if args.start == "worst":
-        report = hc_mod.verify_cycling(hc, args.steps)
+        report = _named(steps_flag, hc_mod.verify_cycling, hc, args.steps)
         picks, omega, grad_inf = report.picks, report.omega, report.grad_inf
         cycling_ok, first_failure = report.ok, report.first_failure
     else:
-        picks, omega, grad_inf, _, _ = hc_mod.scd_trace(
-            hc, np.ones(args.n), args.steps)
+        picks, omega, grad_inf, _, _ = _named(
+            steps_flag, hc_mod.scd_trace, hc, np.ones(args.n), args.steps)
         cycling_ok, first_failure = None, None
 
     trace_path = os.path.join(out_dir, args.tag + ".csv")
@@ -480,13 +484,14 @@ def cmd_hardcase(args) -> int:
 
 
 def cmd_ratio_sim(args) -> int:
-    config = _named({"n": "--n", "s": "--s", "c": "--c", "t_inf": "--t-inf",
-                     "steps": "--steps"}, RatioSimConfig, n=args.n, s=args.s,
-                    c=args.c, t_inf=args.t_inf, steps=args.steps,
-                    seed=args.seed, reentry=args.reentry)
+    flags = {"n": "--n", "s": "--s", "c": "--c", "t_inf": "--t-inf",
+             "steps": "--steps"}
+    config = _named(flags, RatioSimConfig, n=args.n, s=args.s, c=args.c,
+                    t_inf=args.t_inf, steps=args.steps, seed=args.seed,
+                    reentry=args.reentry)
     limit = rho_infinity(args.n, args.s, args.c, args.t_inf)
     out_dir = _out_dir(args)
-    trace = simulate_rho(config)
+    trace = _named(flags, simulate_rho, config)
     trace_path = os.path.join(out_dir, args.tag + ".csv")
     write_csv(trace_path, "t,rho,active_size",
               (np.arange(config.steps), trace.rho, trace.active_size))
@@ -518,12 +523,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "approximate-steepest selection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=True):
         p.add_argument("--config", default=None,
                        help="JSON file with flag defaults")
         p.add_argument("--out", default=None,
                        help="output directory (default $ASCD_OUT or .)")
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:  # hardcase draws nothing
+            p.add_argument("--seed", type=int, default=0)
 
     g = sub.add_parser("generate", help="write a synthetic dataset")
     common(g)
@@ -554,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_sweep)
 
     h = sub.add_parser("hardcase", help="adversarial quadratic verification")
-    common(h)
+    common(h, seeded=False)
     h.add_argument("--n", type=int, default=None)
     h.add_argument("--alpha", type=float, default=0.01)
     h.add_argument("--steps", type=int, default=None)

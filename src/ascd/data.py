@@ -9,6 +9,7 @@ sparse coefficient vector plus Gaussian noise.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ __all__ = [
     "load_svmlight",
     "save_svmlight",
     "take_columns",
+    "trace_allocation",
     "write_csv",
 ]
 
@@ -218,6 +220,19 @@ def take_columns(matrix: ColumnSparseMatrix, k: int,
     chosen = np.sort(rng.choice(matrix.n_cols, size=k, replace=False))
     return ColumnSparseMatrix.from_columns(
         matrix.n_rows, (matrix.col(int(j)) for j in chosen))
+
+
+@contextlib.contextmanager
+def trace_allocation(steps: int):
+    """Allocate the columns of a ``steps``-row trace inside this block; a
+    length that cannot be allocated raises ``ValueError`` naming ``steps``
+    instead of numpy's own size error or ``MemoryError``."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        # numpy raises ValueError for a length beyond its largest array
+        raise ValueError(f"steps {steps}: a trace that long does not fit "
+                         "in memory") from None
 
 
 def write_csv(path, header: str, columns) -> None:

@@ -13,6 +13,12 @@ degenerates to hammering one coordinate when every other bound has
 collapsed), while ``uniform-set`` draws uniformly from the set, the regime
 the one-step progress and equilibrium analyses describe.
 
+The loop keeps the score stage's bounds across steps.  After a step that
+moved x it scores all n coordinates; after a zero step it rescores only the
+coordinate that step picked, since its ``g`` and ``r`` are all the step
+changed.  Every score stage is elementwise, so the kept bounds hold the
+bits a full scoring would.
+
 Every run records one trace: the columns named in ``TRACE_COLUMNS``, plus
 the step length ``gamma``, allocated once per run and filled in place, one
 row per step.  ``write_trace_csv`` writes them under ``TRACE_HEADER``.
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import write_csv
+from .data import trace_allocation, write_csv
 from .oracles import OracleContext, OracleSpec, oracle_row
 from .problem import CompositeProblem, ResidualState
 from .selector import (ActiveSet, Bounds, GradientEstimate, active_set,
@@ -43,6 +49,7 @@ __all__ = [
     "RULES",
     "TRACE_COLUMNS",
     "TRACE_HEADER",
+    "allocate_trace",
     "step",
     "run",
     "progress_tau",
@@ -211,6 +218,19 @@ class RunResult:
         return np.inf
 
 
+def allocate_trace(steps: int) -> dict[str, np.ndarray]:
+    """The trace columns of a run of ``steps`` steps, with ``gamma``; a
+    column stays NaN on the steps that do not write it.  A length that
+    cannot be allocated raises ``ValueError`` naming ``steps``."""
+    with trace_allocation(steps):
+        cols = {name: np.full(steps, np.nan)
+                for name in TRACE_COLUMNS + ("gamma",)}
+        cols.update(t=np.arange(steps, dtype=np.int64),
+                    i=np.zeros(steps, dtype=np.int64),
+                    active_size=np.zeros(steps, dtype=np.int64))
+    return cols
+
+
 def _scores(rule: str, est: GradientEstimate, x: np.ndarray,
             problem: CompositeProblem) -> Bounds:
     """Score stage of the tracked rules, in the units the set compares."""
@@ -242,17 +262,7 @@ def run(config: RunConfig) -> RunResult:
     diag_every = n if config.diag_every is None else config.diag_every
 
     steps = config.steps
-    try:
-        # a column stays NaN on the steps that do not write it
-        cols = {name: np.full(steps, np.nan)
-                for name in TRACE_COLUMNS + ("gamma",)}
-        cols.update(t=np.arange(steps, dtype=np.int64),
-                    i=np.zeros(steps, dtype=np.int64),
-                    active_size=np.zeros(steps, dtype=np.int64))
-    except (MemoryError, ValueError):
-        # numpy raises ValueError for a length beyond its largest array
-        raise ValueError(f"steps {steps}: a trace that long does not fit "
-                         "in memory") from None
+    cols = allocate_trace(steps)
 
     tracked = config.rule not in ("ucd", "scd")
     est = ctx = None
@@ -265,6 +275,7 @@ def run(config: RunConfig) -> RunResult:
             est = GradientEstimate.uninformed(n)
 
     sound_bad = contain_bad = sandwich_bad = 0
+    scores = None  # kept across zero steps, dropped when x moves
     if config.rule == "ucd":
         # every coordinate, the same set on every step
         aset = ActiveSet(indices=np.arange(n), avg_score=0.0)
@@ -280,7 +291,17 @@ def run(config: RunConfig) -> RunResult:
         elif config.rule == "ucd":
             i_t = select_ucd(n, rng)
         else:
-            scores = _scores(config.rule, est, state.x, problem)
+            if scores is None:
+                scores = _scores(config.rule, est, state.x, problem)
+            else:
+                # a zero step changed only the last pick's g and r
+                j = slice(i_t, i_t + 1)
+                one = _scores(config.rule,
+                              GradientEstimate(est.g[j], est.r[j],
+                                               est.is_exact),
+                              state.x[j], problem)
+                # in an exact estimate's one array, the same write twice
+                scores.lower[j], scores.upper[j] = one.lower, one.upper
             aset = active_set(scores)
             if config.pick == "uniform-set":
                 i_t = int(aset.indices[rng.integers(len(aset))])
@@ -333,6 +354,7 @@ def run(config: RunConfig) -> RunResult:
             row_g = row_d = None
             if gamma != 0.0:
                 row_g, row_d = oracle_row(ctx, i_t)
+                scores = None
             update_estimates(est, i_t, gamma, row_g, row_d, g_new)
 
         if (t + 1) % (10 * n) == 0:

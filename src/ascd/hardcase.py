@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import trace_allocation
+
 __all__ = [
     "HardCase",
     "LowDimEmbedding",
@@ -108,11 +110,12 @@ def scd_trace(hc: HardCase, x0: np.ndarray, steps: int):
     per-step arrays ``(i, omega, grad_inf, x_before, x_after_value)``.
     """
     x = np.array(x0, dtype=np.float64)
-    picks = np.empty(steps, dtype=np.int64)
-    omega = np.empty(steps)
-    grad_inf = np.empty(steps)
-    old_val = np.empty(steps)
-    new_val = np.empty(steps)
+    with trace_allocation(steps):
+        picks = np.empty(steps, dtype=np.int64)
+        omega = np.empty(steps)
+        grad_inf = np.empty(steps)
+        old_val = np.empty(steps)
+        new_val = np.empty(steps)
     for t in range(steps):
         g = hc.gradient(x)
         i = int(np.argmax(np.abs(g)))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import trace_allocation
 from .hardcase import LowDimEmbedding
 from .selector import (Bounds, GradientEstimate, active_set, compute_bounds,
                        update_estimates)
@@ -137,8 +138,9 @@ def simulate_rho(config: RatioSimConfig) -> RatioTrace:
         reenter_at = rng.integers(0, max(delay, 1), size=outside)
     else:
         reenter_at = np.full(outside, -1, dtype=np.int64)
-    rho = np.empty(config.steps)
-    size = np.empty(config.steps, dtype=np.int64)
+    with trace_allocation(config.steps):
+        rho = np.empty(config.steps)
+        size = np.empty(config.steps, dtype=np.int64)
     exits = entries = 0
 
     for t in range(config.steps):

@@ -560,6 +560,57 @@ class TestRejectedInput:
         assert not [f for f in os.listdir(out)
                     if f.endswith((".csv", ".json"))]
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sweep", "--data", "{data}", "--steps", "{steps}",
+                      "--seeds", "1,2"], id="sweep"),
+        pytest.param(["hardcase", "--n", "10", "--steps", "{steps}"],
+                     id="hardcase-worst"),
+        pytest.param(["hardcase", "--n", "10", "--steps", "{steps}",
+                      "--start", "ones"], id="hardcase-ones"),
+        pytest.param(["ratio-sim", "--n", "10", "--s", "2", "--t-inf", "50",
+                      "--steps", "{steps}"], id="ratio-sim"),
+    ])
+    def test_steps_beyond_memory_every_subcommand(self, dataset, tmp_path,
+                                                  capsys, monkeypatch, argv):
+        # as above: the patched allocations refuse the trace's length, so
+        # the OS is asked for nothing.  A sweep checks the length once,
+        # before any cell runs
+        steps = 2 ** 62
+        refused = []
+
+        def refusing(alloc):
+            def refuse(shape, *args, **kwargs):
+                if shape == steps:
+                    refused.append(shape)
+                    raise MemoryError("patched allocation")
+                return alloc(shape, *args, **kwargs)
+            return refuse
+
+        monkeypatch.setattr(np, "full", refusing(np.full))
+        monkeypatch.setattr(np, "empty", refusing(np.empty))
+        out = tmp_path / "out"
+        rc = main([*(a.format(data=dataset, steps=steps) for a in argv),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(refused) == 1
+        assert err == (f"error: --steps {steps}: a trace that long does not "
+                       "fit in memory\n")
+        written = os.listdir(out) if out.exists() else []
+        assert not [f for f in written if f.endswith((".csv", ".json"))]
+
+    @pytest.mark.parametrize("argv", [
+        ["hardcase", "--n", "10"],
+        ["ratio-sim", "--n", "10", "--s", "2", "--t-inf", "50"],
+    ], ids=["hardcase", "ratio-sim"])
+    def test_steps_beyond_numpy_dimension(self, tmp_path, capsys, argv):
+        # numpy rejects this length before it allocates anything; it
+        # printed "Maximum allowed dimension exceeded"
+        rc = main([*argv, "--steps", str(10 ** 20), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: --steps ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     # each of these names was removed
     @pytest.mark.parametrize("argv,flag", [
         (["--update", "prox"], "--update"),
@@ -572,12 +623,18 @@ class TestRejectedInput:
         (["--rho-support", "4"], "--rho-support"),
         (["--step-scale", "inf"], "--step-scale"),
         (["--oracle-seed", "-1"], "--oracle-seed"),
+        (["hardcase", "--n", "10", "--steps", "10", "--seed", "1"],
+         "--seed"),
     ], ids=["update-prox", "rule-l-ascd", "rule-u-ascd", "rule-a-ascd",
             "oracle-bh", "hessian-bound", "per-coordinate", "rho-support",
-            "run-step-scale-inf", "run-oracle-seed-negative"])
+            "run-step-scale-inf", "run-oracle-seed-negative",
+            "hardcase-seed"])
     def test_prox_update_rejected(self, dataset, capsys, argv, flag):
+        # rows that name no subcommand are run flags
+        if argv[0].startswith("--"):
+            argv = ["run", "--data", str(dataset), "--steps", "5", *argv]
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--data", str(dataset), "--steps", "5", *argv])
+            main(argv)
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 

@@ -435,7 +435,9 @@ def _grid_problems():
 
 # (problem, rule, pick, oracle, init) -> the first 16 hex digits of the
 # sha256 of the i, active_size, f and gamma columns, recorded before
-# exact estimates scored once; the g3 and g4 cells run the interval path
+# exact estimates scored once; the g3 and g4 cells run the interval path.
+# The cells after the lasso g4 "none" one were recorded before a zero step
+# rescored only its coordinate; every lasso cell takes zero steps
 SAME_RESULTS = {
     ("ridge", "ascd", "argmax-lower", "g1", "true-gradient"):
         "4bb8245315358a0a",
@@ -473,6 +475,26 @@ SAME_RESULTS = {
         "e25c9c9c8253ae68",
     ("lasso", "ascd-gss", "argmax-lower", "g4", "none"):
         "c423a33879eff867",
+    ("lasso", "ascd", "argmax-lower", "g3", "none"):
+        "e4806bd813e5ad36",
+    ("lasso", "ascd", "argmax-lower", "g3", "true-gradient"):
+        "1f45edd78d671a43",
+    ("lasso", "ascd-gss", "argmax-lower", "g4", "true-gradient"):
+        "4c8d78387062c845",
+    ("lasso", "ascd-gsq", "argmax-lower", "g4", "none"):
+        "492ec3897b5f6680",
+    ("lasso", "ascd-gsq", "argmax-lower", "g4", "true-gradient"):
+        "777dd20fc2ade2b8",
+    ("lasso", "ascd-gsr", "argmax-lower", "g3", "none"):
+        "cd2d1149239e8cd1",
+    ("lasso", "ascd-gsr", "argmax-lower", "g3", "true-gradient"):
+        "d32e906c406a740a",
+    ("lasso", "ascd-gsq", "uniform-set", "g3", "true-gradient"):
+        "cd043f0c5104c290",
+    ("lasso", "ascd-gsr", "uniform-set", "g3", "true-gradient"):
+        "787a2ccc7646fe4d",
+    ("lasso", "ascd-gsq", "argmax-lower", "g2", "none"):
+        "dfc8cd9ae584bf5b",
 }
 
 
@@ -497,6 +519,9 @@ class TestExactPath:
         for column in ("i", "active_size", "f", "gamma"):
             digest.update(getattr(res, column).tobytes())
         assert digest.hexdigest()[:16] == SAME_RESULTS[cell]
+        # a lasso cell that stopped taking zero steps would no longer test
+        # the one-coordinate rescoring
+        assert name != "lasso" or np.any(res.gamma == 0)
         assert (res.soundness_violations, res.containment_violations,
                 res.sandwich_violations) == (0, 0, 0)
 
@@ -520,3 +545,73 @@ class TestExactPath:
                       update=UpdateRule("line_search"),
                       oracle=OracleSpec(kind), init=init, diag_every=0))
         assert seen == [True] * exact_steps + [False] * (20 - exact_steps)
+
+
+class TestZeroStepRescoring:
+    """After a zero step the loop rescores only the coordinate it picked,
+    and the set stage still sees the bits of a full scoring."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        # the first full-length call's arguments are the estimate and the
+        # iterate that the loop mutates in place
+        real_scores, real_set = ascd.driver._scores, ascd.driver.active_set
+        full, mismatches = [], []
+
+        def scores(rule, est, x, problem):
+            if est.g.size == problem.n:
+                full.append((rule, est, x, problem))
+            return real_scores(rule, est, x, problem)
+
+        def checked_set(bounds):
+            want = real_scores(*full[0])
+            if not (np.array_equal(bounds.lower, want.lower)
+                    and np.array_equal(bounds.upper, want.upper)):
+                mismatches.append(len(full))
+            return real_set(bounds)
+
+        monkeypatch.setattr(ascd.driver, "_scores", scores)
+        monkeypatch.setattr(ascd.driver, "active_set", checked_set)
+        return full, mismatches
+
+    def test_set_sees_a_full_scoring(self, monkeypatch):
+        problems = _grid_problems()
+        lasso = problems["lasso"]
+        configs = [RunConfig(problem=lasso, steps=3 * lasso.n, rule=rule,
+                             update=UpdateRule(update),
+                             oracle=OracleSpec(kind, epsilon=0.1, seed=1),
+                             seed=4, init=init, diag_every=0)
+                   for rule in ("ascd", "ascd-gss", "ascd-gsq", "ascd-gsr")
+                   for kind in ORACLE_KINDS
+                   for init in ("none", "true-gradient")
+                   for update in ("fixed", "line_search")]
+        configs.append(RunConfig(problem=problems["ridge"],
+                                 steps=3 * problems["ridge"].n,
+                                 rule="ascd-gsq", oracle=OracleSpec("g3"),
+                                 seed=4, diag_every=0))
+        full, mismatches = self._spy(monkeypatch)
+        zero_steps = 0
+        for cfg in configs:
+            full.clear()
+            res = run(cfg)
+            assert mismatches == [], (cfg.rule, cfg.oracle.kind, cfg.init,
+                                      cfg.update.kind)
+            # one full scoring to start, and one after every step that
+            # moved x and was followed by another step
+            assert len(full) == 1 + np.count_nonzero(res.gamma[:-1])
+            zero_steps += np.count_nonzero(res.gamma[:-1] == 0)
+        assert zero_steps > 0
+
+    def test_full_scorings_count_useful_steps(self, monkeypatch):
+        # the configuration of the lasso-g4 benchmark workload, small
+        full, _ = self._spy(monkeypatch)
+        m, b = generate_synthetic(SynthConfig(n_rows=60, n_cols=200, seed=3))
+        lam = 0.1 * float(np.max(np.abs(m.col_dots(b))))
+        prob = CompositeProblem(m, b, Regularizer("l1", lam))
+        res = run(RunConfig(problem=prob, steps=3 * prob.n, rule="ascd-gss",
+                            update=UpdateRule("line_search"),
+                            oracle=OracleSpec("g4"), seed=0, init="none",
+                            diag_every=0))
+        assert res.gamma[-1] == 0.0
+        useful = res.counters()["useful_steps"]
+        assert len(full) == 1 + useful < res.t.size
