@@ -36,7 +36,7 @@ from .oracles import ORACLE_KINDS, OracleSpec
 from .problem import CompositeProblem, Regularizer
 from .ratiosim import RatioSimConfig, rho_infinity, simulate_rho
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # JSON summary schemas (field names are part of the CLI contract)
 _COMMON = {"schema_version": {"type": "integer"},
@@ -66,6 +66,7 @@ RUN_SUMMARY_SCHEMA = _summary_schema({
     "pick": {"enum": ["argmax-lower", "uniform-set"]},
     "final_f": {"type": "number"},
     "mean_active_size": {"type": "number"},
+    "mean_pick_pool": {"type": "number"},
     "min_active_size": {"type": "integer"},
     "max_active_size": {"type": "integer"},
     "distinct_picks": {"type": "integer"},
@@ -318,6 +319,7 @@ def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
         "pick": flags["pick"],
         "final_f": result.final_f,
         "mean_active_size": result.mean_active_size,
+        "mean_pick_pool": result.mean_pick_pool,
         **result.counters(),
         "violations": {"soundness": result.soundness_violations,
                        "containment": result.containment_violations,

@@ -17,7 +17,12 @@ The loop keeps the score stage's bounds across steps.  After a step that
 moved x it scores all n coordinates; after a zero step it rescores only the
 coordinate that step picked, since its ``g`` and ``r`` are all the step
 changed.  Every score stage is elementwise, so the kept bounds hold the
-bits a full scoring would.
+bits a full scoring would.  A zero step also keeps the active set, and
+with it the pick's tie pool, when the rescored coordinate keeps its lower
+score and its upper score reaches the best lower score before and after:
+the set stage then returns the same set on every path.  The objective is
+carried across zero steps as well, and recomputed after a step that moved
+x or a refresh of the residual.
 
 Every run records one trace: the columns named in ``TRACE_COLUMNS``, plus
 the step length ``gamma``, allocated once per run and filled in place, one
@@ -93,8 +98,9 @@ def step(problem: CompositeProblem, state: ResidualState, i: int,
 
     ``g_new`` is the smooth partial gradient at the new point, known
     exactly: exact line search on a smooth problem knows it vanished, and
-    every other case recomputes it in O(nnz(a_i)).  So the moved
-    coordinate's radius is zero, and radii keep growing only through the
+    every other case recomputes it in O(nnz(a_i)), or reuses the gradient
+    before a zero step, which moved nothing.  So the moved coordinate's
+    radius is zero, and radii keep growing only through the
     passive-coordinate oracles.
     """
     g_i = problem.partial_gradient(state, i)
@@ -103,7 +109,8 @@ def step(problem: CompositeProblem, state: ResidualState, i: int,
     l_eff = (float(problem.lipschitz[i]) if rule.kind == "line_search"
              else problem.lipschitz_max)
     gamma = float(problem.psi_reg.model_argmin(state.x[i], g_i, l_eff))
-    state.apply_step(problem.matrix, i, gamma)
+    if gamma != 0.0:
+        state.apply_step(problem.matrix, i, gamma)
     if rule.kind == "line_search":
         if problem.psi_reg.kind == "none":
             return gamma, 0.0
@@ -114,6 +121,8 @@ def step(problem: CompositeProblem, state: ResidualState, i: int,
         x_new = float(state.x[i])
         if x_new != 0.0:
             return gamma, -problem.psi_reg.lam * np.sign(x_new)
+    if gamma == 0.0:
+        return gamma, g_i
     return gamma, problem.partial_gradient(state, i)
 
 
@@ -181,6 +190,9 @@ class RunResult:
     tau_scd: np.ndarray
     wall_ns: np.ndarray
     gamma: np.ndarray
+    # mean size of the pool the pick draws from: the set's ties for the
+    # best lower score under argmax-lower, else the set (n for ucd)
+    mean_pick_pool: float
     final_x: np.ndarray
     final_f: float
     soundness_violations: int
@@ -275,7 +287,9 @@ def run(config: RunConfig) -> RunResult:
             est = GradientEstimate.uninformed(n)
 
     sound_bad = contain_bad = sandwich_bad = 0
-    scores = None  # kept across zero steps, dropped when x moves
+    ties_total = 0  # draw pool sizes of the argmax-lower picks
+    # kept across zero steps, dropped when x moves
+    scores = f = None
     if config.rule == "ucd":
         # every coordinate, the same set on every step
         aset = ActiveSet(indices=np.arange(n), avg_score=0.0)
@@ -293,6 +307,7 @@ def run(config: RunConfig) -> RunResult:
         else:
             if scores is None:
                 scores = _scores(config.rule, est, state.x, problem)
+                aset = active_set(scores)
             else:
                 # a zero step changed only the last pick's g and r
                 j = slice(i_t, i_t + 1)
@@ -300,16 +315,26 @@ def run(config: RunConfig) -> RunResult:
                               GradientEstimate(est.g[j], est.r[j],
                                                est.is_exact),
                               state.x[j], problem)
+                # the same lower score, and an upper score reaching the
+                # best lower score before and after: every path of
+                # active_set returns the same set
+                keep = (one.lower[0] == scores.lower[i_t]
+                        and one.upper[0] >= aset.top
+                        and scores.upper[i_t] >= aset.top)
                 # in an exact estimate's one array, the same write twice
                 scores.lower[j], scores.upper[j] = one.lower, one.upper
-            aset = active_set(scores)
+                if not keep:
+                    aset = active_set(scores)
             if config.pick == "uniform-set":
                 i_t = int(aset.indices[rng.integers(len(aset))])
             else:
                 i_t = select_ascd(scores, aset, rng)
+                ties_total += aset.ties.size
 
         cols["i"][t] = i_t
-        cols["f"][t] = problem.objective(state)
+        if f is None:
+            f = problem.objective(state)
+        cols["f"][t] = f
         cols["active_size"][t] = len(aset)
         if diag_every and t % diag_every == 0:
             if true_g is None:
@@ -350,22 +375,26 @@ def run(config: RunConfig) -> RunResult:
         except (FloatingPointError, ValueError) as exc:
             raise type(exc)(f"step {t}: {exc}") from exc
         cols["gamma"][t] = gamma
+        moved = gamma != 0.0
+        if moved:
+            scores = f = None
         if tracked:
-            row_g = row_d = None
-            if gamma != 0.0:
-                row_g, row_d = oracle_row(ctx, i_t)
-                scores = None
+            row_g, row_d = oracle_row(ctx, i_t) if moved else (None, None)
             update_estimates(est, i_t, gamma, row_g, row_d, g_new)
 
         if (t + 1) % (10 * n) == 0:
             state.refresh(problem.matrix)
+            f = None
 
         if config.time_steps:
             cols["wall_ns"][t] = time.perf_counter_ns() - tick
 
+    tie_pool = tracked and config.pick == "argmax-lower"
     return RunResult(
         config=config,
         **cols,
+        mean_pick_pool=(ties_total / steps if tie_pool
+                        else float(np.mean(cols["active_size"]))),
         final_x=state.x.copy(),
         final_f=problem.objective(state),
         soundness_violations=sound_bad,

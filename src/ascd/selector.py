@@ -25,7 +25,7 @@ units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,10 +95,15 @@ class ActiveSet:
 
     ``avg_score`` is the exclusion threshold av(I): every excluded
     coordinate was certified strictly worse than this in-set average.
+    ``top`` is the best lower score over all coordinates, NaN for a set
+    not built by ``active_set``.  ``ties`` is the pick's draw pool, the
+    set's maximisers of the lower score, cached by ``select_ascd``.
     """
 
     indices: np.ndarray
     avg_score: float
+    top: float = np.nan
+    ties: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -153,7 +158,7 @@ def active_set(scores: Bounds) -> ActiveSet:
     """
     lower, upper = scores.lower, scores.upper
     n = lower.size
-    top = lower.max()
+    top = float(lower.max())
     reach = (upper >= top).nonzero()[0]
     p = reach.size
     if 0 < p < n:
@@ -163,7 +168,7 @@ def active_set(scores: Bounds) -> ActiveSet:
             # below top
             av = top if p == 1 else min(np.cumsum(at)[-1] / p, top)
             if av == top:
-                return ActiveSet(indices=reach, avg_score=float(av))
+                return ActiveSet(indices=reach, avg_score=float(av), top=top)
         # the last of them in stable order: smallest lower score m, then
         # largest index j; the prefix up to it is every larger lower score
         # and the ties for m up to index j
@@ -178,11 +183,11 @@ def active_set(scores: Bounds) -> ActiveSet:
             av = min(np.cumsum(np.sort(lower[inside])[::-1])[-1] / p, top)
             if upper[~inside].max() < av:
                 return ActiveSet(indices=np.flatnonzero(inside),
-                                 avg_score=float(av))
+                                 avg_score=float(av), top=top)
     if p == n:
         # nothing is excluded, the average is no threshold
         return ActiveSet(indices=np.arange(n),
-                         avg_score=float(min(lower.sum() / n, top)))
+                         avg_score=float(min(lower.sum() / n, top)), top=top)
     order = np.argsort(-lower, kind="stable")
     ranked = lower[order]
     # capped, a rounded average cannot drop a tie for the best lower score
@@ -193,7 +198,8 @@ def active_set(scores: Bounds) -> ActiveSet:
     tail[n - 1] = -np.inf
     valid = tail < av
     k = int(np.argmax(valid)) + 1 if valid.any() else n
-    return ActiveSet(indices=np.sort(order[:k]), avg_score=float(av[k - 1]))
+    return ActiveSet(indices=np.sort(order[:k]), avg_score=float(av[k - 1]),
+                     top=top)
 
 
 def select_ucd(n: int, rng: np.random.Generator) -> int:
@@ -212,11 +218,17 @@ def select_scd(gradient: np.ndarray) -> int:
 
 def select_ascd(scores: Bounds, aset: ActiveSet,
                 rng: np.random.Generator) -> int:
-    """Uniform draw among the maximisers of the lower score over the set."""
-    sub = (scores.lower if len(aset) == scores.lower.size
-           else scores.lower[aset.indices])
-    cands = aset.indices[sub == sub.max()]
-    return int(cands[rng.integers(cands.size)])
+    """Uniform draw among the maximisers of the lower score over the set.
+
+    The maximisers are found on the first draw from ``aset`` and kept in
+    ``aset.ties``; a set drawn from again must come with lower scores equal
+    to those it was built from.
+    """
+    if aset.ties is None:
+        sub = (scores.lower if len(aset) == scores.lower.size
+               else scores.lower[aset.indices])
+        aset.ties = aset.indices[sub == sub.max()]
+    return int(aset.ties[rng.integers(aset.ties.size)])
 
 
 def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,

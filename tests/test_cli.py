@@ -80,8 +80,14 @@ class TestRun:
         summary = read_json(tmp_path / "c.json")
         trace = np.genfromtxt(tmp_path / "c.csv", delimiter=",",
                               names=True)
-        assert summary["schema_version"] == 4
+        assert summary["schema_version"] == 5
         assert summary["distinct_picks"] == np.unique(trace["i"]).size
+        # ucd draws from all n; argmax-lower from the set's tied maximisers
+        if rule == "ucd":
+            assert summary["mean_pick_pool"] == summary["n_cols"]
+        else:
+            assert 1 <= summary["mean_pick_pool"] <= summary[
+                "mean_active_size"]
         assert summary["min_active_size"] == trace["active_size"].min()
         assert summary["max_active_size"] == trace["active_size"].max()
         assert 0 < summary["useful_steps"] <= summary["steps"]

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from ascd.driver import (RULES, RunConfig, UpdateRule, progress_delta,
                          TRACE_COLUMNS, TRACE_HEADER)
 from ascd.oracles import ORACLE_KINDS, OracleContext, OracleSpec
 from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
-from ascd.selector import ActiveSet, GradientEstimate, active_set
+from ascd.selector import ActiveSet, GradientEstimate
 from reference_oracle import col_dots_row
 from reference_selector import sorted_active_set
 
@@ -70,6 +72,43 @@ class TestStep:
         assert g_new == -1.0
         # the composite steepest score vanishes exactly at the minimiser
         assert abs(g_new + 1.0 * np.sign(st.x[0])) == 0.0
+
+    @pytest.mark.parametrize("kind", ["fixed", "line_search"])
+    def test_zero_step_off_zero(self, kind):
+        # x_0 = 2 already minimises its model, but the float gradient
+        # misses -lam by an ulp: line search still reports -lam exactly,
+        # the fixed step the gradient before the step
+        m = ColumnSparseMatrix.from_columns(
+            1, [(np.array([0]), np.array([0.3]))])
+        prob = CompositeProblem(m, np.array([3.933333333333333]),
+                                Regularizer("l1", 1.0))
+        st = prob.residual_state(np.array([2.0]))
+        g_before = prob.partial_gradient(st, 0)
+        assert g_before != -1.0
+        x, w = st.x.copy(), st.w.copy()
+        gamma, g_new = step(prob, st, 0, UpdateRule(kind))
+        assert gamma == 0.0
+        want = -1.0 if kind == "line_search" else g_before
+        assert np.float64(g_new).tobytes() == np.float64(want).tobytes()
+        assert np.array_equal(st.x, x) and np.array_equal(st.w, w)
+
+    @pytest.mark.parametrize("kind", ["fixed", "line_search"])
+    def test_zero_step_at_zero(self, kind):
+        # every coordinate of x = 0 inside the l1 dead zone: each step is
+        # zero and returns the bits of the gradient before it
+        base = random_problem(19)
+        st = base.residual_state()
+        lam = 2.0 * float(np.max(np.abs(base.full_gradient(st))))
+        prob = CompositeProblem(base.matrix, base.target,
+                                Regularizer("l1", lam))
+        x, w = st.x.copy(), st.w.copy()
+        for i in range(prob.n):
+            g_before = prob.partial_gradient(st, i)
+            gamma, g_new = step(prob, st, i, UpdateRule(kind))
+            assert gamma == 0.0
+            assert (np.float64(g_new).tobytes()
+                    == np.float64(g_before).tobytes())
+        assert np.array_equal(st.x, x) and np.array_equal(st.w, w)
 
 
 class TestProgressTau:
@@ -165,23 +204,100 @@ class TestRun:
                 assert np.all(drops <= 1e-12 * (1 + np.abs(res.f))), rule
 
     def test_every_tracked_rule_runs_the_safe_set(self, monkeypatch):
-        # score, then one active_set call, then the pick, on every step
-        calls = []
+        # on every step the set in use, which progress_tau receives, and
+        # the pick's tie pool are those of a fresh full scoring; a step
+        # after a zero step may keep the last set or recompute it
+        real_scores, real_set = ascd.driver._scores, ascd.driver.active_set
+        real_pick = ascd.driver.select_ascd
+        full, in_use, computed, bad = [], [], [], []
 
-        def counted(scores):
-            calls.append(scores.lower.size)
-            return active_set(scores)
+        def scores(rule, est, x, problem):
+            if est.g.size == problem.n:
+                full.append((rule, est, x, problem))
+            return real_scores(rule, est, x, problem)
 
-        monkeypatch.setattr(ascd.driver, "active_set", counted)
-        prob = random_problem(5, reg=Regularizer("l1", 0.3))
-        tracked = [rule for rule in RULES if rule not in ("ucd", "scd")]
-        for rule in tracked:
+        def counted(bounds):
+            computed.append(len(in_use))
+            return real_set(bounds)
+
+        def pick(bounds, aset, rng):
+            i = real_pick(bounds, aset, rng)
+            sub = bounds.lower[aset.indices]
+            if not np.array_equal(aset.ties,
+                                  aset.indices[sub == sub.max()]):
+                bad.append(("ties", len(in_use)))
+            return i
+
+        def tau(gradient, indices, lipschitz_max):
+            want = real_set(real_scores(*full[0]))
+            if not np.array_equal(indices, want.indices):
+                bad.append(("set", len(in_use)))
+            in_use.append(indices)
+            return progress_tau(gradient, indices, lipschitz_max)
+
+        for name, spy in (("_scores", scores), ("active_set", counted),
+                          ("select_ascd", pick), ("progress_tau", tau)):
+            monkeypatch.setattr(ascd.driver, name, spy)
+        lasso = _grid_problems()["lasso"]
+        # at x = 0 nearly every coordinate of this lasso sits in the dead
+        # zone, so an ascd zero step raises its coordinate's lower score
+        lam = 0.9 * float(np.max(np.abs(lasso.full_gradient(
+            lasso.residual_state()))))
+        dead = CompositeProblem(lasso.matrix, lasso.target,
+                                Regularizer("l1", lam))
+        kept, fell_through = Counter(), Counter()
+        for prob, rule, pick_mode, (kind, init), update in itertools.product(
+                (lasso, dead), [r for r in RULES if r not in ("ucd", "scd")],
+                ("argmax-lower", "uniform-set"),
+                (("g1", "true-gradient"), ("g4", "none")),
+                ("fixed", "line_search")):
+            full.clear(), in_use.clear(), computed.clear()
+            res = run(RunConfig(problem=prob, steps=3 * prob.n, rule=rule,
+                                pick=pick_mode, update=UpdateRule(update),
+                                oracle=OracleSpec(kind, seed=2), seed=1,
+                                init=init, diag_every=1))
+            assert bad == [], (rule, pick_mode, kind, update)
+            assert len(in_use) == res.t.size
+            # the first step and every step after a useful one recompute
+            # the set
+            after_zero = {t for t in range(1, res.t.size)
+                          if res.gamma[t - 1] == 0}
+            assert set(range(res.t.size)) - after_zero <= set(computed)
+            kept[rule] += len(after_zero - set(computed))
+            fell_through[rule] += len(after_zero & set(computed))
+        # a gs-q zero step can change the picked coordinate's lower score
+        assert kept["ascd-gsq"] > 0 and fell_through["ascd-gsq"] > 0
+        assert kept.total() > 0 and fell_through.total() > 0
+
+    def test_mean_pick_pool(self, monkeypatch):
+        # the pick draws from all n under ucd, from one under scd, from the
+        # set under uniform-set and from its tied maximisers otherwise
+        ties = []
+        real = ascd.driver.select_ascd
+
+        def counted(scores, aset, rng):
+            sub = scores.lower[aset.indices]
+            ties.append(np.count_nonzero(sub == sub.max()))
+            return real(scores, aset, rng)
+
+        monkeypatch.setattr(ascd.driver, "select_ascd", counted)
+        prob = _grid_problems()["lasso"]
+        for rule in RULES:
             for pick in ("argmax-lower", "uniform-set"):
-                calls.clear()
-                run(RunConfig(problem=prob, steps=40, rule=rule, pick=pick,
-                              oracle=OracleSpec("g2", epsilon=0.3, seed=2),
-                              seed=1, diag_every=0))
-                assert calls == [prob.n] * 40, (rule, pick)
+                ties.clear()
+                res = run(RunConfig(problem=prob, steps=3 * prob.n,
+                                    rule=rule, pick=pick,
+                                    update=UpdateRule("line_search"),
+                                    oracle=OracleSpec("g4", seed=2), seed=1,
+                                    diag_every=0))
+                if rule in ("ucd", "scd"):
+                    want = prob.n if rule == "ucd" else 1
+                elif pick == "uniform-set":
+                    want = np.mean(res.active_size)
+                else:
+                    assert len(ties) == res.t.size and max(ties) > 1
+                    want = sum(ties) / res.t.size
+                assert res.mean_pick_pool == want, (rule, pick)
 
     def test_soundness_and_containment_every_oracle(self):
         prob = random_problem(9, reg=Regularizer("l2", 0.2))
@@ -495,6 +611,13 @@ SAME_RESULTS = {
         "787a2ccc7646fe4d",
     ("lasso", "ascd-gsq", "argmax-lower", "g2", "none"):
         "dfc8cd9ae584bf5b",
+    # 12n steps, recorded before a zero step kept the objective: a zero
+    # step ends epoch 10, so the residual refresh alone must drop the
+    # kept objective, whose bits it changes
+    ("lasso", "ascd-gss", "argmax-lower", "g4", "true-gradient", "12n"):
+        "dcfb4a6dc5b4ef66",
+    ("lasso", "ascd-gsq", "uniform-set", "g4", "none", "12n"):
+        "59492a06cb0ab9a4",
 }
 
 
@@ -509,9 +632,10 @@ class TestExactPath:
     @pytest.mark.parametrize("cell", list(SAME_RESULTS),
                              ids=["-".join(c) for c in SAME_RESULTS])
     def test_same_results(self, problems, cell):
-        name, rule, pick, kind, init = cell
+        name, rule, pick, kind, init, *epochs = cell
         prob = problems[name]
-        res = run(RunConfig(problem=prob, steps=3 * prob.n, rule=rule,
+        epochs = int(epochs[0].rstrip("n")) if epochs else 3
+        res = run(RunConfig(problem=prob, steps=epochs * prob.n, rule=rule,
                             update=UpdateRule("line_search"),
                             oracle=OracleSpec(kind, seed=1), seed=4,
                             init=init, pick=pick, diag_every=1))
@@ -522,6 +646,9 @@ class TestExactPath:
         # a lasso cell that stopped taking zero steps would no longer test
         # the one-coordinate rescoring
         assert name != "lasso" or np.any(res.gamma == 0)
+        if epochs > 10:
+            assert res.gamma[10 * prob.n - 1] == 0
+            assert np.any(res.gamma[10 * prob.n:] == 0)
         assert (res.soundness_violations, res.containment_violations,
                 res.sandwich_violations) == (0, 0, 0)
 
