@@ -14,15 +14,19 @@ collapsed), while ``uniform-set`` draws uniformly from the set, the regime
 the one-step progress and equilibrium analyses describe.
 
 The loop keeps the score stage's bounds across steps.  After a step that
-moved x it scores all n coordinates; after a zero step it rescores only the
-coordinate that step picked, since its ``g`` and ``r`` are all the step
-changed.  Every score stage is elementwise, so the kept bounds hold the
-bits a full scoring would.  A zero step also keeps the active set, and
-with it the pick's tie pool, when the rescored coordinate keeps its lower
-score and its upper score reaches the best lower score before and after:
-the set stage then returns the same set on every path.  The objective is
-carried across zero steps as well, and recomputed after a step that moved
-x or a refresh of the residual.
+moved x it scores all n coordinates with ``_scores``; after a zero step it
+rescores only the coordinate that step picked, since its ``g`` and ``r``
+are all the step changed, on Python floats with ``selector.score_one``.
+Every score stage is elementwise and ``score_one`` returns the bits the
+array stages give one coordinate, so the kept bounds hold the bits a full
+scoring would.  ``step`` likewise takes the coordinate step on floats,
+with ``Regularizer.model_argmin_one``, which has the bits of the array
+``model_argmin``.  A zero step also keeps the active set, and with it the
+pick's tie pool, when the rescored coordinate keeps its lower score and its
+upper score reaches the best lower score before and after: the set stage
+then returns the same set on every path.  The objective is carried across
+zero steps as well, and recomputed after a step that moved x or a refresh
+of the residual.
 
 Every run records one trace: the columns named in ``TRACE_COLUMNS``, plus
 the step length ``gamma``, allocated once per run and filled in place, one
@@ -34,6 +38,7 @@ containment, the one-step progress sandwich) fill their columns every
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -44,8 +49,8 @@ from .oracles import OracleContext, OracleSpec, oracle_row
 from .problem import CompositeProblem, ResidualState
 from .selector import (ActiveSet, Bounds, GradientEstimate, active_set,
                        compute_bounds, gsq_bounds, gsr_bounds,
-                       gss_score_interval, select_ascd, select_scd,
-                       select_ucd, update_estimates)
+                       gss_score_interval, score_one, select_ascd,
+                       select_scd, select_ucd, update_estimates)
 
 __all__ = [
     "UpdateRule",
@@ -104,11 +109,12 @@ def step(problem: CompositeProblem, state: ResidualState, i: int,
     passive-coordinate oracles.
     """
     g_i = problem.partial_gradient(state, i)
-    if not np.isfinite(g_i):
+    if not math.isfinite(g_i):
         raise FloatingPointError(f"non-finite gradient on coordinate {i}")
     l_eff = (float(problem.lipschitz[i]) if rule.kind == "line_search"
              else problem.lipschitz_max)
-    gamma = float(problem.psi_reg.model_argmin(state.x[i], g_i, l_eff))
+    x_i = float(state.x[i])
+    gamma = problem.psi_reg.model_argmin_one(x_i, g_i, l_eff)
     if gamma != 0.0:
         state.apply_step(problem.matrix, i, gamma)
     if rule.kind == "line_search":
@@ -117,10 +123,11 @@ def step(problem: CompositeProblem, state: ResidualState, i: int,
         # exact minimisation with a nonzero iterate pins the smooth
         # gradient at the subgradient-optimality value; reporting it
         # exactly (not the float recomputation) keeps the composite
-        # steepest score at exactly zero for the refreshed coordinate
-        x_new = float(state.x[i])
+        # steepest score at exactly zero for the refreshed coordinate.
+        # x_i + gamma is the sum apply_step stored
+        x_new = x_i + gamma
         if x_new != 0.0:
-            return gamma, -problem.psi_reg.lam * np.sign(x_new)
+            return gamma, -problem.psi_reg.lam * math.copysign(1.0, x_new)
     if gamma == 0.0:
         return gamma, g_i
     return gamma, problem.partial_gradient(state, i)
@@ -310,19 +317,17 @@ def run(config: RunConfig) -> RunResult:
                 aset = active_set(scores)
             else:
                 # a zero step changed only the last pick's g and r
-                j = slice(i_t, i_t + 1)
-                one = _scores(config.rule,
-                              GradientEstimate(est.g[j], est.r[j],
-                                               est.is_exact),
-                              state.x[j], problem)
+                lower, upper = score_one(
+                    config.rule, float(est.g[i_t]), float(est.r[i_t]),
+                    est.is_exact, float(state.x[i_t]),
+                    problem.lipschitz_max, problem.psi_reg)
                 # the same lower score, and an upper score reaching the
                 # best lower score before and after: every path of
                 # active_set returns the same set
-                keep = (one.lower[0] == scores.lower[i_t]
-                        and one.upper[0] >= aset.top
+                keep = (lower == scores.lower[i_t] and upper >= aset.top
                         and scores.upper[i_t] >= aset.top)
                 # in an exact estimate's one array, the same write twice
-                scores.lower[j], scores.upper[j] = one.lower, one.upper
+                scores.lower[i_t], scores.upper[i_t] = lower, upper
                 if not keep:
                     aset = active_set(scores)
             if config.pick == "uniform-set":

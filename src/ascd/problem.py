@@ -9,6 +9,7 @@ touches only the nonzeros of its column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +165,31 @@ class Regularizer:
                 lipschitz + self.lam)
         return -slope / lipschitz
 
+    def model_argmin_one(self, x: float, slope: float,
+                         lipschitz: float) -> float:
+        """``model_argmin`` on non-NaN Python floats, with the bits of the
+        vectorised formula, the sign of a zero included.
+        """
+        if self.kind == "l1":
+            z = x - slope / lipschitz
+            shrunk = abs(z) - self.lam / lipschitz
+            if shrunk <= 0.0:
+                # np.maximum gives 0.0, and np.sign(z) times it is -0.0
+                # for z < 0 and 0.0 for either zero
+                return (-0.0 if z < 0.0 else 0.0) - x
+            return math.copysign(shrunk, z) - x
+        if self.kind == "l2":
+            return -(slope + self.lam * x) / (lipschitz + self.lam)
+        return -slope / lipschitz
+
+    def psi_one(self, v: float) -> float:
+        """``psi`` on one Python float, with its bits (0.0 for ``none``)."""
+        if self.kind == "l2":
+            return 0.5 * self.lam * (v * v)
+        if self.kind == "l1":
+            return self.lam * abs(v)
+        return 0.0
+
 
 def model_value(x, y, slope, lipschitz, reg: Regularizer):
     """Coordinate model ``slope*y + lipschitz/2 * y^2 + psi(x + y)``.
@@ -182,7 +208,7 @@ class ResidualState:
 
     def apply_step(self, matrix: ColumnSparseMatrix, i: int, gamma: float):
         """Move coordinate i by gamma, updating w in ``O(nnz(a_i))``."""
-        if not np.isfinite(gamma):
+        if not math.isfinite(gamma):
             raise ValueError(f"non-finite step {gamma!r} on coordinate {i}")
         rows, vals = matrix.col(i)
         self.x[i] += gamma
@@ -213,20 +239,30 @@ class CompositeProblem:
             raise ValueError("target length must equal the number of rows")
         if not np.all(np.isfinite(target)):
             raise ValueError("target values must be finite")
-        norms_sq = matrix.col_norms_sq()
+        fold_lam = regularizer.lam if regularizer.kind == "l2" else 0.0
+        # an overflow is rejected below, by name, not warned about
+        with np.errstate(over="ignore"):
+            norms_sq = matrix.col_norms_sq()
+            lipschitz = norms_sq + fold_lam
         if np.any(norms_sq == 0.0):
             bad = int(np.argmin(norms_sq))
             raise ValueError(f"column {bad} has zero norm; its coordinate "
                              "step size would be undefined")
+        if not np.all(np.isfinite(lipschitz)):
+            bad = int(np.argmin(np.isfinite(lipschitz)))
+            raise ValueError(f"column {bad} has a squared norm"
+                             f"{' plus l2 weight' if fold_lam else ''} "
+                             "beyond the float range; its coordinate "
+                             "Lipschitz constant would be infinite")
         self.matrix = matrix
         self.target = target
         self.regularizer = regularizer
-        self.fold_lam = regularizer.lam if regularizer.kind == "l2" else 0.0
+        self.fold_lam = fold_lam
         # penalty that remains in the composite part after folding
         self.psi_reg = (regularizer if regularizer.kind == "l1"
                         else Regularizer("none"))
         self.col_norms_sq = norms_sq
-        self.lipschitz = norms_sq + self.fold_lam
+        self.lipschitz = lipschitz
         self.lipschitz_max = float(self.lipschitz.max())
 
     @property

@@ -11,7 +11,10 @@ bracketed by one helper, ``_distance_range``.  An exact estimate (every
 radius 0, ``GradientEstimate.is_exact``) scores once: those three stages
 evaluate the distance at ``g`` and return that one array as both bounds
 (``lower is upper``).  gs-q keeps two bounds even then, because its upper
-bound keeps the ``y = 0`` fallback ``psi(x_i)``.  The *set* stage,
+bound keeps the ``y = 0`` fallback ``psi(x_i)``.  ``score_one`` scores one
+coordinate on Python floats, for the loop's rescoring after a zero step; it
+returns the bits the array stages give that coordinate, signed zeros
+included.  The *set* stage,
 ``active_set``, keeps the smallest prefix, in descending order of the lower
 score, that provably contains the best coordinate.  It tries, in order:
 all of [n] when every upper score reaches the best lower score, the
@@ -25,6 +28,7 @@ units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +49,7 @@ __all__ = [
     "gss_score_interval",
     "gsr_bounds",
     "gsq_bounds",
+    "score_one",
 ]
 
 
@@ -245,7 +250,7 @@ def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,
     exact estimate stays exact; any error row ends ``is_exact``.
     Mutates and returns ``estimate``.
     """
-    if not np.isfinite(gamma):
+    if not math.isfinite(gamma):
         raise ValueError("non-finite step")
     if gamma != 0.0:
         estimate.g += gamma * row_estimate
@@ -349,3 +354,78 @@ def gsq_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
     w = np.where(finite, np.minimum(np.minimum(omega_u, omega_l), psi0), psi0)
     return GsqBounds(v=v, w=w)
 
+
+# ---------------------------------------------------------------------------
+# one coordinate on Python floats
+# ---------------------------------------------------------------------------
+
+
+def _fmax(a: float, b: float) -> float:
+    """``np.maximum`` on two floats: NaN wins, and a tie returns ``b``."""
+    return a if a > b or a != a else b
+
+
+def _fmin(a: float, b: float) -> float:
+    """``np.minimum`` on two floats: NaN wins, and a tie returns ``b``."""
+    return a if a < b or a != a else b
+
+
+def _distance_range_one(lo: float, hi: float, a: float,
+                        b: float) -> tuple[float, float]:
+    """``_distance_range`` on Python floats."""
+    return (_fmax(_fmax(a - hi, lo - b), 0.0),
+            _fmax(_fmax(a - lo, hi - b), 0.0))
+
+
+def score_one(rule: str, g: float, r: float, exact: bool, x: float,
+              lipschitz: float, reg: Regularizer) -> tuple[float, float]:
+    """``(lower, upper)`` score of one coordinate, on Python floats.
+
+    The float counterpart of the array score stages, in the units that
+    ``driver._scores`` gives them: the negated ``gsq_bounds`` for
+    ``ascd-gsq``, the magnitude interval squared for ``ascd`` (from
+    ``compute_bounds``), ``ascd-gss`` and ``ascd-gsr``.  ``g``, ``r`` and
+    ``exact`` are one coordinate of a ``GradientEstimate``, ``x`` its
+    iterate and ``reg`` the composite penalty (``none`` or ``l1``).  It
+    returns the bits that a full scoring gives the coordinate, signed zeros
+    included: the array stages are elementwise, ``_fmax`` and ``_fmin``
+    resolve ties as ``np.maximum`` and ``np.minimum`` do, and a square is
+    ``v * v``, as ``v ** 2`` is on an array.
+    """
+    if rule == "ascd-gsq":
+        psi0 = reg.psi_one(x)
+        if not math.isfinite(r):
+            return -psi0, math.inf
+        hi, lo = g + r, g - r
+        y_u = reg.model_argmin_one(x, hi, lipschitz)
+        y_l = reg.model_argmin_one(x, lo, lipschitz)
+        # model_value at both ends, then the slope-mismatch corrections
+        half = 0.5 * lipschitz
+        val_u = hi * y_u + half * (y_u * y_u) + reg.psi_one(x + y_u)
+        val_l = lo * y_l + half * (y_l * y_l) + reg.psi_one(x + y_l)
+        omega_u = val_u + _fmax(0.0, y_u * (lo - hi))
+        omega_l = val_l + _fmax(0.0, y_l * (hi - lo))
+        return -_fmin(_fmin(omega_u, omega_l), psi0), -_fmin(val_u, val_l)
+    if rule == "ascd-gss":
+        lam = reg.lam
+        if x == 0.0:
+            a, b = -lam, lam
+        else:
+            a = b = -lam * math.copysign(1.0, x)
+        if exact:
+            d = _fmax(_fmax(a - g, g - b), 0.0)
+            return d * d, d * d
+        lower, upper = _distance_range_one(g - r, g + r, a, b)
+    elif rule == "ascd-gsr":
+        if exact:
+            d = abs(reg.model_argmin_one(x, g, lipschitz))
+            return d * d, d * d
+        lower, upper = _distance_range_one(
+            reg.model_argmin_one(x, g + r, lipschitz),
+            reg.model_argmin_one(x, g - r, lipschitz), 0.0, 0.0)
+    else:
+        if exact:
+            d = abs(g)
+            return d * d, d * d
+        lower, upper = _distance_range_one(g - r, g + r, 0.0, 0.0)
+    return lower * lower, upper * upper

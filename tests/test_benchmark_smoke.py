@@ -2,8 +2,11 @@
 
 ``benchmarks/harness.py`` reads package internals that no other test
 covers (the estimate's radii, the oracle context, the traced call
-arguments).  One traced pass over each g1 workload, every instance once,
-must report a correct result with no failed check.
+arguments), and ``benchmarks/tracing.py`` finds the package functions it
+times by name.  One traced pass over each g1 workload and over
+``lasso-g4``, the one workload with interval scores, infinite radii and
+one-coordinate rescoring after zero steps, every instance once, must
+report a correct result with no failed check.
 """
 
 import json
@@ -16,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["ridge-g1", "lasso-g1"])
+@pytest.mark.parametrize("workload", ["ridge-g1", "lasso-g1", "lasso-g4"])
 def test_traced_workload_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -164,6 +165,22 @@ class TestRun:
         assert rc == 2
         assert err.startswith("error: ") and "nan.svm:2" in err
         assert "Traceback" not in err
+
+    def test_overflowing_column_norm_rejected(self, tmp_path, capsys):
+        # every squared column norm overflows: each L_i would be inf and
+        # every step zero
+        path = tmp_path / "huge.svm"
+        path.write_text("1 1:1e308 2:1e308\n2 1:1e308 2:-1e308\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", "--data", str(path), "--steps", "10",
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: column 0 ") and "float range" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_both_penalties_rejected(self, dataset, tmp_path):
         rc = main(["run", "--data", str(dataset), "--l1", "1", "--l2", "1",

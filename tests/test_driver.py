@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 import ascd.driver
 import ascd.oracles
@@ -109,6 +110,77 @@ class TestStep:
             assert (np.float64(g_new).tobytes()
                     == np.float64(g_before).tobytes())
         assert np.array_equal(st.x, x) and np.array_equal(st.w, w)
+
+
+def _array_step(problem, state, i, rule):
+    """The coordinate step through the array ``model_argmin`` and
+    ``np.sign``: the reference for ``step``'s bits.  Moves ``state``."""
+    g = problem.partial_gradient(state, i)
+    l_eff = (problem.lipschitz[i] if rule.kind == "line_search"
+             else problem.lipschitz_max)
+    gamma = problem.psi_reg.model_argmin(state.x[i:i + 1], np.array([g]),
+                                         l_eff)[0]
+    x_new = state.x[i] + gamma
+    if gamma != 0.0:
+        state.apply_step(problem.matrix, i, float(gamma))
+    if rule.kind == "line_search":
+        if problem.psi_reg.kind == "none":
+            return gamma, 0.0
+        if x_new != 0.0:
+            return gamma, -problem.psi_reg.lam * np.sign(x_new)
+    return gamma, g if gamma == 0.0 else problem.partial_gradient(state, i)
+
+
+class TestFloatStep:
+    """``step`` on Python floats returns the bits of the array formula."""
+
+    @staticmethod
+    def _problem(kind, lam, c, b):
+        # coordinate 0 has L = c^2 (+ lam under l2); coordinate 1 sets
+        # lipschitz_max = 4 for the fixed update whenever c < 2
+        m = ColumnSparseMatrix.from_columns(
+            2, [(np.array([0]), np.array([c])),
+                (np.array([1]), np.array([2.0]))])
+        return CompositeProblem(m, np.array([b, 0.0]), Regularizer(kind, lam))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=hst.sampled_from(["none", "l1", "l2"]),
+           update=hst.sampled_from(["fixed", "line_search"]),
+           lam=hst.one_of(hst.just(0.0), hst.floats(0.01, 10.0)),
+           c=hst.one_of(hst.just(1.0), hst.floats(0.1, 3.0)),
+           x0=hst.one_of(hst.sampled_from([0.0, -0.0]),
+                         hst.floats(-5.0, 5.0)),
+           data=hst.data())
+    def test_bits_match_the_array_step(self, kind, update, lam, c, x0,
+                                       data):
+        # with c = 1 and x0 = 0 the gradient is -b, so b = +-lam puts z on
+        # the soft-threshold boundary |z| = lam / L under either update
+        edge = [lam, -lam, float(np.nextafter(lam, np.inf)),
+                float(np.nextafter(-lam, -np.inf))]
+        b = data.draw(hst.one_of(hst.sampled_from(edge),
+                                 hst.floats(-20.0, 20.0)))
+        self._check(kind, update, lam, c, x0, b)
+
+    @pytest.mark.parametrize("update", ["fixed", "line_search"])
+    @pytest.mark.parametrize("b", [-1.0, 1.0])
+    def test_soft_threshold_boundary(self, update, b):
+        # x_0 = 0 and |z| = lam / L: gamma is a zero, -0.0 when z < 0
+        gamma, _ = self._check("l1", update, 1.0, 1.0, 0.0, b)
+        assert gamma == 0.0 and np.signbit(gamma) == (b < 0)
+
+    def _check(self, kind, update, lam, c, x0, b):
+        prob = self._problem(kind, lam, c, b)
+        rule = UpdateRule(update)
+        got_state = prob.residual_state(np.array([x0, 0.0]))
+        want_state = prob.residual_state(np.array([x0, 0.0]))
+        gamma, g_new = step(prob, got_state, 0, rule)
+        want_gamma, want_g = _array_step(prob, want_state, 0, rule)
+        assert type(gamma) is float and type(g_new) is float
+        assert np.float64(gamma).tobytes() == np.float64(want_gamma).tobytes()
+        assert np.float64(g_new).tobytes() == np.float64(want_g).tobytes()
+        assert got_state.x.tobytes() == want_state.x.tobytes()
+        assert got_state.w.tobytes() == want_state.w.tobytes()
+        return gamma, g_new
 
 
 class TestProgressTau:
@@ -549,9 +621,10 @@ def _grid_problems():
             "lasso": CompositeProblem(m, b, Regularizer("l1", lam))}
 
 
-# (problem, rule, pick, oracle, init) -> the first 16 hex digits of the
-# sha256 of the i, active_size, f and gamma columns, recorded before
-# exact estimates scored once; the g3 and g4 cells run the interval path.
+# (problem, rule, pick, oracle, init[, update][, steps]) -> the first 16
+# hex digits of the sha256 of the i, active_size, f and gamma columns,
+# recorded before exact estimates scored once; the g3 and g4 cells run the
+# interval path.
 # The cells after the lasso g4 "none" one were recorded before a zero step
 # rescored only its coordinate; every lasso cell takes zero steps
 SAME_RESULTS = {
@@ -618,6 +691,23 @@ SAME_RESULTS = {
         "dcfb4a6dc5b4ef66",
     ("lasso", "ascd-gsq", "uniform-set", "g4", "none", "12n"):
         "59492a06cb0ab9a4",
+    # under the fixed update, recorded before a zero step rescored and
+    # stepped on Python floats; under fixed, argmax-lower ascd-gss g4 from
+    # "none" hammers one coordinate and takes no zero step, so that cell
+    # draws from the set
+    ("lasso", "ascd-gss", "uniform-set", "g4", "none", "fixed"):
+        "c99ea5b5ab31c7cb",
+    ("lasso", "ascd-gsq", "argmax-lower", "g3", "true-gradient", "fixed"):
+        "88a4e0f0e697fc2a",
+    # ucd reads no pick, oracle or init
+    ("ridge", "ucd", "uniform-set", "g1", "none", "fixed"):
+        "f64ba7c66aa05910",
+    ("ridge", "ucd", "uniform-set", "g1", "none", "line_search"):
+        "e11f154f5de1e102",
+    ("lasso", "ucd", "uniform-set", "g1", "none", "fixed"):
+        "c99ea5b5ab31c7cb",
+    ("lasso", "ucd", "uniform-set", "g1", "none", "line_search"):
+        "c423a33879eff867",
 }
 
 
@@ -632,11 +722,15 @@ class TestExactPath:
     @pytest.mark.parametrize("cell", list(SAME_RESULTS),
                              ids=["-".join(c) for c in SAME_RESULTS])
     def test_same_results(self, problems, cell):
-        name, rule, pick, kind, init, *epochs = cell
+        # optional trailing elements: the update (default line_search) and
+        # the step count in epochs (default 3n)
+        name, rule, pick, kind, init, *extra = cell
         prob = problems[name]
-        epochs = int(epochs[0].rstrip("n")) if epochs else 3
+        update = next((e for e in extra if e in ("fixed", "line_search")),
+                      "line_search")
+        epochs = next((int(e[:-1]) for e in extra if e != update), 3)
         res = run(RunConfig(problem=prob, steps=epochs * prob.n, rule=rule,
-                            update=UpdateRule("line_search"),
+                            update=UpdateRule(update),
                             oracle=OracleSpec(kind, seed=1), seed=4,
                             init=init, pick=pick, diag_every=1))
         digest = hashlib.sha256()

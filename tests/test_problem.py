@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ascd.problem import (ColumnSparseMatrix, CompositeProblem, Regularizer,
@@ -188,6 +189,42 @@ class TestModelValue:
         assert model_value(0.0, -2.0, 3.0, 1.0, reg) == pytest.approx(-2.0)
 
 
+@st.composite
+def _soft_threshold_edge(draw):
+    """x, slope and L around the soft-threshold boundary |z| = lam/L."""
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
+    lipschitz = draw(st.sampled_from([1.0, 4.0, 0.3]))
+    x = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0)))
+    # slope = (x - z) L with z at +-lam/L, an ulp off it, or anywhere
+    z = draw(st.sampled_from([1.0, -1.0])) * lam / lipschitz
+    z = draw(st.sampled_from([z, float(np.nextafter(z, np.inf)),
+                              float(np.nextafter(z, -np.inf))]))
+    slope = draw(st.one_of(st.just((x - z) * lipschitz),
+                           st.sampled_from([0.0, -0.0, lam, -lam]),
+                           st.floats(-20.0, 20.0), st.just(np.inf),
+                           st.just(-np.inf)))
+    return lam, lipschitz, x, slope
+
+
+class TestModelArgminOne:
+    """The float coordinate step has the bits of the array formula."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(kind=st.sampled_from(["none", "l1", "l2"]),
+           drawn=_soft_threshold_edge())
+    # signed zeros of the dead zone: -0.0 for x = 0 and z < 0, 0.0 else
+    @example(kind="l1", drawn=(1.0, 1.0, 0.0, 1.0))
+    @example(kind="l1", drawn=(1.0, 1.0, -0.0, -1.0))
+    @example(kind="l1", drawn=(0.0, 1.0, 0.0, -0.0))
+    def test_bits_match_model_argmin(self, kind, drawn):
+        lam, lipschitz, x, slope = drawn
+        reg = Regularizer(kind, lam)
+        want = reg.model_argmin(np.array([x]), np.array([slope]), lipschitz)
+        got = reg.model_argmin_one(x, slope, lipschitz)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want[0].tobytes()
+
+
 class TestSmoothnessProbes:
     def test_coordinate_lipschitz(self):
         rng = np.random.default_rng(5)
@@ -228,6 +265,24 @@ def test_zero_column_rejected():
                                                np.array([]))])
     with pytest.raises(ValueError, match="zero norm"):
         CompositeProblem(m, np.zeros(2))
+
+
+@pytest.mark.parametrize("reg,named", [
+    (None, "squared norm beyond"),
+    # finite squared norms, but L_i = ||a_i||^2 + lam overflows
+    (Regularizer("l2", 1.7e308), "squared norm plus l2 weight beyond")],
+    ids=["none", "l2"])
+def test_overflowing_column_norm_rejected(reg, named, recwarn):
+    big = 1e308 if reg is None else 7e153
+    m = ColumnSparseMatrix.from_columns(
+        2, [(np.array([0]), np.array([1.0])),
+            (np.array([0, 1]), np.array([big, -big]))])
+    if reg is not None:
+        assert np.all(np.isfinite(m.col_norms_sq()))
+    with pytest.raises(ValueError, match=f"column 1 has a {named}"):
+        CompositeProblem(m, np.zeros(2), reg)
+    # rejected by name, without an overflow warning
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_non_finite_target_rejected():

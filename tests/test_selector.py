@@ -1,16 +1,19 @@
+from itertools import combinations
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from itertools import combinations
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from ascd.driver import SANDWICH_SLACK, progress_tau
+from ascd.driver import SANDWICH_SLACK, _scores, progress_tau
 from ascd.problem import Regularizer, model_value
 from ascd.selector import (ActiveSet, Bounds, GradientEstimate,
                            active_set, compute_bounds, gsq_bounds,
-                           gsr_bounds, gss_score_interval, select_ascd,
-                           select_scd, select_ucd, update_estimates)
+                           gsr_bounds, gss_score_interval, score_one,
+                           select_ascd, select_scd, select_ucd,
+                           update_estimates)
 from reference_selector import sorted_active_set
 
 INF = np.inf
@@ -693,3 +696,59 @@ class TestGsrBounds:
                     y = float(reg.model_argmin(x, grad, L))
                     assert lo[0] <= abs(y) + 1e-12
                     assert abs(y) <= hi[0] + 1e-12
+
+
+TRACKED = ("ascd", "ascd-gss", "ascd-gsr", "ascd-gsq")
+_ANY = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _one_coordinate(draw):
+    """One coordinate of an estimate, its iterate and a loop penalty: g at
+    the signed zeros, at +-lam exactly and one ulp off, large or anywhere;
+    r = 0 (exact or not), finite or infinite; x at the signed zeros or
+    not."""
+    kind = draw(st.sampled_from(["none", "l1"]))
+    lam = (draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
+           if kind == "l1" else 0.0)
+    edge = [0.0, -0.0, 1e300, -1e300]
+    for v in (lam, -lam):
+        edge += [v, float(np.nextafter(v, INF)), float(np.nextafter(v, -INF))]
+    g = draw(st.one_of(st.sampled_from(edge), st.floats(-20.0, 20.0), _ANY))
+    r = draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0),
+                       st.floats(0.0, 1e300), st.just(INF)))
+    exact = r == 0.0 and draw(st.booleans())
+    x = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0),
+                       _ANY))
+    lipschitz = draw(st.floats(0.01, 100.0))
+    return g, r, exact, x, lipschitz, Regularizer(kind, lam)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+class TestScoreOne:
+    """``score_one`` gives the bits of ``driver._scores`` on a one-element
+    estimate, so the rescoring after a zero step keeps a full scoring's
+    bits; comparing bytes tells the signed zeros apart."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rule=st.sampled_from(TRACKED), drawn=_one_coordinate())
+    @example(rule="ascd-gss", drawn=(1.0, 0.0, True, 0.0, 2.0,
+                                     Regularizer("l1", 1.0)))
+    @example(rule="ascd-gsr", drawn=(1.0, 0.0, False, 0.0, 2.0,
+                                     Regularizer("l1", 1.0)))
+    @example(rule="ascd-gsq", drawn=(-0.0, INF, False, 0.0, 1.0,
+                                     Regularizer()))
+    @example(rule="ascd", drawn=(-0.0, 0.0, True, -0.0, 1.0, Regularizer()))
+    def test_bits_match_the_array_stages(self, rule, drawn):
+        g, r, exact, x, lipschitz, reg = drawn
+        problem = SimpleNamespace(lipschitz_max=lipschitz, psi_reg=reg)
+        one = GradientEstimate(np.array([g]), np.array([r]), exact)
+        with np.errstate(all="ignore"):
+            want = _scores(rule, one, np.array([x]), problem)
+        lower, upper = score_one(rule, g, r, exact, x, lipschitz, reg)
+        assert type(lower) is float and type(upper) is float
+        assert _bits(lower) == _bits(want.lower[0])
+        assert _bits(upper) == _bits(want.upper[0])
