@@ -5,6 +5,12 @@ correlate the columns, rescales each column by ten times a standard normal
 sample so the coordinate Lipschitz constants spread out, and then keeps
 each entry with probability ``10 log(n)/n``.  Targets come from a planted
 sparse coefficient vector plus Gaussian noise.
+
+The svmlight reader streams a file a line at a time through builtins
+into compact buffers, and gives the arrays, warnings and error messages
+of a per-token parse bit for bit; feature indices beyond int64 are
+rejected where they enter.  The writer formats whole rows from Python
+lists.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,20 +116,70 @@ def generate_synthetic(config: SynthConfig) -> tuple[ColumnSparseMatrix,
     return matrix, matrix.matvec(xbar) + noise
 
 
+# the largest feature index a file may name: the parse buffers are int64
+INDEX_MAX = 2 ** 63 - 1
+
+
+def _parse_line(parts: list[str], where: str) -> tuple[float, list[int],
+                                                       list[float]]:
+    """Label, indices and values of one line's tokens, checked token by
+    token; the first fault in token order raises ``ValueError``."""
+    try:
+        label = float(parts[0])
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad label {parts[0]!r}") from exc
+    if not math.isfinite(label):
+        raise ValueError(f"{where}: non-finite label {parts[0]!r}")
+    indices, values, seen = [], [], set()
+    for token in parts[1:]:
+        try:
+            idx_s, val_s = token.split(":", 1)
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad feature {token!r}") from exc
+        if idx < 1:
+            raise ValueError(f"{where}: feature indices are 1-based")
+        if idx > INDEX_MAX:
+            raise ValueError(f"{where}: feature index {idx} is beyond "
+                             f"{INDEX_MAX}")
+        if not math.isfinite(val):
+            raise ValueError(f"{where}: non-finite feature {token!r}")
+        if idx in seen:
+            raise ValueError(f"{where}: duplicate feature {idx}")
+        seen.add(idx)
+        indices.append(idx)
+        values.append(val)
+    return label, indices, values
+
+
 def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
                                                          np.ndarray]:
     """Load a ``label index:value ...`` text file into column form.
 
-    Feature indices are 1-based.  Each line is one row of the matrix; the
-    labels become the target vector.  Labels and values must be finite;
-    explicitly zero-valued features are not stored, and a file that stores
-    none is rejected.  Columns without a single entry are dropped with a
-    warning (the remaining columns are re-indexed).  ``binarize`` maps
-    every stored value to 1, the usual bag-of-words treatment.
+    Feature indices are 1-based and at most ``INDEX_MAX`` (2**63 - 1).
+    Each line is one row of the matrix; the labels become the target
+    vector.  ``#`` starts a comment; blank lines are skipped.  Labels and
+    values must be finite and a line may name an index once; explicitly
+    zero-valued features are not stored, and a file that stores none is
+    rejected.  Columns without a single entry are dropped with a warning
+    (the remaining columns are re-indexed).  ``binarize`` maps every
+    stored value to 1, the usual bag-of-words treatment.  A rejected file
+    raises ``ValueError`` naming ``path:line`` and the first fault of that
+    line in token order.
+
+    The file is read a line at a time.  Each line is split, converted
+    and checked whole with builtins (``str.split``, ``map(int, ...)``,
+    ``map(float, ...)``, ``min``, ``set``) and appended to compact
+    ``array`` buffers, from which numpy sorts out the columns once at the
+    end.  Only a line that fails a check is parsed again token by token,
+    to name its fault, so the arrays, warnings and messages are those of
+    a per-token parse bit for bit.
     """
-    labels: list[float] = []
-    entries: dict[int, list[tuple[int, float]]] = {}
-    n_cols = 0
+    labels = array("d")
+    counts = array("q")     # features on each row, explicit zeros included
+    indices = array("q")
+    values = array("d")
     # undecodable bytes are kept as lone surrogates, so the line that
     # holds one can be named
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -134,79 +191,87 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
                     byte = ord(line[exc.start]) - 0xdc00
                     raise ValueError(f"{path}:{lineno}: not UTF-8 text "
                                      f"(byte 0x{byte:02x})") from None
-            line = line.split("#", 1)[0].strip()
+            line = line.partition("#")[0].strip()
             if not line:
                 continue
             parts = line.split()
+            # the tokens, split at their colons; rejoined, the pieces give
+            # the tokens back only if each holds one colon between two
+            # nonempty strings
+            feats = " ".join(parts[1:])
+            pieces = feats.replace(":", " ").split()
+            idx_s, val_s = pieces[0::2], pieces[1::2]
             try:
                 label = float(parts[0])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad label "
-                                 f"{parts[0]!r}") from exc
-            if not math.isfinite(label):
-                raise ValueError(f"{path}:{lineno}: non-finite label "
-                                 f"{parts[0]!r}")
+                idx = list(map(int, idx_s))
+                val = list(map(float, val_s))
+            except ValueError:
+                ok = False
+            else:
+                ok = (" ".join(map(":".join, zip(idx_s, val_s))) == feats
+                      and math.isfinite(label)
+                      and all(map(math.isfinite, val))
+                      and (not idx or (min(idx) >= 1
+                                       and max(idx) <= INDEX_MAX
+                                       and len(set(idx)) == len(idx))))
+            if not ok:
+                label, idx, val = _parse_line(parts, f"{path}:{lineno}")
             labels.append(label)
-            row = len(labels) - 1
-            seen = set()
-            for token in parts[1:]:
-                try:
-                    idx_s, val_s = token.split(":", 1)
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad feature "
-                                     f"{token!r}") from exc
-                if idx < 1:
-                    raise ValueError(f"{path}:{lineno}: feature indices "
-                                     "are 1-based")
-                if not math.isfinite(val):
-                    raise ValueError(f"{path}:{lineno}: non-finite feature "
-                                     f"{token!r}")
-                if idx in seen:
-                    raise ValueError(f"{path}:{lineno}: duplicate feature "
-                                     f"{idx}")
-                seen.add(idx)
-                n_cols = max(n_cols, idx)
-                if val != 0.0:
-                    entries.setdefault(idx - 1, []).append((row, val))
+            counts.append(len(idx))
+            indices.extend(idx)
+            values.extend(val)
     if not labels:
         raise ValueError(f"{path}: empty file")
-    if not entries:
+
+    cols = np.frombuffer(indices, dtype=np.int64)
+    vals = np.frombuffer(values, dtype=np.float64)
+    n_cols = int(cols.max()) if cols.size else 0
+    stored = vals != 0.0
+    rows = np.repeat(np.arange(len(labels), dtype=np.int64),
+                     np.frombuffer(counts, dtype=np.int64))[stored]
+    cols, vals = cols[stored], vals[stored]
+    if not cols.size:
         raise ValueError(f"{path}: no row stores a nonzero feature")
 
-    empty = n_cols - len(entries)
+    present, col_of = np.unique(cols, return_inverse=True)
+    empty = n_cols - present.size
     if empty:
         warnings.warn(f"{path}: dropping {empty} empty column(s)",
                       stacklevel=2)
-    cols = []
-    for j in sorted(entries):
-        pairs = entries[j]
-        rows = np.array([r for r, _ in pairs], dtype=np.int64)
-        vals = (np.ones(len(pairs)) if binarize
-                else np.array([v for _, v in pairs]))
-        cols.append((rows, vals))
-    matrix = ColumnSparseMatrix.from_columns(len(labels), cols)
-    return matrix, np.asarray(labels)
+    # stable: each column keeps its entries in row order
+    order = np.argsort(col_of, kind="stable")
+    indptr = np.zeros(present.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col_of, minlength=present.size), out=indptr[1:])
+    matrix = ColumnSparseMatrix(
+        len(labels), indptr, rows[order],
+        np.ones(cols.size) if binarize else vals[order])
+    return matrix, np.array(labels)
 
 
 def save_svmlight(matrix: ColumnSparseMatrix, target: np.ndarray,
                   path) -> None:
-    """Write rows as ``label index:value ...`` lines with 1-based indices.
+    """Write rows as ``label index:value ...`` lines with 1-based indices,
+    in increasing index order.
 
-    Values are written with full precision so a load round-trips exactly.
+    Values are written with ``repr``, full precision, so a load
+    round-trips exactly.  The entries are sorted by row once and each
+    line is formatted from Python lists.
     """
     if target.shape != (matrix.n_rows,):
         raise ValueError("target length must equal the number of rows")
-    per_row: list[list[str]] = [[] for _ in range(matrix.n_rows)]
     order = np.lexsort((matrix._nnz_col, matrix.rows))
-    for k in order:
-        r = int(matrix.rows[k])
-        per_row[r].append(f"{int(matrix._nnz_col[k]) + 1}:"
-                          f"{float(matrix.vals[k])!r}")
+    cols = (matrix._nnz_col[order] + 1).tolist()
+    vals = matrix.vals[order].tolist()
+    ends = np.cumsum(np.bincount(matrix.rows,
+                                 minlength=matrix.n_rows)).tolist()
+    start = 0
     with open(path, "w") as fh:
-        for r in range(matrix.n_rows):
-            fh.write(" ".join([repr(float(target[r]))] + per_row[r]) + "\n")
+        for label, end in zip(np.asarray(target, dtype=np.float64).tolist(),
+                              ends):
+            fh.write(" ".join([repr(label), *map("{}:{!r}".format,
+                                                  cols[start:end],
+                                                  vals[start:end])]) + "\n")
+            start = end
 
 
 def take_columns(matrix: ColumnSparseMatrix, k: int,

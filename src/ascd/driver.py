@@ -297,10 +297,12 @@ def run(config: RunConfig) -> RunResult:
     ties_total = 0  # draw pool sizes of the argmax-lower picks
     # kept across zero steps, dropped when x moves
     scores = f = None
-    if config.rule == "ucd":
-        # every coordinate, the same set on every step
-        aset = ActiveSet(indices=np.arange(n), avg_score=0.0)
     t_start = time.perf_counter()
+    if config.rule == "ucd":
+        # every coordinate, the same set on every step; every pick drawn
+        # up front into the trace
+        aset = ActiveSet(indices=np.arange(n), avg_score=0.0)
+        select_ucd(n, rng, cols["i"])
 
     for t in range(steps):
         tick = time.perf_counter_ns() if config.time_steps else 0
@@ -310,7 +312,7 @@ def run(config: RunConfig) -> RunResult:
             i_t = select_scd(true_g)
             aset = ActiveSet(indices=np.array([i_t]), avg_score=float(true_g[i_t] ** 2))
         elif config.rule == "ucd":
-            i_t = select_ucd(n, rng)
+            i_t = int(cols["i"][t])
         else:
             if scores is None:
                 scores = _scores(config.rule, est, state.x, problem)

@@ -55,6 +55,8 @@ class ColumnSparseMatrix:
         self.n_rows = int(n_rows)
         self.n_cols = int(indptr.size - 1)
         self.indptr = indptr
+        # column bounds as Python ints, so ``col`` reads no numpy scalar
+        self._bounds = indptr.tolist()
         self.rows = rows
         self.vals = vals
         # column id of every stored entry, used by the vectorised kernels
@@ -97,7 +99,7 @@ class ColumnSparseMatrix:
         """Return ``(row_indices, values)`` views of column i."""
         if not 0 <= i < self.n_cols:
             raise IndexError(f"column index {i} out of range")
-        lo, hi = self.indptr[i], self.indptr[i + 1]
+        lo, hi = self._bounds[i], self._bounds[i + 1]
         return self.rows[lo:hi], self.vals[lo:hi]
 
     def col_norms_sq(self) -> np.ndarray:

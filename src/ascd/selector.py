@@ -207,11 +207,22 @@ def active_set(scores: Bounds) -> ActiveSet:
                      top=top)
 
 
-def select_ucd(n: int, rng: np.random.Generator) -> int:
-    """Uniform draw over the n coordinates."""
+# picks drawn per ``rng.integers`` call of ``select_ucd``: the temporary
+# stays small however long the run
+UCD_BLOCK = 1 << 16
+
+
+def select_ucd(n: int, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with uniform draws over the n coordinates.
+
+    The draws come in blocks of ``UCD_BLOCK``; the values are those of
+    ``out.size`` successive ``rng.integers(n)`` calls.
+    """
     if n < 1:
         raise ValueError("need at least one coordinate")
-    return int(rng.integers(n))
+    for lo in range(0, out.size, UCD_BLOCK):
+        block = out[lo:lo + UCD_BLOCK]
+        block[:] = rng.integers(n, size=block.size)
 
 
 def select_scd(gradient: np.ndarray) -> int:

@@ -3,10 +3,12 @@
 ``benchmarks/harness.py`` reads package internals that no other test
 covers (the estimate's radii, the oracle context, the traced call
 arguments), and ``benchmarks/tracing.py`` finds the package functions it
-times by name.  One traced pass over each g1 workload and over
-``lasso-g4``, the one workload with interval scores, infinite radii and
-one-coordinate rescoring after zero steps, every instance once, must
-report a correct result with no failed check.
+times by name.  One traced pass over each g1 workload, over ``lasso-g4``,
+the one workload with interval scores, infinite radii and one-coordinate
+rescoring after zero steps, and over ``ridge-ucd-cli``, the one workload
+that goes through ``ascd.cli`` and so reaches the ``save_svmlight`` and
+``load_svmlight`` it wraps, every instance once, must report a correct
+result with no failed check.
 """
 
 import json
@@ -19,7 +21,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["ridge-g1", "lasso-g1", "lasso-g4"])
+@pytest.mark.parametrize("workload", ["ridge-g1", "lasso-g1", "lasso-g4",
+                                      "ridge-ucd-cli"])
 def test_traced_workload_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,

@@ -424,6 +424,7 @@ class TestRejectedInput:
     FILES = {"latin1.svm": b"1 1:1\n2 2:\xff\n",
              "labels-only.svm": b"1\n2\n",
              "zero-features.svm": b"1 1:0\n2 2:0\n",
+             "wide-index.svm": b"1 1:1 100000000000000000000000000000:2\n",
              "not-json.json": b"{not json"}
 
     @pytest.mark.parametrize("argv,named", [
@@ -463,6 +464,11 @@ class TestRejectedInput:
         pytest.param(["run", "--data", "{tmp}/zero-features.svm",
                       "--steps", "5"], "zero-features.svm",
                      id="run-data-zero-features"),
+        # an index beyond int64 used to load after a warning about
+        # 99999999999999999999999999998 empty columns
+        pytest.param(["run", "--data", "{tmp}/wide-index.svm", "--steps",
+                      "5"], "wide-index.svm:1: feature index",
+                     id="run-data-index-beyond-int64"),
         pytest.param(["run", "--data", "{data}", "--steps", "infn"],
                      "--steps", id="run-steps-inf"),
         # a multiple of n that is not positive used to run one step

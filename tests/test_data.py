@@ -4,13 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from ascd.data import (SynthConfig, _draw_column, generate_synthetic,
                        load_svmlight, save_svmlight, take_columns, write_csv)
 from ascd.problem import CompositeProblem
+from reference_svmlight import load_svmlight as reference_load
+from reference_svmlight import save_svmlight as reference_save
 
 
 class TestGenerate:
@@ -166,6 +168,143 @@ class TestSvmlight:
         matrix, target = load_svmlight(path)
         assert matrix.shape == (1, 1)
         assert target[0] == 1.0
+
+    def test_index_beyond_int64_rejected(self, tmp_path):
+        # used to load as a 1x2 matrix after a warning about
+        # 99999999999999999999999999998 empty columns
+        path = tmp_path / "wide.svm"
+        path.write_text("1 1:1\n1 1:1 100000000000000000000000000000:2\n")
+        with pytest.raises(ValueError,
+                           match=r"wide\.svm:2: feature index "
+                                 r"100000000000000000000000000000 is beyond "
+                                 r"9223372036854775807$"):
+            load_svmlight(path)
+
+    def test_largest_int64_index_accepted(self, tmp_path):
+        path = tmp_path / "widest.svm"
+        path.write_text(f"1 1:1 {2 ** 63 - 1}:2\n")
+        with pytest.warns(UserWarning,
+                          match=f"dropping {2 ** 63 - 3} empty column"):
+            matrix, _ = load_svmlight(path)
+        assert matrix.shape == (1, 2)
+        assert_allclose(matrix.to_dense(), [[1.0, 2.0]])
+
+    def test_load_peak_memory_bounded_by_file_size(self, tmp_path):
+        # the parse streams: a compact buffer per field, never every token
+        # of the file at once (the per-token loader peaked near 6x)
+        m, b = generate_synthetic(SynthConfig(n_rows=1000, n_cols=1000,
+                                              seed=5))
+        path = tmp_path / "big.svm"
+        save_svmlight(m, b, path)
+        tracemalloc.start()
+        try:
+            load_svmlight(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * path.stat().st_size
+
+
+def _outcome(load, path, binarize):
+    """Everything a load shows a caller: the arrays' dtypes and bytes, or
+    the error message, and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            matrix, target = load(path, binarize=binarize)
+        except ValueError as exc:
+            shown = ("error", str(exc))
+        else:
+            shown = ("loaded", matrix.shape) + tuple(
+                (a.dtype.str, a.tobytes())
+                for a in (matrix.indptr, matrix.rows, matrix.vals, target))
+    return shown, [(w.category, str(w.message)) for w in caught]
+
+
+_INDEX = st.integers(1, 12).map(str) | st.sampled_from(["+3", "03", "1_0"])
+_VALUE = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+          | st.sampled_from(["0", "-0.0", "+5", "1e-320", "2.5E3", "1_0"]))
+_LABEL = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+          | st.sampled_from(["+1", "-1", "0"]))
+_BAD_LABEL = st.sampled_from(["x", "1:2", "nan", "inf", "-inf", "1,5"])
+_BAD_FEATURE = st.sampled_from([
+    "7", "1:", ":1", "1:2:3", "0:1", "-2:1", "2:nan", "2:inf", "2:-inf",
+    "x:1", "1:y", "1.5:2", "1::2", "::"])
+_SEP = st.sampled_from([" ", "  ", "\t", " \t ", "\x0c", "\u3000"])
+
+
+@st.composite
+def _svm_line(draw, clean):
+    """One line of an svmlight text, without its line ending."""
+    kind = draw(st.sampled_from(["row", "row", "row", "label-only", "blank",
+                                 "comment"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    if kind == "comment":
+        return "#" + draw(st.sampled_from(["", " header", " 1 1:x"]))
+    label = draw(_LABEL if clean else _LABEL | _BAD_LABEL)
+    feats = []
+    if kind == "row":
+        # distinct indices on a clean line; a faulty one may repeat them
+        cols = draw(st.lists(st.integers(1, 12), max_size=6,
+                             unique=clean))
+        feats = [f"{c}:{draw(_VALUE)}" for c in cols]
+        if not clean:
+            for _ in range(draw(st.integers(0, 2))):
+                feats.insert(draw(st.integers(0, len(feats))),
+                             draw(_BAD_FEATURE | _INDEX.map("{}:1".format)))
+    sep = draw(_SEP)
+    line = draw(st.sampled_from(["", " "])) + sep.join([label, *feats])
+    return line + draw(st.sampled_from(["", " ", " # note", "#x:y"]))
+
+
+@st.composite
+def _svm_text(draw):
+    """The bytes of a whole file: clean or with faults anywhere, CRLF or
+    LF endings, maybe no final newline, maybe a byte that is not UTF-8."""
+    clean = draw(st.booleans())
+    lines = draw(st.lists(_svm_line(clean), max_size=8))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + ending for line in lines).encode()
+    if text and draw(st.booleans()):
+        text = text[:-len(ending)]
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([b"\xff", b"\xe9",
+                                                 b"\xc3"])) + text[at:]
+    return text
+
+
+class TestSvmlightMatchesReference:
+    """The streamed reader and the row-wise writer against the per-token
+    loops of ``reference_svmlight``.  The one intended difference, a
+    feature index beyond int64, has its own test above."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(_svm_text(), st.booleans())
+    @example(b"1 1:1\n2 7 1:2:3 0:1\nnan 2:inf\n", False)
+    @example(b"1 2:1 2:nan\n1 0:1 1:x\n", False)
+    @example(b"3 1:0 2:-0.0\n4\r\n-1 5:2 # c\n", True)
+    @example(b"1 1:1\n\xff 1:x\n", False)
+    def test_load_matches_reference(self, tmp_path_factory, text, binarize):
+        path = tmp_path_factory.getbasetemp() / "parity.svm"
+        path.write_bytes(text)
+        assert (_outcome(load_svmlight, path, binarize)
+                == _outcome(reference_load, path, binarize))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 30), st.integers(2, 30), st.integers(0, 2 ** 32),
+           st.sampled_from([np.float64, np.float32, np.int64]))
+    def test_save_matches_reference_bytes(self, tmp_path_factory, rows,
+                                          cols, seed, dtype):
+        m, b = generate_synthetic(SynthConfig(n_rows=rows, n_cols=cols,
+                                              seed=seed))
+        b = (b * 100).astype(dtype)
+        base = tmp_path_factory.getbasetemp()
+        save_svmlight(m, b, base / "new.svm")
+        reference_save(m, b, base / "reference.svm")
+        assert ((base / "new.svm").read_bytes()
+                == (base / "reference.svm").read_bytes())
 
 
 class TestTakeColumns:

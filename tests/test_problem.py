@@ -48,6 +48,27 @@ class TestColumnSparseMatrix:
         with pytest.raises(IndexError):
             m.col(2)
 
+    @pytest.mark.parametrize("i", [-1, np.int64(2), np.int64(-1)])
+    def test_col_negative_or_numpy_index_out_of_range(self, i):
+        # a negative index would slice the Python bounds list from its end
+        m = identity_matrix(2)
+        with pytest.raises(IndexError):
+            m.col(i)
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.int32])
+    def test_col_matches_indptr_slices(self, kind):
+        rng = np.random.default_rng(2)
+        dense = rng.standard_normal((6, 9))
+        dense[rng.random((6, 9)) < 0.6] = 0.0
+        dense[:, 4] = 0.0  # an empty column among the others
+        m = ColumnSparseMatrix.from_dense(dense)
+        for j in range(m.n_cols):
+            rows, vals = m.col(kind(j))
+            lo, hi = m.indptr[j], m.indptr[j + 1]
+            assert np.array_equal(rows, m.rows[lo:hi])
+            assert np.array_equal(vals, m.vals[lo:hi])
+            assert np.array_equal(rows, np.flatnonzero(dense[:, j]))
+
     def test_dense_round_trip(self):
         rng = np.random.default_rng(0)
         dense = rng.standard_normal((7, 5))

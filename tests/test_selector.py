@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from ascd import selector
 from ascd.driver import SANDWICH_SLACK, _scores, progress_tau
 from ascd.problem import Regularizer, model_value
 from ascd.selector import (ActiveSet, Bounds, GradientEstimate,
@@ -384,20 +385,39 @@ class TestExactEstimate:
 
 
 class TestPicks:
+    @staticmethod
+    def ucd_picks(n, rng, steps):
+        out = np.full(steps, -1, dtype=np.int64)
+        select_ucd(n, rng, out)
+        return out
+
     def test_ucd_single(self):
-        assert select_ucd(1, np.random.default_rng(0)) == 0
+        assert np.all(self.ucd_picks(1, np.random.default_rng(0), 5) == 0)
 
     def test_ucd_frequencies(self):
-        rng = np.random.default_rng(7)
-        counts = np.bincount([select_ucd(10, rng) for _ in range(100_000)],
-                             minlength=10)
+        counts = np.bincount(self.ucd_picks(10, np.random.default_rng(7),
+                                            100_000), minlength=10)
         sigma = np.sqrt(100_000 * 0.1 * 0.9)
         assert np.all(np.abs(counts - 10_000) < 3 * sigma)
 
     def test_ucd_reproducible(self):
-        a = [select_ucd(50, np.random.default_rng(3)) for _ in range(20)]
-        b = [select_ucd(50, np.random.default_rng(3)) for _ in range(20)]
-        assert a == b
+        a = self.ucd_picks(50, np.random.default_rng(3), 20)
+        b = self.ucd_picks(50, np.random.default_rng(3), 20)
+        assert np.array_equal(a, b)
+        assert np.unique(a).size > 1
+
+    @pytest.mark.parametrize("block", [3, 64, selector.UCD_BLOCK])
+    @pytest.mark.parametrize("n", [7, 1000, 5000, 2 ** 32 + 1, 2 ** 33])
+    def test_ucd_block_draws_equal_per_step_draws(self, monkeypatch, n,
+                                                  block):
+        # the trace of a run is what per-step ``rng.integers(n)`` draws give,
+        # however the draws are split into blocks (PCG64 carries a spare 32
+        # bits between calls)
+        monkeypatch.setattr(selector, "UCD_BLOCK", block)
+        steps = 2 * block + 5
+        picks = self.ucd_picks(n, np.random.default_rng(11), steps)
+        rng = np.random.default_rng(11)
+        assert picks.tolist() == [int(rng.integers(n)) for _ in range(steps)]
 
     def test_scd_argmax(self):
         assert select_scd(np.array([0.0, 0.0, 3.0, 0.0])) == 2
