@@ -4,7 +4,13 @@ The generator draws a dense Gaussian matrix, shifts every entry by one to
 correlate the columns, rescales each column by ten times a standard normal
 sample so the coordinate Lipschitz constants spread out, and then keeps
 each entry with probability ``10 log(n)/n``.  Targets come from a planted
-sparse coefficient vector plus Gaussian noise.
+sparse coefficient vector plus Gaussian noise.  The columns are drawn
+into two chunk buffers of at most ``CHUNK_ENTRIES`` entries each, and
+each chunk is sparsified in one pass; the output is bit for bit that of
+drawing and sparsifying one column at a time, because a chunk holding a
+column that keeps no entry is drawn again column by column from its
+saved generator state.  A shape whose buffers or column pointers cannot
+be allocated is rejected before the first draw.
 
 The svmlight reader streams a file a line at a time through builtins
 into compact buffers, and gives the arrays, warnings and error messages
@@ -75,38 +81,111 @@ class SynthConfig:
                    / self.n_cols)
 
 
-def _draw_column(rng: np.random.Generator, d: int,
-                 scale_factor: float) -> np.ndarray:
-    """One dense column before sparsification: ``(N(0,1) + 1) * scale``
-    with ``scale = scale_factor * N(0,1)``."""
-    raw = rng.standard_normal(d) + 1.0
-    return raw * (scale_factor * rng.standard_normal())
+# entries of one chunk buffer (128 KiB of float64): a chunk holds as many
+# columns as fit, so the buffers stay this small however tall the columns
+CHUNK_ENTRIES = 1 << 14
+
+
+@contextlib.contextmanager
+def _allocation(message: str):
+    """Allocate inside this block; an array that cannot be allocated
+    raises ``ValueError(message)`` instead of numpy's own size error or
+    ``MemoryError``."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        # numpy raises ValueError for a length beyond its largest array
+        raise ValueError(message) from None
+
+
+def _draw_chunk(rng: np.random.Generator, normals: np.ndarray,
+                uniforms: np.ndarray, p: float, scale_factor: float,
+                counts: np.ndarray, rows: list, vals: list) -> bool:
+    """Draw and sparsify ``len(counts)`` columns.
+
+    Each column draws its d + 1 normals (the entries, then the scale)
+    into a row of ``normals`` and its d keep draws into a row of
+    ``uniforms``.  The kept entries' row indices and values are appended
+    to ``rows`` and ``vals`` and their number per column written to
+    ``counts``.  A lone column that keeps nothing keeps one entry with a
+    nonzero square, drawn next from the stream; in a chunk of several
+    columns the call appends nothing and returns False instead, so the
+    caller can redraw the chunk a column at a time.
+    """
+    d = uniforms.shape[1]
+    for normal, uniform in zip(normals, uniforms):
+        rng.standard_normal(out=normal)
+        rng.random(out=uniform)
+    # a 2-D nonzero of the mask costs several times this
+    c, r = np.divmod(np.flatnonzero(uniforms < p), d)
+    v = (normals[c, r] + 1.0) * (scale_factor * normals[c, d])
+    nonzero = v * v != 0.0
+    c, r, v = c[nonzero], r[nonzero], v[nonzero]
+    counts[:] = np.bincount(c, minlength=counts.size)
+    if not counts.all():
+        if counts.size > 1:
+            return False
+        dense = (normals[0, :d] + 1.0) * (scale_factor * normals[0, d])
+        nonzero = np.flatnonzero(dense * dense != 0.0)
+        if not nonzero.size:
+            raise ValueError("a column's squared norm underflowed to "
+                             "zero; column_scale_factor is too small")
+        r = np.array([rng.choice(nonzero)])
+        v = dense[r]
+        counts[0] = 1
+    rows.append(r)
+    vals.append(v)
+    return True
 
 
 def generate_synthetic(config: SynthConfig) -> tuple[ColumnSparseMatrix,
                                                      np.ndarray]:
     """Draw ``(A, b)`` deterministically from the config seed.
 
-    Each column is drawn once and keeps only entries with a nonzero square.
-    A column that keeps none after sparsification keeps one such entry,
-    chosen from the same stream, so every Lipschitz constant is positive.
+    Column j is ``(N(0,1) + 1) * scale_j`` with ``scale_j = scale_factor *
+    N(0,1)``, drawn from the stream as ``standard_normal(d)``, then the
+    scale, then ``random(d)`` for its keep draws, column after column;
+    each column keeps the entries whose keep draw is below the keep
+    probability and whose square is nonzero.  A column that keeps none
+    keeps one entry with a nonzero square, drawn next from the stream, so
+    every Lipschitz constant is positive; a column with no such entry is
+    rejected.
+
+    The columns are drawn into two chunk buffers of at most
+    ``CHUNK_ENTRIES`` entries (one column per chunk when a column is
+    longer) and each chunk is sparsified in one pass.  A chunk that holds
+    a column keeping nothing is drawn again from its saved generator
+    state a column at a time, so the fallback draw comes where it does in
+    a column loop: the arrays, the target and the error are those of that
+    loop bit for bit.  The buffers and the column pointers are allocated
+    before the first draw; a shape that does not fit in memory raises
+    ``ValueError`` naming ``n_rows`` or ``n_cols``.
     """
     rng = np.random.default_rng(config.seed)
     d, n = config.n_rows, config.n_cols
-    p = config.keep_probability
-    cols = []
-    for _ in range(n):
-        dense = _draw_column(rng, d, config.column_scale_factor)
-        nonzero = dense * dense != 0.0
-        keep = (rng.random(d) < p) & nonzero
-        if not keep.any():
-            if not nonzero.any():
-                raise ValueError("a column's squared norm underflowed to "
-                                 "zero; column_scale_factor is too small")
-            keep[rng.choice(np.flatnonzero(nonzero))] = True
-        idx = np.flatnonzero(keep)
-        cols.append((idx, dense[idx]))
-    matrix = ColumnSparseMatrix.from_columns(d, cols)
+    p, scale_factor = config.keep_probability, config.column_scale_factor
+    k = max(1, min(n, CHUNK_ENTRIES // (d + 1)))
+    with _allocation(f"n_rows {d}: a column that long does not fit in "
+                     "memory"):
+        normals = np.empty((k, d + 1))
+        uniforms = np.empty((k, d))
+    with _allocation(f"n_cols {n}: the column pointers of that many "
+                     "columns do not fit in memory"):
+        indptr = np.zeros(n + 1, dtype=np.int64)
+    rows, vals = [], []
+    for lo in range(0, n, k):
+        hi = min(n, lo + k)
+        state = rng.bit_generator.state
+        if not _draw_chunk(rng, normals[:hi - lo], uniforms[:hi - lo], p,
+                           scale_factor, indptr[lo + 1:hi + 1], rows, vals):
+            rng.bit_generator.state = state
+            for j in range(lo + 1, hi + 1):
+                _draw_chunk(rng, normals[:1], uniforms[:1], p,
+                            scale_factor, indptr[j:j + 1], rows, vals)
+    np.cumsum(indptr, out=indptr)
+    # rebound, so the chunk lists are freed before the matrix is checked
+    rows, vals = np.concatenate(rows), np.concatenate(vals)
+    matrix = ColumnSparseMatrix(d, indptr, rows, vals)
 
     support = rng.choice(n, size=max(1, math.ceil(config.support_frac * n)),
                          replace=False)
@@ -287,17 +366,12 @@ def take_columns(matrix: ColumnSparseMatrix, k: int,
         matrix.n_rows, (matrix.col(int(j)) for j in chosen))
 
 
-@contextlib.contextmanager
 def trace_allocation(steps: int):
     """Allocate the columns of a ``steps``-row trace inside this block; a
     length that cannot be allocated raises ``ValueError`` naming ``steps``
     instead of numpy's own size error or ``MemoryError``."""
-    try:
-        yield
-    except (MemoryError, ValueError):
-        # numpy raises ValueError for a length beyond its largest array
-        raise ValueError(f"steps {steps}: a trace that long does not fit "
-                         "in memory") from None
+    return _allocation(f"steps {steps}: a trace that long does not fit in "
+                       "memory")
 
 
 def write_csv(path, header: str, columns) -> None:

@@ -333,7 +333,9 @@ def run(config: RunConfig) -> RunResult:
                 if not keep:
                     aset = active_set(scores)
             if config.pick == "uniform-set":
-                i_t = int(aset.indices[rng.integers(len(aset))])
+                # a one-coordinate set draws nothing, as select_ascd
+                i_t = int(aset.indices[rng.integers(len(aset))
+                                       if len(aset) > 1 else 0])
             else:
                 i_t = select_ascd(scores, aset, rng)
                 ties_total += aset.ties.size

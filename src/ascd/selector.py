@@ -238,12 +238,16 @@ def select_ascd(scores: Bounds, aset: ActiveSet,
 
     The maximisers are found on the first draw from ``aset`` and kept in
     ``aset.ties``; a set drawn from again must come with lower scores equal
-    to those it was built from.
+    to those it was built from.  A pool of one coordinate draws nothing
+    from ``rng``.
     """
     if aset.ties is None:
         sub = (scores.lower if len(aset) == scores.lower.size
                else scores.lower[aset.indices])
         aset.ties = aset.indices[sub == sub.max()]
+    if aset.ties.size == 1:
+        # rng.integers(1) gives 0 and leaves the stream where it is
+        return int(aset.ties[0])
     return int(aset.ties[rng.integers(aset.ties.size)])
 
 

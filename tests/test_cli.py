@@ -8,7 +8,9 @@ import jsonschema
 import numpy as np
 import pytest
 
+import ascd.cli
 import ascd.hardcase
+import reference_synthetic
 from ascd.cli import (GENERATE_SUMMARY_SCHEMA, HARDCASE_SUMMARY_SCHEMA,
                       RATIO_SUMMARY_SCHEMA, RUN_SUMMARY_SCHEMA,
                       SWEEP_SUMMARY_SCHEMA, main)
@@ -54,6 +56,19 @@ class TestGenerate:
         matrix, _ = load_svmlight(tmp_path / "synthetic.svm")
         assert matrix.n_cols == 10
         assert np.all(np.diff(matrix.indptr) > 0)
+
+    def test_same_bytes_as_reference_generator(self, tmp_path, monkeypatch):
+        # chunks of 162 columns, the last one partial, and about one
+        # column in twenty keeping no entry of its draws
+        argv = ["generate", "--rows", "100", "--cols", "400", "--seed", "3",
+                "--sparsity-factor", "2", "--tag", "syn"]
+        assert main([*argv, "--out", str(tmp_path / "chunked")]) == 0
+        monkeypatch.setattr(ascd.cli, "generate_synthetic",
+                            reference_synthetic.generate_synthetic)
+        assert main([*argv, "--out", str(tmp_path / "reference")]) == 0
+        for name in ("syn.svm", "syn.json"):
+            assert ((tmp_path / "chunked" / name).read_bytes()
+                    == (tmp_path / "reference" / name).read_bytes())
 
 
 class TestRun:
@@ -626,6 +641,24 @@ class TestRejectedInput:
                        "fit in memory\n")
         written = os.listdir(out) if out.exists() else []
         assert not [f for f in written if f.endswith((".csv", ".json"))]
+
+    @pytest.mark.parametrize("rows,cols,flag", [
+        (2, 2 ** 50, "--cols"),
+        (2 ** 50, 2, "--rows"),
+        (2 ** 63 - 1, 2, "--rows"),
+    ], ids=["cols-2**50", "rows-2**50", "rows-int64-max"])
+    def test_generate_shape_beyond_memory(self, tmp_path, capsys, rows, cols,
+                                          flag):
+        # the first looped until killed, the second died in a traceback
+        # and the third named no flag.  At 2**50 and beyond no allocation
+        # the generator makes before its first draw can succeed
+        rc = main(["generate", "--rows", str(rows), "--cols", str(cols),
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert "fit in memory" in err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [
         ["hardcase", "--n", "10"],

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from ascd.data import (SynthConfig, _draw_column, generate_synthetic,
-                       load_svmlight, save_svmlight, take_columns, write_csv)
+import ascd.data
+import reference_synthetic
+from ascd.data import (SynthConfig, generate_synthetic, load_svmlight,
+                       save_svmlight, take_columns, write_csv)
 from ascd.problem import CompositeProblem
 from reference_svmlight import load_svmlight as reference_load
 from reference_svmlight import save_svmlight as reference_save
@@ -47,15 +50,20 @@ class TestGenerate:
                                            column_scale_factor=5e-324))
 
     def test_column_mean_tracks_one_after_scaling(self):
-        # the unit shift makes each raw column average out to its scale
+        # the unit shift makes each raw column average out to its scale;
+        # at keep probability 1 every entry is kept, and each column reads
+        # its d entries, its scale and its d keep draws from the stream
+        d, n = 4000, 20
+        config = SynthConfig(n_rows=d, n_cols=n, seed=5)
+        assert config.keep_probability == 1.0
+        m, _ = generate_synthetic(config)
         rng = np.random.default_rng(5)
-        d = 4000
-        for _ in range(20):
-            state = rng.bit_generator.state
-            col = _draw_column(rng, d, 10.0)
-            rng.bit_generator.state = state
+        for j in range(n):
             raw = rng.standard_normal(d) + 1.0
             scale = 10.0 * rng.standard_normal()
+            rng.random(d)
+            rows, col = m.col(j)
+            assert np.array_equal(rows, np.arange(d))
             assert_allclose(col, raw * scale)
             assert abs(np.mean(col / scale) - 1.0) <= 3.0 / math.sqrt(d)
 
@@ -63,6 +71,115 @@ class TestGenerate:
         m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=7))
         assert b.shape == (50,)
         assert np.std(b) > 0
+
+    def test_peak_memory_bounded_by_output(self):
+        # the columns are drawn into two small chunk buffers, never a
+        # list of per-column arrays (the column loop peaked at 3.05x)
+        tracemalloc.start()
+        try:
+            m, b = generate_synthetic(SynthConfig(n_rows=1000, n_cols=5000,
+                                                  seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(a.nbytes for a in (m.indptr, m.rows, m.vals,
+                                        m._nnz_col, b))
+        assert peak < 2.75 * output
+
+
+def _synthetic_outcome(generate, config):
+    """What a generator shows a caller: the arrays' dtypes and bytes, or
+    the error message."""
+    try:
+        matrix, target = generate(config)
+    except ValueError as exc:
+        return str(exc)
+    return [(a.dtype, a.tobytes())
+            for a in (matrix.indptr, matrix.rows, matrix.vals, target)]
+
+
+def _fallback_columns(config):
+    """The columns of the reference loop that kept no entry and drew
+    their one entry with ``rng.choice``, read off its generator calls."""
+    calls = []
+    default_rng = np.random.default_rng
+
+    class Spy:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return call
+
+    with mock.patch.object(np.random, "default_rng",
+                           lambda seed: Spy(default_rng(seed))):
+        reference_synthetic.generate_synthetic(config)
+    columns, drawn = [], 0
+    for name in calls:
+        drawn += name == "random"   # one per column
+        if name == "choice":
+            columns.append(drawn - 1)
+    return columns[:-1]             # the last draws the planted support
+
+
+class TestSynthMatchesReference:
+    """The chunked generator against the column loop of
+    ``reference_synthetic``, with the chunk budget patched small so that
+    a few columns span several chunks."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 40), st.integers(2, 40), st.integers(1, 8),
+           st.integers(0, 40), st.integers(0, 2 ** 32),
+           st.sampled_from([0.05, 1.0, 3.0, 10.0]),
+           st.sampled_from([10.0, -0.5, 1e-160, 5e-324]))
+    # below, at and across a chunk, with a partial last chunk
+    @example(7, 3, 4, 0, 1, 10.0, 10.0)
+    @example(7, 4, 4, 0, 1, 10.0, 10.0)
+    @example(7, 13, 4, 7, 1, 3.0, 10.0)
+    # kept entries that underflow, and columns that underflow whole
+    @example(20, 30, 3, 0, 2, 10.0, 1e-160)
+    @example(3, 30, 3, 0, 0, 10.0, 5e-324)
+    def test_matches_reference(self, d, n, chunk, slack, seed, sparsity,
+                               scale):
+        config = SynthConfig(n_rows=d, n_cols=n, seed=seed,
+                             sparsity_factor=sparsity,
+                             column_scale_factor=scale)
+        # a budget of ``chunk`` columns and part of one more
+        with mock.patch.object(ascd.data, "CHUNK_ENTRIES",
+                               chunk * (d + 1) + slack % (d + 1)):
+            outcome = _synthetic_outcome(generate_synthetic, config)
+        assert outcome == _synthetic_outcome(
+            reference_synthetic.generate_synthetic, config)
+
+    def test_fallback_at_every_place_in_a_chunk(self):
+        # chunks of 4 columns: on this seed the fallback fires in the
+        # first, the middle two and the last column of a chunk, and in
+        # the partial last chunk, while two chunks keep an entry in every
+        # column
+        config = SynthConfig(n_rows=3, n_cols=30, seed=10,
+                             sparsity_factor=3.0)
+        columns = _fallback_columns(config)
+        assert {j % 4 for j in columns} == {0, 1, 2, 3}
+        assert 28 in columns and {0, 1, 2, 3, 12, 13, 14, 15}.isdisjoint(
+            columns)
+        with mock.patch.object(ascd.data, "CHUNK_ENTRIES", 4 * 4):
+            outcome = _synthetic_outcome(generate_synthetic, config)
+        assert outcome == _synthetic_outcome(
+            reference_synthetic.generate_synthetic, config)
+
+    @pytest.mark.parametrize("d,n", [(1000, 300), (5, 3000), (20000, 3)])
+    def test_default_chunks_match_reference(self, d, n):
+        # 16-column chunks with a partial last one, a single partial
+        # chunk, and columns longer than a chunk buffer, one per chunk
+        config = SynthConfig(n_rows=d, n_cols=n, seed=3)
+        assert (_synthetic_outcome(generate_synthetic, config)
+                == _synthetic_outcome(reference_synthetic.generate_synthetic,
+                                      config))
 
 
 class TestSvmlight:

@@ -465,6 +465,23 @@ class TestPicks:
         assert set(picks) == {0, 1}
         assert abs((picks == 0).mean() - 0.5) < 0.02
 
+    @pytest.mark.parametrize("before", [0, 1, 2, 3])
+    def test_one_coordinate_pool_draws_nothing(self, before):
+        # select_ascd and the uniform-set pick take a pool of one without
+        # a draw; every digest stays as it was only because
+        # ``rng.integers(1)`` gives 0 and leaves the stream where it is,
+        # with or without a spare 32 bits carried from the last draw
+        rng = np.random.default_rng(17)
+        rng.integers(2 ** 31, size=before)
+        state = rng.bit_generator.state
+        assert rng.integers(1) == 0
+        assert rng.bit_generator.state == state
+        b = Bounds(upper=np.array([1.0, 3.0, 1.0]),
+                   lower=np.array([1.0, 3.0, 1.0]))
+        aset = active_set(b)
+        assert select_ascd(b, aset, rng) == 1 and aset.ties.size == 1
+        assert rng.bit_generator.state == state
+
 
 class TestUpdateEstimates:
     def test_arithmetic(self):
