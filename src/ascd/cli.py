@@ -141,22 +141,29 @@ def _out_dir(args) -> str:
 def _parse_steps(text: str, n: int) -> int:
     """Either a positive count or a positive multiple of the dimension,
     e.g. ``10n``, that the trace's 64-bit step index can count; a
-    rejection names ``--steps``."""
-    text = text.strip().lower()
+    rejection names ``--steps``, and a value that is neither form echoes
+    as typed."""
+    value = text.strip().lower()
+    multiple = value.endswith("n")
     try:
-        if text.endswith("n"):
-            count = float(text[:-1] or "1") * n
-            if not (np.isfinite(count) and count > 0):
-                raise ValueError("the step count is not positive and finite")
-            steps = max(1, int(round(count)))
-        else:
-            steps = int(text)
-    except ValueError as exc:
-        raise ValueError(f"--steps {text}: {exc}") from exc
+        number = float(value[:-1] or "1") if multiple else int(value)
+    except ValueError:
+        if not (value.isascii() and value.isdecimal()):
+            raise ValueError(f"--steps {text!r}: expected a positive integer "
+                             "or a multiple of n such as 10n") from None
+        # int() refuses more than 4300 digits: a count beyond int64
+        number = np.inf
+    steps = number
+    if multiple:
+        count = number * n
+        if not (np.isfinite(count) and count > 0):
+            raise ValueError(f"--steps {value}: the step count is not "
+                             "positive and finite")
+        steps = max(1, int(round(count)))
     if steps < 1:
-        raise ValueError(f"--steps {text}: need at least one step")
+        raise ValueError(f"--steps {value}: need at least one step")
     if steps > np.iinfo(np.int64).max:
-        raise ValueError(f"--steps {text}: more steps than a 64-bit "
+        raise ValueError(f"--steps {value}: more steps than a 64-bit "
                          "index counts")
     return steps
 

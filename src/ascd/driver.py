@@ -266,9 +266,9 @@ def _scores(rule: str, est: GradientEstimate, x: np.ndarray,
         b = compute_bounds(est)
         lower, upper = b.lower, b.upper
     if lower is upper:
-        # an exact estimate: one array of scores, squared once
-        s = lower ** 2
-        return Bounds(upper=s, lower=s)
+        # an exact estimate: one fresh array of scores, squared in place
+        np.square(lower, out=lower)
+        return Bounds(upper=lower, lower=lower)
     return Bounds(upper=upper ** 2, lower=lower ** 2)
 
 

@@ -102,6 +102,10 @@ class OracleContext:
     the dense Gram matrix, built once.  With more columns a row-major copy
     of A is built once instead (O(nnz) memory), and row i gathers the rows
     of A that meet a_i's support, at ``O(sum of their nnz)`` per query.
+    The copy's order is a stable argsort of the row ids cast to the
+    narrowest unsigned type that holds ``n_rows - 1``: up to 65536 rows
+    numpy sorts those by radix, and the permutation is the one an int64
+    sort gives.
     """
 
     def __init__(self, spec: OracleSpec, matrix: ColumnSparseMatrix):
@@ -116,13 +120,12 @@ class OracleContext:
             self.gram = dense.T @ dense
             return
         # stable: each row of A lists its entries in increasing column order
-        order = np.argsort(matrix.rows, kind="stable")
+        narrow = np.min_scalar_type(matrix.n_rows - 1)
+        order = np.argsort(matrix.rows.astype(narrow), kind="stable")
         self._row_ptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows),
                   out=self._row_ptr[1:])
-        self._row_cols = np.repeat(
-            np.arange(matrix.n_cols, dtype=np.int32),
-            np.diff(matrix.indptr))[order]
+        self._row_cols = matrix._nnz_col[order].astype(np.int32)
         self._row_vals = matrix.vals[order]
 
     def _dot_row(self, i: int) -> np.ndarray:

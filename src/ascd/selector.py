@@ -102,7 +102,9 @@ class ActiveSet:
     coordinate was certified strictly worse than this in-set average.
     ``top`` is the best lower score over all coordinates, NaN for a set
     not built by ``active_set``.  ``ties`` is the pick's draw pool, the
-    set's maximisers of the lower score, cached by ``select_ascd``.
+    set's maximisers of the lower score: ``active_set`` sets it when one
+    array of scores names the maximisers as the set, and ``select_ascd``
+    finds and caches it otherwise.
     """
 
     indices: np.ndarray
@@ -150,7 +152,8 @@ def active_set(scores: Bounds) -> ActiveSet:
     * one array as both bounds (``lower is upper``): only its maximisers
       reach ``top``, they lead the stable order and every other score is
       below ``top``, so they are the set whenever their average rounds to
-      ``top``;
+      ``top``, and also the pick's draw pool, returned as ``ties`` (on the
+      first path too, when every score is a maximiser);
     * an ``O(n)`` screen: the prefix reaches at least the stable position
       ``p`` of the last coordinate reaching ``top``; when ``p = n`` the set
       is all of [n], and when the ``p`` coordinates up to it already form a
@@ -173,7 +176,9 @@ def active_set(scores: Bounds) -> ActiveSet:
             # below top
             av = top if p == 1 else min(np.cumsum(at)[-1] / p, top)
             if av == top:
-                return ActiveSet(indices=reach, avg_score=float(av), top=top)
+                # the maximisers are also the pick's draw pool
+                return ActiveSet(indices=reach, avg_score=float(av), top=top,
+                                 ties=reach)
         # the last of them in stable order: smallest lower score m, then
         # largest index j; the prefix up to it is every larger lower score
         # and the ties for m up to index j
@@ -190,9 +195,12 @@ def active_set(scores: Bounds) -> ActiveSet:
                 return ActiveSet(indices=np.flatnonzero(inside),
                                  avg_score=float(av), top=top)
     if p == n:
-        # nothing is excluded, the average is no threshold
-        return ActiveSet(indices=np.arange(n),
-                         avg_score=float(min(lower.sum() / n, top)), top=top)
+        # nothing is excluded, the average is no threshold; one array
+        # reaches top everywhere only when every score is a maximiser
+        everything = np.arange(n)
+        return ActiveSet(indices=everything,
+                         avg_score=float(min(lower.sum() / n, top)), top=top,
+                         ties=everything if lower is upper else None)
     order = np.argsort(-lower, kind="stable")
     ranked = lower[order]
     # capped, a rounded average cannot drop a tie for the best lower score
@@ -236,9 +244,10 @@ def select_ascd(scores: Bounds, aset: ActiveSet,
                 rng: np.random.Generator) -> int:
     """Uniform draw among the maximisers of the lower score over the set.
 
-    The maximisers are found on the first draw from ``aset`` and kept in
-    ``aset.ties``; a set drawn from again must come with lower scores equal
-    to those it was built from.  A pool of one coordinate draws nothing
+    The maximisers come preset in ``aset.ties`` when ``active_set`` knew
+    them; otherwise they are found on the first draw from ``aset`` and kept
+    there.  A set drawn from again must come with lower scores equal to
+    those it was built from.  A pool of one coordinate draws nothing
     from ``rng``.
     """
     if aset.ties is None:
@@ -293,17 +302,30 @@ def gss_score_interval(estimate: GradientEstimate, x: np.ndarray,
     the distances from that interval; an exact estimate gets the score at
     ``g`` as both ends.  ``lam = 0`` reduces to the plain gradient
     magnitude bounds.
+
+    The exact score is one fresh array: ``max(|g| - lam, 0)`` over all n,
+    then ``|g + lam * sign(x_i)|`` on x's support only.  It has the bits of
+    ``_distance_range`` at ``lo = hi = g``: at ``x_i = 0``,
+    ``max(-lam - g, g - lam)`` is exactly ``|g| - lam``, and at
+    ``x_i != 0``, ``a - g`` is exactly ``-(g + lam * sign(x_i))``, since
+    rounding a sum commutes with negating it; a zero score is ``+0.0``
+    either way.
     """
     if reg.kind not in ("none", "l1"):
         raise ValueError("gs-s scores support only the l1 penalty")
     lam = reg.lam
+    g, r = estimate.g, estimate.r
+    if estimate.is_exact:
+        d = np.abs(g)
+        d -= lam
+        np.maximum(d, 0.0, out=d)
+        nz = (x != 0.0).nonzero()[0]
+        if nz.size:
+            d[nz] = np.abs(g[nz] + lam * np.sign(x[nz]))
+        return d, d
     at_zero = x == 0.0
     a = np.where(at_zero, -lam, -lam * np.sign(x))
     b = np.where(at_zero, lam, a)
-    g, r = estimate.g, estimate.r
-    if estimate.is_exact:
-        d = np.maximum(np.maximum(a - g, g - b), 0.0)
-        return d, d
     return _distance_range(g - r, g + r, a, b)
 
 

@@ -3,7 +3,9 @@
 ``ascd.oracles.oracle_row`` answers a whole row at once; the tests compare
 it entry by entry against ``oracle_estimate`` here, which computes one pair
 ``(i, j)`` straight from the two sparse columns, and its exact rows bit for
-bit against ``col_dots_row``.
+bit against ``col_dots_row``.  ``int64_row_major`` builds the row-major
+copy of A from an int64 sort, the order the narrow-dtype sort of
+``OracleContext`` must reproduce.
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,18 @@ def col_dots_row(matrix: ColumnSparseMatrix, i: int) -> np.ndarray:
     dense = np.zeros(matrix.n_rows)
     dense[rows] = vals
     return matrix.col_dots(dense)
+
+
+def int64_row_major(matrix: ColumnSparseMatrix):
+    """Row pointers, column ids and values of the row-major copy of A,
+    ordered by a stable argsort of the int64 row ids."""
+    order = np.argsort(matrix.rows, kind="stable")
+    row_ptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows),
+              out=row_ptr[1:])
+    row_cols = np.repeat(np.arange(matrix.n_cols, dtype=np.int32),
+                         np.diff(matrix.indptr))[order]
+    return row_ptr, row_cols, matrix.vals[order]
 
 
 def jl_simulated_product(matrix: ColumnSparseMatrix, i: int, j: int,

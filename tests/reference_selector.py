@@ -1,8 +1,11 @@
-"""Sorted-prefix reference for the safe active set.
+"""References for the selector's short cuts.
 
 ``ascd.selector.active_set`` screens for the prefix length in O(n) and
 sorts only when the screen cannot decide; ``sorted_active_set`` here always
 runs the full stable sort, the definition the screen must reproduce.
+``gss_exact_squared`` is the gs-s score of an exact estimate as the segment
+distance over all n, in the units ``driver._scores`` returns; the one-pass
+score of ``ascd.selector.gss_score_interval`` must give its bits.
 """
 
 import numpy as np
@@ -28,3 +31,13 @@ def sorted_active_set(scores: Bounds) -> ActiveSet:
     valid = tail < av
     k = int(np.argmax(valid)) + 1 if valid.any() else n
     return ActiveSet(indices=np.sort(order[:k]), avg_score=float(av[k - 1]))
+
+
+def gss_exact_squared(g: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
+    """Squared distance from g to the segment ``[a, b] = -subdiff lam|x_i|``
+    of every coordinate."""
+    at_zero = x == 0.0
+    a = np.where(at_zero, -lam, -lam * np.sign(x))
+    b = np.where(at_zero, lam, a)
+    d = np.maximum(np.maximum(a - g, g - b), 0.0)
+    return d ** 2

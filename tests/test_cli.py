@@ -507,6 +507,10 @@ class TestRejectedInput:
                      id="run-steps-beyond-int64"),
         pytest.param(["run", "--data", "{data}", "--steps", "1e30n"],
                      "--steps", id="run-steps-multiple-beyond-int64"),
+        # int() refuses counts of more than 4300 digits
+        pytest.param(["run", "--data", "{data}", "--steps", "9" * 5000],
+                     "more steps than a 64-bit index counts",
+                     id="run-steps-beyond-int-digits"),
         # a worker count below one used to run serially
         pytest.param(["sweep", "--data", "{data}", "--steps", "1n",
                       "--jobs", "0"], "--jobs", id="sweep-jobs-zero"),
@@ -578,6 +582,24 @@ class TestRejectedInput:
         written = os.listdir(out) if out.exists() else []
         assert not [f for f in written if f.endswith((".csv", ".json",
                                                       ".svm"))]
+
+    # each printed Python's conversion error: "nan" lost its last letter
+    # to the multiple's suffix, the others failed int()
+    @pytest.mark.parametrize("command,value", [
+        ("run", "nan"), ("run", "NaN"), ("run", "1e3"), ("run", "inf"),
+        ("run", "-inf"), ("run", "1.5"), ("run", "ten"), ("run", "n10"),
+        ("run", ""), ("sweep", "nan"), ("sweep", "1e3")])
+    def test_steps_not_a_count(self, dataset, tmp_path, capsys, command,
+                               value):
+        out = tmp_path / "out"
+        extra = ["--seeds", "1,2"] if command == "sweep" else []
+        rc = main([command, "--data", str(dataset), f"--steps={value}",
+                   *extra, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"error: --steps {value!r}: expected a positive "
+                       "integer or a multiple of n such as 10n\n")
+        assert not out.exists() or not os.listdir(out)
 
     def test_steps_beyond_memory(self, dataset, tmp_path, capsys,
                                  monkeypatch):

@@ -8,7 +8,7 @@ import ascd.oracles
 from ascd.oracles import (_SALT_G2, OracleContext, OracleSpec, _pair_uniform,
                           oracle_row)
 from ascd.problem import ColumnSparseMatrix
-from reference_oracle import (col_dots_row, exact_change,
+from reference_oracle import (col_dots_row, exact_change, int64_row_major,
                               jl_simulated_product, oracle_estimate)
 
 
@@ -209,6 +209,25 @@ class TestOracleRow:
             assert np.array_equal(
                 est, np.clip(ref + eps * bounds * u, -bounds, bounds))
             assert np.array_equal(err, eps * bounds)
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 255, 256, 257, 65535, 65536,
+                                        65537])
+    def test_narrow_sort_keeps_the_int64_order(self, monkeypatch, n_rows):
+        # row ids one below, at and above the 8- and 16-bit limits, with
+        # rows every column shares, so the sort's stability shows
+        rng = np.random.default_rng(n_rows)
+        columns = []
+        for _ in range(6):
+            rows = np.unique(np.concatenate(
+                [[0, n_rows - 1], rng.integers(n_rows, size=3)]))
+            columns.append((rows, rng.uniform(1.0, 2.0, rows.size)))
+        m = ColumnSparseMatrix.from_columns(n_rows, columns)
+        monkeypatch.setattr(ascd.oracles, "GRAM_LIMIT", 0)
+        ctx = OracleContext(OracleSpec("g1"), m)
+        got = (ctx._row_ptr, ctx._row_cols, ctx._row_vals)
+        for have, want in zip(got, int64_row_major(m)):
+            assert have.dtype == want.dtype
+            assert have.tobytes() == want.tobytes()
 
     def test_row_deterministic(self):
         m = make_matrix(12)

@@ -1,4 +1,5 @@
 from itertools import combinations
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from ascd.selector import (ActiveSet, Bounds, GradientEstimate,
                            gsr_bounds, gss_score_interval, score_one,
                            select_ascd, select_scd, select_ucd,
                            update_estimates)
-from reference_selector import sorted_active_set
+from reference_selector import gss_exact_squared, sorted_active_set
 
 INF = np.inf
 
@@ -342,6 +343,44 @@ class TestOneArraySet:
         assert np.array_equal(one.indices, two.indices)
         assert one.avg_score == two.avg_score
         assert (one_calls == 0) == shortcut
+
+
+class TestTiePool:
+    """The one-array set hands its maximisers to the pick as ``ties``."""
+
+    @pytest.mark.parametrize("s", [
+        [0.5, 3.0, 1.0], [3.0, 1.0, 3.0, 0.0, 3.0], [2.0] * 5],
+        ids=["single-max", "many-ties", "all-equal"])
+    def test_one_array_set_names_the_pool(self, s):
+        s = np.array(s)
+        aset = active_set(Bounds(upper=s, lower=s))
+        at = s[aset.indices]
+        assert np.array_equal(aset.ties, aset.indices[at == at.max()])
+
+    @given(st.integers(1, 24).flatmap(_one_array_scores),
+           st.integers(0, 2 ** 32))
+    @example(np.array([0.5, 3.0, 1.0]), 0)
+    @example(np.array([3.0, 1.0, 3.0, 0.0, 3.0]), 1)
+    @example(np.array([2.0] * 5), 2)
+    # the maximisers' average rounds below them: no preset pool
+    @example(np.array([0.7, 0.7, 0.7, 0.1]), 3)
+    def test_preset_pool_draws_as_gathered(self, s, seed):
+        b = Bounds(upper=s, lower=s)
+        preset = active_set(b)
+        if preset.ties is not None:
+            at = s[preset.indices]
+            assert np.array_equal(preset.ties,
+                                  preset.indices[at == at.max()])
+        cleared = replace(preset, ties=None)
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert select_ascd(b, preset, one) == select_ascd(b, cleared, two)
+        assert one.bit_generator.state == two.bit_generator.state
+        assert np.array_equal(preset.ties, cleared.ties)
+
+    def test_intervals_leave_the_pool_to_the_pick(self):
+        s = np.array([2.0, 1.0, 2.0, 0.5])
+        assert active_set(Bounds(upper=s.copy(), lower=s)).ties is None
+        assert active_set(Bounds(upper=np.full(4, INF), lower=s)).ties is None
 
 
 class TestExactEstimate:
@@ -789,3 +828,58 @@ class TestScoreOne:
         assert type(lower) is float and type(upper) is float
         assert _bits(lower) == _bits(want.lower[0])
         assert _bits(upper) == _bits(want.upper[0])
+
+
+def _ulps(v):
+    return [v, float(np.nextafter(v, INF)), float(np.nextafter(v, -INF))]
+
+
+@st.composite
+def _exact_gss(draw):
+    """An exact gradient, its iterate and an l1 weight: x at the signed
+    zeros, +-lam and an ulp off lam; g at the signed zeros, +-lam, an ulp
+    off either, and +-inf; lam = 0 or not."""
+    n = draw(st.integers(1, 16))
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
+    x = draw(arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, -lam, *_ulps(lam)]),
+        st.floats(-5.0, 5.0))))
+    g = draw(arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, INF, -INF, *_ulps(lam), *_ulps(-lam)]),
+        st.floats(-20.0, 20.0), _ANY)))
+    return g, x, lam
+
+
+class TestExactGssScore:
+    """The one-pass gs-s score of an exact estimate has the bits of the
+    segment distance over all n, signed zeros included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_exact_gss())
+    @example((np.array([-0.0, 0.0, 1.0, -1.0, INF, -INF]),
+              np.array([0.0, -0.0, 1.0, -1.0, 0.0, 2.0]), 1.0))
+    @example((np.array([-0.0, 0.0, 3.0, -INF]),
+              np.array([-0.0, 1.0, -1.0, -1.0]), 0.0))
+    def test_bits_match_the_segment_distance(self, drawn):
+        g, x, lam = drawn
+        problem = SimpleNamespace(lipschitz_max=1.0,
+                                  psi_reg=Regularizer("l1", lam))
+        e = GradientEstimate.exact(g)
+        # squares of the largest floats overflow to inf on both sides
+        with np.errstate(over="ignore"):
+            got = _scores("ascd-gss", e, x, problem)
+            want = gss_exact_squared(g, x, lam)
+        assert got.lower is got.upper
+        assert got.lower.tobytes() == want.tobytes()
+        # squared in place, on an array the estimate does not share
+        assert e.g.tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("rule", ["ascd", "ascd-gss", "ascd-gsr"])
+    def test_exact_scores_leave_the_estimate(self, rule):
+        g = np.array([-2.0, 0.5, 0.0, 3.0])
+        problem = SimpleNamespace(lipschitz_max=2.0,
+                                  psi_reg=Regularizer("l1", 1.0))
+        e = GradientEstimate.exact(g)
+        got = _scores(rule, e, np.array([0.0, 1.0, -1.0, 0.0]), problem)
+        assert got.lower is got.upper
+        assert np.array_equal(e.g, g)
