@@ -1,11 +1,11 @@
-"""Coordinate descent with uniform, steepest and approximate-steepest
-coordinate selection, plus the measurement tools around them."""
+"""Coordinate descent with uniform and approximate-steepest selection
+(steepest on exact gradients), plus the measurement tools around them."""
 
 from .problem import (ColumnSparseMatrix, CompositeProblem, Regularizer,
                       ResidualState, model_value)
 from .oracles import OracleSpec
 from .selector import (ActiveSet, Bounds, GradientEstimate, active_set,
-                       compute_bounds, select_ascd, select_scd, select_ucd)
+                       compute_bounds, select_ascd, select_ucd)
 from .driver import (RunConfig, RunResult, UpdateRule, progress_delta,
                      progress_tau, run, write_trace_csv)
 from .hardcase import HardCase, LowDimEmbedding, embed_lowdim, solve_c_alpha
@@ -18,7 +18,7 @@ __all__ = [
     "ColumnSparseMatrix", "CompositeProblem", "Regularizer", "ResidualState",
     "model_value", "OracleSpec",
     "ActiveSet", "Bounds", "GradientEstimate", "active_set", "compute_bounds",
-    "select_ascd", "select_scd", "select_ucd", "RunConfig", "RunResult",
+    "select_ascd", "select_ucd", "RunConfig", "RunResult",
     "UpdateRule", "progress_delta", "progress_tau", "run", "write_trace_csv",
     "HardCase", "LowDimEmbedding", "embed_lowdim", "solve_c_alpha",
     "RatioSimConfig", "rho_infinity", "simulate_rho", "SynthConfig",

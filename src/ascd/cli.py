@@ -36,7 +36,7 @@ from .oracles import ORACLE_KINDS, OracleSpec
 from .problem import CompositeProblem, Regularizer
 from .ratiosim import RatioSimConfig, rho_infinity, simulate_rho
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # JSON summary schemas (field names are part of the CLI contract)
 _COMMON = {"schema_version": {"type": "integer"},
@@ -306,6 +306,7 @@ def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
         time_steps=flags["time"],
     )
     result = _named(_RUN_FLAGS, run, config)
+    _, oracle, init, pick = config.resolved()
     trace_path = os.path.join(out_dir, flags["tag"] + ".csv")
     write_trace_csv(result, trace_path)
     summary = {
@@ -316,14 +317,14 @@ def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
         "n_cols": problem.n,
         "rule": flags["rule"],
         "update": asdict(config.update),
-        "oracle": asdict(spec),
+        "oracle": asdict(oracle) if oracle else None,
         "l1": flags["l1"],
         "l2": flags["l2"],
         "steps": steps,
         "epochs": steps / problem.n,
         "seed": flags["seed"],
-        "init": flags["init"],
-        "pick": flags["pick"],
+        "init": init,
+        "pick": pick,
         "final_f": result.final_f,
         "mean_active_size": result.mean_active_size,
         "mean_pick_pool": result.mean_pick_pool,

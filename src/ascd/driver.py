@@ -1,17 +1,17 @@
 """The descent loop: update rules, estimate bookkeeping, traces, diagnostics.
 
 One run executes a fixed budget of single-coordinate steps.  Selection is
-uniform (``ucd``), steepest with a fresh full gradient every step (``scd``),
-or a tracked rule that runs the score, set and pick stages of ``selector``.
-``_scores`` fixes the units: ``ascd-gsq`` compares the negated model
-decrease bounds, every other tracked rule its magnitude interval squared;
-every tracked rule then keeps the safe set.  With g1 and a true-gradient
-start the estimate stays exact, so the magnitude rules score one array and
-their set is the maximisers of that score: the steepest rule on the
-estimate.  The pick ``argmax-lower`` takes the best lower score (greedy;
-degenerates to hammering one coordinate when every other bound has
-collapsed), while ``uniform-set`` draws uniformly from the set, the regime
-the one-step progress and equilibrium analyses describe.
+uniform (``ucd``) or a tracked rule that runs the score, set and pick
+stages of ``selector``.  ``_scores`` fixes the units: ``ascd-gsq`` compares
+the negated model decrease bounds, every other tracked rule its magnitude
+interval squared; every tracked rule then keeps the safe set.  With g1 and
+a true-gradient start the estimate stays exact, so the magnitude rules
+score one array and their set is its maximisers: the steepest rule, which
+``scd`` runs (``RunConfig.resolved``).  The pick ``argmax-lower`` takes the
+best lower score (greedy; degenerates to hammering one coordinate when
+every other bound has collapsed), while ``uniform-set`` draws uniformly
+from the set, the regime the one-step progress and equilibrium analyses
+describe.
 
 The loop keeps the score stage's bounds across steps.  After a step that
 moved x it scores all n coordinates with ``_scores``; after a zero step it
@@ -50,7 +50,7 @@ from .problem import CompositeProblem, ResidualState
 from .selector import (ActiveSet, Bounds, GradientEstimate, active_set,
                        compute_bounds, gsq_bounds, gsr_bounds,
                        gss_score_interval, score_one, select_ascd,
-                       select_scd, select_ucd, update_estimates)
+                       select_ucd, update_estimates)
 
 __all__ = [
     "UpdateRule",
@@ -182,6 +182,19 @@ class RunConfig:
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
+    def resolved(self) -> tuple[str, OracleSpec | None, str, str]:
+        """The score rule, oracle, init and pick the run executes: ``scd``
+        runs g1 from a true-gradient start under ``argmax-lower``, scoring
+        the magnitude on a smooth problem and gs-s under l1; ``ucd`` reads
+        no oracle."""
+        if self.rule == "scd":
+            l1 = self.problem.psi_reg.kind == "l1"
+            return ("ascd-gss" if l1 else "ascd", OracleSpec("g1"),
+                    "true-gradient", "argmax-lower")
+        if self.rule == "ucd":
+            return self.rule, None, self.init, self.pick
+        return self.rule, self.oracle or OracleSpec("g3"), self.init, self.pick
+
 
 @dataclass
 class RunResult:
@@ -198,7 +211,7 @@ class RunResult:
     wall_ns: np.ndarray
     gamma: np.ndarray
     # mean size of the pool the pick draws from: the set's ties for the
-    # best lower score under argmax-lower, else the set (n for ucd)
+    # best lower score under argmax-lower and scd, else the set (n for ucd)
     mean_pick_pool: float
     final_x: np.ndarray
     final_f: float
@@ -219,8 +232,7 @@ class RunResult:
         return {
             "distinct_picks": int(np.unique(self.i).size),
             "useful_steps": useful,
-            "oracle_rows": useful if self.config.rule not in ("ucd", "scd")
-            else 0,
+            "oracle_rows": useful if self.config.rule != "ucd" else 0,
             "min_active_size": int(self.active_size.min()),
             "max_active_size": int(self.active_size.max()),
         }
@@ -283,12 +295,12 @@ def run(config: RunConfig) -> RunResult:
     steps = config.steps
     cols = allocate_trace(steps)
 
-    tracked = config.rule not in ("ucd", "scd")
+    rule, spec, init, pick = config.resolved()
+    tracked = rule != "ucd"
     est = ctx = None
     if tracked:
-        spec = config.oracle or OracleSpec("g3")
         ctx = OracleContext(spec, problem.matrix)
-        if config.init == "true-gradient":
+        if init == "true-gradient":
             est = GradientEstimate.exact(problem.full_gradient(state))
         else:
             est = GradientEstimate.uninformed(n)
@@ -298,7 +310,7 @@ def run(config: RunConfig) -> RunResult:
     # kept across zero steps, dropped when x moves
     scores = f = None
     t_start = time.perf_counter()
-    if config.rule == "ucd":
+    if not tracked:
         # every coordinate, the same set on every step; every pick drawn
         # up front into the trace
         aset = ActiveSet(indices=np.arange(n), avg_score=0.0)
@@ -306,21 +318,16 @@ def run(config: RunConfig) -> RunResult:
 
     for t in range(steps):
         tick = time.perf_counter_ns() if config.time_steps else 0
-        true_g = None
-        if config.rule == "scd":
-            true_g = problem.full_gradient(state)
-            i_t = select_scd(true_g)
-            aset = ActiveSet(indices=np.array([i_t]), avg_score=float(true_g[i_t] ** 2))
-        elif config.rule == "ucd":
+        if not tracked:
             i_t = int(cols["i"][t])
         else:
             if scores is None:
-                scores = _scores(config.rule, est, state.x, problem)
+                scores = _scores(rule, est, state.x, problem)
                 aset = active_set(scores)
             else:
                 # a zero step changed only the last pick's g and r
                 lower, upper = score_one(
-                    config.rule, float(est.g[i_t]), float(est.r[i_t]),
+                    rule, float(est.g[i_t]), float(est.r[i_t]),
                     est.is_exact, float(state.x[i_t]),
                     problem.lipschitz_max, problem.psi_reg)
                 # the same lower score, and an upper score reaching the
@@ -332,7 +339,7 @@ def run(config: RunConfig) -> RunResult:
                 scores.lower[i_t], scores.upper[i_t] = lower, upper
                 if not keep:
                     aset = active_set(scores)
-            if config.pick == "uniform-set":
+            if pick == "uniform-set":
                 # a one-coordinate set draws nothing, as select_ascd
                 i_t = int(aset.indices[rng.integers(len(aset))
                                        if len(aset) > 1 else 0])
@@ -346,8 +353,7 @@ def run(config: RunConfig) -> RunResult:
         cols["f"][t] = f
         cols["active_size"][t] = len(aset)
         if diag_every and t % diag_every == 0:
-            if true_g is None:
-                true_g = problem.full_gradient(state)
+            true_g = problem.full_gradient(state)
             grad_inf = float(np.max(np.abs(true_g)))
             cols["grad_inf"][t] = grad_inf
             cols["grad2sq"][t] = float(true_g @ true_g)
@@ -360,9 +366,9 @@ def run(config: RunConfig) -> RunResult:
             if tracked and np.any(np.abs(true_g - est.g) > est.r + tol):
                 sound_bad += 1
             # only the safe set on squared magnitudes promises the sandwich
-            # and containment; ucd and scd hold them by construction, the
-            # other scores need not
-            if config.rule == "ascd":
+            # and containment; ucd holds them by construction, the other
+            # scores need not
+            if rule == "ascd":
                 slack = SANDWICH_SLACK
                 if (tau_u > tau_a * (1 + slack) + 1e-300
                         or tau_a > tau_s * (1 + slack) + 1e-300):
@@ -398,7 +404,7 @@ def run(config: RunConfig) -> RunResult:
         if config.time_steps:
             cols["wall_ns"][t] = time.perf_counter_ns() - tick
 
-    tie_pool = tracked and config.pick == "argmax-lower"
+    tie_pool = tracked and pick == "argmax-lower"
     return RunResult(
         config=config,
         **cols,

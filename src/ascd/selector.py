@@ -1,29 +1,29 @@
 """Coordinate selection rules.
 
-Uniform and steepest selection are one-liners.  The approximate-steepest
-rules track, for every coordinate, an estimate of the smooth partial
-gradient with a certified error radius, and select in three stages.  The
-*score* stage brackets each coordinate's score in a ``Bounds`` interval,
-larger being better: the gradient magnitude (``compute_bounds``), the
-steepest directional derivative (gs-s), the model step length (gs-r) or the
-best model decrease (gs-q); the first three are distances to a segment,
-bracketed by one helper, ``_distance_range``.  An exact estimate (every
-radius 0, ``GradientEstimate.is_exact``) scores once: those three stages
-evaluate the distance at ``g`` and return that one array as both bounds
-(``lower is upper``).  gs-q keeps two bounds even then, because its upper
-bound keeps the ``y = 0`` fallback ``psi(x_i)``.  ``score_one`` scores one
-coordinate on Python floats, for the loop's rescoring after a zero step; it
-returns the bits the array stages give that coordinate, signed zeros
-included.  The *set* stage,
-``active_set``, keeps the smallest prefix, in descending order of the lower
-score, that provably contains the best coordinate.  It tries, in order:
-all of [n] when every upper score reaches the best lower score, the
-maximisers of one array of scores, an O(n) screen for the prefix length,
-and a full sort as the fallback.  The *pick*, ``select_ascd``, draws among
-the best lower scores of the set; the safe set keeps every maximiser of
-the lower score, whose upper score reaches every prefix average.  Set and
-pick compare scores as given; the caller of the score stage chooses the
-units.
+Uniform selection draws its picks in blocks.  The tracked rules keep, for
+every coordinate, an estimate of the smooth partial gradient with a
+certified error radius, and select in three stages; steepest selection is a
+tracked rule on an exact estimate.  The *score* stage brackets each
+coordinate's score in a ``Bounds`` interval, larger being better: the
+gradient magnitude (``compute_bounds``), the steepest directional
+derivative (gs-s), the model step length (gs-r) or the best model decrease
+(gs-q); the first three are distances to a segment, bracketed by one
+helper, ``_distance_range``.  An exact estimate (every radius 0,
+``GradientEstimate.is_exact``) scores once: those three stages evaluate the
+distance at ``g`` and return that one array as both bounds (``lower is
+upper``).  gs-q keeps two bounds even then, because its upper bound keeps
+the ``y = 0`` fallback ``psi(x_i)``.  ``score_one`` scores one coordinate
+on Python floats, for the loop's rescoring after a zero step; it returns
+the bits the array stages give that coordinate, signed zeros included.  The
+*set* stage, ``active_set``, keeps the smallest prefix, in descending order
+of the lower score, that provably contains the best coordinate.  It tries,
+in order: all of [n] when every upper score reaches the best lower score,
+the maximisers of one array of scores, an O(n) screen for the prefix
+length, and a full sort as the fallback.  The *pick*, ``select_ascd``,
+draws among the best lower scores of the set; the safe set keeps every
+maximiser of the lower score, whose upper score reaches every prefix
+average.  Set and pick compare scores as given; the caller of the score
+stage chooses the units.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "compute_bounds",
     "active_set",
     "select_ucd",
-    "select_scd",
     "select_ascd",
     "update_estimates",
     "gss_score_interval",
@@ -231,13 +230,6 @@ def select_ucd(n: int, rng: np.random.Generator, out: np.ndarray) -> None:
     for lo in range(0, out.size, UCD_BLOCK):
         block = out[lo:lo + UCD_BLOCK]
         block[:] = rng.integers(n, size=block.size)
-
-
-def select_scd(gradient: np.ndarray) -> int:
-    """Steepest coordinate: argmax of |gradient|, lowest index on ties."""
-    if gradient.size < 1:
-        raise ValueError("need at least one coordinate")
-    return int(np.argmax(np.abs(gradient)))
 
 
 def select_ascd(scores: Bounds, aset: ActiveSet,

@@ -15,7 +15,9 @@ from ascd.cli import (GENERATE_SUMMARY_SCHEMA, HARDCASE_SUMMARY_SCHEMA,
                       RATIO_SUMMARY_SCHEMA, RUN_SUMMARY_SCHEMA,
                       SWEEP_SUMMARY_SCHEMA, main)
 from ascd.data import SynthConfig, load_svmlight
-from ascd.driver import TRACE_COLUMNS, TRACE_HEADER
+from ascd.driver import TRACE_COLUMNS, TRACE_HEADER, UpdateRule
+from ascd.problem import CompositeProblem, Regularizer
+from reference_scd import steepest_descent
 
 
 def read_json(path):
@@ -86,7 +88,7 @@ class TestRun:
         assert summary["epochs"] == pytest.approx(10.0)
         assert "wall_time_s" not in summary
 
-    @pytest.mark.parametrize("rule", ["ascd", "ucd"])
+    @pytest.mark.parametrize("rule", ["ascd", "ucd", "scd"])
     def test_summary_counters_match_trace(self, dataset, tmp_path, rule):
         rc = main(["run", "--data", str(dataset), "--l1", "0.5",
                    "--rule", rule, "--oracle", "g1", "--update",
@@ -96,9 +98,10 @@ class TestRun:
         summary = read_json(tmp_path / "c.json")
         trace = np.genfromtxt(tmp_path / "c.csv", delimiter=",",
                               names=True)
-        assert summary["schema_version"] == 5
+        assert summary["schema_version"] == 6
         assert summary["distinct_picks"] == np.unique(trace["i"]).size
-        # ucd draws from all n; argmax-lower from the set's tied maximisers
+        # ucd draws from all n; argmax-lower, which scd runs, from the
+        # set's tied maximisers
         if rule == "ucd":
             assert summary["mean_pick_pool"] == summary["n_cols"]
         else:
@@ -109,7 +112,9 @@ class TestRun:
         assert 0 < summary["useful_steps"] <= summary["steps"]
         # a row is fetched for every useful step of a tracked rule only
         assert summary["oracle_rows"] == (
-            summary["useful_steps"] if rule == "ascd" else 0)
+            0 if rule == "ucd" else summary["useful_steps"])
+        # ucd reads no oracle
+        assert (summary["oracle"] is None) == (rule == "ucd")
 
     def test_byte_determinism(self, dataset, tmp_path):
         args = ["run", "--data", str(dataset), "--l1", "2.0", "--rule",
@@ -124,17 +129,23 @@ class TestRun:
             (tmp_path / "b/x.json").read_bytes()
 
     def test_collapse_matches_scd_column(self, dataset, tmp_path):
-        base = ["--data", str(dataset), "--l2", "0.5", "--steps", "5n",
-                "--seed", "2", "--out", str(tmp_path)]
-        assert main(["run", *base, "--rule", "scd", "--tag", "scd"]) == 0
-        assert main(["run", *base, "--rule", "ascd", "--oracle", "g1",
-                     "--init", "true-gradient", "--tag", "g1"]) == 0
-
-        def picks(tag):
-            lines = (tmp_path / f"{tag}.csv").read_text().splitlines()[1:]
-            return [row.split(",")[1] for row in lines]
-
-        assert picks("scd") == picks("g1")
+        # scd's trace column holds the brute-force steepest picks, whatever
+        # --oracle, --init and --pick say
+        assert main(["run", "--data", str(dataset), "--l2", "0.5",
+                     "--steps", "5n", "--seed", "2", "--rule", "scd",
+                     "--oracle", "g4", "--pick", "uniform-set",
+                     "--out", str(tmp_path), "--tag", "scd"]) == 0
+        lines = (tmp_path / "scd.csv").read_text().splitlines()[1:]
+        picks = [int(row.split(",")[1]) for row in lines]
+        matrix, target = load_svmlight(dataset)
+        prob = CompositeProblem(matrix, target, Regularizer("l2", 0.5))
+        want, _ = steepest_descent(prob, 5 * prob.n, UpdateRule("fixed"))
+        assert picks == want.tolist()
+        # the summary records what ran
+        summary = read_json(tmp_path / "scd.json")
+        assert summary["oracle"] == {"kind": "g1", "epsilon": 0.0, "seed": 0}
+        assert (summary["init"], summary["pick"]) == ("true-gradient",
+                                                      "argmax-lower")
 
     def test_no_init_starts_full_and_shrinks(self, dataset, tmp_path):
         rc = main(["run", "--data", str(dataset), "--l2", "0.1",

@@ -16,6 +16,7 @@ from ascd.oracles import ORACLE_KINDS, OracleContext, OracleSpec
 from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
 from ascd.selector import ActiveSet, GradientEstimate
 from reference_oracle import col_dots_row
+from reference_scd import steepest_descent
 from reference_selector import sorted_active_set
 
 
@@ -239,12 +240,20 @@ class TestProgressDelta:
 
 class TestRun:
     def test_exactness_collapse(self):
-        prob = random_problem(3)
-        scd = run(RunConfig(problem=prob, steps=120, rule="scd", seed=5))
-        ascd = run(RunConfig(problem=prob, steps=120, rule="ascd",
-                             oracle=OracleSpec("g1"), seed=5,
-                             init="true-gradient"))
-        assert np.array_equal(scd.i, ascd.i)
+        # the smooth picks equal the brute-force steepest picks; under l1
+        # each pick is a brute-force gs-s maximiser up to a rounding tie
+        update = UpdateRule("line_search")
+        for reg in (None, Regularizer("l1", 1.0)):
+            prob = random_problem(3, reg=reg)
+            scd = run(RunConfig(problem=prob, steps=120, rule="scd",
+                                update=update, seed=5))
+            if reg is None:
+                want, _ = steepest_descent(prob, 120, update)
+                assert np.array_equal(scd.i, want)
+            else:
+                _, short = steepest_descent(prob, 120, update, picks=scd.i)
+                assert short.max() <= ascd.driver.SOUNDNESS_SLACK
+            assert scd.soundness_violations == 0, reg
 
     def test_ucd_identity_converges_on_coverage(self):
         n = 8
@@ -319,6 +328,7 @@ class TestRun:
                                 Regularizer("l1", lam))
         kept, fell_through = Counter(), Counter()
         for prob, rule, pick_mode, (kind, init), update in itertools.product(
+                # scd runs the ascd-gss g1 true-gradient cells
                 (lasso, dead), [r for r in RULES if r not in ("ucd", "scd")],
                 ("argmax-lower", "uniform-set"),
                 (("g1", "true-gradient"), ("g4", "none")),
@@ -342,8 +352,9 @@ class TestRun:
         assert kept.total() > 0 and fell_through.total() > 0
 
     def test_mean_pick_pool(self, monkeypatch):
-        # the pick draws from all n under ucd, from one under scd, from the
-        # set under uniform-set and from its tied maximisers otherwise
+        # the pick draws from all n under ucd, from the set under
+        # uniform-set and from its tied maximisers otherwise; scd reads no
+        # pick and draws from its tied maximisers
         ties = []
         real = ascd.driver.select_ascd
 
@@ -362,9 +373,9 @@ class TestRun:
                                     update=UpdateRule("line_search"),
                                     oracle=OracleSpec("g4", seed=2), seed=1,
                                     diag_every=0))
-                if rule in ("ucd", "scd"):
-                    want = prob.n if rule == "ucd" else 1
-                elif pick == "uniform-set":
+                if rule == "ucd":
+                    want = prob.n
+                elif pick == "uniform-set" and rule != "scd":
                     want = np.mean(res.active_size)
                 else:
                     assert len(ties) == res.t.size and max(ties) > 1
@@ -699,6 +710,22 @@ SAME_RESULTS = {
         "c99ea5b5ab31c7cb",
     ("lasso", "ascd-gsq", "argmax-lower", "g3", "true-gradient", "fixed"):
         "88a4e0f0e697fc2a",
+    # scd reads no pick, oracle or init: it runs argmax-lower on g1 rows
+    # from a true-gradient start.  The ridge digests were recorded when scd
+    # recomputed the full gradient every step and are unchanged.  The lasso
+    # line_search digest moved when scd began to score with gs-s, the
+    # composite steepest rule, in place of the smooth gradient magnitude:
+    # it is the ascd-gss g1 true-gradient cell's.  The lasso fixed digest,
+    # over 5n steps so that it reaches its converged zero steps, is the same
+    # under either score
+    ("ridge", "scd", "uniform-set", "g4", "none", "fixed"):
+        "3235b95f2b68532e",
+    ("ridge", "scd", "uniform-set", "g4", "none", "line_search"):
+        "4bb8245315358a0a",
+    ("lasso", "scd", "uniform-set", "g4", "none", "fixed", "5n"):
+        "a32f79f5589d9dbf",
+    ("lasso", "scd", "uniform-set", "g4", "none", "line_search"):
+        "6a150445505ee91d",
     # ucd reads no pick, oracle or init
     ("ridge", "ucd", "uniform-set", "g1", "none", "fixed"):
         "f64ba7c66aa05910",

@@ -1,11 +1,12 @@
-"""The README's `run` trace header, its Library snippet and the flags it
-names match the code."""
+"""The README's `run` trace header, its Library snippet, its rule list and
+the flags it names match the code, and every package export resolves."""
 
 import re
 from pathlib import Path
 
+import ascd
 from ascd.cli import build_parser
-from ascd.driver import TRACE_HEADER
+from ascd.driver import RULES, TRACE_HEADER
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -39,3 +40,16 @@ def test_named_flags_exist():
     text = README.replace(_section("Install and test"), "")
     named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
     assert named and named <= known, sorted(named - known)
+
+
+def test_every_rule_described():
+    # the rule description is the text above the first section
+    intro = README[:README.index("\n## ")]
+    missing = [rule for rule in RULES
+               if not re.search(rf"(`|\*\*){re.escape(rule)}(`|\*\*)", intro)]
+    assert not missing
+
+
+def test_every_export_resolves():
+    missing = [name for name in ascd.__all__ if not hasattr(ascd, name)]
+    assert not missing

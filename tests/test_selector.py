@@ -14,7 +14,7 @@ from ascd.problem import Regularizer, model_value
 from ascd.selector import (ActiveSet, Bounds, GradientEstimate,
                            active_set, compute_bounds, gsq_bounds,
                            gsr_bounds, gss_score_interval, score_one,
-                           select_ascd, select_scd, select_ucd,
+                           select_ascd, select_ucd,
                            update_estimates)
 from reference_selector import gss_exact_squared, sorted_active_set
 
@@ -458,12 +458,6 @@ class TestPicks:
         rng = np.random.default_rng(11)
         assert picks.tolist() == [int(rng.integers(n)) for _ in range(steps)]
 
-    def test_scd_argmax(self):
-        assert select_scd(np.array([0.0, 0.0, 3.0, 0.0])) == 2
-
-    def test_scd_tie_lowest_index(self):
-        assert select_scd(np.array([-5.0, 5.0])) == 0
-
     def test_ascd_exact_equals_scd(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -471,7 +465,7 @@ class TestPicks:
             e = GradientEstimate.exact(g)
             b = squared(compute_bounds(e))
             pick = select_ascd(b, active_set(b), rng)
-            assert pick == select_scd(g)
+            assert pick == int(np.argmax(np.abs(g)))
 
     def test_ascd_uninformed_is_uniform(self):
         rng = np.random.default_rng(9)
