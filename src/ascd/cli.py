@@ -393,17 +393,21 @@ def cmd_sweep(args) -> int:
     else:
         outcomes = [_sweep_worker(c) for c in cells]
 
-    flag_cols = ("tag", "rule", "oracle", "epsilon", "seed", "init")
+    cell_cols = ("tag", "rule", "oracle", "epsilon", "seed", "init")
     summary_cols = ("final_f", "mean_active_size", "epochs")
     rows, failed = [], []
-    for (tag, flags, *_), (_, summary, err) in zip(cells, outcomes):
+    for (tag, *_), (_, summary, err) in zip(cells, outcomes):
         if err is None:
-            rows.append([flags[k] for k in flag_cols]
+            # what the cell ran, not its flags: scd fixes its oracle and
+            # init, and ucd reads no oracle
+            oracle = summary["oracle"] or {"kind": "", "epsilon": np.nan}
+            rows.append([tag, summary["rule"], oracle["kind"],
+                         oracle["epsilon"], summary["seed"], summary["init"]]
                         + [summary[k] for k in summary_cols])
         else:
             failed.append({"tag": tag, "error": err})
     summary_csv = os.path.join(out_dir, args.tag + "_summary.csv")
-    write_csv(summary_csv, ",".join(flag_cols + summary_cols), zip(*rows))
+    write_csv(summary_csv, ",".join(cell_cols + summary_cols), zip(*rows))
     _write_json({
         "schema_version": SCHEMA_VERSION,
         "kind": "sweep",
@@ -495,7 +499,7 @@ def cmd_hardcase(args) -> int:
 
 def cmd_ratio_sim(args) -> int:
     flags = {"n": "--n", "s": "--s", "c": "--c", "t_inf": "--t-inf",
-             "steps": "--steps"}
+             "steps": "--steps", "seed": "--seed"}
     config = _named(flags, RatioSimConfig, n=args.n, s=args.s, c=args.c,
                     t_inf=args.t_inf, steps=args.steps, seed=args.seed,
                     reentry=args.reentry)

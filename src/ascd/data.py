@@ -72,8 +72,13 @@ class SynthConfig:
                              "(need n_cols >= 2 and sparsity_factor > 0)")
         if self.column_scale_factor == 0:
             raise ValueError("column_scale_factor must be nonzero")
-        if self.support_frac > 1:
-            raise ValueError("support_frac must be at most 1")
+        # numpy's own rejection of a negative seed names no field
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not 0 < self.support_frac <= 1:
+            raise ValueError("support_frac must be in (0, 1]")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be nonnegative")
 
     @property
     def keep_probability(self) -> float:

@@ -2,16 +2,16 @@
 
 One run executes a fixed budget of single-coordinate steps.  Selection is
 uniform (``ucd``) or a tracked rule that runs the score, set and pick
-stages of ``selector``.  ``_scores`` fixes the units: ``ascd-gsq`` compares
-the negated model decrease bounds, every other tracked rule its magnitude
-interval squared; every tracked rule then keeps the safe set.  With g1 and
-a true-gradient start the estimate stays exact, so the magnitude rules
-score one array and their set is its maximisers: the steepest rule, which
-``scd`` runs (``RunConfig.resolved``).  The pick ``argmax-lower`` takes the
-best lower score (greedy; degenerates to hammering one coordinate when
-every other bound has collapsed), while ``uniform-set`` draws uniformly
-from the set, the regime the one-step progress and equilibrium analyses
-describe.
+stages of ``selector``.  ``_scores`` dispatches to the rule's score stage:
+``ascd-gsq`` compares the negated model decrease bounds, every other
+tracked rule its magnitude interval squared; every tracked rule then keeps
+the safe set.  With g1 and a true-gradient start the estimate stays exact,
+so the magnitude rules score one array and their set is its maximisers:
+the steepest rule, which ``scd`` runs (``RunConfig.resolved``).  The pick
+``argmax-lower`` takes the best lower score (greedy; degenerates to
+hammering one coordinate when every other bound has collapsed), while
+``uniform-set`` draws uniformly from the set, the regime the one-step
+progress and equilibrium analyses describe.
 
 The loop keeps the score stage's bounds across steps.  After a step that
 moved x it scores all n coordinates with ``_scores``; after a zero step it
@@ -264,24 +264,15 @@ def allocate_trace(steps: int) -> dict[str, np.ndarray]:
 
 def _scores(rule: str, est: GradientEstimate, x: np.ndarray,
             problem: CompositeProblem) -> Bounds:
-    """Score stage of the tracked rules, in the units the set compares."""
+    """The score stage of a tracked rule, in the units the set compares."""
     lmax, reg = problem.lipschitz_max, problem.psi_reg
     if rule == "ascd-gsq":
-        # a smaller model value is a better coordinate
-        q = gsq_bounds(est, x, lmax, reg)
-        return Bounds(upper=-q.v, lower=-q.w)
+        return gsq_bounds(est, x, lmax, reg)
     if rule == "ascd-gss":
-        lower, upper = gss_score_interval(est, x, reg)
-    elif rule == "ascd-gsr":
-        lower, upper = gsr_bounds(est, x, lmax, reg)
-    else:
-        b = compute_bounds(est)
-        lower, upper = b.lower, b.upper
-    if lower is upper:
-        # an exact estimate: one fresh array of scores, squared in place
-        np.square(lower, out=lower)
-        return Bounds(upper=lower, lower=lower)
-    return Bounds(upper=upper ** 2, lower=lower ** 2)
+        return gss_score_interval(est, x, reg)
+    if rule == "ascd-gsr":
+        return gsr_bounds(est, x, lmax, reg)
+    return compute_bounds(est)
 
 
 def run(config: RunConfig) -> RunResult:

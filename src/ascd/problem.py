@@ -150,9 +150,6 @@ class Regularizer:
             return self.lam * np.abs(v)
         return np.zeros_like(np.asarray(v, dtype=np.float64))
 
-    def value(self, x: np.ndarray) -> float:
-        return float(np.sum(self.psi(x)))
-
     def model_argmin(self, x, slope, lipschitz):
         """Minimiser over y of ``slope*y + lipschitz/2 * y^2 + psi(x + y)``.
 

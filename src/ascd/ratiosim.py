@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import trace_allocation
 from .hardcase import LowDimEmbedding
-from .selector import (Bounds, GradientEstimate, active_set, compute_bounds,
+from .selector import (GradientEstimate, active_set, compute_bounds,
                        update_estimates)
 
 __all__ = [
@@ -104,6 +104,8 @@ class RatioSimConfig:
             raise ValueError("need 0 < c <= 1")
         if not (0 < self.t_inf < math.inf and self.steps >= 1):
             raise ValueError("need 0 < t_inf < inf and steps >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.reentry not in ("geometric", "fixed"):
             raise ValueError(f"unknown reentry mode {self.reentry!r}")
 
@@ -227,8 +229,7 @@ def ascd_embedding_dynamics(emb: LowDimEmbedding, steps: int, delta: float,
     exits = entries = 0
 
     for t in range(steps):
-        b = compute_bounds(est)
-        aset = active_set(Bounds(upper=b.upper ** 2, lower=b.lower ** 2))
+        aset = active_set(compute_bounds(est))
         member = np.zeros(n, dtype=bool)
         member[aset.indices] = True
         if member_prev is not None:

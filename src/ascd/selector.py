@@ -4,26 +4,26 @@ Uniform selection draws its picks in blocks.  The tracked rules keep, for
 every coordinate, an estimate of the smooth partial gradient with a
 certified error radius, and select in three stages; steepest selection is a
 tracked rule on an exact estimate.  The *score* stage brackets each
-coordinate's score in a ``Bounds`` interval, larger being better: the
-gradient magnitude (``compute_bounds``), the steepest directional
-derivative (gs-s), the model step length (gs-r) or the best model decrease
-(gs-q); the first three are distances to a segment, bracketed by one
-helper, ``_distance_range``.  An exact estimate (every radius 0,
+coordinate's score in a ``Bounds`` interval, larger being better, in the
+units the set compares: the squared gradient magnitude
+(``compute_bounds``), the squared steepest directional derivative (gs-s),
+the squared model step length (gs-r) or the negated best model decrease
+(gs-q).  The first three are squared distances to a segment, bracketed by
+one helper, ``_distance_range``.  An exact estimate (every radius 0,
 ``GradientEstimate.is_exact``) scores once: those three stages evaluate the
-distance at ``g`` and return that one array as both bounds (``lower is
-upper``).  gs-q keeps two bounds even then, because its upper bound keeps
-the ``y = 0`` fallback ``psi(x_i)``.  ``score_one`` scores one coordinate
-on Python floats, for the loop's rescoring after a zero step; it returns
-the bits the array stages give that coordinate, signed zeros included.  The
-*set* stage, ``active_set``, keeps the smallest prefix, in descending order
-of the lower score, that provably contains the best coordinate.  It tries,
-in order: all of [n] when every upper score reaches the best lower score,
-the maximisers of one array of scores, an O(n) screen for the prefix
-length, and a full sort as the fallback.  The *pick*, ``select_ascd``,
-draws among the best lower scores of the set; the safe set keeps every
-maximiser of the lower score, whose upper score reaches every prefix
-average.  Set and pick compare scores as given; the caller of the score
-stage chooses the units.
+squared distance at ``g`` and return that one array as both bounds
+(``lower is upper``).  gs-q keeps two bounds even then, because its lower
+bound keeps the ``y = 0`` fallback ``-psi(x_i)``.  ``score_one`` scores one
+coordinate on Python floats, for the loop's rescoring after a zero step; it
+returns the bits the array stages give that coordinate, signed zeros
+included.  The *set* stage, ``active_set``, keeps the smallest prefix, in
+descending order of the lower score, that provably contains the best
+coordinate.  It tries, in order: all of [n] when every upper score reaches
+the best lower score, the maximisers of one array of scores, an O(n)
+screen for the prefix length, and a full sort as the fallback.  The
+*pick*, ``select_ascd``, draws among the best lower scores of the set; the
+safe set keeps every maximiser of the lower score, whose upper score
+reaches every prefix average.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "GradientEstimate",
     "Bounds",
     "ActiveSet",
-    "GsqBounds",
     "compute_bounds",
     "active_set",
     "select_ucd",
@@ -84,8 +83,9 @@ class GradientEstimate:
 class Bounds:
     """Per-coordinate score interval ``lower <= score_i <= upper``.
 
-    Larger scores are better.  ``compute_bounds`` returns this interval for
-    the gradient magnitudes ``|grad_i|`` themselves.  Known scores are one
+    Larger scores are better; every score stage returns its scores in the
+    units ``active_set`` compares, and ``compute_bounds`` this interval for
+    the squared gradient magnitudes ``grad_i^2``.  Known scores are one
     array given as both bounds (``lower is upper``).
     """
 
@@ -115,26 +115,34 @@ class ActiveSet:
         return int(self.indices.size)
 
 
-def _distance_range(lo, hi, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Range of the distance from t in [lo, hi] to the segment [a, b]."""
-    return (np.maximum(np.maximum(a - hi, lo - b), 0.0),
-            np.maximum(np.maximum(a - lo, hi - b), 0.0))
+def _distance_range(lo, hi, a, b) -> Bounds:
+    """Range of the squared distance from t in [lo, hi] to the segment
+    [a, b]."""
+    lower = np.maximum(np.maximum(a - hi, lo - b), 0.0)
+    upper = np.maximum(np.maximum(a - lo, hi - b), 0.0)
+    return Bounds(upper=np.square(upper, out=upper),
+                  lower=np.square(lower, out=lower))
+
+
+def _exact_bounds(d: np.ndarray) -> Bounds:
+    """Distances known exactly, squared in place: one array as both
+    bounds."""
+    np.square(d, out=d)
+    return Bounds(upper=d, lower=d)
 
 
 def compute_bounds(estimate: GradientEstimate) -> Bounds:
-    """Interval arithmetic on ``g +- r``: bounds on ``|grad_i|``, the
-    distance from the gradient to 0.
+    """Interval arithmetic on ``g +- r``: bounds on ``grad_i^2``, the
+    squared distance from the gradient to 0.
 
     The lower bound is 0 when the interval straddles zero.  Radius ``+inf``
-    yields ``(upper, lower) = (inf, 0)``.  An exact estimate gets ``|g|``
+    yields ``(upper, lower) = (inf, 0)``.  An exact estimate gets ``g^2``
     as both bounds.
     """
     if estimate.is_exact:
-        d = np.abs(estimate.g)
-        return Bounds(upper=d, lower=d)
+        return _exact_bounds(np.abs(estimate.g))
     g, r = estimate.g, estimate.r
-    lower, upper = _distance_range(g - r, g + r, 0.0, 0.0)
-    return Bounds(upper=upper, lower=lower)
+    return _distance_range(g - r, g + r, 0.0, 0.0)
 
 
 def active_set(scores: Bounds) -> ActiveSet:
@@ -284,22 +292,22 @@ def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,
 
 
 def gss_score_interval(estimate: GradientEstimate, x: np.ndarray,
-                       reg: Regularizer) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate interval for the steepest-direction score.
+                       reg: Regularizer) -> Bounds:
+    """Per-coordinate interval for the squared steepest-direction score.
 
     For an l1 penalty the exact score at gradient value g is its distance
     to ``-subdiff psi(x_i)``: the segment ``[-lam, lam]`` when ``x_i = 0``
     (so ``max(|g| - lam, 0)``) and the point ``-lam * sign(x_i)`` otherwise.
     With the gradient only known to lie in ``g +- r`` the score ranges over
-    the distances from that interval; an exact estimate gets the score at
-    ``g`` as both ends.  ``lam = 0`` reduces to the plain gradient
-    magnitude bounds.
+    the distances from that interval; an exact estimate gets the squared
+    score at ``g`` as both bounds.  ``lam = 0`` reduces to
+    ``compute_bounds``.
 
     The exact score is one fresh array: ``max(|g| - lam, 0)`` over all n,
-    then ``|g + lam * sign(x_i)|`` on x's support only.  It has the bits of
-    ``_distance_range`` at ``lo = hi = g``: at ``x_i = 0``,
-    ``max(-lam - g, g - lam)`` is exactly ``|g| - lam``, and at
-    ``x_i != 0``, ``a - g`` is exactly ``-(g + lam * sign(x_i))``, since
+    then ``|g + lam * sign(x_i)|`` on x's support only, squared in place.
+    It has the bits of ``_distance_range`` at ``lo = hi = g``: at
+    ``x_i = 0``, ``max(-lam - g, g - lam)`` is exactly ``|g| - lam``, and
+    at ``x_i != 0``, ``a - g`` is exactly ``-(g + lam * sign(x_i))``, since
     rounding a sum commutes with negating it; a zero score is ``+0.0``
     either way.
     """
@@ -314,7 +322,7 @@ def gss_score_interval(estimate: GradientEstimate, x: np.ndarray,
         nz = (x != 0.0).nonzero()[0]
         if nz.size:
             d[nz] = np.abs(g[nz] + lam * np.sign(x[nz]))
-        return d, d
+        return _exact_bounds(d)
     at_zero = x == 0.0
     a = np.where(at_zero, -lam, -lam * np.sign(x))
     b = np.where(at_zero, lam, a)
@@ -322,45 +330,36 @@ def gss_score_interval(estimate: GradientEstimate, x: np.ndarray,
 
 
 def gsr_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
-               reg: Regularizer) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate interval for the model step length |y*|.
+               reg: Regularizer) -> Bounds:
+    """Per-coordinate interval for the squared model step length ``y*^2``.
 
     The model minimiser is nonincreasing in the gradient value, so over
     ``g +- r`` it sweeps the segment between the minimisers at the two
-    endpoints; the |y| range over that segment is returned.  An exact
-    estimate has one minimiser, whose |y| is both ends.
+    endpoints; the ``y^2`` range over that segment is returned.  An exact
+    estimate has one minimiser, whose ``y^2`` is both bounds.
     """
     g, r = estimate.g, estimate.r
     if estimate.is_exact:
-        d = np.abs(reg.model_argmin(x, g, lipschitz))
-        return d, d
+        return _exact_bounds(np.abs(reg.model_argmin(x, g, lipschitz)))
     # an infinite radius gives minimisers -inf and +inf: the whole line
     y_lo = reg.model_argmin(x, g + r, lipschitz)
     y_hi = reg.model_argmin(x, g - r, lipschitz)
     return _distance_range(y_lo, y_hi, 0.0, 0.0)
 
 
-@dataclass
-class GsqBounds:
-    """Bounds on the best model decrease ``min_y V_i``.
-
-    ``v <= min_y V_i(x, y, grad_i) <= w`` whenever the gradient estimate is
-    sound.
-    """
-
-    v: np.ndarray
-    w: np.ndarray
-
-
 def gsq_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
-               reg: Regularizer) -> GsqBounds:
-    """Sandwich the best model decrease using the signed gradient interval.
+               reg: Regularizer) -> Bounds:
+    """Sandwich the best model decrease ``min_y V_i`` using the signed
+    gradient interval; the scores are its negation, since a smaller model
+    value is a better coordinate.
 
     Evaluates the model at the minimisers for the two endpoint slopes; the
-    lower bound is the better of the two values, the upper bound corrects
-    each endpoint value by the worst-case slope mismatch and keeps the
-    ``y = 0`` fallback ``psi(x_i)``.  Coordinates with infinite radius get
-    the vacuous ``(-inf, psi(x_i))``.
+    upper score is minus the better of the two values, the lower score
+    corrects each endpoint value by the worst-case slope mismatch and keeps
+    the ``y = 0`` fallback ``-psi(x_i)``.  Coordinates with infinite radius
+    get the vacuous ``(lower, upper) = (-psi(x_i), inf)``.  ``-upper <=
+    min_y V_i(x, y, grad_i) <= -lower`` whenever the gradient estimate is
+    sound.
     """
     if reg.kind not in ("none", "l1", "l2"):
         raise ValueError(f"unsupported regularizer {reg.kind!r}")
@@ -381,7 +380,7 @@ def gsq_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
 
     v = np.where(finite, np.minimum(val_u, val_l), -np.inf)
     w = np.where(finite, np.minimum(np.minimum(omega_u, omega_l), psi0), psi0)
-    return GsqBounds(v=v, w=w)
+    return Bounds(upper=np.negative(v, out=v), lower=np.negative(w, out=w))
 
 
 # ---------------------------------------------------------------------------
@@ -401,25 +400,25 @@ def _fmin(a: float, b: float) -> float:
 
 def _distance_range_one(lo: float, hi: float, a: float,
                         b: float) -> tuple[float, float]:
-    """``_distance_range`` on Python floats."""
-    return (_fmax(_fmax(a - hi, lo - b), 0.0),
-            _fmax(_fmax(a - lo, hi - b), 0.0))
+    """``_distance_range`` on Python floats, as ``(lower, upper)``."""
+    lower = _fmax(_fmax(a - hi, lo - b), 0.0)
+    upper = _fmax(_fmax(a - lo, hi - b), 0.0)
+    return lower * lower, upper * upper
 
 
 def score_one(rule: str, g: float, r: float, exact: bool, x: float,
               lipschitz: float, reg: Regularizer) -> tuple[float, float]:
     """``(lower, upper)`` score of one coordinate, on Python floats.
 
-    The float counterpart of the array score stages, in the units that
-    ``driver._scores`` gives them: the negated ``gsq_bounds`` for
-    ``ascd-gsq``, the magnitude interval squared for ``ascd`` (from
-    ``compute_bounds``), ``ascd-gss`` and ``ascd-gsr``.  ``g``, ``r`` and
-    ``exact`` are one coordinate of a ``GradientEstimate``, ``x`` its
-    iterate and ``reg`` the composite penalty (``none`` or ``l1``).  It
-    returns the bits that a full scoring gives the coordinate, signed zeros
-    included: the array stages are elementwise, ``_fmax`` and ``_fmin``
-    resolve ties as ``np.maximum`` and ``np.minimum`` do, and a square is
-    ``v * v``, as ``v ** 2`` is on an array.
+    The float counterpart of the array score stages, in the same units:
+    ``gsq_bounds`` for ``ascd-gsq``, ``compute_bounds`` for ``ascd``,
+    ``gss_score_interval`` for ``ascd-gss`` and ``gsr_bounds`` for
+    ``ascd-gsr``.  ``g``, ``r`` and ``exact`` are one coordinate of a
+    ``GradientEstimate``, ``x`` its iterate and ``reg`` the composite
+    penalty (``none`` or ``l1``).  It returns the bits that a full scoring
+    gives the coordinate, signed zeros included: the array stages are
+    elementwise, ``_fmax`` and ``_fmin`` resolve ties as ``np.maximum`` and
+    ``np.minimum`` do, and a square is ``v * v``, as ``np.square`` is.
     """
     if rule == "ascd-gsq":
         psi0 = reg.psi_one(x)
@@ -444,17 +443,15 @@ def score_one(rule: str, g: float, r: float, exact: bool, x: float,
         if exact:
             d = _fmax(_fmax(a - g, g - b), 0.0)
             return d * d, d * d
-        lower, upper = _distance_range_one(g - r, g + r, a, b)
-    elif rule == "ascd-gsr":
+        return _distance_range_one(g - r, g + r, a, b)
+    if rule == "ascd-gsr":
         if exact:
             d = abs(reg.model_argmin_one(x, g, lipschitz))
             return d * d, d * d
-        lower, upper = _distance_range_one(
+        return _distance_range_one(
             reg.model_argmin_one(x, g + r, lipschitz),
             reg.model_argmin_one(x, g - r, lipschitz), 0.0, 0.0)
-    else:
-        if exact:
-            d = abs(g)
-            return d * d, d * d
-        lower, upper = _distance_range_one(g - r, g + r, 0.0, 0.0)
-    return lower * lower, upper * upper
+    if exact:
+        d = abs(g)
+        return d * d, d * d
+    return _distance_range_one(g - r, g + r, 0.0, 0.0)

@@ -3,9 +3,9 @@
 ``ascd.selector.active_set`` screens for the prefix length in O(n) and
 sorts only when the screen cannot decide; ``sorted_active_set`` here always
 runs the full stable sort, the definition the screen must reproduce.
-``gss_exact_squared`` is the gs-s score of an exact estimate as the segment
-distance over all n, in the units ``driver._scores`` returns; the one-pass
-score of ``ascd.selector.gss_score_interval`` must give its bits.
+``gss_exact_squared`` is the gs-s score of an exact estimate as the squared
+segment distance over all n, the units every score stage returns; the
+one-pass score of ``ascd.selector.gss_score_interval`` must give its bits.
 """
 
 import numpy as np

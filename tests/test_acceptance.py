@@ -23,8 +23,8 @@ from ascd.oracles import OracleSpec
 from ascd.problem import (ColumnSparseMatrix, CompositeProblem, Regularizer,
                           model_value)
 from ascd.ratiosim import RatioSimConfig, rho_infinity, simulate_rho
-from ascd.selector import Bounds, GradientEstimate, active_set, \
-    compute_bounds, gsq_bounds
+from ascd.selector import GradientEstimate, active_set, compute_bounds, \
+    gsq_bounds
 from reference_scd import steepest_descent
 
 SANDWICH_SLACK = 1e-10
@@ -218,8 +218,9 @@ def test_criterion_07_gsq_bound_soundness():
             q = gsq_bounds(est, np.array([x]), lipschitz, reg)
             slopes = np.linspace(g - r, g + r, 20)
             mins = _grid_min_rows(x, slopes, lipschitz, reg)
-            assert np.all(q.v[0] <= mins + 1e-6)
-            assert np.all(mins <= q.w[0] + 1e-6)
+            # the scores bracket the best decrease, -min_y V
+            assert np.all(-mins - 1e-6 <= q.upper[0])
+            assert np.all(q.lower[0] - 1e-6 <= -mins)
     print("\nACCEPTANCE 7 (model-decrease bounds sandwich the grid "
           "minimiser, 3000 instances x 20 slopes): PASS")
 
@@ -232,8 +233,8 @@ def test_criterion_07_gsq_bound_soundness():
        t=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
 def test_gsq_bounds_sound_at_model_argmin(x, g, r, lipschitz, kind, lam, t):
     # criterion 7 with the exact minimiser in place of the grid: for any
-    # slope s in [g - r, g + r], v <= min_y V(x, y, s) <= w, the minimum
-    # taken at model_argmin
+    # slope s in [g - r, g + r], lower <= -min_y V(x, y, s) <= upper, the
+    # minimum taken at model_argmin
     reg = Regularizer(kind, lam if kind != "none" else 0.0)
     q = gsq_bounds(GradientEstimate(g=np.array([g]), r=np.array([r])),
                    np.array([x]), lipschitz, reg)
@@ -244,8 +245,8 @@ def test_gsq_bounds_sound_at_model_argmin(x, g, r, lipschitz, kind, lam, t):
     y_max = (abs(g) + r + reg.lam * (1.0 + abs(x))) / lipschitz + abs(x)
     tol = 1e-12 * (1.0 + (abs(g) + r) * y_max + (lipschitz + reg.lam)
                    * (1.0 + y_max) ** 2)
-    assert q.v[0] <= best + tol
-    assert best <= q.w[0] + tol
+    assert -best - tol <= q.upper[0]
+    assert q.lower[0] - tol <= -best
 
 
 _SMALL = st.one_of(st.just(0.0), st.sampled_from([0.5, -1.0, 2.0]),
@@ -271,12 +272,12 @@ def test_gsq_bound_soundness_vectors(drawn):
     for i in range(x.size):
         if np.isinf(r[i]):
             # nothing known: only the y = 0 fallback bounds the decrease
-            assert q.v[i] == -np.inf and q.w[i] == psi0[i]
+            assert q.upper[i] == np.inf and q.lower[i] == -psi0[i]
             continue
         slopes = np.linspace(g[i] - r[i], g[i] + r[i], 7)
         mins = _grid_min_rows(x[i], slopes, lipschitz, reg)
-        assert np.all(q.v[i] <= mins + 1e-9 * (1 + np.abs(mins)))
-        assert np.all(mins <= q.w[i] + 1e-6 * (1 + abs(q.w[i])))
+        assert np.all(-mins - 1e-9 * (1 + np.abs(mins)) <= q.upper[i])
+        assert np.all(q.lower[i] - 1e-6 * (1 + abs(q.lower[i])) <= -mins)
 
 
 def test_criterion_08_active_set_vs_exhaustive():
@@ -288,8 +289,8 @@ def test_criterion_08_active_set_vs_exhaustive():
         g = rng.normal(0.0, 2.0, n)
         r = np.where(rng.random(n) < 0.1, np.inf, rng.uniform(0.0, 2.0, n))
         bounds = compute_bounds(GradientEstimate(g=g, r=r))
-        lsq, usq = bounds.lower ** 2, bounds.upper ** 2
-        aset = active_set(Bounds(upper=usq, lower=lsq))
+        lsq, usq = bounds.lower, bounds.upper
+        aset = active_set(bounds)
         # validity of the certificate is asserted unconditionally
         outside = np.setdiff1d(np.arange(n), aset.indices)
         assert np.all(usq[outside] < aset.avg_score)

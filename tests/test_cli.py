@@ -147,6 +147,23 @@ class TestRun:
         assert (summary["init"], summary["pick"]) == ("true-gradient",
                                                       "argmax-lower")
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the default pick argmax-lower stalls on one coordinate; ROADMAP "
+        "open item 1 makes argmax-upper the default"))
+    def test_default_run_does_not_stall(self, tmp_path):
+        # the default ends this ridge at f = 53512 (f0 = 53516) after
+        # picking one coordinate; ucd ends at 14544
+        assert main(["generate", "--rows", "200", "--cols", "100",
+                     "--out", str(tmp_path), "--tag", "syn"]) == 0
+        finals = {}
+        for tag, extra in (("default", []), ("ucd", ["--rule", "ucd"])):
+            assert main(["run", "--data", str(tmp_path / "syn.svm"),
+                         "--l2", "1", "--steps", "10n", "--seed", "0",
+                         *extra, "--out", str(tmp_path), "--tag", tag]) == 0
+            finals[tag] = read_json(tmp_path / f"{tag}.json")
+        assert finals["default"]["distinct_picks"] > 1
+        assert finals["default"]["final_f"] <= 2 * finals["ucd"]["final_f"]
+
     def test_no_init_starts_full_and_shrinks(self, dataset, tmp_path):
         rc = main(["run", "--data", str(dataset), "--l2", "0.1",
                    "--rule", "ascd", "--oracle", "g2", "--epsilon", "0.001",
@@ -335,6 +352,25 @@ class TestSweep:
         assert rc == 0
         assert seen == [2]
 
+    def test_summary_names_what_each_cell_ran(self, dataset, tmp_path):
+        # scd runs g1 from a true-gradient start whatever its flags say,
+        # and ucd reads no oracle
+        rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
+                   "--rules", "scd,ucd", "--oracles", "g1,g4",
+                   "--epsilons", "0.5", "--inits", "none,true-gradient",
+                   "--out", str(tmp_path), "--tag", "rc"])
+        assert rc == 0
+        head, *rows = (tmp_path / "rc_summary.csv").read_text().splitlines()
+        assert head.split(",")[:6] == ["tag", "rule", "oracle", "epsilon",
+                                       "seed", "init"]
+        ran = [tuple(row.split(",")[1:6]) for row in rows]
+        assert ran == 4 * [("scd", "g1", "0.0", "0", "true-gradient")] + [
+            ("ucd", "", "", "0", init)
+            for init in ("none", "true-gradient", "none", "true-gradient")]
+        for tag, *_, init in (row.split(",")[:6] for row in rows):
+            cell = read_json(tmp_path / f"{tag}.json")
+            assert cell["init"] == init
+
     def test_cell_cap(self, dataset, tmp_path):
         rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
                    "--seeds", "1,2,3", "--epsilons", "0,1", "--max-cells",
@@ -466,6 +502,21 @@ class TestRejectedInput:
         pytest.param(["generate", "--rows", "10", "--cols", "10",
                       "--noise-sigma", "nan"], "--noise-sigma",
                      id="generate-noise-nan"),
+        # each of these three used to write its dataset: the first two
+        # recorded the negative value, and a zero fraction planted one
+        # coordinate
+        pytest.param(["generate", "--rows", "10", "--cols", "10",
+                      "--support-frac", "-1"], "--support-frac",
+                     id="generate-support-frac-negative"),
+        pytest.param(["generate", "--rows", "10", "--cols", "10",
+                      "--support-frac", "0"], "--support-frac",
+                     id="generate-support-frac-zero"),
+        pytest.param(["generate", "--rows", "10", "--cols", "10",
+                      "--noise-sigma", "-0.5"], "--noise-sigma",
+                     id="generate-noise-negative"),
+        # numpy's rejection named no flag
+        pytest.param(["generate", "--rows", "10", "--cols", "10",
+                      "--seed", "-1"], "--seed", id="generate-seed-negative"),
         pytest.param(["sweep", "--data", "{data}", "--steps", "1n",
                       "--seeds", "x"], "--seeds", id="sweep-seeds"),
         pytest.param(["sweep", "--data", "{data}", "--steps", "1n",
@@ -553,6 +604,9 @@ class TestRejectedInput:
                       "--steps", "100"], None, id="ratio-sim-s"),
         pytest.param(["ratio-sim", "--n", "10", "--s", "2", "--t-inf", "inf",
                       "--steps", "100"], "--t-inf", id="ratio-sim-t-inf-inf"),
+        pytest.param(["ratio-sim", "--n", "10", "--s", "2", "--t-inf", "50",
+                      "--steps", "100", "--seed", "-1"], "--seed",
+                     id="ratio-sim-seed-negative"),
         # argparse converts only string defaults, so each of these reached
         # run: a TypeError, a TypeError, and a silently accepted switch
         pytest.param(["run", "--data", "{data}", "--steps", "5", "--config",

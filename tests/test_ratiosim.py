@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,19 @@ class TestEmbeddingDynamics:
                     for d in (0.0, 1e-4, 1e-2, 1.0)]
         assert horizons == sorted(horizons, reverse=True)
         assert horizons[0] == len(dyn.step_magnitudes)
+
+    def test_same_results(self):
+        # the first 16 hex digits of the sha256 of one small run's outputs,
+        # recorded while the loop still squared the magnitude bounds itself
+        hc = HardCase.build(0.01, 10)
+        emb = embed_lowdim(hc, 40)
+        dyn = ascd_embedding_dynamics(emb, steps=2000,
+                                      delta=(1 - hc.alpha) / hc.n, seed=3)
+        assert dyn.exits > 0 and dyn.entries > 0
+        digest = hashlib.sha256()
+        for name in ("rho", "active_size", "step_magnitudes",
+                     "reentry_times"):
+            digest.update(getattr(dyn, name).tobytes())
+        digest.update(np.array([dyn.exits, dyn.entries], dtype=np.int64)
+                      .tobytes())
+        assert digest.hexdigest()[:16] == "85e27024bd003eb8"

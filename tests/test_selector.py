@@ -25,16 +25,6 @@ def est(g, r):
     return GradientEstimate(g=np.asarray(g, float), r=np.asarray(r, float))
 
 
-def squared(b):
-    """Magnitude bounds in the units the active set compares."""
-    return Bounds(upper=b.upper ** 2, lower=b.lower ** 2)
-
-
-def gsq_scores(q):
-    """Model-decrease bounds as scores: a smaller model value is better."""
-    return Bounds(upper=-q.v, lower=-q.w)
-
-
 def gss_exact(t, x, lam):
     """gs-s score at gradient value t: the distance to -subdiff lam|x_i|."""
     return np.where(x == 0.0, np.maximum(np.abs(t) - lam, 0.0),
@@ -62,11 +52,11 @@ def _estimates(n):
 class TestComputeBounds:
     def test_plain_interval(self):
         b = compute_bounds(est([2.0], [0.5]))
-        assert b.upper[0] == 2.5 and b.lower[0] == 1.5
+        assert b.upper[0] == 6.25 and b.lower[0] == 2.25
 
     def test_straddling_zero(self):
         b = compute_bounds(est([-1.0], [3.0]))
-        assert b.upper[0] == 4.0 and b.lower[0] == 0.0
+        assert b.upper[0] == 16.0 and b.lower[0] == 0.0
 
     def test_uninformed(self):
         b = compute_bounds(GradientEstimate.uninformed(3))
@@ -75,14 +65,14 @@ class TestComputeBounds:
     def test_exact_collapse(self):
         g = np.array([1.0, -2.0, 0.0])
         b = compute_bounds(GradientEstimate.exact(g))
-        assert_allclose(b.upper, np.abs(g))
-        assert_allclose(b.lower, np.abs(g))
+        assert_allclose(b.upper, np.square(g))
+        assert_allclose(b.lower, np.square(g))
 
     @given(st.integers(1, 20).flatmap(_estimates))
     def test_tight(self, e):
-        # the interval is exactly the range of |t|, not just a cover of it
+        # the interval is exactly the range of t^2, not just a cover of it
         b = compute_bounds(e)
-        lower, upper = kink_range(np.abs, e, 0.0)
+        lower, upper = kink_range(np.square, e, 0.0)
         assert np.array_equal(b.lower, lower)
         assert np.array_equal(b.upper, upper)
 
@@ -109,7 +99,7 @@ def _sound_estimate(n):
 
 class TestActiveSet:
     def test_all_unknown_keeps_everything(self):
-        b = squared(compute_bounds(GradientEstimate.uninformed(5)))
+        b = compute_bounds(GradientEstimate.uninformed(5))
         assert list(active_set(b).indices) == list(range(5))
 
     def test_exact_separated(self):
@@ -133,9 +123,9 @@ class TestActiveSet:
             g = rng.normal(0, 2, n)
             r = np.where(rng.random(n) < 0.15, np.inf, rng.uniform(0, 2, n))
             b = compute_bounds(est(g, r))
-            aset = active_set(squared(b))
+            aset = active_set(b)
             outside = np.setdiff1d(np.arange(n), aset.indices)
-            assert np.all(b.upper[outside] ** 2 < aset.avg_score)
+            assert np.all(b.upper[outside] < aset.avg_score)
             assert int(np.argmax(b.upper)) in aset.indices
 
     @given(st.integers(1, 30).flatmap(_sound_estimate))
@@ -144,7 +134,7 @@ class TestActiveSet:
         # sound estimate: the steepest coordinate stays in the set and the
         # in-set mean of g^2 is at least the overall mean
         g_true, e = drawn
-        aset = active_set(squared(compute_bounds(e)))
+        aset = active_set(compute_bounds(e))
         ag = np.abs(g_true)
         assert np.max(ag[aset.indices]) >= np.max(ag) * (1 - 1e-12)
         tau_u, tau_a, _ = progress_tau(g_true, aset.indices, 1.0)
@@ -164,8 +154,8 @@ class TestActiveSet:
         # average, so the safe set keeps it, and the pick over the set is a
         # uniform draw over all maximisers
         e, x, (kind, lam), seed = drawn
-        q = gsq_bounds(e, x, 1.5, Regularizer(kind, lam))
-        for scores in (squared(compute_bounds(e)), gsq_scores(q)):
+        for scores in (compute_bounds(e),
+                       gsq_bounds(e, x, 1.5, Regularizer(kind, lam))):
             best = np.flatnonzero(scores.lower == scores.lower.max())
             aset = active_set(scores)
             assert np.all(np.isin(best, aset.indices))
@@ -182,8 +172,8 @@ class TestActiveSet:
         for _ in range(trials):
             n = int(rng.integers(2, 8))
             b = compute_bounds(est(rng.normal(0, 2, n), rng.uniform(0, 2, n)))
-            aset = active_set(squared(b))
-            lsq, usq = b.lower ** 2, b.upper ** 2
+            aset = active_set(b)
+            lsq, usq = b.lower, b.upper
             order = np.argsort(-lsq, kind="stable")
             best = None
             for k in range(1, n + 1):
@@ -217,8 +207,8 @@ def _tied_estimates(n):
 def _both_scores(drawn):
     """Squared magnitude and gs-q scores of one estimate."""
     e, x, (kind, lam) = drawn
-    q = gsq_bounds(e, x, 1.5, Regularizer(kind, lam))
-    return squared(compute_bounds(e)), gsq_scores(q)
+    return (compute_bounds(e),
+            gsq_bounds(e, x, 1.5, Regularizer(kind, lam)))
 
 
 # only the two maximisers reach the top lower score
@@ -395,16 +385,15 @@ class TestExactEstimate:
         exact, zero = GradientEstimate.exact(g), est(g, np.zeros_like(g))
         assert exact.is_exact and not zero.is_exact
         reg = Regularizer("l1", 0.5)
-        b, ref = compute_bounds(exact), compute_bounds(zero)
-        pairs = [((b.lower, b.upper), (ref.lower, ref.upper)),
+        pairs = [(compute_bounds(exact), compute_bounds(zero)),
                  (gss_score_interval(exact, x, reg),
                   gss_score_interval(zero, x, reg)),
                  (gsr_bounds(exact, x, 1.5, reg),
                   gsr_bounds(zero, x, 1.5, reg))]
-        for (lower, upper), (want_lower, want_upper) in pairs:
-            assert lower is upper
-            assert np.array_equal(lower, want_lower)
-            assert np.array_equal(upper, want_upper)
+        for got, want in pairs:
+            assert got.lower is got.upper
+            assert np.array_equal(got.lower, want.lower)
+            assert np.array_equal(got.upper, want.upper)
 
     def test_exact_row_keeps_it_exact(self):
         e = GradientEstimate.exact(np.array([1.0, -2.0]))
@@ -463,13 +452,13 @@ class TestPicks:
         for _ in range(50):
             g = rng.normal(0, 3, 12)
             e = GradientEstimate.exact(g)
-            b = squared(compute_bounds(e))
+            b = compute_bounds(e)
             pick = select_ascd(b, active_set(b), rng)
             assert pick == int(np.argmax(np.abs(g)))
 
     def test_ascd_uninformed_is_uniform(self):
         rng = np.random.default_rng(9)
-        b = squared(compute_bounds(GradientEstimate.uninformed(10)))
+        b = compute_bounds(GradientEstimate.uninformed(10))
         aset = active_set(b)
         counts = np.bincount([select_ascd(b, aset, rng)
                               for _ in range(50_000)], minlength=10)
@@ -564,8 +553,8 @@ class TestGsq:
         reg = Regularizer()
         e = est([1.5], [0.5])  # signed interval [1, 2]
         q = gsq_bounds(e, np.array([0.0]), 1.0, reg)
-        assert q.v[0] == pytest.approx(-2.0)
-        assert q.w[0] == pytest.approx(-0.5)
+        assert q.upper[0] == pytest.approx(2.0)
+        assert q.lower[0] == pytest.approx(0.5)
 
     def test_exact_collapse(self):
         rng = np.random.default_rng(3)
@@ -576,8 +565,8 @@ class TestGsq:
             q = gsq_bounds(GradientEstimate.exact(g), x, 2.0, reg)
             for i in range(6):
                 true_min = _grid_min(x[i], g[i], 2.0, reg)
-                assert q.v[i] == pytest.approx(q.w[i], abs=1e-12)
-                assert q.v[i] == pytest.approx(true_min, abs=1e-5)
+                assert q.upper[i] == pytest.approx(q.lower[i], abs=1e-12)
+                assert q.upper[i] == pytest.approx(-true_min, abs=1e-5)
 
     def test_sandwich_against_grid(self):
         rng = np.random.default_rng(4)
@@ -591,23 +580,24 @@ class TestGsq:
             r = float(rng.uniform(0, 2))
             q = gsq_bounds(est([g], [r]), np.array([x]), L, reg)
             for grad in np.linspace(g - r, g + r, 7):
+                # the scores bracket the best decrease, -min_y V
                 true_min = _grid_min(x, grad, L, reg)
-                assert q.v[0] <= true_min + 1e-6
-                assert true_min <= q.w[0] + 1e-6
+                assert -true_min - 1e-6 <= q.upper[0]
+                assert q.lower[0] - 1e-6 <= -true_min
 
     def test_infinite_radius(self):
         reg = Regularizer("l1", 0.5)
         q = gsq_bounds(est([0.0, 1.0], [np.inf, 0.5]),
                        np.array([2.0, 0.0]), 1.0, reg)
-        assert q.v[0] == -np.inf
-        assert q.w[0] == pytest.approx(reg.psi(2.0))
-        assert np.isfinite(q.v[1]) and np.isfinite(q.w[1])
+        assert q.upper[0] == np.inf
+        assert q.lower[0] == pytest.approx(-reg.psi(2.0))
+        assert np.isfinite(q.upper[1]) and np.isfinite(q.lower[1])
 
     def test_active_set_example(self):
         q = gsq_bounds(GradientEstimate.exact(np.zeros(3)), np.zeros(3),
                        1.0, Regularizer())
-        q.v[:] = q.w[:] = np.array([-3.0, -1.0, 0.0])
-        aset = active_set(gsq_scores(q))
+        q.upper[:] = q.lower[:] = np.array([3.0, 1.0, 0.0])
+        aset = active_set(q)
         assert list(aset.indices) == [0]
 
     def test_exact_reduces_to_argmin(self):
@@ -616,9 +606,8 @@ class TestGsq:
         g = rng.normal(0, 2, 8)
         x = rng.normal(0, 1, 8)
         q = gsq_bounds(GradientEstimate.exact(g), x, 1.5, reg)
-        scores = gsq_scores(q)
-        pick = select_ascd(scores, active_set(scores), rng)
-        assert pick == int(np.argmin(q.w))
+        pick = select_ascd(q, active_set(q), rng)
+        assert pick == int(np.argmax(q.lower))
 
     def test_set_mean_model_decrease_beats_uniform(self):
         # with sound bounds, the in-set average of the exact best model
@@ -634,8 +623,7 @@ class TestGsq:
             true_g = rng.normal(0, 2, n)
             r = rng.uniform(0, 2, n)
             g = true_g + rng.uniform(-1, 1, n) * r  # sound by construction
-            q = gsq_bounds(est(g, r), x, L, reg)
-            aset = active_set(gsq_scores(q))
+            aset = active_set(gsq_bounds(est(g, r), x, L, reg))
             y_star = reg.model_argmin(x, true_g, L)
             mins = model_value(x, y_star, true_g, L, reg)
             assert mins[aset.indices].mean() <= mins.mean() + 1e-12
@@ -652,16 +640,15 @@ class TestGsq:
             reg = Regularizer(kind, 0.8 if kind != "none" else 0.0)
             q = gsq_bounds(est(rng.normal(0, 2, n), rng.uniform(0, 2, n)),
                            rng.normal(0, 1, n), 1.5, reg)
-            aset = active_set(gsq_scores(q))
+            aset = active_set(q)
             outside = np.setdiff1d(np.arange(n), aset.indices)
-            # the set average of -w is -av(I): every excluded v exceeds av(I)
-            assert np.all(q.v[outside] > -aset.avg_score)
-            assert int(np.argmin(q.w)) in aset.indices
+            assert np.all(q.upper[outside] < aset.avg_score)
+            assert int(np.argmax(q.lower)) in aset.indices
             for k in range(1, len(aset)):
                 found = False
                 for sub in combinations(range(n), k):
-                    av = q.w[list(sub)].mean()
-                    if all(q.v[j] > av for j in range(n) if j not in sub):
+                    av = q.lower[list(sub)].mean()
+                    if all(q.upper[j] < av for j in range(n) if j not in sub):
                         found = True
                         break
                 if found:
@@ -673,20 +660,22 @@ class TestGsq:
 class TestGssScores:
     def test_lambda_zero_reduces_to_bounds(self):
         e = est([2.0, -1.0], [0.5, 3.0])
-        lo, hi = gss_score_interval(e, np.array([0.3, 0.0]), Regularizer())
+        q = gss_score_interval(e, np.array([0.3, 0.0]), Regularizer())
         b = compute_bounds(e)
-        assert_allclose(lo, b.lower)
-        assert_allclose(hi, b.upper)
+        assert_allclose(q.lower, b.lower)
+        assert_allclose(q.upper, b.upper)
 
     def test_soft_threshold_at_zero(self):
         e = GradientEstimate.exact(np.array([3.0]))
-        lo, hi = gss_score_interval(e, np.array([0.0]), Regularizer("l1", 1.0))
-        assert lo[0] == pytest.approx(2.0) and hi[0] == pytest.approx(2.0)
+        q = gss_score_interval(e, np.array([0.0]), Regularizer("l1", 1.0))
+        assert q.lower[0] == pytest.approx(4.0)
+        assert q.upper[0] == pytest.approx(4.0)
 
     def test_subgradient_branch(self):
         e = GradientEstimate.exact(np.array([-3.0]))
-        lo, hi = gss_score_interval(e, np.array([1.0]), Regularizer("l1", 1.0))
-        assert lo[0] == pytest.approx(2.0) and hi[0] == pytest.approx(2.0)
+        q = gss_score_interval(e, np.array([1.0]), Regularizer("l1", 1.0))
+        assert q.lower[0] == pytest.approx(4.0)
+        assert q.upper[0] == pytest.approx(4.0)
 
     def test_containment_property(self):
         rng = np.random.default_rng(8)
@@ -694,18 +683,18 @@ class TestGssScores:
 
         def score(grad, x):
             if x == 0.0:
-                return max(abs(grad) - reg.lam, 0.0)
-            return abs(grad + reg.lam * np.sign(x))
+                return max(abs(grad) - reg.lam, 0.0) ** 2
+            return abs(grad + reg.lam * np.sign(x)) ** 2
 
         for _ in range(500):
             g = float(rng.normal(0, 2))
             r = float(rng.uniform(0, 2))
             x = float(rng.choice([0.0, rng.normal()]))
-            lo, hi = gss_score_interval(est([g], [r]), np.array([x]), reg)
+            q = gss_score_interval(est([g], [r]), np.array([x]), reg)
             for grad in np.linspace(g - r, g + r, 9):
                 s = score(grad, x)
-                assert lo[0] <= s + 1e-12
-                assert s <= hi[0] + 1e-12
+                assert q.lower[0] <= s + 1e-12
+                assert s <= q.upper[0] + 1e-12
 
     @given(st.integers(1, 20).flatmap(
         lambda n: st.tuples(_estimates(n),
@@ -715,16 +704,16 @@ class TestGssScores:
     def test_tight(self, drawn):
         e, x, lam = drawn
         reg = Regularizer("l1", lam)
-        lo, hi = gss_score_interval(e, x, reg)
-        lower, upper = kink_range(lambda t: gss_exact(t, x, lam), e, lam)
-        assert np.array_equal(lo, lower)
-        assert np.array_equal(hi, upper)
+        q = gss_score_interval(e, x, reg)
+        lower, upper = kink_range(lambda t: np.square(gss_exact(t, x, lam)),
+                                  e, lam)
+        assert np.array_equal(q.lower, lower)
+        assert np.array_equal(q.upper, upper)
 
     def test_uninformed(self):
-        lo, hi = gss_score_interval(GradientEstimate.uninformed(2),
-                                    np.array([0.0, 1.0]),
-                                    Regularizer("l1", 1.0))
-        assert np.all(lo == 0.0) and np.all(np.isinf(hi))
+        q = gss_score_interval(GradientEstimate.uninformed(2),
+                               np.array([0.0, 1.0]), Regularizer("l1", 1.0))
+        assert np.all(q.lower == 0.0) and np.all(np.isinf(q.upper))
 
     def test_rejects_l2(self):
         with pytest.raises(ValueError):
@@ -735,22 +724,21 @@ class TestGssScores:
 class TestGsrBounds:
     def test_exact_smooth(self):
         g = np.array([3.0, -1.0])
-        lo, hi = gsr_bounds(GradientEstimate.exact(g), np.zeros(2), 2.0,
-                            Regularizer())
-        assert_allclose(lo, np.abs(g) / 2.0)
-        assert_allclose(hi, np.abs(g) / 2.0)
+        q = gsr_bounds(GradientEstimate.exact(g), np.zeros(2), 2.0,
+                       Regularizer())
+        assert_allclose(q.lower, np.square(g / 2.0))
+        assert_allclose(q.upper, np.square(g / 2.0))
 
     def test_same_sign_segment(self):
         # slopes in [1, 2] with L=1 give minimisers in [-2, -1]
-        lo, hi = gsr_bounds(est([1.5], [0.5]), np.zeros(1), 1.0,
-                            Regularizer())
-        assert lo[0] == pytest.approx(1.0) and hi[0] == pytest.approx(2.0)
+        q = gsr_bounds(est([1.5], [0.5]), np.zeros(1), 1.0, Regularizer())
+        assert q.lower[0] == pytest.approx(1.0)
+        assert q.upper[0] == pytest.approx(4.0)
 
     def test_straddling_segment(self):
         # slopes in [-2, 1] give minimisers in [-1, 2]
-        lo, hi = gsr_bounds(est([-0.5], [1.5]), np.zeros(1), 1.0,
-                            Regularizer())
-        assert lo[0] == 0.0 and hi[0] == pytest.approx(2.0)
+        q = gsr_bounds(est([-0.5], [1.5]), np.zeros(1), 1.0, Regularizer())
+        assert q.lower[0] == 0.0 and q.upper[0] == pytest.approx(4.0)
 
     def test_containment_property(self):
         rng = np.random.default_rng(10)
@@ -761,11 +749,11 @@ class TestGsrBounds:
                 r = float(rng.uniform(0, 2))
                 x = float(rng.normal(0, 1))
                 L = float(rng.uniform(0.5, 3.0))
-                lo, hi = gsr_bounds(est([g], [r]), np.array([x]), L, reg)
+                q = gsr_bounds(est([g], [r]), np.array([x]), L, reg)
                 for grad in np.linspace(g - r, g + r, 9):
                     y = float(reg.model_argmin(x, grad, L))
-                    assert lo[0] <= abs(y) + 1e-12
-                    assert abs(y) <= hi[0] + 1e-12
+                    assert q.lower[0] <= y * y + 1e-12
+                    assert y * y <= q.upper[0] + 1e-12
 
 
 TRACKED = ("ascd", "ascd-gss", "ascd-gsr", "ascd-gsq")
