@@ -11,7 +11,12 @@ the steepest rule, which ``scd`` runs (``RunConfig.resolved``).  The pick
 ``argmax-lower`` takes the best lower score (greedy; degenerates to
 hammering one coordinate when every other bound has collapsed), while
 ``uniform-set`` draws uniformly from the set, the regime the one-step
-progress and equilibrium analyses describe.
+progress and equilibrium analyses describe.  Both draw through a
+``selector.PickDraws``, which serves the picks from blocks drawn per pool
+size with the values, and the generator positions, of per-step
+``rng.integers`` draws; a pool of one draws nothing.  Under ``time_steps``
+the step that draws a block carries that block's draw time in
+``wall_ns``.
 
 The loop keeps the score stage's bounds across steps.  After a step that
 moved x it scores all n coordinates with ``_scores``; after a zero step it
@@ -47,8 +52,8 @@ import numpy as np
 from .data import trace_allocation, write_csv
 from .oracles import OracleContext, OracleSpec, oracle_row
 from .problem import CompositeProblem, ResidualState
-from .selector import (ActiveSet, Bounds, GradientEstimate, active_set,
-                       compute_bounds, gsq_bounds, gsr_bounds,
+from .selector import (ActiveSet, Bounds, GradientEstimate, PickDraws,
+                       active_set, compute_bounds, gsq_bounds, gsr_bounds,
                        gss_score_interval, score_one, select_ascd,
                        select_ucd, update_estimates)
 
@@ -290,6 +295,8 @@ def run(config: RunConfig) -> RunResult:
     tracked = rule != "ucd"
     est = ctx = None
     if tracked:
+        # the picks' per-step draws, served from blocks
+        draws = PickDraws(rng)
         ctx = OracleContext(spec, problem.matrix)
         if init == "true-gradient":
             est = GradientEstimate.exact(problem.full_gradient(state))
@@ -331,11 +338,9 @@ def run(config: RunConfig) -> RunResult:
                 if not keep:
                     aset = active_set(scores)
             if pick == "uniform-set":
-                # a one-coordinate set draws nothing, as select_ascd
-                i_t = int(aset.indices[rng.integers(len(aset))
-                                       if len(aset) > 1 else 0])
+                i_t = int(aset.indices[draws.integers(len(aset))])
             else:
-                i_t = select_ascd(scores, aset, rng)
+                i_t = select_ascd(scores, aset, draws)
                 ties_total += aset.ties.size
 
         cols["i"][t] = i_t

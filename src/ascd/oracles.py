@@ -25,7 +25,8 @@ a_i's support, never a pass over all of A.
 
 All estimators are pure functions of ``(kind, matrix, seed, i, j)``; the g2
 and g4 draws are keyed on the unordered pair so they are symmetric and do
-not change between calls.
+not change between calls.  A row of them is hashed in place, in uint64
+buffers of its ``OracleContext``, and handed out as a fresh array.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ GRAM_LIMIT = 2048
 # salts so that g2 and g4 consume unrelated pseudo-random streams
 _SALT_G2 = np.uint64(0x9E3779B97F4A7C15)
 _SALT_G4 = np.uint64(0xC2B2AE3D27D4EB4F)
+_SALTS = {"g2": _SALT_G2, "g4": _SALT_G4}
+
+# splitmix64 constants
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass
@@ -74,24 +83,16 @@ class OracleSpec:
             raise ValueError("seed must be nonnegative")
 
 
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    z = (z + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _pair_uniform(seed: int, salt: np.uint64, i, j, n: int) -> np.ndarray:
-    """Deterministic draw in [-1, 1] keyed on the unordered pair (i, j)."""
-    i = np.asarray(i, dtype=np.uint64)
-    j = np.asarray(j, dtype=np.uint64)
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    with np.errstate(over="ignore"):
-        key = lo * np.uint64(n) + hi
-        mixed = _splitmix64(key ^ _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ salt))
-    u = (mixed >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-    return 2.0 * u - 1.0
+def _splitmix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser of uint64 ``z``, in place, with ``tmp`` (an
+    array of z's shape) as scratch; returns ``z``."""
+    z += _GOLDEN
+    z ^= np.right_shift(z, _S30, out=tmp)
+    z *= _MIX1
+    z ^= np.right_shift(z, _S27, out=tmp)
+    z *= _MIX2
+    z ^= np.right_shift(z, _S31, out=tmp)
+    return z
 
 
 class OracleContext:
@@ -105,7 +106,9 @@ class OracleContext:
     The copy's order is a stable argsort of the row ids cast to the
     narrowest unsigned type that holds ``n_rows - 1``: up to 65536 rows
     numpy sorts those by radix, and the permutation is the one an int64
-    sort gives.
+    sort gives.  A row concatenates the views of the copy's rows that a_i
+    meets.  The g2 and g4 kinds keep the seed's mix, ``j`` and ``j * n``
+    for every column, and two uint64 scratch rows for the pair hash.
     """
 
     def __init__(self, spec: OracleSpec, matrix: ColumnSparseMatrix):
@@ -113,6 +116,16 @@ class OracleContext:
         self.matrix = matrix
         self.norms = np.sqrt(matrix.col_norms_sq())
         self.gram = None
+        if spec.kind in _SALTS:
+            n = matrix.n_cols
+            self._ids = np.arange(n, dtype=np.uint64)
+            self._ids_times_n = self._ids * np.uint64(n)
+            # scratch of the pair hash; every row it yields is fresh
+            self._key = np.empty(n, dtype=np.uint64)
+            self._tmp = np.empty(n, dtype=np.uint64)
+            seed = np.array([spec.seed & _MASK64], dtype=np.uint64)
+            seed ^= _SALTS[spec.kind]
+            self._seed_mix = _splitmix64(seed, np.empty_like(seed))[0]
         if spec.kind not in ("g1", "g2"):
             return
         if matrix.n_cols <= GRAM_LIMIT:
@@ -122,11 +135,19 @@ class OracleContext:
         # stable: each row of A lists its entries in increasing column order
         narrow = np.min_scalar_type(matrix.n_rows - 1)
         order = np.argsort(matrix.rows.astype(narrow), kind="stable")
+        counts = np.bincount(matrix.rows, minlength=matrix.n_rows)
         self._row_ptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows),
-                  out=self._row_ptr[1:])
+        np.cumsum(counts, out=self._row_ptr[1:])
         self._row_cols = matrix._nnz_col[order].astype(np.int32)
         self._row_vals = matrix.vals[order]
+        # each row's entry count, column ids and values, the last two as
+        # views into the copy
+        self._row_counts = counts
+        ptr = self._row_ptr.tolist()
+        self._col_views = [self._row_cols[lo:hi]
+                           for lo, hi in zip(ptr, ptr[1:])]
+        self._val_views = [self._row_vals[lo:hi]
+                           for lo, hi in zip(ptr, ptr[1:])]
 
     def _dot_row(self, i: int) -> np.ndarray:
         if self.gram is not None:
@@ -134,14 +155,34 @@ class OracleContext:
         # column j sums a_i[r] * A[r, j] over increasing r, the order of
         # ColumnSparseMatrix.col_dots without its zero terms: the same bits
         rows, vals = self.matrix.col(i)
-        starts = self._row_ptr[rows]
-        counts = self._row_ptr[rows + 1] - starts
-        offsets = np.cumsum(counts) - counts
-        entries = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
-        return np.bincount(self._row_cols[entries],
-                           weights=np.repeat(vals, counts)
-                           * self._row_vals[entries],
-                           minlength=self.matrix.n_cols)
+        if not rows.size:
+            return np.zeros(self.matrix.n_cols)
+        meets = rows.tolist()
+        weights = np.repeat(vals, self._row_counts[rows])
+        weights *= np.concatenate([self._val_views[r] for r in meets])
+        return np.bincount(np.concatenate([self._col_views[r] for r in meets]),
+                           weights=weights, minlength=self.matrix.n_cols)
+
+    def _pair_uniform_row(self, i: int) -> np.ndarray:
+        """The draws in [-1, 1] keyed on the unordered pairs ``(i, j)``,
+        ``j`` in ``[n]``, as a fresh array.
+
+        The key of a pair is ``min * n + max`` in wrapping uint64
+        arithmetic, so ``j * n + i`` below i and ``i * n + j`` from i on;
+        it is mixed with the seed's splitmix64 and hashed again.  The top 53
+        bits of the hash, scaled by ``2**-52``, less one, are the draw.
+        """
+        n = self.matrix.n_cols
+        i = int(i)
+        key = self._key
+        np.add(self._ids_times_n[:i], np.uint64(i), out=key[:i])
+        np.add(self._ids[i:], np.uint64((i * n) & _MASK64), out=key[i:])
+        key ^= self._seed_mix
+        _splitmix64(key, self._tmp)
+        u = np.right_shift(key, _S11, out=self._tmp).astype(np.float64)
+        u *= 2.0 ** -52
+        u -= 1.0
+        return u
 
 
 def oracle_row(ctx: OracleContext,
@@ -156,13 +197,16 @@ def oracle_row(ctx: OracleContext,
     spec = ctx.spec
     if spec.kind == "g1":
         return ctx._dot_row(i), None
-    n = ctx.matrix.n_cols
     bounds = ctx.norms[i] * ctx.norms
     if spec.kind == "g2":
-        u = _pair_uniform(spec.seed, _SALT_G2, i, np.arange(n), n)
-        s = ctx._dot_row(i) + spec.epsilon * bounds * u
-        return np.clip(s, -bounds, bounds), spec.epsilon * bounds
+        error = spec.epsilon * bounds
+        s = ctx._pair_uniform_row(i)
+        s *= error
+        np.add(ctx._dot_row(i), s, out=s)
+        return np.clip(s, -bounds, bounds, out=s), error
     if spec.kind == "g3":
-        return np.zeros(n), bounds
-    u = _pair_uniform(spec.seed, _SALT_G4, i, np.arange(n), n)
-    return bounds * u, 2.0 * bounds
+        return np.zeros(ctx.matrix.n_cols), bounds
+    u = ctx._pair_uniform_row(i)
+    u *= bounds
+    bounds *= 2.0
+    return u, bounds

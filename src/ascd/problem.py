@@ -255,6 +255,9 @@ class CompositeProblem:
                              "Lipschitz constant would be infinite")
         self.matrix = matrix
         self.target = target
+        # b at every stored entry, in the matrix's column order: a partial
+        # gradient slices it instead of gathering b at the column's rows
+        self._entry_target = target[matrix.rows]
         self.regularizer = regularizer
         self.fold_lam = fold_lam
         # penalty that remains in the composite part after folding
@@ -280,8 +283,10 @@ class CompositeProblem:
 
     def partial_gradient(self, state: ResidualState, i: int) -> float:
         """Smooth partial derivative ``<a_i, w - b> (+ lam * x_i)``."""
-        rows, vals = self.matrix.col(i)
-        g = float(vals @ (state.w[rows] - self.target[rows]))
+        matrix = self.matrix
+        rows, vals = matrix.col(i)
+        b = self._entry_target[matrix._bounds[i]:matrix._bounds[i + 1]]
+        g = float(vals @ (state.w[rows] - b))
         return g + self.fold_lam * float(state.x[i])
 
     def full_gradient(self, state: ResidualState) -> np.ndarray:

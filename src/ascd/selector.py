@@ -23,7 +23,9 @@ the best lower score, the maximisers of one array of scores, an O(n)
 screen for the prefix length, and a full sort as the fallback.  The
 *pick*, ``select_ascd``, draws among the best lower scores of the set; the
 safe set keeps every maximiser of the lower score, whose upper score
-reaches every prefix average.
+reaches every prefix average.  The loop draws its picks through a
+``PickDraws``, which serves them from blocks drawn per pool size, with the
+values and the generator positions of one draw per step.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "active_set",
     "select_ucd",
     "select_ascd",
+    "PickDraws",
     "update_estimates",
     "gss_score_interval",
     "gsr_bounds",
@@ -115,11 +118,16 @@ class ActiveSet:
         return int(self.indices.size)
 
 
-def _distance_range(lo, hi, a, b) -> Bounds:
+def _distance_range(lo: np.ndarray, hi: np.ndarray, a, b) -> Bounds:
     """Range of the squared distance from t in [lo, hi] to the segment
-    [a, b]."""
-    lower = np.maximum(np.maximum(a - hi, lo - b), 0.0)
-    upper = np.maximum(np.maximum(a - lo, hi - b), 0.0)
+    [a, b], computed in place: ``lo`` and ``hi`` must be fresh arrays,
+    and they are overwritten."""
+    lower = np.subtract(a, hi)
+    upper = np.subtract(a, lo)
+    np.maximum(lower, np.subtract(lo, b, out=lo), out=lower)
+    np.maximum(upper, np.subtract(hi, b, out=hi), out=upper)
+    np.maximum(lower, 0.0, out=lower)
+    np.maximum(upper, 0.0, out=upper)
     return Bounds(upper=np.square(upper, out=upper),
                   lower=np.square(lower, out=lower))
 
@@ -240,15 +248,73 @@ def select_ucd(n: int, rng: np.random.Generator, out: np.ndarray) -> None:
         block[:] = rng.integers(n, size=block.size)
 
 
+# the first block a ``PickDraws`` draws for a pool size, and the longest:
+# the block doubles on each refill while the pool size holds
+PICK_BLOCK_FIRST = 8
+PICK_BLOCK_MAX = 1 << 12
+_NO_BLOCK = np.empty(0, dtype=np.int64)
+
+
+class PickDraws:
+    """Per-step ``rng.integers(k)`` draws, served from blocks.
+
+    A drop-in for the generator in ``select_ascd`` and the uniform-set
+    pick: ``integers(k)`` returns the value the next ``rng.integers(k)``
+    call would.  While the pool size k holds, values come from one
+    ``rng.integers(k, size=B)`` block, which has the values of B single
+    draws; B starts at ``PICK_BLOCK_FIRST`` and doubles on each refill up
+    to ``PICK_BLOCK_MAX``.  When k changes, the generator is restored to
+    its state before the block and redraws only the values handed out, so
+    it stands where per-step draws would have left it; ``release`` does the
+    same for a caller that goes on with the generator.  A pool of one
+    returns 0 and draws nothing, as ``rng.integers(1)`` does.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self._k = 0
+        self._block = _NO_BLOCK
+        self._next = 0
+        self._size = PICK_BLOCK_FIRST
+        self._state = None
+
+    def integers(self, k: int) -> int:
+        if k == self._k and self._next < self._block.size:
+            value = self._block.item(self._next)
+            self._next += 1
+            return value
+        if k == 1:
+            return 0
+        if k == self._k:
+            size = min(2 * self._size, PICK_BLOCK_MAX)
+        else:
+            self.release()
+            size = PICK_BLOCK_FIRST
+        self._state = self.rng.bit_generator.state
+        self._block = self.rng.integers(k, size=size)
+        self._k, self._size, self._next = k, size, 1
+        return self._block.item(0)
+
+    def release(self) -> np.random.Generator:
+        """Drop the block and return the generator, standing where the
+        per-step draws handed out so far would have left it."""
+        if self._next < self._block.size:
+            self.rng.bit_generator.state = self._state
+            self.rng.integers(self._k, size=self._next)
+        self._k, self._block, self._next = 0, _NO_BLOCK, 0
+        return self.rng
+
+
 def select_ascd(scores: Bounds, aset: ActiveSet,
-                rng: np.random.Generator) -> int:
+                rng: np.random.Generator | PickDraws) -> int:
     """Uniform draw among the maximisers of the lower score over the set.
 
     The maximisers come preset in ``aset.ties`` when ``active_set`` knew
     them; otherwise they are found on the first draw from ``aset`` and kept
     there.  A set drawn from again must come with lower scores equal to
-    those it was built from.  A pool of one coordinate draws nothing
-    from ``rng``.
+    those it was built from.  ``rng`` is a generator or, in the loop, a
+    ``PickDraws`` over the run's generator, which gives the same picks.  A
+    pool of one coordinate draws nothing from ``rng``.
     """
     if aset.ties is None:
         sub = (scores.lower if len(aset) == scores.lower.size
@@ -310,23 +376,29 @@ def gss_score_interval(estimate: GradientEstimate, x: np.ndarray,
     at ``x_i != 0``, ``a - g`` is exactly ``-(g + lam * sign(x_i))``, since
     rounding a sum commutes with negating it; a zero score is ``+0.0``
     either way.
+
+    The interval score takes the scalar segment ``[-lam, lam]`` over all n
+    and recomputes x's support with its point segment: elementwise, these
+    are the operations of per-coordinate segment arrays, so the same bits.
     """
     if reg.kind not in ("none", "l1"):
         raise ValueError("gs-s scores support only the l1 penalty")
     lam = reg.lam
     g, r = estimate.g, estimate.r
+    nz = (x != 0.0).nonzero()[0]
     if estimate.is_exact:
         d = np.abs(g)
         d -= lam
         np.maximum(d, 0.0, out=d)
-        nz = (x != 0.0).nonzero()[0]
         if nz.size:
             d[nz] = np.abs(g[nz] + lam * np.sign(x[nz]))
         return _exact_bounds(d)
-    at_zero = x == 0.0
-    a = np.where(at_zero, -lam, -lam * np.sign(x))
-    b = np.where(at_zero, lam, a)
-    return _distance_range(g - r, g + r, a, b)
+    scores = _distance_range(g - r, g + r, -lam, lam)
+    if nz.size:
+        a = -lam * np.sign(x[nz])
+        on = _distance_range(g[nz] - r[nz], g[nz] + r[nz], a, a)
+        scores.lower[nz], scores.upper[nz] = on.lower, on.upper
+    return scores
 
 
 def gsr_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,

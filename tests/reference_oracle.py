@@ -5,15 +5,37 @@ it entry by entry against ``oracle_estimate`` here, which computes one pair
 ``(i, j)`` straight from the two sparse columns, and its exact rows bit for
 bit against ``col_dots_row``.  ``int64_row_major`` builds the row-major
 copy of A from an int64 sort, the order the narrow-dtype sort of
-``OracleContext`` must reproduce.
+``OracleContext`` must reproduce.  ``_pair_uniform`` is the draw of g2 and
+g4 on broadcast index arrays, one fresh temporary per operation: the
+definition that the in-place rows of ``OracleContext`` must reproduce.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ascd.oracles import _SALT_G2, _SALT_G4, OracleSpec, _pair_uniform
+from ascd.oracles import _SALT_G2, _SALT_G4, OracleSpec
 from ascd.problem import ColumnSparseMatrix
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    z = (z + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _pair_uniform(seed: int, salt: np.uint64, i, j, n: int) -> np.ndarray:
+    """Deterministic draw in [-1, 1] keyed on the unordered pair (i, j)."""
+    i = np.asarray(i, dtype=np.uint64)
+    j = np.asarray(j, dtype=np.uint64)
+    lo = np.minimum(i, j)
+    hi = np.maximum(i, j)
+    with np.errstate(over="ignore"):
+        key = lo * np.uint64(n) + hi
+        mixed = _splitmix64(key ^ _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ salt))
+    u = (mixed >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return 2.0 * u - 1.0
 
 
 @dataclass

@@ -6,6 +6,10 @@ runs the full stable sort, the definition the screen must reproduce.
 ``gss_exact_squared`` is the gs-s score of an exact estimate as the squared
 segment distance over all n, the units every score stage returns; the
 one-pass score of ``ascd.selector.gss_score_interval`` must give its bits.
+``gss_interval_squared`` is the gs-s score interval with per-coordinate
+segment arrays built by ``np.where`` and one fresh temporary per
+operation; the scalar segment and support patch of the in-place interval
+score must give its bits.
 """
 
 import numpy as np
@@ -41,3 +45,22 @@ def gss_exact_squared(g: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
     b = np.where(at_zero, lam, a)
     d = np.maximum(np.maximum(a - g, g - b), 0.0)
     return d ** 2
+
+
+def _distance_range(lo, hi, a, b) -> Bounds:
+    """Range of the squared distance from t in [lo, hi] to the segment
+    [a, b]."""
+    lower = np.maximum(np.maximum(a - hi, lo - b), 0.0)
+    upper = np.maximum(np.maximum(a - lo, hi - b), 0.0)
+    return Bounds(upper=np.square(upper, out=upper),
+                  lower=np.square(lower, out=lower))
+
+
+def gss_interval_squared(g: np.ndarray, r: np.ndarray, x: np.ndarray,
+                         lam: float) -> Bounds:
+    """Squared distance range from ``g +- r`` to the segment
+    ``-subdiff lam|x_i|`` of every coordinate."""
+    at_zero = x == 0.0
+    a = np.where(at_zero, -lam, -lam * np.sign(x))
+    b = np.where(at_zero, lam, a)
+    return _distance_range(g - r, g + r, a, b)

@@ -702,6 +702,14 @@ SAME_RESULTS = {
         "dcfb4a6dc5b4ef66",
     ("lasso", "ascd-gsq", "uniform-set", "g4", "none", "12n"):
         "59492a06cb0ab9a4",
+    # 12n steps on g4 from "none", recorded at the commit before picks were
+    # served from blocks: the first run draws 25 blocks and rewinds the
+    # generator at 17 tie-pool size changes, the second 14 blocks and 3
+    # set size changes, and the gs-q uniform-set cell above 44 and 24
+    ("lasso", "ascd-gsq", "argmax-lower", "g4", "none", "12n"):
+        "a21cb153857ad21c",
+    ("lasso", "ascd-gsr", "uniform-set", "g4", "none", "12n"):
+        "7e4d2911fc523420",
     # under the fixed update, recorded before a zero step rescored and
     # stepped on Python floats; under fixed, argmax-lower ascd-gss g4 from
     # "none" hammers one coordinate and takes no zero step, so that cell

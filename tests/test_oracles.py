@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,11 +7,12 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import ascd.oracles
-from ascd.oracles import (_SALT_G2, OracleContext, OracleSpec, _pair_uniform,
+from ascd.oracles import (_SALT_G2, _SALT_G4, OracleContext, OracleSpec,
                           oracle_row)
 from ascd.problem import ColumnSparseMatrix
-from reference_oracle import (col_dots_row, exact_change, int64_row_major,
-                              jl_simulated_product, oracle_estimate)
+from reference_oracle import (_pair_uniform, col_dots_row, exact_change,
+                              int64_row_major, jl_simulated_product,
+                              oracle_estimate)
 
 
 def make_matrix(seed=0, d=15, n=10, density=0.6):
@@ -209,6 +212,43 @@ class TestOracleRow:
             assert np.array_equal(
                 est, np.clip(ref + eps * bounds * u, -bounds, bounds))
             assert np.array_equal(err, eps * bounds)
+
+    @settings(deadline=None, max_examples=100)
+    @given(sparse_matrices(), st.sampled_from(["g2", "g4"]),
+           st.one_of(st.integers(0, 2 ** 32),
+                     st.sampled_from([2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5,
+                                      2 ** 70 + 3])),
+           st.floats(0.0, 2.0), st.data())
+    def test_pair_rows_match_the_reference_draws(self, m, kind, seed, eps,
+                                                 data):
+        # the in-place hash gives the reference draw's bits on the first,
+        # the last and a random row, with the seed masked to 64 bits, and
+        # hands out fresh rows; g2's exact part is the row-major gather,
+        # which has col_dots' bits
+        n = m.n_cols
+        spec = OracleSpec(kind, epsilon=eps, seed=seed)
+        salt = _SALT_G2 if kind == "g2" else _SALT_G4
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(ascd.oracles, "GRAM_LIMIT", 0)
+            ctx = OracleContext(spec, m)
+        scratch = [ctx._key, ctx._tmp]
+        last = []
+        for i in (0, n - 1, data.draw(st.integers(0, n - 1))):
+            est, err = oracle_row(ctx, i)
+            bounds = ctx.norms[i] * ctx.norms
+            u = _pair_uniform(seed, salt, i, np.arange(n), n)
+            if kind == "g4":
+                want = bounds * u, 2.0 * bounds
+            else:
+                want = (np.clip(col_dots_row(m, i) + eps * bounds * u,
+                                -bounds, bounds), eps * bounds)
+            assert est.tobytes() == want[0].tobytes()
+            assert err.tobytes() == want[1].tobytes()
+            for a, b in combinations([est, err] + last, 2):
+                assert not np.shares_memory(a, b)
+            for a in (est, err):
+                assert not any(np.shares_memory(a, buf) for buf in scratch)
+            last = [est, err]
 
     @pytest.mark.parametrize("n_rows", [1, 2, 255, 256, 257, 65535, 65536,
                                         65537])

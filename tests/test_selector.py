@@ -11,12 +11,13 @@ from numpy.testing import assert_allclose
 from ascd import selector
 from ascd.driver import SANDWICH_SLACK, _scores, progress_tau
 from ascd.problem import Regularizer, model_value
-from ascd.selector import (ActiveSet, Bounds, GradientEstimate,
+from ascd.selector import (ActiveSet, Bounds, GradientEstimate, PickDraws,
                            active_set, compute_bounds, gsq_bounds,
                            gsr_bounds, gss_score_interval, score_one,
                            select_ascd, select_ucd,
                            update_estimates)
-from reference_selector import gss_exact_squared, sorted_active_set
+from reference_selector import (gss_exact_squared, gss_interval_squared,
+                                sorted_active_set)
 
 INF = np.inf
 
@@ -505,6 +506,90 @@ class TestPicks:
         assert rng.bit_generator.state == state
 
 
+@st.composite
+def _pool_sizes(draw):
+    """Runs of pool sizes, so a size changes inside a block or at its end:
+    a pool of one, small pools, the benchmark's n and one beyond 32 bits."""
+    runs = draw(st.lists(st.tuples(
+        st.sampled_from([1, 2, 3, 7, 5000, 2 ** 32 + 1]),
+        st.integers(1, 40)), max_size=8))
+    return [k for k, count in runs for _ in range(count)]
+
+
+class _CountingGenerator:
+    """A generator that records the ``size`` of each ``integers`` call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.sizes = []
+
+    def integers(self, *args, **kwargs):
+        self.sizes.append(kwargs.get("size"))
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestPickDraws:
+    """Block-served picks have the values and the stream positions of
+    per-step ``rng.integers(k)`` draws."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sizes=_pool_sizes(), before=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32), cut=st.integers(0, 400),
+           blocks=st.one_of(st.none(), st.tuples(st.integers(1, 8),
+                                                 st.integers(1, 64))))
+    @example(sizes=[5000] * 3 + [7] * 2 + [1] + [7] + [5000] * 20, before=1,
+             seed=3, cut=400, blocks=None)
+    @example(sizes=[7] * 8 + [1] + [7] * 9 + [2] * 40, before=0, seed=4,
+             cut=12, blocks=None)
+    def test_values_and_stream_match_per_step_draws(self, sizes, before,
+                                                    seed, cut, blocks):
+        # a spare 32 bits carried from an earlier draw, or none
+        ref = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        ref.integers(2 ** 31, size=before)
+        rng.integers(2 ** 31, size=before)
+        want = [int(ref.integers(k)) for k in sizes]
+        with pytest.MonkeyPatch.context() as patched:
+            if blocks is not None:
+                first, most = blocks
+                patched.setattr(selector, "PICK_BLOCK_FIRST", first)
+                patched.setattr(selector, "PICK_BLOCK_MAX", max(first, most))
+            draws = PickDraws(rng)
+            # the generator given back in the middle of the sizes, then
+            # drawn from again
+            got = [draws.integers(k) for k in sizes[:cut]]
+            assert draws.release() is rng
+            got += [draws.integers(k) for k in sizes[cut:]]
+            assert draws.release() is rng
+        assert got == want
+        assert all(type(v) is int for v in got)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_a_held_pool_size_draws_in_few_blocks(self):
+        rng = _CountingGenerator(5)
+        draws = PickDraws(rng)
+        for _ in range(10_000):
+            draws.integers(5000)
+        # blocks of PICK_BLOCK_FIRST doubling up to PICK_BLOCK_MAX
+        first, most = selector.PICK_BLOCK_FIRST, selector.PICK_BLOCK_MAX
+        doubled = [min(first << b, most) for b in range(len(rng.sizes))]
+        assert rng.sizes == doubled and sum(doubled[:-1]) < 10_000
+
+    def test_a_pool_of_one_draws_nothing_and_keeps_the_block(self):
+        rng = _CountingGenerator(6)
+        draws = PickDraws(rng)
+        assert [draws.integers(k) for k in (7, 1, 7, 1)][1::2] == [0, 0]
+        assert len(rng.sizes) == 1
+        state = rng.bit_generator.state
+        assert PickDraws(rng).integers(1) == 0
+        assert len(rng.sizes) == 1 and rng.bit_generator.state == state
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ValueError):
+            PickDraws(np.random.default_rng(0)).integers(0)
+
+
 class TestUpdateEstimates:
     def test_arithmetic(self):
         e = est([0.0, 1.0], [0.0, 2.0])
@@ -830,6 +915,42 @@ def _exact_gss(draw):
         st.sampled_from([0.0, -0.0, INF, -INF, *_ulps(lam), *_ulps(-lam)]),
         st.floats(-20.0, 20.0), _ANY)))
     return g, x, lam
+
+
+@st.composite
+def _interval_gss(draw):
+    """``_exact_gss`` with radii at 0, finite, huge and inf."""
+    g, x, lam = draw(_exact_gss())
+    r = draw(arrays(np.float64, g.size, elements=st.one_of(
+        st.sampled_from([0.0, INF]), st.floats(0.0, 20.0),
+        st.floats(0.0, 1e300))))
+    return g, r, x, lam
+
+
+class TestIntervalGssScore:
+    """The interval gs-s score, on the scalar segment off x's support and
+    patched on it, has the bits of per-coordinate segment arrays."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_interval_gss())
+    @example((np.array([-0.0, 0.0, 1.0, -1.0, INF, -INF, 2.0]),
+              np.array([0.0, INF, 0.0, INF, INF, 0.0, 1.0]),
+              np.array([0.0, -0.0, 1.0, -1.0, 0.0, -1.0, 1.0]), 1.0))
+    @example((np.array([-0.0, 0.0, 3.0, -INF, INF]),
+              np.array([0.0, 0.0, INF, INF, 1.0]),
+              np.array([-0.0, 1.0, -1.0, -1.0, 0.0]), 0.0))
+    def test_bits_match_the_segment_arrays(self, drawn):
+        g, r, x, lam = drawn
+        e = GradientEstimate(g.copy(), r.copy())
+        # NaN from inf - inf and squares beyond the float range on both
+        # sides
+        with np.errstate(all="ignore"):
+            got = gss_score_interval(e, x, Regularizer("l1", lam))
+            want = gss_interval_squared(g, r, x, lam)
+        assert got.lower.tobytes() == want.lower.tobytes()
+        assert got.upper.tobytes() == want.upper.tobytes()
+        assert not np.shares_memory(got.lower, got.upper)
+        assert e.g.tobytes() == g.tobytes() and e.r.tobytes() == r.tobytes()
 
 
 class TestExactGssScore:
