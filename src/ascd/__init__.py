@@ -5,7 +5,7 @@ from .problem import (ColumnSparseMatrix, CompositeProblem, Regularizer,
                       ResidualState, model_value)
 from .oracles import OracleSpec
 from .selector import (ActiveSet, Bounds, GradientEstimate, active_set,
-                       compute_bounds, select_ascd, select_ucd)
+                       compute_bounds, select_ascd)
 from .driver import (RunConfig, RunResult, UpdateRule, progress_delta,
                      progress_tau, run, write_trace_csv)
 from .hardcase import HardCase, LowDimEmbedding, embed_lowdim, solve_c_alpha
@@ -18,7 +18,7 @@ __all__ = [
     "ColumnSparseMatrix", "CompositeProblem", "Regularizer", "ResidualState",
     "model_value", "OracleSpec",
     "ActiveSet", "Bounds", "GradientEstimate", "active_set", "compute_bounds",
-    "select_ascd", "select_ucd", "RunConfig", "RunResult",
+    "select_ascd", "RunConfig", "RunResult",
     "UpdateRule", "progress_delta", "progress_tau", "run", "write_trace_csv",
     "HardCase", "LowDimEmbedding", "embed_lowdim", "solve_c_alpha",
     "RatioSimConfig", "rho_infinity", "simulate_rho", "SynthConfig",

@@ -2,9 +2,9 @@
 
 Subcommands: ``generate`` (synthetic dataset in svmlight format plus a JSON
 sidecar), ``run`` (one descent, trace CSV plus JSON summary), ``sweep``
-(cross-product of rules / oracles / epsilons / seeds / inits, in parallel),
-``hardcase`` (adversarial quadratic verification) and ``ratio-sim``
-(active-set equilibrium simulator).
+(cross-product of rules / oracles / epsilons / seeds / inits, each
+distinct run once, in parallel), ``hardcase`` (adversarial quadratic
+verification) and ``ratio-sim`` (active-set equilibrium simulator).
 
 Every output is a deterministic function of the flags and seeds; per-step
 wall times are only collected under ``--time`` since they are the one
@@ -287,12 +287,13 @@ _RUN_FLAGS = {"seed": "--seed", "diag_every": "--diag-every",
               "steps": "--steps"}
 
 
-def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
-                 out_dir: str) -> dict:
+def _run_config(flags: dict, problem: CompositeProblem,
+                steps: int) -> RunConfig:
+    """The run that ``flags`` ask for; a rejection names the flag."""
     spec = _named({"seed": "--seed", "epsilon": "--epsilon"}, OracleSpec,
                   flags["oracle"], epsilon=flags["epsilon"],
                   seed=flags["seed"])
-    config = _named(
+    return _named(
         _RUN_FLAGS, RunConfig,
         problem=problem,
         steps=steps,
@@ -305,6 +306,11 @@ def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
         diag_every=flags["diag_every"],
         time_steps=flags["time"],
     )
+
+
+def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
+                 out_dir: str) -> dict:
+    config = _run_config(flags, problem, steps)
     result = _named(_RUN_FLAGS, run, config)
     _, oracle, init, pick = config.resolved()
     trace_path = os.path.join(out_dir, flags["tag"] + ".csv")
@@ -375,16 +381,24 @@ def cmd_sweep(args) -> int:
     # as is a budget whose trace does not fit
     problem, steps = _build_problem(vars(args))
     _named(_RUN_FLAGS, allocate_trace, steps)
+    requested = list(itertools.product(*axes))
+    if len(requested) > args.max_cells:
+        raise ValueError(f"{len(requested)} cells exceed "
+                         f"--max-cells={args.max_cells}")
     out_dir = _out_dir(args)
-    cells = []
-    for rule, oracle, eps, seed, init in itertools.product(*axes):
+    # a cell runs once per seed and resolved (rule, oracle, init, pick),
+    # under the first tag in product order; rejected flags fail alone
+    cells = {}
+    for rule, oracle, eps, seed, init in requested:
         tag = f"{args.tag}_{rule}_{oracle}_eps{eps:g}_seed{seed}_{init}"
         flags = dict(vars(args), rule=rule, oracle=oracle, epsilon=eps,
                      seed=seed, init=init, tag=tag)
-        cells.append((tag, flags, problem, steps, out_dir))
-    if len(cells) > args.max_cells:
-        raise ValueError(f"{len(cells)} cells exceed "
-                         f"--max-cells={args.max_cells}")
+        try:
+            key = (seed, _run_config(flags, problem, steps).resolved())
+        except ValueError:
+            key = tag
+        cells.setdefault(key, (tag, flags, problem, steps, out_dir))
+    cells = list(cells.values())
 
     if args.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs,
@@ -399,7 +413,7 @@ def cmd_sweep(args) -> int:
     for (tag, *_), (_, summary, err) in zip(cells, outcomes):
         if err is None:
             # what the cell ran, not its flags: scd fixes its oracle and
-            # init, and ucd reads no oracle
+            # init, and ucd reads neither
             oracle = summary["oracle"] or {"kind": "", "epsilon": np.nan}
             rows.append([tag, summary["rule"], oracle["kind"],
                          oracle["epsilon"], summary["seed"], summary["init"]]

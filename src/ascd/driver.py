@@ -1,22 +1,23 @@
 """The descent loop: update rules, estimate bookkeeping, traces, diagnostics.
 
 One run executes a fixed budget of single-coordinate steps.  Selection is
-uniform (``ucd``) or a tracked rule that runs the score, set and pick
-stages of ``selector``.  ``_scores`` dispatches to the rule's score stage:
-``ascd-gsq`` compares the negated model decrease bounds, every other
-tracked rule its magnitude interval squared; every tracked rule then keeps
-the safe set.  With g1 and a true-gradient start the estimate stays exact,
-so the magnitude rules score one array and their set is its maximisers:
-the steepest rule, which ``scd`` runs (``RunConfig.resolved``).  The pick
-``argmax-lower`` takes the best lower score (greedy; degenerates to
-hammering one coordinate when every other bound has collapsed), while
-``uniform-set`` draws uniformly from the set, the regime the one-step
-progress and equilibrium analyses describe.  Both draw through a
-``selector.PickDraws``, which serves the picks from blocks drawn per pool
-size with the values, and the generator positions, of per-step
-``rng.integers`` draws; a pool of one draws nothing.  Under ``time_steps``
-the step that draws a block carries that block's draw time in
-``wall_ns``.
+uniform (``ucd``, with no estimate and all n as its set) or a tracked rule
+that runs the score, set and pick stages of ``selector``.  ``_scores``
+dispatches to the rule's score stage: ``ascd-gsq`` compares the negated
+model decrease bounds, every other tracked rule its magnitude interval
+squared; every tracked rule then keeps the safe set.  With g1 and a
+true-gradient start the estimate stays exact, so the magnitude rules score
+one array and their set is its maximisers: the steepest rule, which
+``scd`` runs (``RunConfig.resolved``).  The pick ``argmax-lower`` takes
+the best lower score (greedy; degenerates to hammering one coordinate when
+every other bound has collapsed), while ``uniform-set`` draws uniformly
+from the set, the regime the one-step progress and equilibrium analyses
+describe; ucd runs this pick on its constant set.  Every rule draws
+through one ``selector.PickDraws``, which serves the picks from blocks
+drawn per pool size with the values, and the generator positions, of
+per-step ``rng.integers`` draws; a pool of one draws nothing.  Under
+``time_steps`` the step that draws a block carries that block's draw time
+in ``wall_ns``, on every rule.
 
 The loop keeps the score stage's bounds across steps.  After a step that
 moved x it scores all n coordinates with ``_scores``; after a zero step it
@@ -55,7 +56,7 @@ from .problem import CompositeProblem, ResidualState
 from .selector import (ActiveSet, Bounds, GradientEstimate, PickDraws,
                        active_set, compute_bounds, gsq_bounds, gsr_bounds,
                        gss_score_interval, score_one, select_ascd,
-                       select_ucd, update_estimates)
+                       update_estimates)
 
 __all__ = [
     "UpdateRule",
@@ -191,13 +192,14 @@ class RunConfig:
         """The score rule, oracle, init and pick the run executes: ``scd``
         runs g1 from a true-gradient start under ``argmax-lower``, scoring
         the magnitude on a smooth problem and gs-s under l1; ``ucd`` reads
-        no oracle."""
+        no oracle and no init, and runs the ``uniform-set`` pick on all n
+        coordinates."""
         if self.rule == "scd":
             l1 = self.problem.psi_reg.kind == "l1"
             return ("ascd-gss" if l1 else "ascd", OracleSpec("g1"),
                     "true-gradient", "argmax-lower")
         if self.rule == "ucd":
-            return self.rule, None, self.init, self.pick
+            return "ucd", None, "none", "uniform-set"
         return self.rule, self.oracle or OracleSpec("g3"), self.init, self.pick
 
 
@@ -293,32 +295,28 @@ def run(config: RunConfig) -> RunResult:
 
     rule, spec, init, pick = config.resolved()
     tracked = rule != "ucd"
+    # every rule's picks: per-step draws, served from blocks
+    draws = PickDraws(rng)
     est = ctx = None
     if tracked:
-        # the picks' per-step draws, served from blocks
-        draws = PickDraws(rng)
         ctx = OracleContext(spec, problem.matrix)
         if init == "true-gradient":
             est = GradientEstimate.exact(problem.full_gradient(state))
         else:
             est = GradientEstimate.uninformed(n)
+    else:
+        # every coordinate, the same set on every step
+        aset = ActiveSet(indices=np.arange(n), avg_score=0.0)
 
     sound_bad = contain_bad = sandwich_bad = 0
     ties_total = 0  # draw pool sizes of the argmax-lower picks
     # kept across zero steps, dropped when x moves
     scores = f = None
     t_start = time.perf_counter()
-    if not tracked:
-        # every coordinate, the same set on every step; every pick drawn
-        # up front into the trace
-        aset = ActiveSet(indices=np.arange(n), avg_score=0.0)
-        select_ucd(n, rng, cols["i"])
 
     for t in range(steps):
         tick = time.perf_counter_ns() if config.time_steps else 0
-        if not tracked:
-            i_t = int(cols["i"][t])
-        else:
+        if tracked:
             if scores is None:
                 scores = _scores(rule, est, state.x, problem)
                 aset = active_set(scores)
@@ -337,11 +335,11 @@ def run(config: RunConfig) -> RunResult:
                 scores.lower[i_t], scores.upper[i_t] = lower, upper
                 if not keep:
                     aset = active_set(scores)
-            if pick == "uniform-set":
-                i_t = int(aset.indices[draws.integers(len(aset))])
-            else:
-                i_t = select_ascd(scores, aset, draws)
-                ties_total += aset.ties.size
+        if pick == "uniform-set":
+            i_t = aset.indices.item(draws.integers(aset.indices.size))
+        else:
+            i_t = select_ascd(scores, aset, draws)
+            ties_total += aset.ties.size
 
         cols["i"][t] = i_t
         if f is None:
@@ -400,11 +398,10 @@ def run(config: RunConfig) -> RunResult:
         if config.time_steps:
             cols["wall_ns"][t] = time.perf_counter_ns() - tick
 
-    tie_pool = tracked and pick == "argmax-lower"
     return RunResult(
         config=config,
         **cols,
-        mean_pick_pool=(ties_total / steps if tie_pool
+        mean_pick_pool=(ties_total / steps if pick == "argmax-lower"
                         else float(np.mean(cols["active_size"]))),
         final_x=state.x.copy(),
         final_f=problem.objective(state),

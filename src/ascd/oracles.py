@@ -63,7 +63,7 @@ _S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleSpec:
     """Which estimator to use and its parameters.
 

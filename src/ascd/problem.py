@@ -238,6 +238,8 @@ class CompositeProblem:
             raise ValueError("target length must equal the number of rows")
         if not np.all(np.isfinite(target)):
             raise ValueError("target values must be finite")
+        if matrix.n_cols < 1:
+            raise ValueError("the matrix has no columns")
         fold_lam = regularizer.lam if regularizer.kind == "l2" else 0.0
         # an overflow is rejected below, by name, not warned about
         with np.errstate(over="ignore"):
@@ -279,6 +281,10 @@ class CompositeProblem:
         x = np.zeros(self.n) if x is None else np.array(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError("x length must equal the number of columns")
+        if not np.all(np.isfinite(x)):
+            bad = int(np.argmin(np.isfinite(x)))
+            raise ValueError(f"x0 must be finite; coordinate {bad} is "
+                             f"{float(x[bad])}")
         return ResidualState(x=x, w=self.matrix.matvec(x))
 
     def partial_gradient(self, state: ResidualState, i: int) -> float:

@@ -1,6 +1,6 @@
 """Coordinate selection rules.
 
-Uniform selection draws its picks in blocks.  The tracked rules keep, for
+Uniform selection only draws from all n.  The tracked rules keep, for
 every coordinate, an estimate of the smooth partial gradient with a
 certified error radius, and select in three stages; steepest selection is a
 tracked rule on an exact estimate.  The *score* stage brackets each
@@ -23,9 +23,9 @@ the best lower score, the maximisers of one array of scores, an O(n)
 screen for the prefix length, and a full sort as the fallback.  The
 *pick*, ``select_ascd``, draws among the best lower scores of the set; the
 safe set keeps every maximiser of the lower score, whose upper score
-reaches every prefix average.  The loop draws its picks through a
-``PickDraws``, which serves them from blocks drawn per pool size, with the
-values and the generator positions of one draw per step.
+reaches every prefix average.  The loop draws every rule's picks through
+one ``PickDraws``, which serves them from blocks drawn per pool size, with
+the values and the generator positions of one draw per step.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "ActiveSet",
     "compute_bounds",
     "active_set",
-    "select_ucd",
     "select_ascd",
     "PickDraws",
     "update_estimates",
@@ -228,24 +227,6 @@ def active_set(scores: Bounds) -> ActiveSet:
     k = int(np.argmax(valid)) + 1 if valid.any() else n
     return ActiveSet(indices=np.sort(order[:k]), avg_score=float(av[k - 1]),
                      top=top)
-
-
-# picks drawn per ``rng.integers`` call of ``select_ucd``: the temporary
-# stays small however long the run
-UCD_BLOCK = 1 << 16
-
-
-def select_ucd(n: int, rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out`` with uniform draws over the n coordinates.
-
-    The draws come in blocks of ``UCD_BLOCK``; the values are those of
-    ``out.size`` successive ``rng.integers(n)`` calls.
-    """
-    if n < 1:
-        raise ValueError("need at least one coordinate")
-    for lo in range(0, out.size, UCD_BLOCK):
-        block = out[lo:lo + UCD_BLOCK]
-        block[:] = rng.integers(n, size=block.size)
 
 
 # the first block a ``PickDraws`` draws for a pool size, and the longest:

@@ -113,8 +113,11 @@ class TestRun:
         # a row is fetched for every useful step of a tracked rule only
         assert summary["oracle_rows"] == (
             0 if rule == "ucd" else summary["useful_steps"])
-        # ucd reads no oracle
+        # ucd reads no oracle and no init, and draws uniformly from all n
         assert (summary["oracle"] is None) == (rule == "ucd")
+        if rule == "ucd":
+            assert (summary["init"], summary["pick"]) == ("none",
+                                                          "uniform-set")
 
     def test_byte_determinism(self, dataset, tmp_path):
         args = ["run", "--data", str(dataset), "--l1", "2.0", "--rule",
@@ -354,7 +357,8 @@ class TestSweep:
 
     def test_summary_names_what_each_cell_ran(self, dataset, tmp_path):
         # scd runs g1 from a true-gradient start whatever its flags say,
-        # and ucd reads no oracle
+        # and ucd reads no oracle and no init: each runs once, under the
+        # first tag in product order
         rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
                    "--rules", "scd,ucd", "--oracles", "g1,g4",
                    "--epsilons", "0.5", "--inits", "none,true-gradient",
@@ -363,19 +367,55 @@ class TestSweep:
         head, *rows = (tmp_path / "rc_summary.csv").read_text().splitlines()
         assert head.split(",")[:6] == ["tag", "rule", "oracle", "epsilon",
                                        "seed", "init"]
-        ran = [tuple(row.split(",")[1:6]) for row in rows]
-        assert ran == 4 * [("scd", "g1", "0.0", "0", "true-gradient")] + [
-            ("ucd", "", "", "0", init)
-            for init in ("none", "true-gradient", "none", "true-gradient")]
-        for tag, *_, init in (row.split(",")[:6] for row in rows):
+        ran = [tuple(row.split(",")[:6]) for row in rows]
+        assert ran == [
+            ("rc_scd_g1_eps0.5_seed0_none", "scd", "g1", "0.0", "0",
+             "true-gradient"),
+            ("rc_ucd_g1_eps0.5_seed0_none", "ucd", "", "", "0", "none")]
+        assert read_json(tmp_path / "rc_sweep.json")["cells"] == 2
+        for tag, *_, init in ran:
             cell = read_json(tmp_path / f"{tag}.json")
             assert cell["init"] == init
+        assert sorted(p.name for p in tmp_path.glob("rc_*.csv")) == [
+            "rc_scd_g1_eps0.5_seed0_none.csv", "rc_summary.csv",
+            "rc_ucd_g1_eps0.5_seed0_none.csv"]
+
+    def test_distinct_cells_per_seed(self, dataset, tmp_path):
+        # the seed keeps cells apart even where nothing else does
+        rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
+                   "--rules", "ucd", "--oracles", "g1,g3",
+                   "--seeds", "4,5", "--out", str(tmp_path), "--tag", "ds"])
+        assert rc == 0
+        rows = (tmp_path / "ds_summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [
+            "ds_ucd_g1_eps0_seed4_none", "ds_ucd_g1_eps0_seed5_none"]
+
+    def test_rejected_cells_fail_alone(self, dataset, tmp_path):
+        # a cell whose flags are rejected is never folded into another
+        rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
+                   "--rules", "ucd,scd", "--oracles", "g3,g9",
+                   "--out", str(tmp_path), "--tag", "rj"])
+        assert rc == 1
+        summary = read_json(tmp_path / "rj_sweep.json")
+        assert summary["cells"] == 4
+        assert [item["tag"] for item in summary["failed"]] == [
+            "rj_ucd_g9_eps0_seed0_none", "rj_scd_g9_eps0_seed0_none"]
+        rows = (tmp_path / "rj_summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [
+            "rj_ucd_g3_eps0_seed0_none", "rj_scd_g3_eps0_seed0_none"]
 
     def test_cell_cap(self, dataset, tmp_path):
         rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
                    "--seeds", "1,2,3", "--epsilons", "0,1", "--max-cells",
                    "5", "--out", str(tmp_path), "--tag", "cap"])
         assert rc == 2
+        # six requested cells, three distinct: the cap reads the request
+        rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
+                   "--rules", "ucd", "--oracles", "g1,g3",
+                   "--seeds", "1,2,3", "--max-cells", "5",
+                   "--out", str(tmp_path), "--tag", "cap"])
+        assert rc == 2
+        assert not list(tmp_path.glob("cap*"))
 
     def test_partial_failure_reported(self, dataset, tmp_path):
         rc = main(["sweep", "--data", str(dataset), "--l2", "0.1",

@@ -598,6 +598,12 @@ class TestRun:
         assert np.array_equal(gathered.i, reference.i)
         assert gathered.final_f == reference.final_f
 
+    def test_non_finite_x0_rejected_before_the_loop(self):
+        # named as x0, not as a non-finite gradient at step 0
+        prob = random_problem(16, n=3)
+        with pytest.raises(ValueError, match="x0"):
+            run(RunConfig(problem=prob, steps=5, x0=[np.nan, 0.0, 0.0]))
+
     def test_numeric_failure_reports_step_index(self):
         base = random_problem(16)
         # a target near the float limit overflows a partial gradient

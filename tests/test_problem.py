@@ -309,3 +309,19 @@ def test_overflowing_column_norm_rejected(reg, named, recwarn):
 def test_non_finite_target_rejected():
     with pytest.raises(ValueError, match="finite"):
         CompositeProblem(identity_matrix(2), np.array([0.0, np.nan]))
+
+
+def test_matrix_without_columns_rejected():
+    # rejected by name, not by numpy's empty max of the Lipschitz constants
+    with pytest.raises(ValueError, match="no columns"):
+        CompositeProblem(ColumnSparseMatrix.from_dense(np.zeros((3, 0))),
+                         np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_x0_rejected(bad):
+    prob = CompositeProblem(identity_matrix(3), np.ones(3))
+    x0 = np.array([0.0, 0.0, 0.0])
+    x0[2] = bad
+    with pytest.raises(ValueError, match=r"x0 must be finite; coordinate 2"):
+        prob.residual_state(x0)

@@ -9,13 +9,14 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from ascd import selector
-from ascd.driver import SANDWICH_SLACK, _scores, progress_tau
-from ascd.problem import Regularizer, model_value
+from ascd.driver import (SANDWICH_SLACK, RunConfig, _scores, progress_tau,
+                         run)
+from ascd.problem import (ColumnSparseMatrix, CompositeProblem, Regularizer,
+                          model_value)
 from ascd.selector import (ActiveSet, Bounds, GradientEstimate, PickDraws,
                            active_set, compute_bounds, gsq_bounds,
                            gsr_bounds, gss_score_interval, score_one,
-                           select_ascd, select_ucd,
-                           update_estimates)
+                           select_ascd, update_estimates)
 from reference_selector import (gss_exact_squared, gss_interval_squared,
                                 sorted_active_set)
 
@@ -413,40 +414,50 @@ class TestExactEstimate:
         assert b.lower is not b.upper
 
 
-class TestPicks:
-    @staticmethod
-    def ucd_picks(n, rng, steps):
-        out = np.full(steps, -1, dtype=np.int64)
-        select_ucd(n, rng, out)
-        return out
+def ucd_run(n, seed, steps):
+    """A ucd run on n coordinates; its picks come from the shared pick."""
+    matrix = ColumnSparseMatrix.from_columns(
+        n, [(np.array([i]), np.array([1.0])) for i in range(n)])
+    return run(RunConfig(problem=CompositeProblem(matrix, np.zeros(n)),
+                         steps=steps, rule="ucd", seed=seed, diag_every=0))
 
+
+class TestPicks:
     def test_ucd_single(self):
-        assert np.all(self.ucd_picks(1, np.random.default_rng(0), 5) == 0)
+        assert np.all(ucd_run(1, 0, 5).i == 0)
 
     def test_ucd_frequencies(self):
-        counts = np.bincount(self.ucd_picks(10, np.random.default_rng(7),
-                                            100_000), minlength=10)
-        sigma = np.sqrt(100_000 * 0.1 * 0.9)
-        assert np.all(np.abs(counts - 10_000) < 3 * sigma)
+        steps = 100_000
+        counts = np.bincount(ucd_run(10, 7, steps).i, minlength=10)
+        sigma = np.sqrt(steps * 0.1 * 0.9)
+        assert np.all(np.abs(counts - steps / 10) < 3 * sigma)
 
     def test_ucd_reproducible(self):
-        a = self.ucd_picks(50, np.random.default_rng(3), 20)
-        b = self.ucd_picks(50, np.random.default_rng(3), 20)
-        assert np.array_equal(a, b)
-        assert np.unique(a).size > 1
+        # a ucd run's picks are one rng.integers(n) per step, across the
+        # refills of the shared pick's blocks
+        steps = 10_000
+        for n in (1, 7, 1000):
+            for seed in (0, 3):
+                rng = np.random.default_rng(seed)
+                want = [int(rng.integers(n)) for _ in range(steps)]
+                assert ucd_run(n, seed, steps).i.tolist() == want, (n, seed)
+        assert np.unique(ucd_run(50, 3, 20).i).size > 1
 
-    @pytest.mark.parametrize("block", [3, 64, selector.UCD_BLOCK])
+    @pytest.mark.parametrize("block", [3, 64, 1 << 16])
     @pytest.mark.parametrize("n", [7, 1000, 5000, 2 ** 32 + 1, 2 ** 33])
     def test_ucd_block_draws_equal_per_step_draws(self, monkeypatch, n,
                                                   block):
-        # the trace of a run is what per-step ``rng.integers(n)`` draws give,
-        # however the draws are split into blocks (PCG64 carries a spare 32
+        # ucd's pool of n, served in blocks of a fixed size, gives what
+        # per-step ``rng.integers(n)`` draws give (PCG64 carries a spare 32
         # bits between calls)
-        monkeypatch.setattr(selector, "UCD_BLOCK", block)
+        monkeypatch.setattr(selector, "PICK_BLOCK_FIRST", block)
+        monkeypatch.setattr(selector, "PICK_BLOCK_MAX", block)
         steps = 2 * block + 5
-        picks = self.ucd_picks(n, np.random.default_rng(11), steps)
+        draws = PickDraws(np.random.default_rng(11))
+        picks = [draws.integers(n) for _ in range(steps)]
         rng = np.random.default_rng(11)
-        assert picks.tolist() == [int(rng.integers(n)) for _ in range(steps)]
+        assert picks == [int(rng.integers(n)) for _ in range(steps)]
+        assert draws.release().bit_generator.state == rng.bit_generator.state
 
     def test_ascd_exact_equals_scd(self):
         rng = np.random.default_rng(5)
@@ -542,6 +553,9 @@ class TestPickDraws:
              seed=3, cut=400, blocks=None)
     @example(sizes=[7] * 8 + [1] + [7] * 9 + [2] * 40, before=0, seed=4,
              cut=12, blocks=None)
+    # a pool beyond 32 bits held across refills, left and taken up again
+    @example(sizes=[2 ** 33] * 40 + [7] * 3 + [2 ** 33] * 30, before=1,
+             seed=11, cut=20, blocks=None)
     def test_values_and_stream_match_per_step_draws(self, sizes, before,
                                                     seed, cut, blocks):
         # a spare 32 bits carried from an earlier draw, or none
