@@ -30,13 +30,16 @@ import numpy as np
 from . import hardcase as hc_mod
 from .data import SynthConfig, generate_synthetic, load_svmlight, \
     save_svmlight, take_columns, write_csv
-from .driver import (RULES, RunConfig, UpdateRule, allocate_trace, run,
-                     write_trace_csv)
+from .driver import (INITS, PICKS, RULES, UPDATES, RunConfig, UpdateRule,
+                     allocate_trace, run, write_trace_csv)
 from .oracles import ORACLE_KINDS, OracleSpec
 from .problem import CompositeProblem, Regularizer
-from .ratiosim import RatioSimConfig, rho_infinity, simulate_rho
+from .ratiosim import (REENTRY_MODES, RatioSimConfig, rho_infinity,
+                       simulate_rho)
 
 SCHEMA_VERSION = 6
+
+HARDCASE_STARTS = ("worst", "ones")  # hardcase --start; the first is default
 
 # JSON summary schemas (field names are part of the CLI contract)
 _COMMON = {"schema_version": {"type": "integer"},
@@ -62,8 +65,8 @@ RUN_SUMMARY_SCHEMA = _summary_schema({
     "steps": {"type": "integer"},
     "epochs": {"type": "number"},
     "seed": {"type": "integer"},
-    "init": {"enum": ["none", "true-gradient"]},
-    "pick": {"enum": ["argmax-lower", "uniform-set"]},
+    "init": {"enum": list(INITS)},
+    "pick": {"enum": list(PICKS)},
     "final_f": {"type": "number"},
     "mean_active_size": {"type": "number"},
     "mean_pick_pool": {"type": "number"},
@@ -83,7 +86,7 @@ HARDCASE_SUMMARY_SCHEMA = _summary_schema({
     "alpha": {"type": "number"},
     "c_alpha": {"type": "number"},
     "steps": {"type": "integer"},
-    "start": {"enum": ["worst", "ones"]},
+    "start": {"enum": list(HARDCASE_STARTS)},
     "cycling_checked": {"type": "boolean"},
     "cycling_ok": {"type": ["boolean", "null"]},
     "first_failure": {"type": ["integer", "null"]},
@@ -99,7 +102,7 @@ RATIO_SUMMARY_SCHEMA = _summary_schema({
     "t_inf": {"type": "number"},
     "steps": {"type": "integer"},
     "seed": {"type": "integer"},
-    "reentry": {"enum": ["geometric", "fixed"]},
+    "reentry": {"enum": list(REENTRY_MODES)},
     "designated": {"type": "integer"},
     "rho_closed_form": {"type": "number"},
     "rho_simple_bound": {"type": "number"},
@@ -246,18 +249,17 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--take-seed", type=int, default=0)
     p.add_argument("--l2", type=float, default=0.0, help="ridge weight")
     p.add_argument("--l1", type=float, default=0.0, help="lasso weight")
-    p.add_argument("--rule", default="ascd", choices=RULES)
-    p.add_argument("--oracle", default="g3", choices=ORACLE_KINDS)
-    p.add_argument("--epsilon", type=float, default=0.0,
+    # defaults and choices are the library's; --update hyphenates its kinds
+    p.add_argument("--rule", default=RunConfig.rule, choices=RULES)
+    p.add_argument("--oracle", default=OracleSpec.kind, choices=ORACLE_KINDS)
+    p.add_argument("--epsilon", type=float, default=OracleSpec.epsilon,
                    help="g2 relative error level")
-    p.add_argument("--update", default="fixed",
-                   choices=["fixed", "line-search"])
+    p.add_argument("--update", default=UpdateRule.kind.replace("_", "-"),
+                   choices=[kind.replace("_", "-") for kind in UPDATES])
     p.add_argument("--steps", default=None,
                    help="step budget; accepts multiples of n like '10n'")
-    p.add_argument("--init", default="none",
-                   choices=["none", "true-gradient"])
-    p.add_argument("--pick", default="argmax-lower",
-                   choices=["argmax-lower", "uniform-set"],
+    p.add_argument("--init", default=RunConfig.init, choices=INITS)
+    p.add_argument("--pick", default=RunConfig.pick, choices=PICKS,
                    help="how the active coordinate is drawn from the set")
     p.add_argument("--diag-every", type=int, default=None,
                    help="true-gradient diagnostics cadence (default n)")
@@ -413,7 +415,7 @@ def cmd_sweep(args) -> int:
     for (tag, *_), (_, summary, err) in zip(cells, outcomes):
         if err is None:
             # what the cell ran, not its flags: scd fixes its oracle and
-            # init, and ucd reads neither
+            # init, ucd reads neither, and only g2 reads epsilon
             oracle = summary["oracle"] or {"kind": "", "epsilon": np.nan}
             rows.append([tag, summary["rule"], oracle["kind"],
                          oracle["epsilon"], summary["seed"], summary["init"]]
@@ -475,7 +477,8 @@ def cmd_hardcase(args) -> int:
     if args.steps < min_steps:
         raise ValueError(f"--steps must be at least {min_steps} with "
                          f"--start {args.start}")
-    hc = hc_mod.HardCase.build(args.alpha, args.n)
+    hc = _named({"n": "--n", "alpha": "--alpha"}, hc_mod.HardCase.build,
+                args.alpha, args.n)
     out_dir = _out_dir(args)
     steps_flag = {"steps": "--steps"}
     if args.start == "worst":
@@ -563,10 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(g)
     g.add_argument("--rows", type=int, default=None)
     g.add_argument("--cols", type=int, default=None)
-    g.add_argument("--scale-factor", type=float, default=10.0)
-    g.add_argument("--sparsity-factor", type=float, default=10.0)
-    g.add_argument("--support-frac", type=float, default=0.1)
-    g.add_argument("--noise-sigma", type=float, default=0.1)
+    for field in ("column_scale_factor", "sparsity_factor", "support_frac",
+                  "noise_sigma"):
+        g.add_argument(_GENERATE_FLAGS[field], type=float,
+                       default=getattr(SynthConfig, field))
     g.add_argument("--tag", default="synthetic")
     g.set_defaults(func=cmd_generate)
 
@@ -592,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--n", type=int, default=None)
     h.add_argument("--alpha", type=float, default=0.01)
     h.add_argument("--steps", type=int, default=None)
-    h.add_argument("--start", default="worst", choices=["worst", "ones"])
+    h.add_argument("--start", default=HARDCASE_STARTS[0],
+                   choices=HARDCASE_STARTS)
     h.add_argument("--tag", default="hardcase")
     h.set_defaults(func=cmd_hardcase)
 
@@ -600,11 +604,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(q)
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--s", type=int, default=None)
-    q.add_argument("--c", type=float, default=1.0)
+    q.add_argument("--c", type=float, default=RatioSimConfig.c)
     q.add_argument("--t-inf", type=float, default=None)
     q.add_argument("--steps", type=int, default=None)
-    q.add_argument("--reentry", default="geometric",
-                   choices=["geometric", "fixed"])
+    q.add_argument("--reentry", default=RatioSimConfig.reentry,
+                   choices=REENTRY_MODES)
     q.add_argument("--tag", default="ratio")
     q.set_defaults(func=cmd_ratio_sim)
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,6 +63,9 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "RULES",
+    "INITS",
+    "PICKS",
+    "UPDATES",
     "TRACE_COLUMNS",
     "TRACE_HEADER",
     "allocate_trace",
@@ -74,6 +77,10 @@ __all__ = [
 ]
 
 RULES = ("ucd", "scd", "ascd", "ascd-gss", "ascd-gsq", "ascd-gsr")
+# estimate inits, set picks and update rules a run may name
+INITS = ("none", "true-gradient")
+PICKS = ("argmax-lower", "uniform-set")
+UPDATES = ("fixed", "line_search")
 
 TRACE_COLUMNS = ("t", "i", "f", "grad_inf", "grad2sq", "active_size",
                  "tau_ucd", "tau_ascd", "tau_scd", "wall_ns")
@@ -99,7 +106,7 @@ class UpdateRule:
     kind: str = "fixed"
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "line_search"):
+        if self.kind not in UPDATES:
             raise ValueError(f"unknown update rule {self.kind!r}")
 
 
@@ -168,8 +175,8 @@ class RunConfig:
     update: UpdateRule = field(default_factory=UpdateRule)
     oracle: OracleSpec | None = None
     seed: int = 0
-    init: str = "none"                # estimate init: "none" | "true-gradient"
-    pick: str = "argmax-lower"        # or "uniform-set": draw u.a.r. from the set
+    init: str = "none"                # one of INITS
+    pick: str = "argmax-lower"        # one of PICKS; uniform-set draws u.a.r.
     x0: np.ndarray | None = None
     diag_every: int | None = None     # default n; 0 disables
     time_steps: bool = False
@@ -179,9 +186,9 @@ class RunConfig:
             raise ValueError("need at least one step")
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}")
-        if self.init not in ("none", "true-gradient"):
+        if self.init not in INITS:
             raise ValueError(f"unknown init mode {self.init!r}")
-        if self.pick not in ("argmax-lower", "uniform-set"):
+        if self.pick not in PICKS:
             raise ValueError(f"unknown pick mode {self.pick!r}")
         for name in ("seed", "diag_every"):
             value = getattr(self, name)
@@ -192,15 +199,19 @@ class RunConfig:
         """The score rule, oracle, init and pick the run executes: ``scd``
         runs g1 from a true-gradient start under ``argmax-lower``, scoring
         the magnitude on a smooth problem and gs-s under l1; ``ucd`` reads
-        no oracle and no init, and runs the ``uniform-set`` pick on all n
-        coordinates."""
+        no oracle (``None``) and no init, and runs the ``uniform-set`` pick
+        on all n coordinates.  The oracle keeps its epsilon only if it is
+        g2, the one kind that reads it."""
         if self.rule == "scd":
             l1 = self.problem.psi_reg.kind == "l1"
             return ("ascd-gss" if l1 else "ascd", OracleSpec("g1"),
                     "true-gradient", "argmax-lower")
         if self.rule == "ucd":
             return "ucd", None, "none", "uniform-set"
-        return self.rule, self.oracle or OracleSpec("g3"), self.init, self.pick
+        spec = self.oracle or OracleSpec()
+        if spec.kind != "g2":
+            spec = replace(spec, epsilon=0.0)
+        return self.rule, spec, self.init, self.pick
 
 
 @dataclass
@@ -239,7 +250,7 @@ class RunResult:
         return {
             "distinct_picks": int(np.unique(self.i).size),
             "useful_steps": useful,
-            "oracle_rows": useful if self.config.rule != "ucd" else 0,
+            "oracle_rows": useful if self.config.resolved()[1] else 0,
             "min_active_size": int(self.active_size.min()),
             "max_active_size": int(self.active_size.max()),
         }
@@ -294,7 +305,7 @@ def run(config: RunConfig) -> RunResult:
     cols = allocate_trace(steps)
 
     rule, spec, init, pick = config.resolved()
-    tracked = rule != "ucd"
+    tracked = spec is not None
     # every rule's picks: per-step draws, served from blocks
     draws = PickDraws(rng)
     est = ctx = None

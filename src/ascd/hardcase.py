@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import trace_allocation
+from .data import _allocation, trace_allocation
 
 __all__ = [
     "HardCase",
@@ -53,7 +53,8 @@ def solve_c_alpha(alpha: float, n: int, tol: float = 1e-15) -> float:
     lo, hi = 1e-12, 1.0 - 1e-16
     f_lo, f_hi = _ratio_residual(lo, alpha, n), _ratio_residual(hi, alpha, n)
     if not (f_lo > 0.0 > f_hi):
-        raise ValueError("no sign change: parameters out of range")
+        raise ValueError(f"no sign change at alpha {alpha} and n {n}: the "
+                         "cycling ratio is not resolvable in float64")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if _ratio_residual(mid, alpha, n) > 0.0:
@@ -75,7 +76,9 @@ class HardCase:
     @classmethod
     def build(cls, alpha: float, n: int) -> "HardCase":
         c = solve_c_alpha(alpha, n)
-        x0 = c ** np.arange(n, dtype=np.float64)
+        with _allocation(f"n {n}: a starting point that long does not fit "
+                         "in memory"):
+            x0 = c ** np.arange(n, dtype=np.float64)
         return cls(n=n, alpha=alpha, c_alpha=c, x0=x0)
 
     @property

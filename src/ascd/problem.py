@@ -260,12 +260,10 @@ class CompositeProblem:
         # b at every stored entry, in the matrix's column order: a partial
         # gradient slices it instead of gathering b at the column's rows
         self._entry_target = target[matrix.rows]
-        self.regularizer = regularizer
         self.fold_lam = fold_lam
         # penalty that remains in the composite part after folding
         self.psi_reg = (regularizer if regularizer.kind == "l1"
                         else Regularizer("none"))
-        self.col_norms_sq = norms_sq
         self.lipschitz = lipschitz
         self.lipschitz_max = float(self.lipschitz.max())
 

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import trace_allocation
+from .data import _allocation, trace_allocation
 from .hardcase import LowDimEmbedding
 from .selector import (GradientEstimate, active_set, compute_bounds,
                        update_estimates)
 
 __all__ = [
+    "REENTRY_MODES",
     "RatioSimConfig",
     "RatioTrace",
     "RhoLimit",
@@ -79,6 +80,9 @@ def rho_infinity(n: int, s: int, c: float, t_inf: float) -> RhoLimit:
                     theta=float(theta))
 
 
+REENTRY_MODES = ("geometric", "fixed")
+
+
 @dataclass
 class RatioSimConfig:
     """Parameters of the stochastic active-set dynamics.
@@ -106,7 +110,7 @@ class RatioSimConfig:
             raise ValueError("need 0 < t_inf < inf and steps >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.reentry not in ("geometric", "fixed"):
+        if self.reentry not in REENTRY_MODES:
             raise ValueError(f"unknown reentry mode {self.reentry!r}")
 
 
@@ -134,12 +138,14 @@ def simulate_rho(config: RatioSimConfig) -> RatioTrace:
     rng = np.random.default_rng(config.seed)
     k = math.ceil(config.c * config.s)
     outside = config.n - config.s
-    active = np.zeros(outside, dtype=bool)
     delay = int(round(config.t_inf))
-    if config.reentry == "fixed" and outside:
-        reenter_at = rng.integers(0, max(delay, 1), size=outside)
-    else:
-        reenter_at = np.full(outside, -1, dtype=np.int64)
+    with _allocation(f"n {config.n}: the state of {outside} coordinates "
+                     "outside the support does not fit in memory"):
+        active = np.zeros(outside, dtype=bool)
+        if config.reentry == "fixed" and outside:
+            reenter_at = rng.integers(0, max(delay, 1), size=outside)
+        else:
+            reenter_at = np.full(outside, -1, dtype=np.int64)
     with trace_allocation(config.steps):
         rho = np.empty(config.steps)
         size = np.empty(config.steps, dtype=np.int64)

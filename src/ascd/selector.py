@@ -301,10 +301,7 @@ def select_ascd(scores: Bounds, aset: ActiveSet,
         sub = (scores.lower if len(aset) == scores.lower.size
                else scores.lower[aset.indices])
         aset.ties = aset.indices[sub == sub.max()]
-    if aset.ties.size == 1:
-        # rng.integers(1) gives 0 and leaves the stream where it is
-        return int(aset.ties[0])
-    return int(aset.ties[rng.integers(aset.ties.size)])
+    return aset.ties.item(rng.integers(aset.ties.size))
 
 
 def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,

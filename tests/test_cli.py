@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 
 import jsonschema
 import numpy as np
@@ -13,10 +14,13 @@ import ascd.hardcase
 import reference_synthetic
 from ascd.cli import (GENERATE_SUMMARY_SCHEMA, HARDCASE_SUMMARY_SCHEMA,
                       RATIO_SUMMARY_SCHEMA, RUN_SUMMARY_SCHEMA,
-                      SWEEP_SUMMARY_SCHEMA, main)
+                      SWEEP_SUMMARY_SCHEMA, build_parser, main)
 from ascd.data import SynthConfig, load_svmlight
-from ascd.driver import TRACE_COLUMNS, TRACE_HEADER, UpdateRule
+from ascd.driver import (INITS, PICKS, RULES, TRACE_COLUMNS, TRACE_HEADER,
+                         UPDATES, RunConfig, UpdateRule)
+from ascd.oracles import ORACLE_KINDS, OracleSpec
 from ascd.problem import CompositeProblem, Regularizer
+from ascd.ratiosim import REENTRY_MODES, RatioSimConfig
 from reference_scd import steepest_descent
 
 
@@ -130,6 +134,19 @@ class TestRun:
             (tmp_path / "b/x.csv").read_bytes()
         assert (tmp_path / "a/x.json").read_bytes() == \
             (tmp_path / "b/x.json").read_bytes()
+
+    def test_epsilon_reported_only_where_read(self, dataset, tmp_path):
+        # only g2 reads epsilon: g4 runs the same at 0.5 as at 0 and
+        # reports the 0 it read, while g2 reports its own
+        for oracle, eps in [("g4", "0"), ("g4", "0.5"), ("g2", "0.5")]:
+            assert main(["run", "--data", str(dataset), "--l2", "1",
+                         "--steps", "2n", "--oracle", oracle, "--epsilon",
+                         eps, "--out", str(tmp_path),
+                         "--tag", f"{oracle}_{eps}"]) == 0
+        assert (tmp_path / "g4_0.csv").read_bytes() == \
+            (tmp_path / "g4_0.5.csv").read_bytes()
+        assert read_json(tmp_path / "g4_0.5.json")["oracle"]["epsilon"] == 0.0
+        assert read_json(tmp_path / "g2_0.5.json")["oracle"]["epsilon"] == 0.5
 
     def test_collapse_matches_scd_column(self, dataset, tmp_path):
         # scd's trace column holds the brute-force steepest picks, whatever
@@ -288,6 +305,60 @@ class TestRun:
             main(["run", "--data", str(dataset)])
 
 
+class TestLibraryDefaults:
+    """A flag that sets a library field carries the library's default and
+    choice list, so the CLI runs what the library runs unless told
+    otherwise."""
+
+    # (flag dest, the class owning its default, the field, the choices)
+    RUN_FLAGS = [
+        ("rule", RunConfig, "rule", RULES),
+        ("oracle", OracleSpec, "kind", ORACLE_KINDS),
+        ("epsilon", OracleSpec, "epsilon", None),
+        # the flag spells the update kinds with a hyphen
+        ("update", UpdateRule, "kind",
+         [kind.replace("_", "-") for kind in UPDATES]),
+        ("init", RunConfig, "init", INITS),
+        ("pick", RunConfig, "pick", PICKS),
+    ]
+    FLAGS = [
+        *[("run", *flag) for flag in RUN_FLAGS],
+        *[("sweep", *flag) for flag in RUN_FLAGS],
+        ("generate", "scale_factor", SynthConfig, "column_scale_factor",
+         None),
+        ("generate", "sparsity_factor", SynthConfig, "sparsity_factor", None),
+        ("generate", "support_frac", SynthConfig, "support_frac", None),
+        ("generate", "noise_sigma", SynthConfig, "noise_sigma", None),
+        ("ratio-sim", "c", RatioSimConfig, "c", None),
+        ("ratio-sim", "reentry", RatioSimConfig, "reentry", REENTRY_MODES),
+    ]
+
+    @pytest.mark.parametrize("command,dest,owner,field,choices", FLAGS,
+                             ids=[f"{row[0]}-{row[1]}" for row in FLAGS])
+    def test_flag_reads_library_default(self, monkeypatch, command, dest,
+                                        owner, field, choices):
+        # a default moved in the library moves the flag's: the parser
+        # keeps no copy of it
+        monkeypatch.setattr(owner, field, "moved")
+        action, = [action for action in
+                   build_parser().sub_parsers[command]._actions
+                   if action.dest == dest]
+        assert action.default == "moved"
+        assert (None if action.choices is None else list(action.choices)) \
+            == (None if choices is None else list(choices))
+
+    def test_default_run_is_the_library_default(self, dataset, tmp_path):
+        assert main(["run", "--data", str(dataset), "--steps", "5",
+                     "--out", str(tmp_path), "--tag", "d"]) == 0
+        summary = read_json(tmp_path / "d.json")
+        problem = CompositeProblem(*load_svmlight(str(dataset)))
+        rule, oracle, init, pick = RunConfig(problem=problem,
+                                             steps=5).resolved()
+        assert summary["update"] == asdict(UpdateRule())
+        assert [summary[key] for key in ("rule", "oracle", "init", "pick")] \
+            == [rule, asdict(oracle), init, pick]
+
+
 class TestSweep:
     def test_epsilon_axis(self, dataset, tmp_path):
         rc = main(["sweep", "--data", str(dataset), "--l2", "0.1",
@@ -306,6 +377,18 @@ class TestSweep:
         assert len(cells) == 4
         for cell in cells:
             jsonschema.validate(cell, RUN_SUMMARY_SCHEMA)
+
+    def test_epsilon_axis_folds_where_unread(self, dataset, tmp_path):
+        # g3 and g4 read no epsilon: one cell each, reporting 0
+        rc = main(["sweep", "--data", str(dataset), "--l2", "1",
+                   "--oracles", "g3,g4", "--epsilons", "0,0.5",
+                   "--steps", "2n", "--out", str(tmp_path), "--tag", "fe"])
+        assert rc == 0
+        assert read_json(tmp_path / "fe_sweep.json")["cells"] == 2
+        rows = (tmp_path / "fe_summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [
+            ["fe_ascd_g3_eps0_seed0_none", "ascd", "g3", "0.0"],
+            ["fe_ascd_g4_eps0_seed0_none", "ascd", "g4", "0.0"]]
 
     def test_empty_axes_single_cell_matches_run(self, dataset, tmp_path):
         shared = ["--data", str(dataset), "--l2", "0.3", "--steps", "2n",
@@ -639,7 +722,23 @@ class TestRejectedInput:
                       "--take-cols", "5", "--take-seed", "-1"], "--take-seed",
                      id="run-take-seed-negative"),
         pytest.param(["hardcase", "--n", "10", "--alpha", "0.6",
-                      "--steps", "10"], None, id="hardcase-alpha"),
+                      "--steps", "10"], "--alpha", id="hardcase-alpha"),
+        pytest.param(["hardcase", "--n", "2", "--steps", "2"], "--n > 2",
+                     id="hardcase-n-2"),
+        # the cycling ratio cannot be resolved in float64 at this size
+        pytest.param(["hardcase", "--n", "500000000000000", "--steps", "1",
+                      "--start", "ones"], "--n 500000000000000",
+                     id="hardcase-n-unresolvable"),
+        # these two printed a MemoryError traceback: 728 TiB and 4 EiB lie
+        # beyond a 47-bit address space, so the allocation fails before
+        # any memory is touched
+        pytest.param(["hardcase", "--n", "100000000000000", "--steps", "1",
+                      "--start", "ones"], "--n 100000000000000",
+                     id="hardcase-n-beyond-memory"),
+        pytest.param(["ratio-sim", "--n", "4611686018427387904", "--s", "10",
+                      "--t-inf", "5", "--steps", "10"],
+                     "--n 4611686018427387904",
+                     id="ratio-sim-n-beyond-memory"),
         pytest.param(["ratio-sim", "--n", "10", "--s", "20", "--t-inf", "50",
                       "--steps", "100"], None, id="ratio-sim-s"),
         pytest.param(["ratio-sim", "--n", "10", "--s", "2", "--t-inf", "inf",

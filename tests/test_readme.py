@@ -1,12 +1,13 @@
-"""The README's `run` trace header, its Library snippet, its rule list and
-the flags it names match the code, and every package export resolves."""
+"""The README's `run` trace header, its Library snippet, its rule, pick and
+init lists and the flags it names match the code, and every package export
+resolves."""
 
 import re
 from pathlib import Path
 
 import ascd
 from ascd.cli import build_parser
-from ascd.driver import RULES, TRACE_HEADER
+from ascd.driver import INITS, PICKS, RULES, TRACE_HEADER
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -47,6 +48,12 @@ def test_every_rule_described():
     intro = README[:README.index("\n## ")]
     missing = [rule for rule in RULES
                if not re.search(rf"(`|\*\*){re.escape(rule)}(`|\*\*)", intro)]
+    assert not missing
+
+
+def test_every_pick_and_init_named():
+    missing = [value for value in PICKS + INITS
+               if f"`{value}`" not in README]
     assert not missing
 
 
