@@ -3,14 +3,14 @@
 One run executes a fixed budget of single-coordinate steps.  Selection is
 uniform (``ucd``, with no estimate and all n as its set) or a tracked rule
 that runs the score, set and pick stages of ``selector``.  ``_scores``
-dispatches to the rule's score stage: ``ascd-gsq`` compares the negated
-model decrease bounds, every other tracked rule its magnitude interval
-squared; every tracked rule then keeps the safe set.  With g1 and a
-true-gradient start the estimate stays exact, so the magnitude rules score
-one array and their set is its maximisers: the steepest rule, which
-``scd`` runs (``RunConfig.resolved``).  The pick ``argmax-lower`` takes
-the best lower score (greedy; degenerates to hammering one coordinate when
-every other bound has collapsed), while ``uniform-set`` draws uniformly
+dispatches to the rule's score stage: ``ascd-gsq`` compares bounds on the
+model decrease, every other tracked rule its magnitude interval squared;
+every tracked rule then keeps the safe set.  With g1 and a true-gradient
+start the estimate stays exact, so the magnitude rules score one array
+and their set is its maximisers: the steepest rule, which ``scd`` runs
+(``RunConfig.resolved``).  The pick ``argmax-lower`` takes the best lower
+score (greedy; degenerates to hammering one coordinate when every other
+bound has collapsed), while ``uniform-set`` draws uniformly
 from the set, the regime the one-step progress and equilibrium analyses
 describe; ucd runs this pick on its constant set.  Every rule draws
 through one ``selector.PickDraws``, which serves the picks from blocks

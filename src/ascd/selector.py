@@ -7,13 +7,13 @@ tracked rule on an exact estimate.  The *score* stage brackets each
 coordinate's score in a ``Bounds`` interval, larger being better, in the
 units the set compares: the squared gradient magnitude
 (``compute_bounds``), the squared steepest directional derivative (gs-s),
-the squared model step length (gs-r) or the negated best model decrease
+the squared model step length (gs-r) or the best model decrease
 (gs-q).  The first three are squared distances to a segment, bracketed by
 one helper, ``_distance_range``.  An exact estimate (every radius 0,
 ``GradientEstimate.is_exact``) scores once: those three stages evaluate the
 squared distance at ``g`` and return that one array as both bounds
 (``lower is upper``).  gs-q keeps two bounds even then, because its lower
-bound keeps the ``y = 0`` fallback ``-psi(x_i)``.  ``score_one`` scores one
+bound keeps the ``y = 0`` fallback, a decrease of 0.  ``score_one`` scores one
 coordinate on Python floats, for the loop's rescoring after a zero step; it
 returns the bits the array stages give that coordinate, signed zeros
 included.  The *set* stage, ``active_set``, keeps the smallest prefix, in
@@ -399,17 +399,16 @@ def gsr_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
 
 def gsq_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
                reg: Regularizer) -> Bounds:
-    """Sandwich the best model decrease ``min_y V_i`` using the signed
-    gradient interval; the scores are its negation, since a smaller model
-    value is a better coordinate.
+    """Sandwich the best model decrease ``psi(x_i) - min_y V_i`` using the
+    signed gradient interval; a larger decrease is a better coordinate.
 
     Evaluates the model at the minimisers for the two endpoint slopes; the
-    upper score is minus the better of the two values, the lower score
-    corrects each endpoint value by the worst-case slope mismatch and keeps
-    the ``y = 0`` fallback ``-psi(x_i)``.  Coordinates with infinite radius
-    get the vacuous ``(lower, upper) = (-psi(x_i), inf)``.  ``-upper <=
-    min_y V_i(x, y, grad_i) <= -lower`` whenever the gradient estimate is
-    sound.
+    upper score is ``psi(x_i)`` minus the better of the two values, the
+    lower score corrects each endpoint value by the worst-case slope
+    mismatch and keeps the ``y = 0`` fallback, a decrease of 0.
+    Coordinates with infinite radius get the vacuous ``(lower, upper) =
+    (0, inf)``.  ``lower <= psi(x_i) - min_y V_i(x, y, grad_i) <= upper``
+    whenever the gradient estimate is sound.
     """
     if reg.kind not in ("none", "l1", "l2"):
         raise ValueError(f"unsupported regularizer {reg.kind!r}")
@@ -428,9 +427,10 @@ def gsq_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
     omega_l = val_l + np.maximum(0.0, y_l * (hi_f - lo_f))
     psi0 = reg.psi(x)
 
-    v = np.where(finite, np.minimum(val_u, val_l), -np.inf)
-    w = np.where(finite, np.minimum(np.minimum(omega_u, omega_l), psi0), psi0)
-    return Bounds(upper=np.negative(v, out=v), lower=np.negative(w, out=w))
+    upper = psi0 - np.minimum(val_u, val_l)
+    lower = psi0 - np.minimum(np.minimum(omega_u, omega_l), psi0)
+    return Bounds(upper=np.where(finite, upper, np.inf),
+                  lower=np.where(finite, lower, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +473,7 @@ def score_one(rule: str, g: float, r: float, exact: bool, x: float,
     if rule == "ascd-gsq":
         psi0 = reg.psi_one(x)
         if not math.isfinite(r):
-            return -psi0, math.inf
+            return 0.0, math.inf
         hi, lo = g + r, g - r
         y_u = reg.model_argmin_one(x, hi, lipschitz)
         y_l = reg.model_argmin_one(x, lo, lipschitz)
@@ -483,7 +483,8 @@ def score_one(rule: str, g: float, r: float, exact: bool, x: float,
         val_l = lo * y_l + half * (y_l * y_l) + reg.psi_one(x + y_l)
         omega_u = val_u + _fmax(0.0, y_u * (lo - hi))
         omega_l = val_l + _fmax(0.0, y_l * (hi - lo))
-        return -_fmin(_fmin(omega_u, omega_l), psi0), -_fmin(val_u, val_l)
+        return (psi0 - _fmin(_fmin(omega_u, omega_l), psi0),
+                psi0 - _fmin(val_u, val_l))
     if rule == "ascd-gss":
         lam = reg.lam
         if x == 0.0:

@@ -218,9 +218,10 @@ def test_criterion_07_gsq_bound_soundness():
             q = gsq_bounds(est, np.array([x]), lipschitz, reg)
             slopes = np.linspace(g - r, g + r, 20)
             mins = _grid_min_rows(x, slopes, lipschitz, reg)
-            # the scores bracket the best decrease, -min_y V
-            assert np.all(-mins - 1e-6 <= q.upper[0])
-            assert np.all(q.lower[0] - 1e-6 <= -mins)
+            # the scores bracket the best decrease, psi(x) - min_y V
+            decrease = float(reg.psi(x)) - mins
+            assert np.all(decrease - 1e-6 <= q.upper[0])
+            assert np.all(q.lower[0] - 1e-6 <= decrease)
     print("\nACCEPTANCE 7 (model-decrease bounds sandwich the grid "
           "minimiser, 3000 instances x 20 slopes): PASS")
 
@@ -233,20 +234,21 @@ def test_criterion_07_gsq_bound_soundness():
        t=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
 def test_gsq_bounds_sound_at_model_argmin(x, g, r, lipschitz, kind, lam, t):
     # criterion 7 with the exact minimiser in place of the grid: for any
-    # slope s in [g - r, g + r], lower <= -min_y V(x, y, s) <= upper, the
-    # minimum taken at model_argmin
+    # slope s in [g - r, g + r], lower <= psi(x) - min_y V(x, y, s) <=
+    # upper, the minimum taken at model_argmin
     reg = Regularizer(kind, lam if kind != "none" else 0.0)
     q = gsq_bounds(GradientEstimate(g=np.array([g]), r=np.array([r])),
                    np.array([x]), lipschitz, reg)
     s = min(max((g - r) + 2.0 * r * t, g - r), g + r)
     y = reg.model_argmin(x, s, lipschitz)
-    best = float(model_value(x, y, s, lipschitz, reg))
+    decrease = float(reg.psi(x)) - float(model_value(x, y, s, lipschitz,
+                                                      reg))
     # float slack on the scale of the model's terms
     y_max = (abs(g) + r + reg.lam * (1.0 + abs(x))) / lipschitz + abs(x)
     tol = 1e-12 * (1.0 + (abs(g) + r) * y_max + (lipschitz + reg.lam)
                    * (1.0 + y_max) ** 2)
-    assert -best - tol <= q.upper[0]
-    assert q.lower[0] - tol <= -best
+    assert decrease - tol <= q.upper[0]
+    assert q.lower[0] - tol <= decrease
 
 
 _SMALL = st.one_of(st.just(0.0), st.sampled_from([0.5, -1.0, 2.0]),
@@ -272,12 +274,14 @@ def test_gsq_bound_soundness_vectors(drawn):
     for i in range(x.size):
         if np.isinf(r[i]):
             # nothing known: only the y = 0 fallback bounds the decrease
-            assert q.upper[i] == np.inf and q.lower[i] == -psi0[i]
+            assert q.upper[i] == np.inf and q.lower[i] == 0.0
             continue
         slopes = np.linspace(g[i] - r[i], g[i] + r[i], 7)
         mins = _grid_min_rows(x[i], slopes, lipschitz, reg)
-        assert np.all(-mins - 1e-9 * (1 + np.abs(mins)) <= q.upper[i])
-        assert np.all(q.lower[i] - 1e-6 * (1 + abs(q.lower[i])) <= -mins)
+        decrease = psi0[i] - mins
+        assert np.all(decrease - 1e-9 * (1 + np.abs(mins)) <= q.upper[i])
+        assert np.all(q.lower[i] - 1e-6 * (1 + abs(q.lower[i] - psi0[i]))
+                      <= decrease)
 
 
 def test_criterion_08_active_set_vs_exhaustive():
@@ -340,6 +344,22 @@ def _lasso_reference(prob, budget_epochs=100, tol=1e-10):
             return min(best, f)
         best = min(best, f)
     return best
+
+
+@pytest.mark.parametrize("rule", ["ascd-gsq", "ascd-gss", "scd"])
+def test_exact_composite_rules_reach_the_lasso_minimum(rule):
+    # every composite steepest rule on exact rows makes progress to the
+    # minimum: a gs-q score that left out psi(x_i) ranked an idle zero
+    # coordinate above the support and stalled 8% above it
+    matrix, b = generate_synthetic(SynthConfig(n_rows=40, n_cols=30, seed=0))
+    lam = 0.1 * float(np.max(np.abs(matrix.col_dots(-b))))
+    prob = CompositeProblem(matrix, b, Regularizer("l1", lam))
+    f_star = _lasso_reference(prob)
+    res = run(RunConfig(problem=prob, steps=20 * prob.n, rule=rule,
+                        update=UpdateRule("line_search"),
+                        oracle=OracleSpec("g1"), init="true-gradient",
+                        pick="argmax-lower", seed=0, diag_every=0))
+    assert abs(res.f[-1] - f_star) <= 1e-9 * f_star, (res.f[-1], f_star)
 
 
 def test_criterion_09_empirical_ordering():

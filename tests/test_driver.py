@@ -643,7 +643,10 @@ def _grid_problems():
 # recorded before exact estimates scored once; the g3 and g4 cells run the
 # interval path.
 # The cells after the lasso g4 "none" one were recorded before a zero step
-# rescored only its coordinate; every lasso cell takes zero steps
+# rescored only its coordinate; every lasso cell takes zero steps.  The
+# lasso ascd-gsq cells were re-recorded when gs-q began to rank by the
+# model decrease psi(x_i) - min V, in place of -min V: their picks moved.
+# The ridge ascd-gsq cells did not, since psi = 0 there
 SAME_RESULTS = {
     ("ridge", "ascd", "argmax-lower", "g1", "true-gradient"):
         "4bb8245315358a0a",
@@ -674,9 +677,9 @@ SAME_RESULTS = {
     ("lasso", "ascd-gsr", "uniform-set", "g1", "true-gradient"):
         "ab339714bf5e2d3c",
     ("lasso", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
-        "7e8695dd96655c8e",
+        "5433e8b9901c9060",
     ("lasso", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
-        "7e8695dd96655c8e",
+        "5433e8b9901c9060",
     ("ridge", "ascd", "uniform-set", "g3", "true-gradient"):
         "e25c9c9c8253ae68",
     ("lasso", "ascd-gss", "argmax-lower", "g4", "none"):
@@ -688,32 +691,35 @@ SAME_RESULTS = {
     ("lasso", "ascd-gss", "argmax-lower", "g4", "true-gradient"):
         "4c8d78387062c845",
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "none"):
-        "492ec3897b5f6680",
+        "1077c01dfe695130",
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "true-gradient"):
-        "777dd20fc2ade2b8",
+        "4c8d78387062c845",
     ("lasso", "ascd-gsr", "argmax-lower", "g3", "none"):
         "cd2d1149239e8cd1",
     ("lasso", "ascd-gsr", "argmax-lower", "g3", "true-gradient"):
         "d32e906c406a740a",
     ("lasso", "ascd-gsq", "uniform-set", "g3", "true-gradient"):
-        "cd043f0c5104c290",
+        "4c8d78387062c845",
     ("lasso", "ascd-gsr", "uniform-set", "g3", "true-gradient"):
         "787a2ccc7646fe4d",
-    ("lasso", "ascd-gsq", "argmax-lower", "g2", "none"):
-        "dfc8cd9ae584bf5b",
+    # 10n steps: ranked by the model decrease, this cell takes its first
+    # zero step at step 240
+    ("lasso", "ascd-gsq", "argmax-lower", "g2", "none", "10n"):
+        "0cbc26df53abff05",
     # 12n steps, recorded before a zero step kept the objective: a zero
     # step ends epoch 10, so the residual refresh alone must drop the
     # kept objective, whose bits it changes
     ("lasso", "ascd-gss", "argmax-lower", "g4", "true-gradient", "12n"):
         "dcfb4a6dc5b4ef66",
     ("lasso", "ascd-gsq", "uniform-set", "g4", "none", "12n"):
-        "59492a06cb0ab9a4",
-    # 12n steps on g4 from "none", recorded at the commit before picks were
-    # served from blocks: the first run draws 25 blocks and rewinds the
-    # generator at 17 tie-pool size changes, the second 14 blocks and 3
-    # set size changes, and the gs-q uniform-set cell above 44 and 24
+        "e7c17beddbbca80f",
+    # 12n steps on g4 from "none".  The gs-r cell was recorded at the
+    # commit before picks were served from blocks; it draws 14 blocks and
+    # rewinds the generator at 3 set size changes.  The gs-q cells,
+    # re-recorded since, draw 6 blocks and rewind at no pool size change
+    # (this one), and 11 blocks with 2 rewinds (the uniform-set cell above)
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "none", "12n"):
-        "a21cb153857ad21c",
+        "73abb845bcf07838",
     ("lasso", "ascd-gsr", "uniform-set", "g4", "none", "12n"):
         "7e4d2911fc523420",
     # under the fixed update, recorded before a zero step rescored and
@@ -723,7 +729,7 @@ SAME_RESULTS = {
     ("lasso", "ascd-gss", "uniform-set", "g4", "none", "fixed"):
         "c99ea5b5ab31c7cb",
     ("lasso", "ascd-gsq", "argmax-lower", "g3", "true-gradient", "fixed"):
-        "88a4e0f0e697fc2a",
+        "6e821651d7e658de",
     # scd reads no pick, oracle or init: it runs argmax-lower on g1 rows
     # from a true-gradient start.  The ridge digests were recorded when scd
     # recomputed the full gradient every step and are unchanged.  The lasso

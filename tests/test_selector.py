@@ -663,9 +663,9 @@ class TestGsq:
             x = rng.normal(0, 1, 6)
             q = gsq_bounds(GradientEstimate.exact(g), x, 2.0, reg)
             for i in range(6):
-                true_min = _grid_min(x[i], g[i], 2.0, reg)
+                decrease = reg.psi(x[i]) - _grid_min(x[i], g[i], 2.0, reg)
                 assert q.upper[i] == pytest.approx(q.lower[i], abs=1e-12)
-                assert q.upper[i] == pytest.approx(-true_min, abs=1e-5)
+                assert q.upper[i] == pytest.approx(decrease, abs=1e-5)
 
     def test_sandwich_against_grid(self):
         rng = np.random.default_rng(4)
@@ -679,17 +679,17 @@ class TestGsq:
             r = float(rng.uniform(0, 2))
             q = gsq_bounds(est([g], [r]), np.array([x]), L, reg)
             for grad in np.linspace(g - r, g + r, 7):
-                # the scores bracket the best decrease, -min_y V
-                true_min = _grid_min(x, grad, L, reg)
-                assert -true_min - 1e-6 <= q.upper[0]
-                assert q.lower[0] - 1e-6 <= -true_min
+                # the scores bracket the best decrease, psi(x) - min_y V
+                decrease = reg.psi(x) - _grid_min(x, grad, L, reg)
+                assert decrease - 1e-6 <= q.upper[0]
+                assert q.lower[0] - 1e-6 <= decrease
 
     def test_infinite_radius(self):
         reg = Regularizer("l1", 0.5)
         q = gsq_bounds(est([0.0, 1.0], [np.inf, 0.5]),
                        np.array([2.0, 0.0]), 1.0, reg)
-        assert q.upper[0] == np.inf
-        assert q.lower[0] == pytest.approx(-reg.psi(2.0))
+        # nothing known: only the y = 0 fallback, a decrease of 0
+        assert q.upper[0] == np.inf and q.lower[0] == 0.0
         assert np.isfinite(q.upper[1]) and np.isfinite(q.lower[1])
 
     def test_active_set_example(self):
@@ -710,7 +710,8 @@ class TestGsq:
 
     def test_set_mean_model_decrease_beats_uniform(self):
         # with sound bounds, the in-set average of the exact best model
-        # decreases is at least as good as the all-coordinate average
+        # decreases, psi(x) - min_y V, is at least the all-coordinate
+        # average
         rng = np.random.default_rng(12)
         for _ in range(200):
             n = int(rng.integers(2, 12))
@@ -724,8 +725,8 @@ class TestGsq:
             g = true_g + rng.uniform(-1, 1, n) * r  # sound by construction
             aset = active_set(gsq_bounds(est(g, r), x, L, reg))
             y_star = reg.model_argmin(x, true_g, L)
-            mins = model_value(x, y_star, true_g, L, reg)
-            assert mins[aset.indices].mean() <= mins.mean() + 1e-12
+            decrease = reg.psi(x) - model_value(x, y_star, true_g, L, reg)
+            assert decrease[aset.indices].mean() >= decrease.mean() - 1e-12
 
     def test_prefix_valid_vs_brute_force(self):
         # validity is asserted; minimality is only logged (smaller
