@@ -54,7 +54,7 @@ from .data import trace_allocation, write_csv
 from .oracles import OracleContext, OracleSpec, oracle_row
 from .problem import CompositeProblem, ResidualState
 from .selector import (ActiveSet, Bounds, GradientEstimate, PickDraws,
-                       active_set, compute_bounds, gsq_bounds, gsr_bounds,
+                       active_set, compute_bounds, gsq_bounds,
                        gss_score_interval, score_one, select_ascd,
                        update_estimates)
 
@@ -76,7 +76,7 @@ __all__ = [
     "write_trace_csv",
 ]
 
-RULES = ("ucd", "scd", "ascd", "ascd-gss", "ascd-gsq", "ascd-gsr")
+RULES = ("ucd", "scd", "ascd", "ascd-gss", "ascd-gsq")
 # estimate inits, set picks and update rules a run may name
 INITS = ("none", "true-gradient")
 PICKS = ("argmax-lower", "uniform-set")
@@ -288,8 +288,6 @@ def _scores(rule: str, est: GradientEstimate, x: np.ndarray,
         return gsq_bounds(est, x, lmax, reg)
     if rule == "ascd-gss":
         return gss_score_interval(est, x, reg)
-    if rule == "ascd-gsr":
-        return gsr_bounds(est, x, lmax, reg)
     return compute_bounds(est)
 
 

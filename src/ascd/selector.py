@@ -6,17 +6,16 @@ certified error radius, and select in three stages; steepest selection is a
 tracked rule on an exact estimate.  The *score* stage brackets each
 coordinate's score in a ``Bounds`` interval, larger being better, in the
 units the set compares: the squared gradient magnitude
-(``compute_bounds``), the squared steepest directional derivative (gs-s),
-the squared model step length (gs-r) or the best model decrease
-(gs-q).  The first three are squared distances to a segment, bracketed by
-one helper, ``_distance_range``.  An exact estimate (every radius 0,
-``GradientEstimate.is_exact``) scores once: those three stages evaluate the
-squared distance at ``g`` and return that one array as both bounds
-(``lower is upper``).  gs-q keeps two bounds even then, because its lower
-bound keeps the ``y = 0`` fallback, a decrease of 0.  ``score_one`` scores one
-coordinate on Python floats, for the loop's rescoring after a zero step; it
-returns the bits the array stages give that coordinate, signed zeros
-included.  The *set* stage, ``active_set``, keeps the smallest prefix, in
+(``compute_bounds``), the squared steepest directional derivative (gs-s)
+or the best model decrease (gs-q).  The first two are squared distances
+to a segment, bracketed by one helper, ``_distance_range``.  An exact
+estimate (every radius 0, ``GradientEstimate.is_exact``) scores once:
+those two stages evaluate the squared distance at ``g`` and return that
+one array as both bounds (``lower is upper``).  gs-q keeps two bounds even
+then, because its lower bound keeps the ``y = 0`` fallback, a decrease of
+0.  ``score_one`` scores one coordinate on Python floats, for the loop's
+rescoring after a zero step; it returns the bits the array stages give
+that coordinate, signed zeros included.  The *set* stage, ``active_set``, keeps the smallest prefix, in
 descending order of the lower score, that provably contains the best
 coordinate.  It tries, in order: all of [n] when every upper score reaches
 the best lower score, the maximisers of one array of scores, an O(n)
@@ -47,7 +46,6 @@ __all__ = [
     "PickDraws",
     "update_estimates",
     "gss_score_interval",
-    "gsr_bounds",
     "gsq_bounds",
     "score_one",
 ]
@@ -379,24 +377,6 @@ def gss_score_interval(estimate: GradientEstimate, x: np.ndarray,
     return scores
 
 
-def gsr_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
-               reg: Regularizer) -> Bounds:
-    """Per-coordinate interval for the squared model step length ``y*^2``.
-
-    The model minimiser is nonincreasing in the gradient value, so over
-    ``g +- r`` it sweeps the segment between the minimisers at the two
-    endpoints; the ``y^2`` range over that segment is returned.  An exact
-    estimate has one minimiser, whose ``y^2`` is both bounds.
-    """
-    g, r = estimate.g, estimate.r
-    if estimate.is_exact:
-        return _exact_bounds(np.abs(reg.model_argmin(x, g, lipschitz)))
-    # an infinite radius gives minimisers -inf and +inf: the whole line
-    y_lo = reg.model_argmin(x, g + r, lipschitz)
-    y_hi = reg.model_argmin(x, g - r, lipschitz)
-    return _distance_range(y_lo, y_hi, 0.0, 0.0)
-
-
 def gsq_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
                reg: Regularizer) -> Bounds:
     """Sandwich the best model decrease ``psi(x_i) - min_y V_i`` using the
@@ -461,10 +441,9 @@ def score_one(rule: str, g: float, r: float, exact: bool, x: float,
     """``(lower, upper)`` score of one coordinate, on Python floats.
 
     The float counterpart of the array score stages, in the same units:
-    ``gsq_bounds`` for ``ascd-gsq``, ``compute_bounds`` for ``ascd``,
-    ``gss_score_interval`` for ``ascd-gss`` and ``gsr_bounds`` for
-    ``ascd-gsr``.  ``g``, ``r`` and ``exact`` are one coordinate of a
-    ``GradientEstimate``, ``x`` its iterate and ``reg`` the composite
+    ``gsq_bounds`` for ``ascd-gsq``, ``compute_bounds`` for ``ascd`` and
+    ``gss_score_interval`` for ``ascd-gss``.  ``g``, ``r`` and ``exact``
+    are one coordinate of a ``GradientEstimate``, ``x`` its iterate and ``reg`` the composite
     penalty (``none`` or ``l1``).  It returns the bits that a full scoring
     gives the coordinate, signed zeros included: the array stages are
     elementwise, ``_fmax`` and ``_fmin`` resolve ties as ``np.maximum`` and
@@ -495,13 +474,6 @@ def score_one(rule: str, g: float, r: float, exact: bool, x: float,
             d = _fmax(_fmax(a - g, g - b), 0.0)
             return d * d, d * d
         return _distance_range_one(g - r, g + r, a, b)
-    if rule == "ascd-gsr":
-        if exact:
-            d = abs(reg.model_argmin_one(x, g, lipschitz))
-            return d * d, d * d
-        return _distance_range_one(
-            reg.model_argmin_one(x, g + r, lipschitz),
-            reg.model_argmin_one(x, g - r, lipschitz), 0.0, 0.0)
     if exact:
         d = abs(g)
         return d * d, d * d

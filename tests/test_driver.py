@@ -435,7 +435,7 @@ class TestRun:
                              update=UpdateRule("line_search"),
                              oracle=OracleSpec(kind, epsilon=0.1, seed=1),
                              seed=4, init=init, pick=pick, diag_every=1)
-                   for rule in ("ascd", "ascd-gss", "ascd-gsq", "ascd-gsr")
+                   for rule in ("ascd", "ascd-gss", "ascd-gsq")
                    for kind in ("g1", "g2", "g4")
                    for init in ("none", "true-gradient")
                    for pick in ("argmax-lower", "uniform-set")]
@@ -449,7 +449,7 @@ class TestRun:
 
     def test_soundness_checks_the_sign(self, monkeypatch):
         # right magnitudes, wrong signs: the interval g +- r misses the true
-        # gradient, which the gs-s, gs-r and gs-q scores rely on
+        # gradient, which the gs-s and gs-q scores rely on
         class Negated(GradientEstimate):
             @classmethod
             def exact(cls, gradient):
@@ -656,10 +656,6 @@ SAME_RESULTS = {
         "4bb8245315358a0a",
     ("ridge", "ascd-gss", "uniform-set", "g1", "true-gradient"):
         "4bb8245315358a0a",
-    ("ridge", "ascd-gsr", "argmax-lower", "g1", "true-gradient"):
-        "4bb8245315358a0a",
-    ("ridge", "ascd-gsr", "uniform-set", "g1", "true-gradient"):
-        "4bb8245315358a0a",
     ("ridge", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
         "4bb8245315358a0a",
     ("ridge", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
@@ -672,10 +668,6 @@ SAME_RESULTS = {
         "6a150445505ee91d",
     ("lasso", "ascd-gss", "uniform-set", "g1", "true-gradient"):
         "6a150445505ee91d",
-    ("lasso", "ascd-gsr", "argmax-lower", "g1", "true-gradient"):
-        "ab339714bf5e2d3c",
-    ("lasso", "ascd-gsr", "uniform-set", "g1", "true-gradient"):
-        "ab339714bf5e2d3c",
     ("lasso", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
         "5433e8b9901c9060",
     ("lasso", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
@@ -694,14 +686,8 @@ SAME_RESULTS = {
         "1077c01dfe695130",
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "true-gradient"):
         "4c8d78387062c845",
-    ("lasso", "ascd-gsr", "argmax-lower", "g3", "none"):
-        "cd2d1149239e8cd1",
-    ("lasso", "ascd-gsr", "argmax-lower", "g3", "true-gradient"):
-        "d32e906c406a740a",
     ("lasso", "ascd-gsq", "uniform-set", "g3", "true-gradient"):
         "4c8d78387062c845",
-    ("lasso", "ascd-gsr", "uniform-set", "g3", "true-gradient"):
-        "787a2ccc7646fe4d",
     # 10n steps: ranked by the model decrease, this cell takes its first
     # zero step at step 240
     ("lasso", "ascd-gsq", "argmax-lower", "g2", "none", "10n"):
@@ -713,15 +699,11 @@ SAME_RESULTS = {
         "dcfb4a6dc5b4ef66",
     ("lasso", "ascd-gsq", "uniform-set", "g4", "none", "12n"):
         "e7c17beddbbca80f",
-    # 12n steps on g4 from "none".  The gs-r cell was recorded at the
-    # commit before picks were served from blocks; it draws 14 blocks and
-    # rewinds the generator at 3 set size changes.  The gs-q cells,
-    # re-recorded since, draw 6 blocks and rewind at no pool size change
-    # (this one), and 11 blocks with 2 rewinds (the uniform-set cell above)
+    # 12n steps on g4 from "none": this cell draws 6 pick blocks and
+    # rewinds the generator at no pool size change, and the uniform-set
+    # cell above draws 11 blocks and rewinds at 2 set size changes
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "none", "12n"):
         "73abb845bcf07838",
-    ("lasso", "ascd-gsr", "uniform-set", "g4", "none", "12n"):
-        "7e4d2911fc523420",
     # under the fixed update, recorded before a zero step rescored and
     # stepped on Python floats; under fixed, argmax-lower ascd-gss g4 from
     # "none" hammers one coordinate and takes no zero step, so that cell
@@ -849,7 +831,7 @@ class TestZeroStepRescoring:
                              update=UpdateRule(update),
                              oracle=OracleSpec(kind, epsilon=0.1, seed=1),
                              seed=4, init=init, diag_every=0)
-                   for rule in ("ascd", "ascd-gss", "ascd-gsq", "ascd-gsr")
+                   for rule in ("ascd", "ascd-gss", "ascd-gsq")
                    for kind in ORACLE_KINDS
                    for init in ("none", "true-gradient")
                    for update in ("fixed", "line_search")]

@@ -51,6 +51,14 @@ def test_every_rule_described():
     assert not missing
 
 
+def test_every_described_rule_exists():
+    # the converse: a deleted rule cannot linger in the intro
+    intro = README[:README.index("\n## ")]
+    named = set(re.findall(r"(?:`|\*\*)(ascd(?:-[\w-]+)?|ucd|scd)(?:`|\*\*)",
+                           intro))
+    assert named and named <= set(RULES), sorted(named - set(RULES))
+
+
 def test_every_pick_and_init_named():
     missing = [value for value in PICKS + INITS
                if f"`{value}`" not in README]

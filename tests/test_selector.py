@@ -15,8 +15,8 @@ from ascd.problem import (ColumnSparseMatrix, CompositeProblem, Regularizer,
                           model_value)
 from ascd.selector import (ActiveSet, Bounds, GradientEstimate, PickDraws,
                            active_set, compute_bounds, gsq_bounds,
-                           gsr_bounds, gss_score_interval, score_one,
-                           select_ascd, update_estimates)
+                           gss_score_interval, score_one, select_ascd,
+                           update_estimates)
 from reference_selector import (gss_exact_squared, gss_interval_squared,
                                 sorted_active_set)
 
@@ -389,9 +389,7 @@ class TestExactEstimate:
         reg = Regularizer("l1", 0.5)
         pairs = [(compute_bounds(exact), compute_bounds(zero)),
                  (gss_score_interval(exact, x, reg),
-                  gss_score_interval(zero, x, reg)),
-                 (gsr_bounds(exact, x, 1.5, reg),
-                  gsr_bounds(zero, x, 1.5, reg))]
+                  gss_score_interval(zero, x, reg))]
         for got, want in pairs:
             assert got.lower is got.upper
             assert np.array_equal(got.lower, want.lower)
@@ -821,42 +819,7 @@ class TestGssScores:
                                np.zeros(1), Regularizer("l2", 1.0))
 
 
-class TestGsrBounds:
-    def test_exact_smooth(self):
-        g = np.array([3.0, -1.0])
-        q = gsr_bounds(GradientEstimate.exact(g), np.zeros(2), 2.0,
-                       Regularizer())
-        assert_allclose(q.lower, np.square(g / 2.0))
-        assert_allclose(q.upper, np.square(g / 2.0))
-
-    def test_same_sign_segment(self):
-        # slopes in [1, 2] with L=1 give minimisers in [-2, -1]
-        q = gsr_bounds(est([1.5], [0.5]), np.zeros(1), 1.0, Regularizer())
-        assert q.lower[0] == pytest.approx(1.0)
-        assert q.upper[0] == pytest.approx(4.0)
-
-    def test_straddling_segment(self):
-        # slopes in [-2, 1] give minimisers in [-1, 2]
-        q = gsr_bounds(est([-0.5], [1.5]), np.zeros(1), 1.0, Regularizer())
-        assert q.lower[0] == 0.0 and q.upper[0] == pytest.approx(4.0)
-
-    def test_containment_property(self):
-        rng = np.random.default_rng(10)
-        for kind, lam in (("none", 0.0), ("l1", 0.8), ("l2", 1.2)):
-            reg = Regularizer(kind, lam)
-            for _ in range(200):
-                g = float(rng.normal(0, 2))
-                r = float(rng.uniform(0, 2))
-                x = float(rng.normal(0, 1))
-                L = float(rng.uniform(0.5, 3.0))
-                q = gsr_bounds(est([g], [r]), np.array([x]), L, reg)
-                for grad in np.linspace(g - r, g + r, 9):
-                    y = float(reg.model_argmin(x, grad, L))
-                    assert q.lower[0] <= y * y + 1e-12
-                    assert y * y <= q.upper[0] + 1e-12
-
-
-TRACKED = ("ascd", "ascd-gss", "ascd-gsr", "ascd-gsq")
+TRACKED = ("ascd", "ascd-gss", "ascd-gsq")
 _ANY = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -894,8 +857,6 @@ class TestScoreOne:
     @settings(max_examples=400, deadline=None)
     @given(rule=st.sampled_from(TRACKED), drawn=_one_coordinate())
     @example(rule="ascd-gss", drawn=(1.0, 0.0, True, 0.0, 2.0,
-                                     Regularizer("l1", 1.0)))
-    @example(rule="ascd-gsr", drawn=(1.0, 0.0, False, 0.0, 2.0,
                                      Regularizer("l1", 1.0)))
     @example(rule="ascd-gsq", drawn=(-0.0, INF, False, 0.0, 1.0,
                                      Regularizer()))
@@ -992,7 +953,7 @@ class TestExactGssScore:
         # squared in place, on an array the estimate does not share
         assert e.g.tobytes() == g.tobytes()
 
-    @pytest.mark.parametrize("rule", ["ascd", "ascd-gss", "ascd-gsr"])
+    @pytest.mark.parametrize("rule", ["ascd", "ascd-gss"])
     def test_exact_scores_leave_the_estimate(self, rule):
         g = np.array([-2.0, 0.5, 0.0, 3.0])
         problem = SimpleNamespace(lipschitz_max=2.0,
