@@ -6,18 +6,18 @@ that runs the score, set and pick stages of ``selector``.  ``_scores``
 dispatches to the rule's score stage: ``ascd-gsq`` compares bounds on the
 model decrease, every other tracked rule its magnitude interval squared;
 every tracked rule then keeps the safe set.  With g1 and a true-gradient
-start the estimate stays exact, so the magnitude rules score one array
-and their set is its maximisers: the steepest rule, which ``scd`` runs
+start the estimate stays exact, so the magnitude rules score one array and
+their set is its maximisers: the steepest rule, which ``scd`` runs
 (``RunConfig.resolved``).  The pick ``argmax-lower`` takes the best lower
 score (greedy; degenerates to hammering one coordinate when every other
-bound has collapsed), while ``uniform-set`` draws uniformly
-from the set, the regime the one-step progress and equilibrium analyses
-describe; ucd runs this pick on its constant set.  Every rule draws
-through one ``selector.PickDraws``, which serves the picks from blocks
-drawn per pool size with the values, and the generator positions, of
-per-step ``rng.integers`` draws; a pool of one draws nothing.  Under
-``time_steps`` the step that draws a block carries that block's draw time
-in ``wall_ns``, on every rule.
+bound has collapsed), while ``uniform-set`` draws uniformly from the set,
+the regime the one-step progress and equilibrium analyses describe; ucd
+runs this pick on its constant set.  Every rule draws through one
+``selector.PickDraws``, which serves the picks from blocks drawn per pool
+size with the values, and the generator positions, of per-step
+``rng.integers`` draws; a pool of one draws nothing.  Under ``time_steps``
+the step that draws a block carries that block's draw time in ``wall_ns``,
+on every rule.
 
 The loop keeps the score stage's bounds across steps.  After a step that
 moved x it scores all n coordinates with ``_scores``; after a zero step it

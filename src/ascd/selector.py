@@ -1,30 +1,30 @@
 """Coordinate selection rules.
 
-Uniform selection only draws from all n.  The tracked rules keep, for
-every coordinate, an estimate of the smooth partial gradient with a
-certified error radius, and select in three stages; steepest selection is a
-tracked rule on an exact estimate.  The *score* stage brackets each
-coordinate's score in a ``Bounds`` interval, larger being better, in the
-units the set compares: the squared gradient magnitude
-(``compute_bounds``), the squared steepest directional derivative (gs-s)
-or the best model decrease (gs-q).  The first two are squared distances
-to a segment, bracketed by one helper, ``_distance_range``.  An exact
-estimate (every radius 0, ``GradientEstimate.is_exact``) scores once:
-those two stages evaluate the squared distance at ``g`` and return that
-one array as both bounds (``lower is upper``).  gs-q keeps two bounds even
-then, because its lower bound keeps the ``y = 0`` fallback, a decrease of
-0.  ``score_one`` scores one coordinate on Python floats, for the loop's
-rescoring after a zero step; it returns the bits the array stages give
-that coordinate, signed zeros included.  The *set* stage, ``active_set``, keeps the smallest prefix, in
+Uniform selection only draws from all n.  The tracked rules keep, for every
+coordinate, an estimate of the smooth partial gradient with a certified
+error radius, and select in three stages; steepest selection is a tracked
+rule on an exact estimate.  The *score* stage brackets each coordinate's
+score in a ``Bounds`` interval, larger being better, in the units the set
+compares: the squared gradient magnitude (``compute_bounds``), the squared
+steepest directional derivative (gs-s) or the best model decrease (gs-q).
+The first two are squared distances to a segment, bracketed by one helper,
+``_distance_range``.  An exact estimate (every radius 0,
+``GradientEstimate.is_exact``) scores once: those two stages evaluate the
+squared distance at ``g`` and return that one array as both bounds
+(``lower is upper``).  gs-q keeps two bounds even then, because its lower
+bound keeps the ``y = 0`` fallback, a decrease of 0.  ``score_one`` scores one
+coordinate on Python floats, for the loop's rescoring after a zero step; it
+returns the bits the array stages give that coordinate, signed zeros
+included.  The *set* stage, ``active_set``, keeps the smallest prefix, in
 descending order of the lower score, that provably contains the best
 coordinate.  It tries, in order: all of [n] when every upper score reaches
-the best lower score, the maximisers of one array of scores, an O(n)
-screen for the prefix length, and a full sort as the fallback.  The
-*pick*, ``select_ascd``, draws among the best lower scores of the set; the
-safe set keeps every maximiser of the lower score, whose upper score
-reaches every prefix average.  The loop draws every rule's picks through
-one ``PickDraws``, which serves them from blocks drawn per pool size, with
-the values and the generator positions of one draw per step.
+the best lower score, the maximisers of one array of scores, an O(n) screen
+for the prefix length, and a full sort as the fallback.  The *pick*,
+``select_ascd``, draws among the best lower scores of the set; the safe set
+keeps every maximiser of the lower score, whose upper score reaches every
+prefix average.  The loop draws every rule's picks through one
+``PickDraws``, which serves them from blocks drawn per pool size, with the
+values and the generator positions of one draw per step.
 """
 
 from __future__ import annotations
@@ -443,11 +443,12 @@ def score_one(rule: str, g: float, r: float, exact: bool, x: float,
     The float counterpart of the array score stages, in the same units:
     ``gsq_bounds`` for ``ascd-gsq``, ``compute_bounds`` for ``ascd`` and
     ``gss_score_interval`` for ``ascd-gss``.  ``g``, ``r`` and ``exact``
-    are one coordinate of a ``GradientEstimate``, ``x`` its iterate and ``reg`` the composite
-    penalty (``none`` or ``l1``).  It returns the bits that a full scoring
-    gives the coordinate, signed zeros included: the array stages are
-    elementwise, ``_fmax`` and ``_fmin`` resolve ties as ``np.maximum`` and
-    ``np.minimum`` do, and a square is ``v * v``, as ``np.square`` is.
+    are one coordinate of a ``GradientEstimate``, ``x`` its iterate and
+    ``reg`` the composite penalty (``none`` or ``l1``).  It returns the bits
+    that a full scoring gives the coordinate, signed zeros included: the
+    array stages are elementwise, ``_fmax`` and ``_fmin`` resolve ties as
+    ``np.maximum`` and ``np.minimum`` do, and a square is ``v * v``, as
+    ``np.square`` is.
     """
     if rule == "ascd-gsq":
         psi0 = reg.psi_one(x)

@@ -241,8 +241,8 @@ def test_gsq_bounds_sound_at_model_argmin(x, g, r, lipschitz, kind, lam, t):
                    np.array([x]), lipschitz, reg)
     s = min(max((g - r) + 2.0 * r * t, g - r), g + r)
     y = reg.model_argmin(x, s, lipschitz)
-    decrease = float(reg.psi(x)) - float(model_value(x, y, s, lipschitz,
-                                                      reg))
+    best = float(model_value(x, y, s, lipschitz, reg))
+    decrease = float(reg.psi(x)) - best
     # float slack on the scale of the model's terms
     y_max = (abs(g) + r + reg.lam * (1.0 + abs(x))) / lipschitz + abs(x)
     tol = 1e-12 * (1.0 + (abs(g) + r) * y_max + (lipschitz + reg.lam)
