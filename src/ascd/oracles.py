@@ -18,10 +18,12 @@ Available kinds:
            (the true product can sit at the opposite end of the interval,
            so the radius alone would not be a valid certificate).
 
-Only g1 and g2 form the exact row ``A^T a_i``: a row of the dense Gram
-matrix when n is at most ``GRAM_LIMIT``, otherwise a gather over a
+Only g1 and g2 form the exact row ``A^T a_i``, always by a gather over a
 row-major copy of A that costs the nonzeros of the rows of A meeting
-a_i's support, never a pass over all of A.
+a_i's support, never a pass over all of A.  While n is at most
+``GRAM_LIMIT`` a gathered row is kept once fetched, so a run holds at
+most n rows of n floats, the size of the dense Gram matrix, and only the
+rows it fetched.  A is never densified.
 
 All estimators are pure functions of ``(kind, matrix, seed, i, j)``; the g2
 and g4 draws are keyed on the unordered pair so they are symmetric and do
@@ -32,6 +34,7 @@ buffers of its ``OracleContext``, and handed out as a fresh array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,7 +50,8 @@ __all__ = [
 
 ORACLE_KINDS = ("g1", "g2", "g3", "g4")
 
-# largest column count for which the exact kinds build the dense Gram matrix
+# largest column count for which the exact kinds keep each gathered row
+# (at most n * n * 8 bytes in all)
 GRAM_LIMIT = 2048
 
 # salts so that g2 and g4 consume unrelated pseudo-random streams
@@ -99,23 +103,27 @@ class OracleContext:
     """Per-run precomputation backing the vectorised row queries.
 
     Column norms are always precomputed.  The exact kinds (g1, g2) need
-    the row ``A^T a_i``: with at most ``GRAM_LIMIT`` columns it is a row of
-    the dense Gram matrix, built once.  With more columns a row-major copy
-    of A is built once instead (O(nnz) memory), and row i gathers the rows
-    of A that meet a_i's support, at ``O(sum of their nnz)`` per query.
-    The copy's order is a stable argsort of the row ids cast to the
-    narrowest unsigned type that holds ``n_rows - 1``: up to 65536 rows
-    numpy sorts those by radix, and the permutation is the one an int64
-    sort gives.  A row concatenates the views of the copy's rows that a_i
-    meets.  The g2 and g4 kinds keep the seed's mix, ``j`` and ``j * n``
-    for every column, and two uint64 scratch rows for the pair hash.
+    the row ``A^T a_i``.  A row-major copy of A is built once (12 bytes
+    per stored entry: int32 column ids and float64 values), and row i
+    gathers the rows of A that meet a_i's support, at ``O(sum of their
+    nnz)`` per query.  With at most ``GRAM_LIMIT`` columns each gathered
+    row is kept, read-only, and a repeat fetch returns the same array, so
+    the kept rows never exceed the n x n Gram matrix; above the limit
+    nothing is kept.  The copy's order is a stable argsort of the row ids
+    cast to the narrowest unsigned type that holds ``n_rows - 1``: up to
+    65536 rows numpy sorts those by radix, and the permutation is the one
+    an int64 sort gives.  A row concatenates the views of the copy's rows
+    that a_i meets.  Those two views cost about 250 bytes per row of A, so
+    on tall, narrow data (below about 36 columns) the copy can outgrow the
+    8 * n bytes per row of a dense A.  The g2 and g4 kinds keep the seed's
+    mix, ``j`` and ``j * n`` for every column, and two uint64 scratch rows
+    for the pair hash.
     """
 
     def __init__(self, spec: OracleSpec, matrix: ColumnSparseMatrix):
         self.spec = spec
         self.matrix = matrix
         self.norms = np.sqrt(matrix.col_norms_sq())
-        self.gram = None
         if spec.kind in _SALTS:
             n = matrix.n_cols
             self._ids = np.arange(n, dtype=np.uint64)
@@ -128,10 +136,8 @@ class OracleContext:
             self._seed_mix = _splitmix64(seed, np.empty_like(seed))[0]
         if spec.kind not in ("g1", "g2"):
             return
-        if matrix.n_cols <= GRAM_LIMIT:
-            dense = matrix.to_dense()
-            self.gram = dense.T @ dense
-            return
+        # gathered rows by column id, or None above the limit
+        self._kept = {} if matrix.n_cols <= GRAM_LIMIT else None
         # stable: each row of A lists its entries in increasing column order
         narrow = np.min_scalar_type(matrix.n_rows - 1)
         order = np.argsort(matrix.rows.astype(narrow), kind="stable")
@@ -150,18 +156,29 @@ class OracleContext:
                            for lo, hi in zip(ptr, ptr[1:])]
 
     def _dot_row(self, i: int) -> np.ndarray:
-        if self.gram is not None:
-            return self.gram[i]
+        kept = self._kept
+        if kept is None:
+            return self._gather(i)
+        row = kept.get(i)
+        if row is None:
+            row = kept[i] = self._gather(i)
+            row.flags.writeable = False
+        return row
+
+    def _gather(self, i: int) -> np.ndarray:
         # column j sums a_i[r] * A[r, j] over increasing r, the order of
         # ColumnSparseMatrix.col_dots without its zero terms: the same bits
         rows, vals = self.matrix.col(i)
         if not rows.size:
             return np.zeros(self.matrix.n_cols)
-        meets = rows.tolist()
+        meets = itemgetter(*rows.tolist())
+        cols, row_vals = meets(self._col_views), meets(self._val_views)
+        if rows.size > 1:
+            cols, row_vals = np.concatenate(cols), np.concatenate(row_vals)
         weights = np.repeat(vals, self._row_counts[rows])
-        weights *= np.concatenate([self._val_views[r] for r in meets])
-        return np.bincount(np.concatenate([self._col_views[r] for r in meets]),
-                           weights=weights, minlength=self.matrix.n_cols)
+        weights *= row_vals
+        return np.bincount(cols, weights=weights,
+                           minlength=self.matrix.n_cols)
 
     def _pair_uniform_row(self, i: int) -> np.ndarray:
         """The draws in [-1, 1] keyed on the unordered pairs ``(i, j)``,

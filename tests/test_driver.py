@@ -572,8 +572,10 @@ class TestRun:
             RunConfig(problem=prob, steps=5, **{field: -1})
 
     def test_exact_rows_avoid_col_dots(self, monkeypatch):
-        # above the Gram limit every exact row comes from the row-major
-        # copy; the reference run computes each row with col_dots
+        # every exact row is gathered from the row-major copy, kept below
+        # the Gram limit (n = 200) and gathered afresh above it (limit 0);
+        # the reference run computes each row with col_dots, and neither
+        # regime calls col_dots or densifies A
         matrix, target = generate_synthetic(
             SynthConfig(n_rows=60, n_cols=200, seed=3))
         lam = 0.1 * float(np.max(np.abs(matrix.col_dots(target))))
@@ -582,7 +584,6 @@ class TestRun:
                         update=UpdateRule("line_search"),
                         oracle=OracleSpec("g1"), seed=0, init="none",
                         diag_every=0)
-        monkeypatch.setattr(ascd.oracles, "GRAM_LIMIT", 0)
 
         with monkeypatch.context() as patched:
             patched.setattr(OracleContext, "_dot_row",
@@ -590,13 +591,17 @@ class TestRun:
             reference = run(cfg)
 
         def refuse(*_):
-            raise AssertionError("col_dots called for an oracle row")
+            raise AssertionError("col_dots or to_dense called in a run")
 
         monkeypatch.setattr(ColumnSparseMatrix, "col_dots", refuse)
+        monkeypatch.setattr(ColumnSparseMatrix, "to_dense", refuse)
+        kept = run(cfg)
+        monkeypatch.setattr(ascd.oracles, "GRAM_LIMIT", 0)
         gathered = run(cfg)
-        assert np.count_nonzero(gathered.gamma) > 0
-        assert np.array_equal(gathered.i, reference.i)
-        assert gathered.final_f == reference.final_f
+        for result in (kept, gathered):
+            assert np.count_nonzero(result.gamma) > 0
+            assert np.array_equal(result.i, reference.i)
+            assert result.final_f == reference.final_f
 
     def test_non_finite_x0_rejected_before_the_loop(self):
         # named as x0, not as a non-finite gradient at step 0

@@ -1,10 +1,10 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.testing import assert_allclose
 
 import ascd.oracles
 from ascd.oracles import (_SALT_G2, _SALT_G4, OracleContext, OracleSpec,
@@ -176,29 +176,47 @@ class TestOracleRow:
                 assert (0.0 if err is None else err[j]) == pytest.approx(
                     out.error, abs=1e-12)
 
-    def test_gram_fallback_agrees(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["g1", "g2"])
+    def test_kept_rows_are_the_gathered_rows(self, monkeypatch, kind):
+        # below the limit a fetched row is kept and handed out again,
+        # read-only; at limit 0 nothing is kept.  Both carry the gather's
+        # bits, which are col_dots', sign bits included
         m = make_matrix(11)
-        spec = OracleSpec("g2", epsilon=0.3, seed=9)
-        with_gram = OracleContext(spec, m)
+        spec = OracleSpec(kind, epsilon=0.3, seed=9)
+        kept = OracleContext(spec, m)
         monkeypatch.setattr(ascd.oracles, "GRAM_LIMIT", 0)
-        without = OracleContext(spec, m)
-        assert with_gram.gram is not None and without.gram is None
-        for i in range(m.n_cols):
-            a, da = oracle_row(with_gram, i)
-            b, db = oracle_row(without, i)
-            assert_allclose(a, b, atol=1e-10)
-            assert_allclose(da, db)
+        fresh = OracleContext(spec, m)
+        fetched = [3, 0, 3, 7, 0, 9, 3]
+        for i in fetched:
+            row = kept._dot_row(i)
+            assert row.tobytes() == fresh._dot_row(i).tobytes()
+            assert row.tobytes() == col_dots_row(m, i).tobytes()
+            assert kept._dot_row(i) is row
+            assert not row.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+            assert fresh._dot_row(i) is not fresh._dot_row(i)
+            a, da = oracle_row(kept, i)
+            b, db = oracle_row(fresh, i)
+            assert a.tobytes() == b.tobytes()
+            assert (da is None) == (db is None) == (kind == "g1")
+            if kind == "g2":
+                assert da.tobytes() == db.tobytes()
+        assert set(kept._kept) == set(fetched)
+        assert all(not r.flags.writeable for r in kept._kept.values())
+        assert fresh._kept is None
 
+    @pytest.mark.parametrize("limit", [ascd.oracles.GRAM_LIMIT, 0])
     @settings(deadline=None)
     @given(sparse_matrices(), st.floats(0.0, 2.0), st.integers(0, 2 ** 32))
-    def test_row_major_rows_match_col_dots(self, m, eps, seed):
+    def test_row_major_rows_match_col_dots(self, limit, m, eps, seed):
         # the row-major gather adds the same products in the same order
-        # as col_dots, so the rows agree bit for bit
+        # as col_dots, so the rows agree bit for bit, kept or not
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(ascd.oracles, "GRAM_LIMIT", 0)
+            patched.setattr(ascd.oracles, "GRAM_LIMIT", limit)
             g1 = OracleContext(OracleSpec("g1"), m)
             g2 = OracleContext(OracleSpec("g2", epsilon=eps, seed=seed), m)
-        assert g1.gram is None and g2.gram is None
+        assert (g1._kept is None) == (g2._kept is None) == (limit == 0)
         n = m.n_cols
         for i in range(n):
             ref = col_dots_row(m, i)
@@ -212,6 +230,24 @@ class TestOracleRow:
             assert np.array_equal(
                 est, np.clip(ref + eps * bounds * u, -bounds, bounds))
             assert np.array_equal(err, eps * bounds)
+
+    def test_exact_rows_stay_below_a_dense_copy(self):
+        # the context and ten exact rows of a 5000 x 500 matrix with 50
+        # entries per column trace below a quarter of a dense A
+        rng = np.random.default_rng(5)
+        d, n = 5000, 500
+        m = ColumnSparseMatrix.from_columns(d, [
+            (np.sort(rng.choice(d, 50, replace=False)),
+             rng.uniform(1.0, 2.0, 50)) for _ in range(n)])
+        tracemalloc.start()
+        try:
+            ctx = OracleContext(OracleSpec("g1"), m)
+            for i in range(10):
+                oracle_row(ctx, i)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * n * 8 / 4
 
     @settings(deadline=None, max_examples=100)
     @given(sparse_matrices(), st.sampled_from(["g2", "g4"]),
