@@ -2,17 +2,19 @@
 
 One run executes a fixed budget of single-coordinate steps.  Selection is
 uniform (``ucd``, with no estimate and all n as its set) or a tracked rule
-that runs the score, set and pick stages of ``selector``.  ``_scores``
-dispatches to the rule's score stage: ``ascd-gsq`` compares bounds on the
-model decrease, every other tracked rule its magnitude interval squared;
-every tracked rule then keeps the safe set.  With g1 and a true-gradient
-start the estimate stays exact, so the magnitude rules score one array and
-their set is its maximisers: the steepest rule, which ``scd`` runs
-(``RunConfig.resolved``).  The pick ``argmax-lower`` takes the best lower
-score (greedy; degenerates to hammering one coordinate when every other
-bound has collapsed), while ``uniform-set`` draws uniformly from the set,
-the regime the one-step progress and equilibrium analyses describe; ucd
-runs this pick on its constant set.  Every rule draws through one
+that runs the score, set and pick stages of ``selector``.  ``_scores`` is
+two-way: ``ascd-gsq`` compares bounds on the model decrease, every other
+tracked rule runs the one segment-distance stage, ``compute_bounds``: gs-s
+at the penalty's ``lam`` for ``ascd-gss``, and its ``lam = 0`` case, the
+squared magnitude, for ``ascd``.  Every tracked rule then keeps the safe
+set.  With g1 and a true-gradient start the estimate stays exact, so the
+segment-distance rules score one array and their set is its maximisers:
+the steepest rule, which ``scd`` runs (``RunConfig.resolved``).  The pick
+``argmax-lower`` takes the best lower score (greedy; degenerates to
+hammering one coordinate when every other bound has collapsed), while
+``uniform-set`` draws uniformly from the set, the regime the one-step
+progress and equilibrium analyses describe; ucd runs this pick on its
+constant set.  Every rule draws through one
 ``selector.PickDraws``, which serves the picks from blocks drawn per pool
 size with the values, and the generator positions, of per-step
 ``rng.integers`` draws; a pool of one draws nothing.  Under ``time_steps``
@@ -54,9 +56,8 @@ from .data import trace_allocation, write_csv
 from .oracles import OracleContext, OracleSpec, oracle_row
 from .problem import CompositeProblem, ResidualState
 from .selector import (ActiveSet, Bounds, GradientEstimate, PickDraws,
-                       active_set, compute_bounds, gsq_bounds,
-                       gss_score_interval, score_one, select_ascd,
-                       update_estimates)
+                       active_set, compute_bounds, gsq_bounds, score_one,
+                       select_ascd, update_estimates)
 
 __all__ = [
     "UpdateRule",
@@ -283,12 +284,10 @@ def allocate_trace(steps: int) -> dict[str, np.ndarray]:
 def _scores(rule: str, est: GradientEstimate, x: np.ndarray,
             problem: CompositeProblem) -> Bounds:
     """The score stage of a tracked rule, in the units the set compares."""
-    lmax, reg = problem.lipschitz_max, problem.psi_reg
+    reg = problem.psi_reg
     if rule == "ascd-gsq":
-        return gsq_bounds(est, x, lmax, reg)
-    if rule == "ascd-gss":
-        return gss_score_interval(est, x, reg)
-    return compute_bounds(est)
+        return gsq_bounds(est, x, problem.lipschitz_max, reg)
+    return compute_bounds(est, x, reg.lam if rule == "ascd-gss" else 0.0)
 
 
 def run(config: RunConfig) -> RunResult:
@@ -333,8 +332,8 @@ def run(config: RunConfig) -> RunResult:
                 # a zero step changed only the last pick's g and r
                 lower, upper = score_one(
                     rule, float(est.g[i_t]), float(est.r[i_t]),
-                    est.is_exact, float(state.x[i_t]),
-                    problem.lipschitz_max, problem.psi_reg)
+                    float(state.x[i_t]), problem.lipschitz_max,
+                    problem.psi_reg)
                 # the same lower score, and an upper score reaching the
                 # best lower score before and after: every path of
                 # active_set returns the same set

@@ -5,12 +5,13 @@ coordinate, an estimate of the smooth partial gradient with a certified
 error radius, and select in three stages; steepest selection is a tracked
 rule on an exact estimate.  The *score* stage brackets each coordinate's
 score in a ``Bounds`` interval, larger being better, in the units the set
-compares: the squared gradient magnitude (``compute_bounds``), the squared
-steepest directional derivative (gs-s) or the best model decrease (gs-q).
-The first two are squared distances to a segment, bracketed by one helper,
-``_distance_range``.  An exact estimate (every radius 0,
-``GradientEstimate.is_exact``) scores once: those two stages evaluate the
-squared distance at ``g`` and return that one array as both bounds
+compares: the squared steepest directional derivative (gs-s) or the best
+model decrease (gs-q).  gs-s is one segment-distance stage,
+``compute_bounds``: the squared distance from the gradient to
+``-subdiff lam|x_i|``; the squared gradient magnitude of ``ascd`` is its
+``lam = 0`` case.  An exact estimate (every radius 0,
+``GradientEstimate.is_exact``) scores once: the stage evaluates the squared
+distance at ``g`` and returns that one array as both bounds
 (``lower is upper``).  gs-q keeps two bounds even then, because its lower
 bound keeps the ``y = 0`` fallback, a decrease of 0.  ``score_one`` scores one
 coordinate on Python floats, for the loop's rescoring after a zero step; it
@@ -45,7 +46,6 @@ __all__ = [
     "select_ascd",
     "PickDraws",
     "update_estimates",
-    "gss_score_interval",
     "gsq_bounds",
     "score_one",
 ]
@@ -61,8 +61,10 @@ class GradientEstimate:
 
     ``is_exact`` marks an estimate built by ``exact`` that has taken only
     zero-error rows since (``update_estimates`` with ``row_error=None``):
-    every radius is 0, and the score stages evaluate one array instead of
-    an interval.  ``r`` stays an array of zeros for readers of the radii.
+    every radius is 0, and ``compute_bounds`` evaluates one array instead
+    of an interval.  ``r`` stays an array of zeros for readers of the
+    radii, and ``score_one`` reads only ``r``: at radius 0 it gives the one
+    array's bits.
     """
 
     g: np.ndarray
@@ -85,8 +87,8 @@ class Bounds:
 
     Larger scores are better; every score stage returns its scores in the
     units ``active_set`` compares, and ``compute_bounds`` this interval for
-    the squared gradient magnitudes ``grad_i^2``.  Known scores are one
-    array given as both bounds (``lower is upper``).
+    the squared gs-s scores, ``grad_i^2`` at ``lam = 0``.  Known scores are
+    one array given as both bounds (``lower is upper``).
     """
 
     upper: np.ndarray
@@ -129,25 +131,47 @@ def _distance_range(lo: np.ndarray, hi: np.ndarray, a, b) -> Bounds:
                   lower=np.square(lower, out=lower))
 
 
-def _exact_bounds(d: np.ndarray) -> Bounds:
-    """Distances known exactly, squared in place: one array as both
-    bounds."""
-    np.square(d, out=d)
-    return Bounds(upper=d, lower=d)
+def compute_bounds(estimate: GradientEstimate, x: np.ndarray | None = None,
+                   lam: float = 0.0) -> Bounds:
+    """Bounds on the squared gs-s score: the squared distance from the
+    gradient to ``-subdiff lam|x_i|``, the segment ``[-lam, lam]`` when
+    ``x_i = 0`` (so ``max(|g| - lam, 0)``) and the point
+    ``-lam * sign(x_i)`` otherwise.  ``lam = 0`` is the squared gradient
+    magnitude ``grad_i^2``, the ``ascd`` score; it reads no ``x``.
 
+    With the gradient only known to lie in ``g +- r`` the score ranges over
+    the distances from that interval: the lower bound is 0 when the
+    interval meets the segment, and radius ``+inf`` yields ``(upper,
+    lower) = (inf, 0)``.  The interval takes the scalar segment
+    ``[-lam, lam]`` over all n and recomputes x's support with its point
+    segment: elementwise, these are the operations of per-coordinate
+    segment arrays, so the same bits.
 
-def compute_bounds(estimate: GradientEstimate) -> Bounds:
-    """Interval arithmetic on ``g +- r``: bounds on ``grad_i^2``, the
-    squared distance from the gradient to 0.
-
-    The lower bound is 0 when the interval straddles zero.  Radius ``+inf``
-    yields ``(upper, lower) = (inf, 0)``.  An exact estimate gets ``g^2``
-    as both bounds.
+    An exact estimate scores once, one fresh array as both bounds:
+    ``max(|g| - lam, 0)`` over all n, then ``|g + lam * sign(x_i)|`` on x's
+    support only, squared in place.  It has the bits of ``_distance_range``
+    at ``lo = hi = g``: at ``x_i = 0``, ``max(-lam - g, g - lam)`` is
+    exactly ``|g| - lam``, and at ``x_i != 0``, ``a - g`` is exactly
+    ``-(g + lam * sign(x_i))``, since rounding a sum commutes with negating
+    it; a zero score is ``+0.0`` either way.
     """
-    if estimate.is_exact:
-        return _exact_bounds(np.abs(estimate.g))
     g, r = estimate.g, estimate.r
-    return _distance_range(g - r, g + r, 0.0, 0.0)
+    nz = (x != 0.0).nonzero()[0] if lam else ()
+    if estimate.is_exact:
+        d = np.abs(g)
+        if lam:
+            d -= lam
+            np.maximum(d, 0.0, out=d)
+            if len(nz):
+                d[nz] = np.abs(g[nz] + lam * np.sign(x[nz]))
+        np.square(d, out=d)
+        return Bounds(upper=d, lower=d)
+    scores = _distance_range(g - r, g + r, -lam, lam)
+    if len(nz):
+        a = -lam * np.sign(x[nz])
+        on = _distance_range(g[nz] - r[nz], g[nz] + r[nz], a, a)
+        scores.lower[nz], scores.upper[nz] = on.lower, on.upper
+    return scores
 
 
 def active_set(scores: Bounds) -> ActiveSet:
@@ -333,50 +357,6 @@ def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,
 # ---------------------------------------------------------------------------
 
 
-def gss_score_interval(estimate: GradientEstimate, x: np.ndarray,
-                       reg: Regularizer) -> Bounds:
-    """Per-coordinate interval for the squared steepest-direction score.
-
-    For an l1 penalty the exact score at gradient value g is its distance
-    to ``-subdiff psi(x_i)``: the segment ``[-lam, lam]`` when ``x_i = 0``
-    (so ``max(|g| - lam, 0)``) and the point ``-lam * sign(x_i)`` otherwise.
-    With the gradient only known to lie in ``g +- r`` the score ranges over
-    the distances from that interval; an exact estimate gets the squared
-    score at ``g`` as both bounds.  ``lam = 0`` reduces to
-    ``compute_bounds``.
-
-    The exact score is one fresh array: ``max(|g| - lam, 0)`` over all n,
-    then ``|g + lam * sign(x_i)|`` on x's support only, squared in place.
-    It has the bits of ``_distance_range`` at ``lo = hi = g``: at
-    ``x_i = 0``, ``max(-lam - g, g - lam)`` is exactly ``|g| - lam``, and
-    at ``x_i != 0``, ``a - g`` is exactly ``-(g + lam * sign(x_i))``, since
-    rounding a sum commutes with negating it; a zero score is ``+0.0``
-    either way.
-
-    The interval score takes the scalar segment ``[-lam, lam]`` over all n
-    and recomputes x's support with its point segment: elementwise, these
-    are the operations of per-coordinate segment arrays, so the same bits.
-    """
-    if reg.kind not in ("none", "l1"):
-        raise ValueError("gs-s scores support only the l1 penalty")
-    lam = reg.lam
-    g, r = estimate.g, estimate.r
-    nz = (x != 0.0).nonzero()[0]
-    if estimate.is_exact:
-        d = np.abs(g)
-        d -= lam
-        np.maximum(d, 0.0, out=d)
-        if nz.size:
-            d[nz] = np.abs(g[nz] + lam * np.sign(x[nz]))
-        return _exact_bounds(d)
-    scores = _distance_range(g - r, g + r, -lam, lam)
-    if nz.size:
-        a = -lam * np.sign(x[nz])
-        on = _distance_range(g[nz] - r[nz], g[nz] + r[nz], a, a)
-        scores.lower[nz], scores.upper[nz] = on.lower, on.upper
-    return scores
-
-
 def gsq_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
                reg: Regularizer) -> Bounds:
     """Sandwich the best model decrease ``psi(x_i) - min_y V_i`` using the
@@ -436,19 +416,21 @@ def _distance_range_one(lo: float, hi: float, a: float,
     return lower * lower, upper * upper
 
 
-def score_one(rule: str, g: float, r: float, exact: bool, x: float,
-              lipschitz: float, reg: Regularizer) -> tuple[float, float]:
+def score_one(rule: str, g: float, r: float, x: float, lipschitz: float,
+              reg: Regularizer) -> tuple[float, float]:
     """``(lower, upper)`` score of one coordinate, on Python floats.
 
-    The float counterpart of the array score stages, in the same units:
-    ``gsq_bounds`` for ``ascd-gsq``, ``compute_bounds`` for ``ascd`` and
-    ``gss_score_interval`` for ``ascd-gss``.  ``g``, ``r`` and ``exact``
-    are one coordinate of a ``GradientEstimate``, ``x`` its iterate and
-    ``reg`` the composite penalty (``none`` or ``l1``).  It returns the bits
-    that a full scoring gives the coordinate, signed zeros included: the
-    array stages are elementwise, ``_fmax`` and ``_fmin`` resolve ties as
+    The float counterpart of ``driver._scores``, in the same units:
+    ``gsq_bounds`` for ``ascd-gsq``, else ``compute_bounds`` at ``reg.lam``
+    for ``ascd-gss`` and at ``lam = 0`` for ``ascd``.  ``g`` and ``r`` are
+    one coordinate of a ``GradientEstimate``, ``x`` its iterate and ``reg``
+    the composite penalty (``none`` or ``l1``).  It returns the bits that a
+    full scoring gives the coordinate, signed zeros included: the array
+    stages are elementwise, ``_fmax`` and ``_fmin`` resolve ties as
     ``np.maximum`` and ``np.minimum`` do, and a square is ``v * v``, as
-    ``np.square`` is.
+    ``np.square`` is.  At ``r = 0`` the segment distance of ``g - r`` and
+    ``g + r`` has the bits of an exact estimate's one array: a nonzero
+    ``g +- 0`` is ``g``, and every zero distance ends as ``+0.0``.
     """
     if rule == "ascd-gsq":
         psi0 = reg.psi_one(x)
@@ -465,17 +447,9 @@ def score_one(rule: str, g: float, r: float, exact: bool, x: float,
         omega_l = val_l + _fmax(0.0, y_l * (hi - lo))
         return (psi0 - _fmin(_fmin(omega_u, omega_l), psi0),
                 psi0 - _fmin(val_u, val_l))
-    if rule == "ascd-gss":
-        lam = reg.lam
-        if x == 0.0:
-            a, b = -lam, lam
-        else:
-            a = b = -lam * math.copysign(1.0, x)
-        if exact:
-            d = _fmax(_fmax(a - g, g - b), 0.0)
-            return d * d, d * d
-        return _distance_range_one(g - r, g + r, a, b)
-    if exact:
-        d = abs(g)
-        return d * d, d * d
-    return _distance_range_one(g - r, g + r, 0.0, 0.0)
+    lam = reg.lam if rule == "ascd-gss" else 0.0
+    if x == 0.0:
+        a, b = -lam, lam
+    else:
+        a = b = -lam * math.copysign(1.0, x)
+    return _distance_range_one(g - r, g + r, a, b)

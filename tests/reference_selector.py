@@ -5,11 +5,12 @@ sorts only when the screen cannot decide; ``sorted_active_set`` here always
 runs the full stable sort, the definition the screen must reproduce.
 ``gss_exact_squared`` is the gs-s score of an exact estimate as the squared
 segment distance over all n, the units every score stage returns; the
-one-pass score of ``ascd.selector.gss_score_interval`` must give its bits.
-``gss_interval_squared`` is the gs-s score interval with per-coordinate
-segment arrays built by ``np.where`` and one fresh temporary per
-operation; the scalar segment and support patch of the in-place interval
-score must give its bits.
+one-pass score of ``ascd.selector.compute_bounds``, the one segment-distance
+stage, must give its bits, under ``ascd-gss`` and under ``ascd``, its
+``lam = 0`` case.  ``gss_interval_squared`` is the gs-s score interval with
+per-coordinate segment arrays built by ``np.where`` and one fresh temporary
+per operation; the scalar segment and support patch of the in-place
+interval score must give its bits.
 """
 
 import numpy as np

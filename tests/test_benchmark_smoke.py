@@ -8,7 +8,8 @@ the one workload with interval scores, infinite radii and one-coordinate
 rescoring after zero steps, and over ``ridge-ucd-cli``, the one workload
 that goes through ``ascd.cli`` and so reaches the ``save_svmlight`` and
 ``load_svmlight`` it wraps, every instance once, must report a correct
-result with no failed check.
+result with no failed check.  The three tracked workloads must also time
+their score stage, which the tracer finds as ``ascd.driver.compute_bounds``.
 """
 
 import json
@@ -32,3 +33,6 @@ def test_traced_workload_is_correct(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0, proc.stderr
+    if workload != "ridge-ucd-cli":
+        # a score stage the driver no longer calls by that name reads 0
+        assert result["metrics"]["selector.score_us"]["value"] > 0

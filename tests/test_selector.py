@@ -15,8 +15,7 @@ from ascd.problem import (ColumnSparseMatrix, CompositeProblem, Regularizer,
                           model_value)
 from ascd.selector import (ActiveSet, Bounds, GradientEstimate, PickDraws,
                            active_set, compute_bounds, gsq_bounds,
-                           gss_score_interval, score_one, select_ascd,
-                           update_estimates)
+                           score_one, select_ascd, update_estimates)
 from reference_selector import (gss_exact_squared, gss_interval_squared,
                                 sorted_active_set)
 
@@ -386,10 +385,8 @@ class TestExactEstimate:
         g, x = drawn
         exact, zero = GradientEstimate.exact(g), est(g, np.zeros_like(g))
         assert exact.is_exact and not zero.is_exact
-        reg = Regularizer("l1", 0.5)
         pairs = [(compute_bounds(exact), compute_bounds(zero)),
-                 (gss_score_interval(exact, x, reg),
-                  gss_score_interval(zero, x, reg))]
+                 (compute_bounds(exact, x, 0.5), compute_bounds(zero, x, 0.5))]
         for got, want in pairs:
             assert got.lower is got.upper
             assert np.array_equal(got.lower, want.lower)
@@ -756,22 +753,15 @@ class TestGsq:
 
 
 class TestGssScores:
-    def test_lambda_zero_reduces_to_bounds(self):
-        e = est([2.0, -1.0], [0.5, 3.0])
-        q = gss_score_interval(e, np.array([0.3, 0.0]), Regularizer())
-        b = compute_bounds(e)
-        assert_allclose(q.lower, b.lower)
-        assert_allclose(q.upper, b.upper)
-
     def test_soft_threshold_at_zero(self):
         e = GradientEstimate.exact(np.array([3.0]))
-        q = gss_score_interval(e, np.array([0.0]), Regularizer("l1", 1.0))
+        q = compute_bounds(e, np.array([0.0]), 1.0)
         assert q.lower[0] == pytest.approx(4.0)
         assert q.upper[0] == pytest.approx(4.0)
 
     def test_subgradient_branch(self):
         e = GradientEstimate.exact(np.array([-3.0]))
-        q = gss_score_interval(e, np.array([1.0]), Regularizer("l1", 1.0))
+        q = compute_bounds(e, np.array([1.0]), 1.0)
         assert q.lower[0] == pytest.approx(4.0)
         assert q.upper[0] == pytest.approx(4.0)
 
@@ -788,7 +778,7 @@ class TestGssScores:
             g = float(rng.normal(0, 2))
             r = float(rng.uniform(0, 2))
             x = float(rng.choice([0.0, rng.normal()]))
-            q = gss_score_interval(est([g], [r]), np.array([x]), reg)
+            q = compute_bounds(est([g], [r]), np.array([x]), reg.lam)
             for grad in np.linspace(g - r, g + r, 9):
                 s = score(grad, x)
                 assert q.lower[0] <= s + 1e-12
@@ -801,22 +791,16 @@ class TestGssScores:
                             st.one_of(st.just(0.0), st.floats(0, 1e3)))))
     def test_tight(self, drawn):
         e, x, lam = drawn
-        reg = Regularizer("l1", lam)
-        q = gss_score_interval(e, x, reg)
+        q = compute_bounds(e, x, lam)
         lower, upper = kink_range(lambda t: np.square(gss_exact(t, x, lam)),
                                   e, lam)
         assert np.array_equal(q.lower, lower)
         assert np.array_equal(q.upper, upper)
 
     def test_uninformed(self):
-        q = gss_score_interval(GradientEstimate.uninformed(2),
-                               np.array([0.0, 1.0]), Regularizer("l1", 1.0))
+        q = compute_bounds(GradientEstimate.uninformed(2),
+                           np.array([0.0, 1.0]), 1.0)
         assert np.all(q.lower == 0.0) and np.all(np.isinf(q.upper))
-
-    def test_rejects_l2(self):
-        with pytest.raises(ValueError):
-            gss_score_interval(GradientEstimate.uninformed(1),
-                               np.zeros(1), Regularizer("l2", 1.0))
 
 
 TRACKED = ("ascd", "ascd-gss", "ascd-gsq")
@@ -867,7 +851,7 @@ class TestScoreOne:
         one = GradientEstimate(np.array([g]), np.array([r]), exact)
         with np.errstate(all="ignore"):
             want = _scores(rule, one, np.array([x]), problem)
-        lower, upper = score_one(rule, g, r, exact, x, lipschitz, reg)
+        lower, upper = score_one(rule, g, r, x, lipschitz, reg)
         assert type(lower) is float and type(upper) is float
         assert _bits(lower) == _bits(want.lower[0])
         assert _bits(upper) == _bits(want.upper[0])
@@ -903,10 +887,23 @@ def _interval_gss(draw):
     return g, r, x, lam
 
 
-class TestIntervalGssScore:
-    """The interval gs-s score, on the scalar segment off x's support and
-    patched on it, has the bits of per-coordinate segment arrays."""
+def _segment_rule(rule, lam):
+    """A problem whose penalty weighs ``lam``, and the segment half-width
+    the rule scores at: ``ascd`` is gs-s at 0 whatever the penalty."""
+    problem = SimpleNamespace(lipschitz_max=1.0,
+                              psi_reg=Regularizer("l1", lam))
+    return problem, lam if rule == "ascd-gss" else 0.0
 
+
+SEGMENT_RULES = ("ascd", "ascd-gss")
+
+
+class TestIntervalGssScore:
+    """The interval score of both segment-distance rules, on the scalar
+    segment off x's support and patched on it, has the bits of
+    per-coordinate segment arrays."""
+
+    @pytest.mark.parametrize("rule", SEGMENT_RULES)
     @settings(max_examples=400, deadline=None)
     @given(_interval_gss())
     @example((np.array([-0.0, 0.0, 1.0, -1.0, INF, -INF, 2.0]),
@@ -915,13 +912,14 @@ class TestIntervalGssScore:
     @example((np.array([-0.0, 0.0, 3.0, -INF, INF]),
               np.array([0.0, 0.0, INF, INF, 1.0]),
               np.array([-0.0, 1.0, -1.0, -1.0, 0.0]), 0.0))
-    def test_bits_match_the_segment_arrays(self, drawn):
+    def test_bits_match_the_segment_arrays(self, rule, drawn):
         g, r, x, lam = drawn
+        problem, lam = _segment_rule(rule, lam)
         e = GradientEstimate(g.copy(), r.copy())
         # NaN from inf - inf and squares beyond the float range on both
         # sides
         with np.errstate(all="ignore"):
-            got = gss_score_interval(e, x, Regularizer("l1", lam))
+            got = _scores(rule, e, x, problem)
             want = gss_interval_squared(g, r, x, lam)
         assert got.lower.tobytes() == want.lower.tobytes()
         assert got.upper.tobytes() == want.upper.tobytes()
@@ -930,30 +928,31 @@ class TestIntervalGssScore:
 
 
 class TestExactGssScore:
-    """The one-pass gs-s score of an exact estimate has the bits of the
-    segment distance over all n, signed zeros included."""
+    """The one-pass score of an exact estimate, under both segment-distance
+    rules, has the bits of the segment distance over all n, signed zeros
+    included."""
 
+    @pytest.mark.parametrize("rule", SEGMENT_RULES)
     @settings(max_examples=400, deadline=None)
     @given(_exact_gss())
     @example((np.array([-0.0, 0.0, 1.0, -1.0, INF, -INF]),
               np.array([0.0, -0.0, 1.0, -1.0, 0.0, 2.0]), 1.0))
     @example((np.array([-0.0, 0.0, 3.0, -INF]),
               np.array([-0.0, 1.0, -1.0, -1.0]), 0.0))
-    def test_bits_match_the_segment_distance(self, drawn):
+    def test_bits_match_the_segment_distance(self, rule, drawn):
         g, x, lam = drawn
-        problem = SimpleNamespace(lipschitz_max=1.0,
-                                  psi_reg=Regularizer("l1", lam))
+        problem, lam = _segment_rule(rule, lam)
         e = GradientEstimate.exact(g)
         # squares of the largest floats overflow to inf on both sides
         with np.errstate(over="ignore"):
-            got = _scores("ascd-gss", e, x, problem)
+            got = _scores(rule, e, x, problem)
             want = gss_exact_squared(g, x, lam)
         assert got.lower is got.upper
         assert got.lower.tobytes() == want.tobytes()
         # squared in place, on an array the estimate does not share
         assert e.g.tobytes() == g.tobytes()
 
-    @pytest.mark.parametrize("rule", ["ascd", "ascd-gss"])
+    @pytest.mark.parametrize("rule", SEGMENT_RULES)
     def test_exact_scores_leave_the_estimate(self, rule):
         g = np.array([-2.0, 0.5, 0.0, 3.0])
         problem = SimpleNamespace(lipschitz_max=2.0,
