@@ -15,8 +15,9 @@ be allocated is rejected before the first draw.
 The svmlight reader streams a file a line at a time through builtins
 into compact buffers, and gives the arrays, warnings and error messages
 of a per-token parse bit for bit; feature indices beyond int64 are
-rejected where they enter.  The writer formats whole rows from Python
-lists.
+rejected where they enter.  The svmlight writer and the CSV writer
+convert their numbers to text a block of at most ``CHUNK_ENTRIES``
+entries at a time, so the text never takes more memory than one block.
 """
 
 from __future__ import annotations
@@ -255,10 +256,11 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
     The file is read a line at a time.  Each line is split, converted
     and checked whole with builtins (``str.split``, ``map(int, ...)``,
     ``map(float, ...)``, ``min``, ``set``) and appended to compact
-    ``array`` buffers, from which numpy sorts out the columns once at the
-    end.  Only a line that fails a check is parsed again token by token,
-    to name its fault, so the arrays, warnings and messages are those of
-    a per-token parse bit for bit.
+    ``array`` buffers.  Only a line that fails a check is parsed again
+    token by token, to name its fault, so the arrays, warnings and
+    messages are those of a per-token parse bit for bit.  At the end one
+    stable argsort of the column ids orders the entries by column, and
+    each entry-length temporary is dropped once used.
     """
     labels = array("d")
     counts = array("q")     # features on each row, explicit zeros included
@@ -307,28 +309,36 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
     if not labels:
         raise ValueError(f"{path}: empty file")
 
+    # from here on each nnz-length array is dropped as soon as it has
+    # been used; the frombuffer views hold the parse buffers until then
+    rows = np.repeat(np.arange(len(labels), dtype=np.int64),
+                     np.frombuffer(counts, dtype=np.int64))
     cols = np.frombuffer(indices, dtype=np.int64)
     vals = np.frombuffer(values, dtype=np.float64)
+    del counts, indices, values
+    # an explicit zero still names its column
     n_cols = int(cols.max()) if cols.size else 0
-    stored = vals != 0.0
-    rows = np.repeat(np.arange(len(labels), dtype=np.int64),
-                     np.frombuffer(counts, dtype=np.int64))[stored]
-    cols, vals = cols[stored], vals[stored]
+    if not vals.all():
+        stored = vals != 0.0
+        rows, cols, vals = rows[stored], cols[stored], vals[stored]
+        del stored
     if not cols.size:
         raise ValueError(f"{path}: no row stores a nonzero feature")
 
-    present, col_of = np.unique(cols, return_inverse=True)
-    empty = n_cols - present.size
+    # stable: each column keeps its entries in row order
+    order = np.argsort(cols, kind="stable")
+    cols = cols[order]
+    indptr = np.concatenate(([0], np.flatnonzero(cols[1:] != cols[:-1]) + 1,
+                             [cols.size]))
+    del cols
+    empty = n_cols - (indptr.size - 1)
     if empty:
         warnings.warn(f"{path}: dropping {empty} empty column(s)",
                       stacklevel=2)
-    # stable: each column keeps its entries in row order
-    order = np.argsort(col_of, kind="stable")
-    indptr = np.zeros(present.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(col_of, minlength=present.size), out=indptr[1:])
-    matrix = ColumnSparseMatrix(
-        len(labels), indptr, rows[order],
-        np.ones(cols.size) if binarize else vals[order])
+    rows = rows[order]
+    vals = np.ones(rows.size) if binarize else vals[order]
+    del order
+    matrix = ColumnSparseMatrix(len(labels), indptr, rows, vals)
     return matrix, np.array(labels)
 
 
@@ -338,24 +348,41 @@ def save_svmlight(matrix: ColumnSparseMatrix, target: np.ndarray,
     in increasing index order.
 
     Values are written with ``repr``, full precision, so a load
-    round-trips exactly.  The entries are sorted by row once and each
-    line is formatted from Python lists.
+    round-trips exactly.  A non-finite target, which a load would refuse,
+    is rejected before the file is opened.  The entries are sorted by row
+    once; consecutive rows are then converted and written a block at a
+    time, at most ``CHUNK_ENTRIES`` entries and rows per block (a longer
+    row is a block of its own), so the text never exists for more than
+    one block.
     """
-    if target.shape != (matrix.n_rows,):
+    labels = np.asarray(target, dtype=np.float64)
+    if labels.shape != (matrix.n_rows,):
         raise ValueError("target length must equal the number of rows")
-    order = np.lexsort((matrix._nnz_col, matrix.rows))
-    cols = (matrix._nnz_col[order] + 1).tolist()
-    vals = matrix.vals[order].tolist()
-    ends = np.cumsum(np.bincount(matrix.rows,
-                                 minlength=matrix.n_rows)).tolist()
-    start = 0
+    bad = np.flatnonzero(~np.isfinite(labels))
+    if bad.size:
+        raise ValueError(f"non-finite target {float(labels[bad[0]])!r} in "
+                         f"row {bad[0]}")
+    # stable: each row keeps its entries in column order
+    order = np.argsort(matrix.rows, kind="stable")
+    ends = np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows))
+    lo = start = 0
     with open(path, "w") as fh:
-        for label, end in zip(np.asarray(target, dtype=np.float64).tolist(),
-                              ends):
-            fh.write(" ".join([repr(label), *map("{}:{!r}".format,
-                                                  cols[start:end],
-                                                  vals[start:end])]) + "\n")
-            start = end
+        while lo < matrix.n_rows:
+            hi = int(np.searchsorted(ends, start + CHUNK_ENTRIES,
+                                     side="right"))
+            hi = min(max(hi, lo + 1), lo + CHUNK_ENTRIES)
+            stop = int(ends[hi - 1])
+            block = order[start:stop]
+            cols = (matrix._nnz_col[block] + 1).tolist()
+            vals = matrix.vals[block].tolist()
+            at = 0
+            for label, end in zip(labels[lo:hi].tolist(),
+                                  (ends[lo:hi] - start).tolist()):
+                fh.write(" ".join([repr(label), *map("{}:{!r}".format,
+                                                      cols[at:end],
+                                                      vals[at:end])]) + "\n")
+                at = end
+            lo, start = hi, stop
 
 
 def take_columns(matrix: ColumnSparseMatrix, k: int,
@@ -379,23 +406,32 @@ def trace_allocation(steps: int):
                        "memory")
 
 
+def _csv_fields(values: np.ndarray):
+    """The CSV fields of one block of a column."""
+    if values.dtype.kind in "iuU":
+        return map(str, values.tolist())
+    return ["" if math.isnan(v) else repr(v) for v in values.tolist()]
+
+
 def write_csv(path, header: str, columns) -> None:
-    """Write equal-length columns as CSV rows under ``header``.
+    """Write equal-length 1-D columns as CSV rows under ``header``.
 
     Integer and string columns are written with ``str`` and float columns
     with ``repr``, which reads back exactly with ``float``; NaN becomes an
-    empty field.
+    empty field.  Every column is checked before the file is opened, and
+    no columns at all write the header alone.  The rows are converted and
+    written in blocks of at most ``CHUNK_ENTRIES`` fields, so the text
+    takes the same memory however long the columns.
     """
     columns = [np.asarray(col) for col in columns]
+    if any(col.ndim != 1 for col in columns):
+        raise ValueError("CSV columns must be 1-D")
     if len({col.shape for col in columns}) > 1:
         raise ValueError("CSV columns must have equal lengths")
-    fields = []
-    for col in columns:
-        values = col.tolist()
-        if col.dtype.kind in "iuU":
-            fields.append(map(str, values))
-        else:
-            fields.append(["" if math.isnan(v) else repr(v) for v in values])
+    size = columns[0].size if columns else 0
+    block = max(1, CHUNK_ENTRIES // max(1, len(columns)))
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*fields))
+        for lo in range(0, size, block):
+            fields = [_csv_fields(col[lo:lo + block]) for col in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*fields))

@@ -2,7 +2,7 @@
 
 ``ascd.data.load_svmlight`` parses each line with C builtins and hands a
 line that fails a fast check to a per-token diagnosis, and
-``save_svmlight`` formats whole rows from lists; the functions here are
+``save_svmlight`` formats rows a block at a time; the functions here are
 the per-token loops they replaced, the definition the parity tests hold
 them to: the same arrays, warnings and error messages, and the same bytes.
 """
