@@ -268,16 +268,20 @@ class RunResult:
         return np.inf
 
 
-def allocate_trace(steps: int) -> dict[str, np.ndarray]:
+def allocate_trace(steps: int, timed: bool = False) -> dict[str, np.ndarray]:
     """The trace columns of a run of ``steps`` steps, with ``gamma``; a
-    column stays NaN on the steps that do not write it.  A length that
-    cannot be allocated raises ``ValueError`` naming ``steps``."""
+    column stays NaN on the steps that do not write it.  A ``timed`` trace
+    holds ``wall_ns`` as int64 nanoseconds, which the CSV writes as they
+    are.  A length that cannot be allocated raises ``ValueError`` naming
+    ``steps``."""
     with trace_allocation(steps):
         cols = {name: np.full(steps, np.nan)
                 for name in TRACE_COLUMNS + ("gamma",)}
         cols.update(t=np.arange(steps, dtype=np.int64),
                     i=np.zeros(steps, dtype=np.int64),
                     active_size=np.zeros(steps, dtype=np.int64))
+        if timed:
+            cols["wall_ns"] = np.zeros(steps, dtype=np.int64)
     return cols
 
 
@@ -299,7 +303,7 @@ def run(config: RunConfig) -> RunResult:
     diag_every = n if config.diag_every is None else config.diag_every
 
     steps = config.steps
-    cols = allocate_trace(steps)
+    cols = allocate_trace(steps, config.time_steps)
 
     rule, spec, init, pick = config.resolved()
     tracked = spec is not None
@@ -422,7 +426,5 @@ def run(config: RunConfig) -> RunResult:
 
 def write_trace_csv(result: RunResult, path) -> None:
     """Write the per-step trace; missing diagnostics become empty fields."""
-    columns = {name: getattr(result, name) for name in TRACE_COLUMNS}
-    if result.config.time_steps:
-        columns["wall_ns"] = result.wall_ns.astype(np.int64)
-    write_csv(path, TRACE_HEADER, columns.values())
+    write_csv(path, TRACE_HEADER,
+              [getattr(result, name) for name in TRACE_COLUMNS])

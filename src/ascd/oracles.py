@@ -20,10 +20,11 @@ Available kinds:
 
 Only g1 and g2 form the exact row ``A^T a_i``, always by a gather over a
 row-major copy of A that costs the nonzeros of the rows of A meeting
-a_i's support, never a pass over all of A.  While n is at most
-``GRAM_LIMIT`` a gathered row is kept once fetched, so a run holds at
-most n rows of n floats, the size of the dense Gram matrix, and only the
-rows it fetched.  A is never densified.
+a_i's support, never a pass over all of A: the column ids and values of
+those rows are joined into one buffer each and summed by ``bincount``.
+While n is at most ``GRAM_LIMIT`` a gathered row is kept once fetched, so
+a run holds at most n rows of n floats, the size of the dense Gram
+matrix, and only the rows it fetched.  A is never densified.
 
 All estimators are pure functions of ``(kind, matrix, seed, i, j)``; the g2
 and g4 draws are keyed on the unordered pair so they are symmetric and do
@@ -34,7 +35,6 @@ buffers of its ``OracleContext``, and handed out as a fresh array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -112,12 +112,15 @@ class OracleContext:
     nothing is kept.  The copy's order is a stable argsort of the row ids
     cast to the narrowest unsigned type that holds ``n_rows - 1``: up to
     65536 rows numpy sorts those by radix, and the permutation is the one
-    an int64 sort gives.  A row concatenates the views of the copy's rows
-    that a_i meets.  Those two views cost about 250 bytes per row of A, so
-    on tall, narrow data (below about 36 columns) the copy can outgrow the
-    8 * n bytes per row of a dense A.  The g2 and g4 kinds keep the seed's
-    mix, ``j`` and ``j * n`` for every column, and two uint64 scratch rows
-    for the pair hash.
+    an int64 sort gives.  Each row of the copy is held as two memoryview
+    slices, its column ids and its values, and a gather reads the slices of
+    the rows that a_i meets through one ``bytes.join`` per array, in
+    increasing row order.  A slice takes about 193 bytes, so with the row
+    pointer and entry count a row of A costs about 400 bytes besides its
+    entries, and on tall, narrow data (below about 50 columns) the copy
+    can outgrow the 8 * n bytes per row of a dense A.  The g2 and g4 kinds
+    keep the seed's mix, ``j`` and ``j * n`` for every column, and two
+    uint64 scratch rows for the pair hash.
     """
 
     def __init__(self, spec: OracleSpec, matrix: ColumnSparseMatrix):
@@ -147,13 +150,12 @@ class OracleContext:
         self._row_cols = matrix._nnz_col[order].astype(np.int32)
         self._row_vals = matrix.vals[order]
         # each row's entry count, column ids and values, the last two as
-        # views into the copy
+        # memoryview slices of the copy, which bytes.join reads directly
         self._row_counts = counts
         ptr = self._row_ptr.tolist()
-        self._col_views = [self._row_cols[lo:hi]
-                           for lo, hi in zip(ptr, ptr[1:])]
-        self._val_views = [self._row_vals[lo:hi]
-                           for lo, hi in zip(ptr, ptr[1:])]
+        cols, vals = memoryview(self._row_cols), memoryview(self._row_vals)
+        self._col_views = [cols[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+        self._val_views = [vals[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
 
     def _dot_row(self, i: int) -> np.ndarray:
         kept = self._kept
@@ -171,10 +173,11 @@ class OracleContext:
         rows, vals = self.matrix.col(i)
         if not rows.size:
             return np.zeros(self.matrix.n_cols)
-        meets = itemgetter(*rows.tolist())
-        cols, row_vals = meets(self._col_views), meets(self._val_views)
-        if rows.size > 1:
-            cols, row_vals = np.concatenate(cols), np.concatenate(row_vals)
+        meets = rows.tolist()
+        cols = np.frombuffer(b"".join([self._col_views[r] for r in meets]),
+                             dtype=self._row_cols.dtype)
+        row_vals = np.frombuffer(b"".join([self._val_views[r] for r in meets]),
+                                 dtype=self._row_vals.dtype)
         weights = np.repeat(vals, self._row_counts[rows])
         weights *= row_vals
         return np.bincount(cols, weights=weights,

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -511,6 +513,27 @@ class TestRun:
         assert len(walls) == 12 and all(w.isdigit() for w in walls)
         assert [int(w) for w in walls] == res.wall_ns.tolist()
 
+    def test_timed_trace_csv_memory_does_not_grow_with_steps(self, tmp_path):
+        # a timed trace holds int64 wall times, so writing 100k steps takes
+        # one block of text and no step-length copy (8 B per step would
+        # alone be 0.8 MB); the columns of a real timed run, tiled
+        prob = random_problem(11)
+        res = run(RunConfig(problem=prob, steps=1000, rule="ucd", seed=0,
+                            diag_every=10, time_steps=True))
+        long = replace(res, **{name: np.resize(getattr(res, name), 100_000)
+                               for name in TRACE_COLUMNS})
+        tracemalloc.start()
+        try:
+            write_trace_csv(long, tmp_path / "trace.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert len(lines) == 100_001
+        assert [int(line.rsplit(",", 1)[1]) for line in lines[1:1001]] == (
+            res.wall_ns.tolist())
+
     def test_trace_dtypes(self):
         prob = random_problem(11)
         res = run(RunConfig(problem=prob, steps=9, rule="ascd",
@@ -531,7 +554,7 @@ class TestRun:
         timed = run(RunConfig(problem=prob, steps=10, rule="ucd", seed=0,
                               time_steps=True))
         assert np.all(np.isnan(quiet.wall_ns))
-        assert np.all(timed.wall_ns >= 0)
+        assert timed.wall_ns.dtype == np.int64 and np.all(timed.wall_ns >= 0)
 
     def test_active_size_shrinks_after_coverage(self):
         # uninformed start: every coordinate stays active until it has been

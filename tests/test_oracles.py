@@ -231,6 +231,44 @@ class TestOracleRow:
                 est, np.clip(ref + eps * bounds * u, -bounds, bounds))
             assert np.array_equal(err, eps * bounds)
 
+    @pytest.mark.parametrize("keep", [False, True],
+                             ids=["limit-0", "limit-n"])
+    def test_gather_edge_cases_bit_for_bit(self, monkeypatch, keep):
+        # a column meeting one data row (a one-buffer join), one meeting
+        # every data row, one meeting none, and data rows with no entries,
+        # the first, an inner and the last: every exact row has col_dots'
+        # bits, fetched once or twice, kept or not
+        d = 9
+        empty = [0, 4, d - 1]
+        full = np.setdiff1d(np.arange(d), empty)
+        rng = np.random.default_rng(3)
+        columns = [(np.array([5]), np.array([-2.5])),
+                   (full, rng.uniform(-2.0, 2.0, full.size)),
+                   (np.array([], dtype=np.int64), np.array([])),
+                   (np.array([1]), np.array([0.75]))]
+        for _ in range(4):
+            rows = np.sort(rng.choice(full, 3, replace=False))
+            columns.append((rows, rng.uniform(-2.0, 2.0, 3)))
+        m = ColumnSparseMatrix.from_columns(d, columns)
+        wide = ColumnSparseMatrix.from_columns(3, [
+            (np.arange(3), np.array([1.5, -0.5, 2.0])),
+            (np.array([0]), np.array([3.0])),
+            (np.array([2]), np.array([-1.25]))])
+        for matrix in (m, wide):
+            limit = matrix.n_cols if keep else 0
+            monkeypatch.setattr(ascd.oracles, "GRAM_LIMIT", limit)
+            g1 = OracleContext(OracleSpec("g1"), matrix)
+            g2 = OracleContext(OracleSpec("g2", epsilon=0.0), matrix)
+            assert (g1._kept is None) == (g2._kept is None) == (not keep)
+            for r in range(matrix.n_rows):
+                width = len(g1._col_views[r])
+                assert width == len(g1._val_views[r])
+                assert width == np.count_nonzero(matrix.rows == r)
+            for i in list(range(matrix.n_cols)) * 2:
+                ref = col_dots_row(matrix, i).tobytes()
+                assert oracle_row(g1, i)[0].tobytes() == ref
+                assert g2._dot_row(i).tobytes() == ref
+
     def test_exact_rows_stay_below_a_dense_copy(self):
         # the context and ten exact rows of a 5000 x 500 matrix with 50
         # entries per column trace below a quarter of a dense A
