@@ -667,9 +667,11 @@ def _grid_problems():
 
 
 # (problem, rule, pick, oracle, init[, update][, steps]) -> the first 16
-# hex digits of the sha256 of the i, active_size, f and gamma columns,
-# recorded before exact estimates scored once; the g3 and g4 cells run the
-# interval path.
+# hex digits of the sha256 of the i, active_size and gamma columns, then
+# those of the sha256 of the f column.  Until the two were split, one
+# digest hashed all four columns: it was recorded before exact estimates
+# scored once, and the notes below on when a cell was recorded speak of
+# it.  The g3 and g4 cells run the interval path.
 # The cells after the lasso g4 "none" one were recorded before a zero step
 # rescored only its coordinate; every lasso cell takes zero steps.  The
 # lasso ascd-gsq cells were re-recorded when gs-q began to rank by the
@@ -677,69 +679,69 @@ def _grid_problems():
 # The ridge ascd-gsq cells did not, since psi = 0 there
 SAME_RESULTS = {
     ("ridge", "ascd", "argmax-lower", "g1", "true-gradient"):
-        "4bb8245315358a0a",
+        ("31c436765d041367", "beb27842ec07ac43"),
     ("ridge", "ascd", "uniform-set", "g1", "true-gradient"):
-        "4bb8245315358a0a",
+        ("31c436765d041367", "beb27842ec07ac43"),
     ("ridge", "ascd-gss", "argmax-lower", "g1", "true-gradient"):
-        "4bb8245315358a0a",
+        ("31c436765d041367", "beb27842ec07ac43"),
     ("ridge", "ascd-gss", "uniform-set", "g1", "true-gradient"):
-        "4bb8245315358a0a",
+        ("31c436765d041367", "beb27842ec07ac43"),
     ("ridge", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
-        "4bb8245315358a0a",
+        ("31c436765d041367", "beb27842ec07ac43"),
     ("ridge", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
-        "4bb8245315358a0a",
+        ("31c436765d041367", "beb27842ec07ac43"),
     ("lasso", "ascd", "argmax-lower", "g1", "true-gradient"):
-        "22adffec572e2c4f",
+        ("31b207cf4bb25a16", "f2fe40c9c6baf14e"),
     ("lasso", "ascd", "uniform-set", "g1", "true-gradient"):
-        "22adffec572e2c4f",
+        ("31b207cf4bb25a16", "f2fe40c9c6baf14e"),
     ("lasso", "ascd-gss", "argmax-lower", "g1", "true-gradient"):
-        "6a150445505ee91d",
+        ("abd59c0d130319d9", "f2fe40c9c6baf14e"),
     ("lasso", "ascd-gss", "uniform-set", "g1", "true-gradient"):
-        "6a150445505ee91d",
+        ("abd59c0d130319d9", "f2fe40c9c6baf14e"),
     ("lasso", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
-        "5433e8b9901c9060",
+        ("bbeefb616e138808", "dcb4d2b72d7f67b0"),
     ("lasso", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
-        "5433e8b9901c9060",
+        ("bbeefb616e138808", "dcb4d2b72d7f67b0"),
     ("ridge", "ascd", "uniform-set", "g3", "true-gradient"):
-        "e25c9c9c8253ae68",
+        ("485964416a876b81", "462cb2cc51f023c2"),
     ("lasso", "ascd-gss", "argmax-lower", "g4", "none"):
-        "c423a33879eff867",
+        ("0b22cd75d2bdf587", "ba757ecab46f6546"),
     ("lasso", "ascd", "argmax-lower", "g3", "none"):
-        "e4806bd813e5ad36",
+        ("852922182915263f", "799cd36625911464"),
     ("lasso", "ascd", "argmax-lower", "g3", "true-gradient"):
-        "1f45edd78d671a43",
+        ("7e463b7f5e240179", "7564bc65f993aa92"),
     ("lasso", "ascd-gss", "argmax-lower", "g4", "true-gradient"):
-        "4c8d78387062c845",
+        ("50e43accb1614b27", "c1da6a7861543638"),
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "none"):
-        "1077c01dfe695130",
+        ("dd1224f96d9f34dd", "ec777c486d09c918"),
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "true-gradient"):
-        "4c8d78387062c845",
+        ("50e43accb1614b27", "c1da6a7861543638"),
     ("lasso", "ascd-gsq", "uniform-set", "g3", "true-gradient"):
-        "4c8d78387062c845",
+        ("50e43accb1614b27", "c1da6a7861543638"),
     # 10n steps: ranked by the model decrease, this cell takes its first
     # zero step at step 240
     ("lasso", "ascd-gsq", "argmax-lower", "g2", "none", "10n"):
-        "0cbc26df53abff05",
+        ("046ace7119ccd8d7", "d9eda8f3febe1702"),
     # 12n steps, recorded before a zero step kept the objective: a zero
     # step ends epoch 10, so the residual refresh alone must drop the
     # kept objective, whose bits it changes
     ("lasso", "ascd-gss", "argmax-lower", "g4", "true-gradient", "12n"):
-        "dcfb4a6dc5b4ef66",
+        ("95396e371f031332", "49b5787ec3ae9f14"),
     ("lasso", "ascd-gsq", "uniform-set", "g4", "none", "12n"):
-        "e7c17beddbbca80f",
+        ("0078a09408ee359d", "2a8a5222f0aee88c"),
     # 12n steps on g4 from "none": this cell draws 6 pick blocks and
     # rewinds the generator at no pool size change, and the uniform-set
     # cell above draws 11 blocks and rewinds at 2 set size changes
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "none", "12n"):
-        "73abb845bcf07838",
+        ("eda6fd6234edbc89", "4b52f0c5f41477fe"),
     # under the fixed update, recorded before a zero step rescored and
     # stepped on Python floats; under fixed, argmax-lower ascd-gss g4 from
     # "none" hammers one coordinate and takes no zero step, so that cell
     # draws from the set
     ("lasso", "ascd-gss", "uniform-set", "g4", "none", "fixed"):
-        "c99ea5b5ab31c7cb",
+        ("bbe0602b6c599b5a", "6b2e30d4ffcf7bfb"),
     ("lasso", "ascd-gsq", "argmax-lower", "g3", "true-gradient", "fixed"):
-        "6e821651d7e658de",
+        ("dea682a75a5da616", "125d4018f51b58c4"),
     # scd reads no pick, oracle or init: it runs argmax-lower on g1 rows
     # from a true-gradient start.  The ridge digests were recorded when scd
     # recomputed the full gradient every step and are unchanged.  The lasso
@@ -749,22 +751,22 @@ SAME_RESULTS = {
     # over 5n steps so that it reaches its converged zero steps, is the same
     # under either score
     ("ridge", "scd", "uniform-set", "g4", "none", "fixed"):
-        "3235b95f2b68532e",
+        ("f0e59cd6c0e51460", "3e78598ef74bfba1"),
     ("ridge", "scd", "uniform-set", "g4", "none", "line_search"):
-        "4bb8245315358a0a",
+        ("31c436765d041367", "beb27842ec07ac43"),
     ("lasso", "scd", "uniform-set", "g4", "none", "fixed", "5n"):
-        "a32f79f5589d9dbf",
+        ("23f2def292882639", "5638bc67a36ef694"),
     ("lasso", "scd", "uniform-set", "g4", "none", "line_search"):
-        "6a150445505ee91d",
+        ("abd59c0d130319d9", "f2fe40c9c6baf14e"),
     # ucd reads no pick, oracle or init
     ("ridge", "ucd", "uniform-set", "g1", "none", "fixed"):
-        "f64ba7c66aa05910",
+        ("52b2b9f7f61c1ab4", "52e299c1ad295021"),
     ("ridge", "ucd", "uniform-set", "g1", "none", "line_search"):
-        "e11f154f5de1e102",
+        ("380568bc2745a7a8", "0dd5fd5c184b673e"),
     ("lasso", "ucd", "uniform-set", "g1", "none", "fixed"):
-        "c99ea5b5ab31c7cb",
+        ("bbe0602b6c599b5a", "6b2e30d4ffcf7bfb"),
     ("lasso", "ucd", "uniform-set", "g1", "none", "line_search"):
-        "c423a33879eff867",
+        ("0b22cd75d2bdf587", "ba757ecab46f6546"),
 }
 
 
@@ -790,10 +792,12 @@ class TestExactPath:
                             update=UpdateRule(update),
                             oracle=OracleSpec(kind, seed=1), seed=4,
                             init=init, pick=pick, diag_every=1))
-        digest = hashlib.sha256()
-        for column in ("i", "active_size", "f", "gamma"):
-            digest.update(getattr(res, column).tobytes())
-        assert digest.hexdigest()[:16] == SAME_RESULTS[cell]
+        picks = hashlib.sha256()
+        for column in ("i", "active_size", "gamma"):
+            picks.update(getattr(res, column).tobytes())
+        f = hashlib.sha256(res.f.tobytes())
+        assert (picks.hexdigest()[:16], f.hexdigest()[:16]) == (
+            SAME_RESULTS[cell])
         # a lasso cell that stopped taking zero steps would no longer test
         # the one-coordinate rescoring
         assert name != "lasso" or np.any(res.gamma == 0)
