@@ -32,9 +32,15 @@ with ``Regularizer.model_argmin_one``, which has the bits of the array
 ``model_argmin``.  A zero step also keeps the active set, and with it the
 pick's tie pool, when the rescored coordinate keeps its lower score and its
 upper score reaches the best lower score before and after: the set stage
-then returns the same set on every path.  The objective is carried across
-zero steps as well, and recomputed after a step that moved x or a refresh
-of the residual.
+then returns the same set on every path.
+
+The objective is evaluated in full only at the start, after each refresh
+of the residual ``w = Ax`` (every 10n steps) and for ``final_f``.  Between
+those the loop carries it: ``step`` returns the objective's exact change
+``df`` along with the step, computed from the gradient the step already
+has, so a step costs no O(d + n) evaluation.  The carried ``f`` differs
+from a full evaluation by rounding that builds up in units of the last
+full value, about 1e-15 of it on the benchmark's runs.
 
 Every run records one trace: the columns named in ``TRACE_COLUMNS``, plus
 the step length ``gamma``, allocated once per run and filled in place, one
@@ -112,8 +118,8 @@ class UpdateRule:
 
 
 def step(problem: CompositeProblem, state: ResidualState, i: int,
-         rule: UpdateRule) -> tuple[float, float]:
-    """Move coordinate i; return ``(gamma, g_new)``.
+         rule: UpdateRule) -> tuple[float, float, float]:
+    """Move coordinate i; return ``(gamma, g_new, df)``.
 
     ``g_new`` is the smooth partial gradient at the new point, known
     exactly: exact line search on a smooth problem knows it vanished, and
@@ -121,30 +127,51 @@ def step(problem: CompositeProblem, state: ResidualState, i: int,
     before a zero step, which moved nothing.  So the moved coordinate's
     radius is zero, and radii keep growing only through the
     passive-coordinate oracles.
+
+    ``df`` is the change of the objective, exact for this quadratic class:
+    ``gamma * (g_i + gamma/2 * L_i) + psi(x_i + gamma) - psi(x_i)`` with the
+    coordinate's own curvature ``L_i``, under ``fixed`` too, and 0.0 on a
+    zero step.  The column is read once: one gather of ``w`` at its rows
+    gives the gradient, the write-back and the gradient after the step.
+    The bits of ``gamma``, ``g_new``, ``x`` and ``w`` are those of
+    ``partial_gradient`` before and after ``apply_step``.
     """
-    g_i = problem.partial_gradient(state, i)
+    rows, vals, b = problem.column(i)
+    w_rows = state.w[rows]
+    x_i = float(state.x[i])
+    g_i = float(vals @ (w_rows - b)) + problem.fold_lam * x_i
     if not math.isfinite(g_i):
         raise FloatingPointError(f"non-finite gradient on coordinate {i}")
-    l_eff = (float(problem.lipschitz[i]) if rule.kind == "line_search"
-             else problem.lipschitz_max)
-    x_i = float(state.x[i])
-    gamma = problem.psi_reg.model_argmin_one(x_i, g_i, l_eff)
+    l_i = float(problem.lipschitz[i])
+    reg = problem.psi_reg
+    line_search = rule.kind == "line_search"
+    gamma = reg.model_argmin_one(
+        x_i, g_i, l_i if line_search else problem.lipschitz_max)
+    x_new = x_i + gamma
+    df = 0.0
     if gamma != 0.0:
-        state.apply_step(problem.matrix, i, gamma)
-    if rule.kind == "line_search":
-        if problem.psi_reg.kind == "none":
-            return gamma, 0.0
+        if not math.isfinite(gamma):
+            raise ValueError(f"non-finite step {gamma!r} on coordinate {i}")
+        # a column's rows are distinct, so this is the bits of ``+=`` on
+        # ``state.w[rows]``; the gather is a copy, updated in place
+        w_rows += gamma * vals
+        state.x[i] = x_new
+        state.w[rows] = w_rows
+        df = gamma * (g_i + 0.5 * gamma * l_i)
+        if reg.lam:
+            df += reg.psi_one(x_new) - reg.psi_one(x_i)
+    if line_search:
+        if reg.kind == "none":
+            return gamma, 0.0, df
         # exact minimisation with a nonzero iterate pins the smooth
         # gradient at the subgradient-optimality value; reporting it
         # exactly (not the float recomputation) keeps the composite
-        # steepest score at exactly zero for the refreshed coordinate.
-        # x_i + gamma is the sum apply_step stored
-        x_new = x_i + gamma
+        # steepest score at exactly zero for the refreshed coordinate
         if x_new != 0.0:
-            return gamma, -problem.psi_reg.lam * math.copysign(1.0, x_new)
+            return gamma, -reg.lam * math.copysign(1.0, x_new), df
     if gamma == 0.0:
-        return gamma, g_i
-    return gamma, problem.partial_gradient(state, i)
+        return gamma, g_i, df
+    return gamma, float(vals @ (w_rows - b)) + problem.fold_lam * x_new, df
 
 
 def progress_tau(gradient: np.ndarray, active_indices: np.ndarray,
@@ -323,7 +350,9 @@ def run(config: RunConfig) -> RunResult:
     sound_bad = contain_bad = sandwich_bad = 0
     ties_total = 0  # draw pool sizes of the argmax-lower picks
     # kept across zero steps, dropped when x moves
-    scores = f = None
+    scores = None
+    # carried by each step's exact change, recomputed after a refresh
+    f = None
     t_start = time.perf_counter()
 
     for t in range(steps):
@@ -392,13 +421,14 @@ def run(config: RunConfig) -> RunResult:
                         contain_bad += 1
 
         try:
-            gamma, g_new = step(problem, state, i_t, config.update)
+            gamma, g_new, df = step(problem, state, i_t, config.update)
         except (FloatingPointError, ValueError) as exc:
             raise type(exc)(f"step {t}: {exc}") from exc
         cols["gamma"][t] = gamma
+        f += df
         moved = gamma != 0.0
         if moved:
-            scores = f = None
+            scores = None
         if tracked:
             row_g, row_d = oracle_row(ctx, i_t) if moved else (None, None)
             update_estimates(est, i_t, gamma, row_g, row_d, g_new)

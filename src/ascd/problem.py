@@ -285,11 +285,23 @@ class CompositeProblem:
                              f"{float(x[bad])}")
         return ResidualState(x=x, w=self.matrix.matvec(x))
 
-    def partial_gradient(self, state: ResidualState, i: int) -> float:
-        """Smooth partial derivative ``<a_i, w - b> (+ lam * x_i)``."""
+    def column(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row_indices, values, b at those rows)`` views of column i,
+        from one read of its bounds."""
         matrix = self.matrix
-        rows, vals = matrix.col(i)
-        b = self._entry_target[matrix._bounds[i]:matrix._bounds[i + 1]]
+        if not 0 <= i < matrix.n_cols:
+            raise IndexError(f"column index {i} out of range")
+        lo, hi = matrix._bounds[i], matrix._bounds[i + 1]
+        return (matrix.rows[lo:hi], matrix.vals[lo:hi],
+                self._entry_target[lo:hi])
+
+    def partial_gradient(self, state: ResidualState, i: int) -> float:
+        """Smooth partial derivative ``<a_i, w - b> (+ lam * x_i)``.
+
+        ``ascd.driver.step`` computes it fused with the step; this and
+        ``ResidualState.apply_step`` are the unfused reference it keeps the
+        bits of."""
+        rows, vals, b = self.column(i)
         g = float(vals @ (state.w[rows] - b))
         return g + self.fold_lam * float(state.x[i])
 

@@ -10,6 +10,9 @@ that goes through ``ascd.cli`` and so reaches the ``save_svmlight`` and
 ``load_svmlight`` it wraps, every instance once, must report a correct
 result with no failed check.  The three tracked workloads must also time
 their score stage, which the tracer finds as ``ascd.driver.compute_bounds``.
+Every workload evaluates the full objective once at the start, once after
+each residual refresh (every 10n steps) that a step follows, and once for
+``final_f``; the steps carry it in between.
 """
 
 import json
@@ -33,6 +36,10 @@ def test_traced_workload_is_correct(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0, proc.stderr
+    details = json.loads(proc.stdout.splitlines()[-2])["details"]
+    steps, n = details["steps_per_run"], details["instances"]["n"]
+    calls = result["metrics"]["problem.objective_calls"]["value"]
+    assert calls <= 2 + steps // (10 * n)
     if workload != "ridge-ucd-cli":
         # a score stage the driver no longer calls by that name reads 0
         assert result["metrics"]["selector.score_us"]["value"] > 0

@@ -29,6 +29,36 @@ def read_json(path):
         return json.load(fh)
 
 
+# numpy's allocators and the positions of the arguments that give the
+# length of the array they make
+ALLOCATORS = {"empty": (0,), "zeros": (0,), "ones": (0,), "full": (0,),
+              "arange": (0, 1)}
+
+
+def refuse_trace_length(monkeypatch, steps):
+    """Make every numpy allocation of ``steps`` entries raise
+    ``MemoryError``, whichever allocator makes it and in whatever order;
+    return the list the refused allocators' names are appended to."""
+    refused = []
+
+    def refusing(name, alloc, positions):
+        def refuse(*args, **kwargs):
+            lengths = [args[k] for k in positions if k < len(args)]
+            lengths += [kwargs[k] for k in ("shape", "stop") if k in kwargs]
+            if any(isinstance(n, (int, np.integer)) and n == steps
+                   or isinstance(n, tuple) and n == (steps,)
+                   for n in lengths):
+                refused.append(name)
+                raise MemoryError("patched allocation")
+            return alloc(*args, **kwargs)
+        return refuse
+
+    for name, positions in ALLOCATORS.items():
+        monkeypatch.setattr(np, name,
+                            refusing(name, getattr(np, name), positions))
+    return refused
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
@@ -808,19 +838,11 @@ class TestRejectedInput:
     def test_steps_beyond_memory(self, dataset, tmp_path, capsys,
                                  monkeypatch):
         # a count below the 64-bit limit whose trace cannot be allocated;
-        # the patched allocation raises, so the OS is asked for nothing
+        # the patched allocations raise, so the OS is asked for nothing
         # (2**62 rows also exceed numpy's largest array, should the patch
         # miss)
         steps = 2 ** 62
-        full, refused = np.full, []
-
-        def refuse(shape, *args, **kwargs):
-            if shape == steps:
-                refused.append(shape)
-                raise MemoryError("patched allocation")
-            return full(shape, *args, **kwargs)
-
-        monkeypatch.setattr(np, "full", refuse)
+        refused = refuse_trace_length(monkeypatch, steps)
         out = tmp_path / "out"
         rc = main(["run", "--data", str(dataset), "--steps", str(steps),
                    "--out", str(out)])
@@ -846,18 +868,7 @@ class TestRejectedInput:
         # the OS is asked for nothing.  A sweep checks the length once,
         # before any cell runs
         steps = 2 ** 62
-        refused = []
-
-        def refusing(alloc):
-            def refuse(shape, *args, **kwargs):
-                if shape == steps:
-                    refused.append(shape)
-                    raise MemoryError("patched allocation")
-                return alloc(shape, *args, **kwargs)
-            return refuse
-
-        monkeypatch.setattr(np, "full", refusing(np.full))
-        monkeypatch.setattr(np, "empty", refusing(np.empty))
+        refused = refuse_trace_length(monkeypatch, steps)
         out = tmp_path / "out"
         rc = main([*(a.format(data=dataset, steps=steps) for a in argv),
                    "--out", str(out)])

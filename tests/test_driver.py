@@ -40,38 +40,43 @@ class TestStep:
         prob = identity_problem(2)
         prob.lipschitz_max = 4.0  # pretend a larger global constant
         st = prob.residual_state(np.array([2.0, 0.0]))
-        gamma, g_new = step(prob, st, 0, UpdateRule("fixed"))
+        gamma, g_new, df = step(prob, st, 0, UpdateRule("fixed"))
         assert gamma == pytest.approx(-0.5)
         # recomputed exactly at the new point x_0 = 1.5
         assert g_new == pytest.approx(1.5)
+        # the change at the coordinate's own L = 1, not at L_max
+        assert df == 0.5 * 1.5 ** 2 - 0.5 * 2.0 ** 2
 
     def test_line_search_solves_1d(self):
         prob = identity_problem(1)
         st = prob.residual_state(np.array([5.0]))
-        gamma, g_new = step(prob, st, 0, UpdateRule("line_search"))
+        gamma, g_new, df = step(prob, st, 0, UpdateRule("line_search"))
         assert gamma == pytest.approx(-5.0)
         assert st.x[0] == pytest.approx(0.0)
         assert g_new == 0.0
+        assert df == -12.5
 
     def test_prox_soft_threshold(self):
         prob = identity_problem(1, b=np.array([3.0]), reg=Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([0.0]))
         # grad = -3, L = 1: model minimiser is soft(3, 1) = 2
-        gamma, _ = step(prob, st, 0, UpdateRule("fixed"))
+        gamma, _, df = step(prob, st, 0, UpdateRule("fixed"))
         assert gamma == pytest.approx(2.0)
+        # 0.5 * (2 - 3)^2 + |2| - 0.5 * 3^2
+        assert df == -2.0
 
     def test_prox_example_from_slope(self):
         # x_i = 0, grad 3, L = 1, lam 1: step is -2
         prob = identity_problem(1, b=np.array([-3.0]), reg=Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([0.0]))
         assert prob.partial_gradient(st, 0) == pytest.approx(3.0)
-        gamma, _ = step(prob, st, 0, UpdateRule("fixed"))
+        gamma, _, _ = step(prob, st, 0, UpdateRule("fixed"))
         assert gamma == pytest.approx(-2.0)
 
     def test_line_search_l1_reports_subgradient_value(self):
         prob = identity_problem(1, b=np.array([3.0]), reg=Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([0.0]))
-        gamma, g_new = step(prob, st, 0, UpdateRule("line_search"))
+        gamma, g_new, _ = step(prob, st, 0, UpdateRule("line_search"))
         assert st.x[0] == pytest.approx(2.0)
         assert g_new == -1.0
         # the composite steepest score vanishes exactly at the minimiser
@@ -90,8 +95,8 @@ class TestStep:
         g_before = prob.partial_gradient(st, 0)
         assert g_before != -1.0
         x, w = st.x.copy(), st.w.copy()
-        gamma, g_new = step(prob, st, 0, UpdateRule(kind))
-        assert gamma == 0.0
+        gamma, g_new, df = step(prob, st, 0, UpdateRule(kind))
+        assert gamma == 0.0 and df == 0.0
         want = -1.0 if kind == "line_search" else g_before
         assert np.float64(g_new).tobytes() == np.float64(want).tobytes()
         assert np.array_equal(st.x, x) and np.array_equal(st.w, w)
@@ -108,8 +113,8 @@ class TestStep:
         x, w = st.x.copy(), st.w.copy()
         for i in range(prob.n):
             g_before = prob.partial_gradient(st, i)
-            gamma, g_new = step(prob, st, i, UpdateRule(kind))
-            assert gamma == 0.0
+            gamma, g_new, df = step(prob, st, i, UpdateRule(kind))
+            assert gamma == 0.0 and df == 0.0
             assert (np.float64(g_new).tobytes()
                     == np.float64(g_before).tobytes())
         assert np.array_equal(st.x, x) and np.array_equal(st.w, w)
@@ -117,7 +122,14 @@ class TestStep:
 
 def _array_step(problem, state, i, rule):
     """The coordinate step through the array ``model_argmin`` and
-    ``np.sign``: the reference for ``step``'s bits.  Moves ``state``."""
+    ``np.sign``: the reference for ``step``'s bits, with the objective's
+    change from two full evaluations.  Moves ``state``."""
+    f_before = problem.objective(state)
+    gamma, g_new = _array_move(problem, state, i, rule)
+    return gamma, g_new, problem.objective(state) - f_before
+
+
+def _array_move(problem, state, i, rule):
     g = problem.partial_gradient(state, i)
     l_eff = (problem.lipschitz[i] if rule.kind == "line_search"
              else problem.lipschitz_max)
@@ -176,14 +188,75 @@ class TestFloatStep:
         rule = UpdateRule(update)
         got_state = prob.residual_state(np.array([x0, 0.0]))
         want_state = prob.residual_state(np.array([x0, 0.0]))
-        gamma, g_new = step(prob, got_state, 0, rule)
-        want_gamma, want_g = _array_step(prob, want_state, 0, rule)
+        f = prob.objective(got_state)
+        gamma, g_new, df = step(prob, got_state, 0, rule)
+        want_gamma, want_g, want_df = _array_step(prob, want_state, 0, rule)
         assert type(gamma) is float and type(g_new) is float
+        assert type(df) is float
+        if gamma == 0.0:
+            assert df == 0.0 == want_df
+        else:
+            assert abs(df - want_df) <= 1e-12 * (1.0 + abs(f))
         assert np.float64(gamma).tobytes() == np.float64(want_gamma).tobytes()
         assert np.float64(g_new).tobytes() == np.float64(want_g).tobytes()
         assert got_state.x.tobytes() == want_state.x.tobytes()
         assert got_state.w.tobytes() == want_state.w.tobytes()
         return gamma, g_new
+
+
+class TestCarriedObjective:
+    """``step``'s ``df`` is the objective's change, and ``run`` carries the
+    objective by it between full evaluations."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=hst.sampled_from(["none", "l1", "l2"]),
+           update=hst.sampled_from(["fixed", "line_search"]),
+           lam=hst.one_of(hst.just(0.0), hst.floats(0.01, 20.0)),
+           seed=hst.integers(0, 2 ** 16),
+           x0=hst.lists(hst.one_of(hst.just(0.0), hst.floats(-3.0, 3.0)),
+                        min_size=5, max_size=5))
+    def test_df_is_the_objective_change(self, kind, update, lam, seed, x0):
+        # dense columns of unequal norms, so that L_i < L_max under fixed;
+        # a large l1 weight puts the zeros of x0 in the dead zone
+        prob = random_problem(seed, d=8, n=5, reg=Regularizer(kind, lam))
+        st = prob.residual_state(np.array(x0))
+        for i in (0, 1, 2, 3, 4, 2):
+            f = prob.objective(st)
+            gamma, _, df = step(prob, st, i, UpdateRule(update))
+            if gamma == 0.0:
+                assert df == 0.0
+            else:
+                assert abs(df - (prob.objective(st) - f)) <= 1e-12 * (
+                    1.0 + abs(f))
+
+    @pytest.mark.parametrize("name,rule", [
+        ("ridge", "ucd"), ("ridge", "ascd"),
+        ("lasso", "ucd"), ("lasso", "ascd-gss")])
+    def test_carried_f_is_the_objective(self, name, rule):
+        # 25n steps cross two residual refreshes; replaying the picks and
+        # steps through apply_step gives the run's iterate, bit for bit
+        prob = _grid_problems()[name]
+        n = prob.n
+        res = run(RunConfig(problem=prob, steps=25 * n, rule=rule,
+                            update=UpdateRule("line_search"),
+                            oracle=OracleSpec("g3"), seed=4,
+                            init="true-gradient", diag_every=0))
+        # useful steps carry f past the second refresh
+        assert np.count_nonzero(res.gamma[20 * n:]) > 0
+        state = prob.residual_state()
+        for t in range(res.t.size):
+            f = prob.objective(state)
+            if t % (10 * n) == 0:
+                # the start and every refresh evaluate the objective
+                assert res.f[t] == f
+            assert abs(res.f[t] - f) <= 1e-11 * res.f[0], t
+            if res.gamma[t] != 0.0:
+                state.apply_step(prob.matrix, int(res.i[t]),
+                                 float(res.gamma[t]))
+            if (t + 1) % (10 * n) == 0:
+                state.refresh(prob.matrix)
+        assert state.x.tobytes() == res.final_x.tobytes()
+        assert prob.objective(state) == res.final_f
 
 
 class TestProgressTau:
@@ -671,7 +744,10 @@ def _grid_problems():
 # those of the sha256 of the f column.  Until the two were split, one
 # digest hashed all four columns: it was recorded before exact estimates
 # scored once, and the notes below on when a cell was recorded speak of
-# it.  The g3 and g4 cells run the interval path.
+# it.  Every f digest was re-recorded when the loop began to carry the
+# objective by each step's exact change between full evaluations: f moved
+# by at most 2.9e-13 of itself, and no first digest moved.  The g3 and g4
+# cells run the interval path.
 # The cells after the lasso g4 "none" one were recorded before a zero step
 # rescored only its coordinate; every lasso cell takes zero steps.  The
 # lasso ascd-gsq cells were re-recorded when gs-q began to rank by the
@@ -679,69 +755,69 @@ def _grid_problems():
 # The ridge ascd-gsq cells did not, since psi = 0 there
 SAME_RESULTS = {
     ("ridge", "ascd", "argmax-lower", "g1", "true-gradient"):
-        ("31c436765d041367", "beb27842ec07ac43"),
+        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
     ("ridge", "ascd", "uniform-set", "g1", "true-gradient"):
-        ("31c436765d041367", "beb27842ec07ac43"),
+        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
     ("ridge", "ascd-gss", "argmax-lower", "g1", "true-gradient"):
-        ("31c436765d041367", "beb27842ec07ac43"),
+        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
     ("ridge", "ascd-gss", "uniform-set", "g1", "true-gradient"):
-        ("31c436765d041367", "beb27842ec07ac43"),
+        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
     ("ridge", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
-        ("31c436765d041367", "beb27842ec07ac43"),
+        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
     ("ridge", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
-        ("31c436765d041367", "beb27842ec07ac43"),
+        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
     ("lasso", "ascd", "argmax-lower", "g1", "true-gradient"):
-        ("31b207cf4bb25a16", "f2fe40c9c6baf14e"),
+        ("31b207cf4bb25a16", "ecf2ca3f8be615e6"),
     ("lasso", "ascd", "uniform-set", "g1", "true-gradient"):
-        ("31b207cf4bb25a16", "f2fe40c9c6baf14e"),
+        ("31b207cf4bb25a16", "ecf2ca3f8be615e6"),
     ("lasso", "ascd-gss", "argmax-lower", "g1", "true-gradient"):
-        ("abd59c0d130319d9", "f2fe40c9c6baf14e"),
+        ("abd59c0d130319d9", "ecf2ca3f8be615e6"),
     ("lasso", "ascd-gss", "uniform-set", "g1", "true-gradient"):
-        ("abd59c0d130319d9", "f2fe40c9c6baf14e"),
+        ("abd59c0d130319d9", "ecf2ca3f8be615e6"),
     ("lasso", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
-        ("bbeefb616e138808", "dcb4d2b72d7f67b0"),
+        ("bbeefb616e138808", "ecf2ca3f8be615e6"),
     ("lasso", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
-        ("bbeefb616e138808", "dcb4d2b72d7f67b0"),
+        ("bbeefb616e138808", "ecf2ca3f8be615e6"),
     ("ridge", "ascd", "uniform-set", "g3", "true-gradient"):
-        ("485964416a876b81", "462cb2cc51f023c2"),
+        ("485964416a876b81", "f25aa42b309fb236"),
     ("lasso", "ascd-gss", "argmax-lower", "g4", "none"):
-        ("0b22cd75d2bdf587", "ba757ecab46f6546"),
+        ("0b22cd75d2bdf587", "2d8950116879110b"),
     ("lasso", "ascd", "argmax-lower", "g3", "none"):
-        ("852922182915263f", "799cd36625911464"),
+        ("852922182915263f", "63e1d38bf22935fc"),
     ("lasso", "ascd", "argmax-lower", "g3", "true-gradient"):
-        ("7e463b7f5e240179", "7564bc65f993aa92"),
+        ("7e463b7f5e240179", "4cf218d0b11230d4"),
     ("lasso", "ascd-gss", "argmax-lower", "g4", "true-gradient"):
-        ("50e43accb1614b27", "c1da6a7861543638"),
+        ("50e43accb1614b27", "d2703b5d479dc943"),
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "none"):
-        ("dd1224f96d9f34dd", "ec777c486d09c918"),
+        ("dd1224f96d9f34dd", "0c0c451700e2299f"),
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "true-gradient"):
-        ("50e43accb1614b27", "c1da6a7861543638"),
+        ("50e43accb1614b27", "d2703b5d479dc943"),
     ("lasso", "ascd-gsq", "uniform-set", "g3", "true-gradient"):
-        ("50e43accb1614b27", "c1da6a7861543638"),
+        ("50e43accb1614b27", "d2703b5d479dc943"),
     # 10n steps: ranked by the model decrease, this cell takes its first
     # zero step at step 240
     ("lasso", "ascd-gsq", "argmax-lower", "g2", "none", "10n"):
-        ("046ace7119ccd8d7", "d9eda8f3febe1702"),
+        ("046ace7119ccd8d7", "3b513ebe26eda3c9"),
     # 12n steps, recorded before a zero step kept the objective: a zero
     # step ends epoch 10, so the residual refresh alone must drop the
     # kept objective, whose bits it changes
     ("lasso", "ascd-gss", "argmax-lower", "g4", "true-gradient", "12n"):
-        ("95396e371f031332", "49b5787ec3ae9f14"),
+        ("95396e371f031332", "8864938aa4ee9352"),
     ("lasso", "ascd-gsq", "uniform-set", "g4", "none", "12n"):
-        ("0078a09408ee359d", "2a8a5222f0aee88c"),
+        ("0078a09408ee359d", "2377b3777643bdc7"),
     # 12n steps on g4 from "none": this cell draws 6 pick blocks and
     # rewinds the generator at no pool size change, and the uniform-set
     # cell above draws 11 blocks and rewinds at 2 set size changes
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "none", "12n"):
-        ("eda6fd6234edbc89", "4b52f0c5f41477fe"),
+        ("eda6fd6234edbc89", "a5d50900abcf2b19"),
     # under the fixed update, recorded before a zero step rescored and
     # stepped on Python floats; under fixed, argmax-lower ascd-gss g4 from
     # "none" hammers one coordinate and takes no zero step, so that cell
     # draws from the set
     ("lasso", "ascd-gss", "uniform-set", "g4", "none", "fixed"):
-        ("bbe0602b6c599b5a", "6b2e30d4ffcf7bfb"),
+        ("bbe0602b6c599b5a", "43037fb62ac12430"),
     ("lasso", "ascd-gsq", "argmax-lower", "g3", "true-gradient", "fixed"):
-        ("dea682a75a5da616", "125d4018f51b58c4"),
+        ("dea682a75a5da616", "b834d48e77c9f269"),
     # scd reads no pick, oracle or init: it runs argmax-lower on g1 rows
     # from a true-gradient start.  The ridge digests were recorded when scd
     # recomputed the full gradient every step and are unchanged.  The lasso
@@ -751,22 +827,22 @@ SAME_RESULTS = {
     # over 5n steps so that it reaches its converged zero steps, is the same
     # under either score
     ("ridge", "scd", "uniform-set", "g4", "none", "fixed"):
-        ("f0e59cd6c0e51460", "3e78598ef74bfba1"),
+        ("f0e59cd6c0e51460", "ad77856225e8e3ee"),
     ("ridge", "scd", "uniform-set", "g4", "none", "line_search"):
-        ("31c436765d041367", "beb27842ec07ac43"),
+        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
     ("lasso", "scd", "uniform-set", "g4", "none", "fixed", "5n"):
-        ("23f2def292882639", "5638bc67a36ef694"),
+        ("23f2def292882639", "98747f7e20a2beb8"),
     ("lasso", "scd", "uniform-set", "g4", "none", "line_search"):
-        ("abd59c0d130319d9", "f2fe40c9c6baf14e"),
+        ("abd59c0d130319d9", "ecf2ca3f8be615e6"),
     # ucd reads no pick, oracle or init
     ("ridge", "ucd", "uniform-set", "g1", "none", "fixed"):
-        ("52b2b9f7f61c1ab4", "52e299c1ad295021"),
+        ("52b2b9f7f61c1ab4", "121b5cbd0a774ee1"),
     ("ridge", "ucd", "uniform-set", "g1", "none", "line_search"):
-        ("380568bc2745a7a8", "0dd5fd5c184b673e"),
+        ("380568bc2745a7a8", "04ae38f6b87b04d6"),
     ("lasso", "ucd", "uniform-set", "g1", "none", "fixed"):
-        ("bbe0602b6c599b5a", "6b2e30d4ffcf7bfb"),
+        ("bbe0602b6c599b5a", "43037fb62ac12430"),
     ("lasso", "ucd", "uniform-set", "g1", "none", "line_search"):
-        ("0b22cd75d2bdf587", "ba757ecab46f6546"),
+        ("0b22cd75d2bdf587", "2d8950116879110b"),
 }
 
 
