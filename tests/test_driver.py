@@ -818,6 +818,14 @@ SAME_RESULTS = {
         ("bbe0602b6c599b5a", "43037fb62ac12430"),
     ("lasso", "ascd-gsq", "argmax-lower", "g3", "true-gradient", "fixed"):
         ("dea682a75a5da616", "b834d48e77c9f269"),
+    # the line-search twins of the two cells above, recorded after a zero
+    # step rescored and stepped on Python floats; both take zero steps
+    # (39 and 74 of 3n).  The ascd-gss cell's picks are ucd's, as are
+    # those of its argmax-lower twin above
+    ("lasso", "ascd-gss", "uniform-set", "g4", "none"):
+        ("0b22cd75d2bdf587", "2d8950116879110b"),
+    ("lasso", "ascd-gsq", "argmax-lower", "g3", "true-gradient"):
+        ("50e43accb1614b27", "d2703b5d479dc943"),
     # scd reads no pick, oracle or init: it runs argmax-lower on g1 rows
     # from a true-gradient start.  The ridge digests were recorded when scd
     # recomputed the full gradient every step and are unchanged.  The lasso
