@@ -37,7 +37,7 @@ from .problem import CompositeProblem, Regularizer
 from .ratiosim import (REENTRY_MODES, RatioSimConfig, rho_infinity,
                        simulate_rho)
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 HARDCASE_STARTS = ("worst", "ones")  # hardcase --start; the first is default
 
@@ -58,7 +58,6 @@ RUN_SUMMARY_SCHEMA = _summary_schema({
     "n_rows": {"type": "integer"},
     "n_cols": {"type": "integer"},
     "rule": {"enum": list(RULES)},
-    "update": {"type": "object"},
     "oracle": {"type": ["object", "null"]},
     "l1": {"type": "number"},
     "l2": {"type": "number"},
@@ -249,7 +248,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--take-seed", type=int, default=0)
     p.add_argument("--l2", type=float, default=0.0, help="ridge weight")
     p.add_argument("--l1", type=float, default=0.0, help="lasso weight")
-    # defaults and choices are the library's; --update hyphenates its kinds
+    # defaults and choices are the library's; --update hyphenates its one
+    # kind, which argparse checks and nothing reads
     p.add_argument("--rule", default=RunConfig.rule, choices=RULES)
     p.add_argument("--oracle", default=OracleSpec.kind, choices=ORACLE_KINDS)
     p.add_argument("--epsilon", type=float, default=OracleSpec.epsilon,
@@ -300,7 +300,6 @@ def _run_config(flags: dict, problem: CompositeProblem,
         problem=problem,
         steps=steps,
         rule=flags["rule"],
-        update=UpdateRule(flags["update"].replace("-", "_")),
         oracle=spec,
         seed=flags["seed"],
         init=flags["init"],
@@ -324,7 +323,6 @@ def _execute_run(flags: dict, problem: CompositeProblem, steps: int,
         "n_rows": problem.d,
         "n_cols": problem.n,
         "rule": flags["rule"],
-        "update": asdict(config.update),
         "oracle": asdict(oracle) if oracle else None,
         "l1": flags["l1"],
         "l2": flags["l2"],

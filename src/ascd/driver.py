@@ -1,6 +1,7 @@
-"""The descent loop: update rules, estimate bookkeeping, traces, diagnostics.
+"""The descent loop: selection, estimate bookkeeping, traces, diagnostics.
 
-One run executes a fixed budget of single-coordinate steps.  Selection is
+One run executes a set budget of single-coordinate steps, each the exact
+minimiser of the objective along its coordinate (``step``).  Selection is
 uniform (``ucd``, with no estimate and all n as its set) or a tracked rule
 that runs the score, set and pick stages of ``selector``.  ``_scores`` is
 two-way: ``ascd-gsq`` compares bounds on the model decrease, every other
@@ -84,10 +85,10 @@ __all__ = [
 ]
 
 RULES = ("ucd", "scd", "ascd", "ascd-gss", "ascd-gsq")
-# estimate inits, set picks and update rules a run may name
+# estimate inits, set picks and the one update rule a run may name
 INITS = ("none", "true-gradient")
 PICKS = ("argmax-lower", "uniform-set")
-UPDATES = ("fixed", "line_search")
+UPDATES = ("line_search",)
 
 TRACE_COLUMNS = ("t", "i", "f", "grad_inf", "grad2sq", "active_size",
                  "tau_ucd", "tau_ascd", "tau_scd", "wall_ns")
@@ -100,41 +101,40 @@ SANDWICH_SLACK = 1e-10
 
 @dataclass
 class UpdateRule:
-    """How the active coordinate moves.
-
-    ``fixed`` minimises the coordinate model, the proximal step under an l1
-    penalty, with the global constant ``L``; with no composite penalty this
-    is the plain step ``-grad / L``.
-    ``line_search`` minimises the objective exactly along the coordinate,
-    which for this quadratic problem class is the model minimiser at the
-    coordinate's own constant.
+    """How the active coordinate moves: ``line_search``, the one rule,
+    minimises the objective exactly along the coordinate.  For this
+    quadratic problem class that is the coordinate model's minimiser at the
+    coordinate's own constant ``L_i``, the proximal step under an l1
+    penalty.  ``step`` reads no rule; the name stays for callers that pass
+    it.
     """
 
-    kind: str = "fixed"
+    kind: str = "line_search"
 
     def __post_init__(self):
         if self.kind not in UPDATES:
             raise ValueError(f"unknown update rule {self.kind!r}")
 
 
-def step(problem: CompositeProblem, state: ResidualState, i: int,
-         rule: UpdateRule) -> tuple[float, float, float]:
-    """Move coordinate i; return ``(gamma, g_new, df)``.
+def step(problem: CompositeProblem, state: ResidualState,
+         i: int) -> tuple[float, float, float]:
+    """Minimise the objective exactly along coordinate i; return
+    ``(gamma, g_new, df)``.
 
     ``g_new`` is the smooth partial gradient at the new point, known
-    exactly: exact line search on a smooth problem knows it vanished, and
-    every other case recomputes it in O(nnz(a_i)), or reuses the gradient
-    before a zero step, which moved nothing.  So the moved coordinate's
-    radius is zero, and radii keep growing only through the
-    passive-coordinate oracles.
+    exactly: on a smooth problem it vanished, at a nonzero l1 iterate it is
+    the subgradient-optimality value, and every other case recomputes it
+    in O(nnz(a_i)), or reuses the gradient before a zero step, which moved
+    nothing.  So the moved coordinate's radius is zero, and radii keep
+    growing only through the passive-coordinate oracles.
 
     ``df`` is the change of the objective, exact for this quadratic class:
     ``gamma * (g_i + gamma/2 * L_i) + psi(x_i + gamma) - psi(x_i)`` with the
-    coordinate's own curvature ``L_i``, under ``fixed`` too, and 0.0 on a
-    zero step.  The column is read once: one gather of ``w`` at its rows
-    gives the gradient, the write-back and the gradient after the step.
-    The bits of ``gamma``, ``g_new``, ``x`` and ``w`` are those of
-    ``partial_gradient`` before and after ``apply_step``.
+    coordinate's own curvature ``L_i``, and 0.0 on a zero step.  The column
+    is read once: one gather of ``w`` at its rows gives the gradient, the
+    write-back and the gradient after the step.  The bits of ``gamma``,
+    ``g_new``, ``x`` and ``w`` are those of ``partial_gradient`` before and
+    after ``apply_step``.
     """
     rows, vals, b = problem.column(i)
     w_rows = state.w[rows]
@@ -144,9 +144,7 @@ def step(problem: CompositeProblem, state: ResidualState, i: int,
         raise FloatingPointError(f"non-finite gradient on coordinate {i}")
     l_i = float(problem.lipschitz[i])
     reg = problem.psi_reg
-    line_search = rule.kind == "line_search"
-    gamma = reg.model_argmin_one(
-        x_i, g_i, l_i if line_search else problem.lipschitz_max)
+    gamma = reg.model_argmin_one(x_i, g_i, l_i)
     x_new = x_i + gamma
     df = 0.0
     if gamma != 0.0:
@@ -160,15 +158,14 @@ def step(problem: CompositeProblem, state: ResidualState, i: int,
         df = gamma * (g_i + 0.5 * gamma * l_i)
         if reg.lam:
             df += reg.psi_one(x_new) - reg.psi_one(x_i)
-    if line_search:
-        if reg.kind == "none":
-            return gamma, 0.0, df
-        # exact minimisation with a nonzero iterate pins the smooth
-        # gradient at the subgradient-optimality value; reporting it
-        # exactly (not the float recomputation) keeps the composite
-        # steepest score at exactly zero for the refreshed coordinate
-        if x_new != 0.0:
-            return gamma, -reg.lam * math.copysign(1.0, x_new), df
+    if reg.kind == "none":
+        return gamma, 0.0, df
+    # exact minimisation with a nonzero iterate pins the smooth gradient
+    # at the subgradient-optimality value; reporting it exactly (not the
+    # float recomputation) keeps the composite steepest score at exactly
+    # zero for the refreshed coordinate
+    if x_new != 0.0:
+        return gamma, -reg.lam * math.copysign(1.0, x_new), df
     if gamma == 0.0:
         return gamma, g_i, df
     return gamma, float(vals @ (w_rows - b)) + problem.fold_lam * x_new, df
@@ -178,7 +175,9 @@ def progress_tau(gradient: np.ndarray, active_indices: np.ndarray,
                  lipschitz_max: float) -> tuple[float, float, float]:
     """Expected one-step progress lower bounds of the three selection rules,
     evaluated with the true gradient: mean over all coordinates, mean over
-    the active set, and the maximum, of ``grad_i^2 / (2L)``.
+    the active set, and the maximum, of ``grad_i^2 / (2L)``.  An exact
+    coordinate step decreases the objective by at least this for any
+    ``L >= L_i``, so ``lipschitz_max`` gives a bound for every coordinate.
     """
     gsq = np.square(gradient)
     two_l = 2.0 * lipschitz_max
@@ -200,7 +199,7 @@ class RunConfig:
     problem: CompositeProblem
     steps: int
     rule: str = "ascd"
-    update: UpdateRule = field(default_factory=UpdateRule)
+    update: UpdateRule = field(default_factory=UpdateRule)  # not read
     oracle: OracleSpec | None = None
     seed: int = 0
     init: str = "none"                # one of INITS
@@ -421,7 +420,7 @@ def run(config: RunConfig) -> RunResult:
                         contain_bad += 1
 
         try:
-            gamma, g_new, df = step(problem, state, i_t, config.update)
+            gamma, g_new, df = step(problem, state, i_t)
         except (FloatingPointError, ValueError) as exc:
             raise type(exc)(f"step {t}: {exc}") from exc
         cols["gamma"][t] = gamma

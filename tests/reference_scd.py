@@ -29,8 +29,8 @@ def steepest_scores(problem: CompositeProblem, gradient: np.ndarray,
                     np.abs(gradient + lam * np.sign(x)))
 
 
-def steepest_descent(problem: CompositeProblem, steps: int, update,
-                     x0=None, picks=None) -> tuple[np.ndarray, np.ndarray]:
+def steepest_descent(problem: CompositeProblem, steps: int, x0=None,
+                     picks=None) -> tuple[np.ndarray, np.ndarray]:
     """``(picks, shortfall)`` of ``steps`` steps.
 
     Each step takes ``picks[t]`` when ``picks`` is given, else the
@@ -48,7 +48,7 @@ def steepest_descent(problem: CompositeProblem, steps: int, update,
         i = int(np.argmax(scores)) if picks is None else int(picks[t])
         taken[t] = i
         shortfall[t] = (scores.max() - scores[i]) / (1.0 + np.abs(g).max())
-        step(problem, state, i, update)
+        step(problem, state, i)
         if (t + 1) % (10 * n) == 0:
             state.refresh(problem.matrix)
     return taken, shortfall

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ascd.data import SynthConfig, generate_synthetic
-from ascd.driver import SOUNDNESS_SLACK, RunConfig, UpdateRule, run
+from ascd.driver import SOUNDNESS_SLACK, RunConfig, run
 from ascd.hardcase import HardCase, _ratio_residual, solve_c_alpha, \
     verify_cycling
 from ascd.oracles import OracleSpec
@@ -58,7 +58,6 @@ def tracked_runs():
         for spec in ORACLES:
             for init in ("true-gradient", "none"):
                 res = run(RunConfig(problem=problem, steps=200, rule="ascd",
-                                    update=UpdateRule("line_search"),
                                     oracle=spec, seed=seed, init=init,
                                     diag_every=1))
                 results.append((seed, spec.kind, init, res))
@@ -104,24 +103,21 @@ def test_criterion_03_exactness_collapse():
         steps = 10 * n
         scd = run(RunConfig(problem=prob, steps=steps, rule="scd",
                             seed=seed, diag_every=0))
-        want, _ = steepest_descent(prob, steps, scd.config.update)
+        want, _ = steepest_descent(prob, steps)
         assert np.array_equal(scd.i, want), seed
 
         lam = 0.2 * float(np.max(np.abs(prob.matrix.col_dots(prob.target))))
         lasso = CompositeProblem(prob.matrix, prob.target,
                                  Regularizer("l1", lam))
-        update = UpdateRule("line_search")
         scd = run(RunConfig(problem=lasso, steps=steps, rule="scd",
-                            update=update, seed=seed, diag_every=1))
-        _, shortfall = steepest_descent(lasso, steps, update, picks=scd.i)
+                            seed=seed, diag_every=1))
+        _, shortfall = steepest_descent(lasso, steps, picks=scd.i)
         assert shortfall.max() <= SOUNDNESS_SLACK, seed
         assert scd.soundness_violations == 0, seed
         magnitude = run(RunConfig(problem=lasso, steps=steps, rule="ascd",
-                                  update=update, oracle=OracleSpec("g1"),
-                                  seed=seed, init="true-gradient",
-                                  diag_every=0))
-        _, shortfall = steepest_descent(lasso, steps, update,
-                                        picks=magnitude.i)
+                                  oracle=OracleSpec("g1"), seed=seed,
+                                  init="true-gradient", diag_every=0))
+        _, shortfall = steepest_descent(lasso, steps, picks=magnitude.i)
         magnitude_off += shortfall.max() > SOUNDNESS_SLACK
     assert magnitude_off > 0
     print("\nACCEPTANCE 3 (exact oracle + true-gradient init reproduces "
@@ -152,9 +148,9 @@ def test_criterion_05_inverse_rate():
     matrix = ColumnSparseMatrix.from_columns(
         n, [(np.array([i]), np.array([1.0])) for i in range(n)])
     prob = CompositeProblem(matrix, np.zeros(n))
+    # every L_i is L_max = 1, so the exact step is the theorem's 1/L step
     res = run(RunConfig(problem=prob, steps=10 * n, rule="scd",
-                        update=UpdateRule("fixed"), x0=np.ones(n), seed=0,
-                        diag_every=0))
+                        x0=np.ones(n), seed=0, diag_every=0))
     f0 = 0.5 * n
     r1_sq = 2.0 * f0 * n  # squared l1 diameter of the level set
     for t in range(1, 10 * n):
@@ -356,7 +352,6 @@ def test_exact_composite_rules_reach_the_lasso_minimum(rule):
     prob = CompositeProblem(matrix, b, Regularizer("l1", lam))
     f_star = _lasso_reference(prob)
     res = run(RunConfig(problem=prob, steps=20 * prob.n, rule=rule,
-                        update=UpdateRule("line_search"),
                         oracle=OracleSpec("g1"), init="true-gradient",
                         pick="argmax-lower", seed=0, diag_every=0))
     assert abs(res.f[-1] - f_star) <= 1e-9 * f_star, (res.f[-1], f_star)
@@ -364,7 +359,6 @@ def test_exact_composite_rules_reach_the_lasso_minimum(rule):
 
 def test_criterion_09_empirical_ordering():
     t0 = time.perf_counter()
-    update = UpdateRule("line_search")
     seeds = range(5)
 
     ridge_wins = 0
@@ -384,8 +378,8 @@ def test_criterion_09_empirical_ordering():
                 ("ascd", OracleSpec("g4", seed=seed), "none"),
                 ("ucd", None, "none")):
             res = run(RunConfig(problem=prob, steps=10 * prob.n, rule=rule,
-                                update=update, oracle=oracle, seed=seed,
-                                init=init, diag_every=0))
+                                oracle=oracle, seed=seed, init=init,
+                                diag_every=0))
             epochs[rule], picks[rule] = res.epochs_to_reach(level), res.i
         # negative control: with g4 and no start every lower bound is 0,
         # so the ascd arm draws exactly ucd's coordinates and its ordering
@@ -410,8 +404,8 @@ def test_criterion_09_empirical_ordering():
                 ("ascd", "ascd-gss", OracleSpec("g4", seed=seed), "none"),
                 ("ucd", "ucd", None, "none")):
             res = run(RunConfig(problem=prob, steps=10 * prob.n, rule=rule,
-                                update=update, oracle=oracle, seed=seed,
-                                init=init, diag_every=0))
+                                oracle=oracle, seed=seed, init=init,
+                                diag_every=0))
             epochs[name], picks[name] = res.epochs_to_reach(level), res.i
         assert np.array_equal(picks["ascd"], picks["ucd"]), seed
         if epochs["scd"] <= epochs["ascd"] <= epochs["ucd"]:

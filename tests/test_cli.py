@@ -132,7 +132,7 @@ class TestRun:
         summary = read_json(tmp_path / "c.json")
         trace = np.genfromtxt(tmp_path / "c.csv", delimiter=",",
                               names=True)
-        assert summary["schema_version"] == 6
+        assert summary["schema_version"] == 7
         assert summary["distinct_picks"] == np.unique(trace["i"]).size
         # ucd draws from all n; argmax-lower, which scd runs, from the
         # set's tied maximisers
@@ -155,7 +155,7 @@ class TestRun:
 
     def test_byte_determinism(self, dataset, tmp_path):
         args = ["run", "--data", str(dataset), "--l1", "2.0", "--rule",
-                "ascd-gss", "--update", "fixed", "--oracle", "g2",
+                "ascd-gss", "--oracle", "g2",
                 "--epsilon", "0.5", "--steps", "3n", "--seed", "3"]
         rc = main(args + ["--out", str(tmp_path / "a"), "--tag", "x"])
         rc2 = main(args + ["--out", str(tmp_path / "b"), "--tag", "x"])
@@ -189,7 +189,7 @@ class TestRun:
         picks = [int(row.split(",")[1]) for row in lines]
         matrix, target = load_svmlight(dataset)
         prob = CompositeProblem(matrix, target, Regularizer("l2", 0.5))
-        want, _ = steepest_descent(prob, 5 * prob.n, UpdateRule("fixed"))
+        want, _ = steepest_descent(prob, 5 * prob.n)
         assert picks == want.tolist()
         # the summary records what ran
         summary = read_json(tmp_path / "scd.json")
@@ -197,12 +197,11 @@ class TestRun:
         assert (summary["init"], summary["pick"]) == ("true-gradient",
                                                       "argmax-lower")
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the default pick argmax-lower stalls on one coordinate; ROADMAP "
-        "open item 1 makes argmax-upper the default"))
     def test_default_run_does_not_stall(self, tmp_path):
-        # the default ends this ridge at f = 53512 (f0 = 53516) after
-        # picking one coordinate; ucd ends at 14544
+        # the default (ascd, g3, init none, argmax-lower) ends this ridge at
+        # f = 98.98 after picking all 100 coordinates, as ucd does: with no
+        # start every lower bound is 0, so its picks are ucd's.  No stall,
+        # but no gain over ucd either
         assert main(["generate", "--rows", "200", "--cols", "100",
                      "--out", str(tmp_path), "--tag", "syn"]) == 0
         finals = {}
@@ -345,7 +344,7 @@ class TestLibraryDefaults:
         ("rule", RunConfig, "rule", RULES),
         ("oracle", OracleSpec, "kind", ORACLE_KINDS),
         ("epsilon", OracleSpec, "epsilon", None),
-        # the flag spells the update kinds with a hyphen
+        # the flag spells the one update kind with a hyphen
         ("update", UpdateRule, "kind",
          [kind.replace("_", "-") for kind in UPDATES]),
         ("init", RunConfig, "init", INITS),
@@ -384,7 +383,7 @@ class TestLibraryDefaults:
         problem = CompositeProblem(*load_svmlight(str(dataset)))
         rule, oracle, init, pick = RunConfig(problem=problem,
                                              steps=5).resolved()
-        assert summary["update"] == asdict(UpdateRule())
+        assert summary["schema_version"] == 7 and "update" not in summary
         assert [summary[key] for key in ("rule", "oracle", "init", "pick")] \
             == [rule, asdict(oracle), init, pick]
 
@@ -913,6 +912,7 @@ class TestRejectedInput:
     # each of these names was removed
     @pytest.mark.parametrize("argv,flag", [
         (["--update", "prox"], "--update"),
+        (["--update", "fixed"], "--update"),
         (["--rule", "l-ascd"], "--rule"),
         (["--rule", "u-ascd"], "--rule"),
         (["--rule", "a-ascd"], "--rule"),
@@ -924,9 +924,9 @@ class TestRejectedInput:
         (["--oracle-seed", "-1"], "--oracle-seed"),
         (["hardcase", "--n", "10", "--steps", "10", "--seed", "1"],
          "--seed"),
-    ], ids=["update-prox", "rule-l-ascd", "rule-u-ascd", "rule-a-ascd",
-            "oracle-bh", "hessian-bound", "per-coordinate", "rho-support",
-            "run-step-scale-inf", "run-oracle-seed-negative",
+    ], ids=["update-prox", "update-fixed", "rule-l-ascd", "rule-u-ascd",
+            "rule-a-ascd", "oracle-bh", "hessian-bound", "per-coordinate",
+            "rho-support", "run-step-scale-inf", "run-oracle-seed-negative",
             "hardcase-seed"])
     def test_prox_update_rejected(self, dataset, capsys, argv, flag):
         # rows that name no subcommand are run flags
@@ -935,7 +935,10 @@ class TestRejectedInput:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        # below the usage text, one error line names the flag
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0]
 
     @pytest.mark.parametrize("overrides", [
         {"n_cols": 1}, {"sparsity_factor": 0.0}, {"sparsity_factor": -1.0},

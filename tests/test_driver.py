@@ -36,21 +36,10 @@ def random_problem(seed, d=20, n=12, reg=None):
 
 
 class TestStep:
-    def test_fixed_step_value(self):
-        prob = identity_problem(2)
-        prob.lipschitz_max = 4.0  # pretend a larger global constant
-        st = prob.residual_state(np.array([2.0, 0.0]))
-        gamma, g_new, df = step(prob, st, 0, UpdateRule("fixed"))
-        assert gamma == pytest.approx(-0.5)
-        # recomputed exactly at the new point x_0 = 1.5
-        assert g_new == pytest.approx(1.5)
-        # the change at the coordinate's own L = 1, not at L_max
-        assert df == 0.5 * 1.5 ** 2 - 0.5 * 2.0 ** 2
-
     def test_line_search_solves_1d(self):
         prob = identity_problem(1)
         st = prob.residual_state(np.array([5.0]))
-        gamma, g_new, df = step(prob, st, 0, UpdateRule("line_search"))
+        gamma, g_new, df = step(prob, st, 0)
         assert gamma == pytest.approx(-5.0)
         assert st.x[0] == pytest.approx(0.0)
         assert g_new == 0.0
@@ -60,7 +49,7 @@ class TestStep:
         prob = identity_problem(1, b=np.array([3.0]), reg=Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([0.0]))
         # grad = -3, L = 1: model minimiser is soft(3, 1) = 2
-        gamma, _, df = step(prob, st, 0, UpdateRule("fixed"))
+        gamma, _, df = step(prob, st, 0)
         assert gamma == pytest.approx(2.0)
         # 0.5 * (2 - 3)^2 + |2| - 0.5 * 3^2
         assert df == -2.0
@@ -70,23 +59,21 @@ class TestStep:
         prob = identity_problem(1, b=np.array([-3.0]), reg=Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([0.0]))
         assert prob.partial_gradient(st, 0) == pytest.approx(3.0)
-        gamma, _, _ = step(prob, st, 0, UpdateRule("fixed"))
+        gamma, _, _ = step(prob, st, 0)
         assert gamma == pytest.approx(-2.0)
 
     def test_line_search_l1_reports_subgradient_value(self):
         prob = identity_problem(1, b=np.array([3.0]), reg=Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([0.0]))
-        gamma, g_new, _ = step(prob, st, 0, UpdateRule("line_search"))
+        gamma, g_new, _ = step(prob, st, 0)
         assert st.x[0] == pytest.approx(2.0)
         assert g_new == -1.0
         # the composite steepest score vanishes exactly at the minimiser
         assert abs(g_new + 1.0 * np.sign(st.x[0])) == 0.0
 
-    @pytest.mark.parametrize("kind", ["fixed", "line_search"])
-    def test_zero_step_off_zero(self, kind):
+    def test_zero_step_off_zero(self):
         # x_0 = 2 already minimises its model, but the float gradient
-        # misses -lam by an ulp: line search still reports -lam exactly,
-        # the fixed step the gradient before the step
+        # misses -lam by an ulp: the step still reports -lam exactly
         m = ColumnSparseMatrix.from_columns(
             1, [(np.array([0]), np.array([0.3]))])
         prob = CompositeProblem(m, np.array([3.933333333333333]),
@@ -95,14 +82,12 @@ class TestStep:
         g_before = prob.partial_gradient(st, 0)
         assert g_before != -1.0
         x, w = st.x.copy(), st.w.copy()
-        gamma, g_new, df = step(prob, st, 0, UpdateRule(kind))
+        gamma, g_new, df = step(prob, st, 0)
         assert gamma == 0.0 and df == 0.0
-        want = -1.0 if kind == "line_search" else g_before
-        assert np.float64(g_new).tobytes() == np.float64(want).tobytes()
+        assert np.float64(g_new).tobytes() == np.float64(-1.0).tobytes()
         assert np.array_equal(st.x, x) and np.array_equal(st.w, w)
 
-    @pytest.mark.parametrize("kind", ["fixed", "line_search"])
-    def test_zero_step_at_zero(self, kind):
+    def test_zero_step_at_zero(self):
         # every coordinate of x = 0 inside the l1 dead zone: each step is
         # zero and returns the bits of the gradient before it
         base = random_problem(19)
@@ -113,36 +98,33 @@ class TestStep:
         x, w = st.x.copy(), st.w.copy()
         for i in range(prob.n):
             g_before = prob.partial_gradient(st, i)
-            gamma, g_new, df = step(prob, st, i, UpdateRule(kind))
+            gamma, g_new, df = step(prob, st, i)
             assert gamma == 0.0 and df == 0.0
             assert (np.float64(g_new).tobytes()
                     == np.float64(g_before).tobytes())
         assert np.array_equal(st.x, x) and np.array_equal(st.w, w)
 
 
-def _array_step(problem, state, i, rule):
+def _array_step(problem, state, i):
     """The coordinate step through the array ``model_argmin`` and
     ``np.sign``: the reference for ``step``'s bits, with the objective's
     change from two full evaluations.  Moves ``state``."""
     f_before = problem.objective(state)
-    gamma, g_new = _array_move(problem, state, i, rule)
+    gamma, g_new = _array_move(problem, state, i)
     return gamma, g_new, problem.objective(state) - f_before
 
 
-def _array_move(problem, state, i, rule):
+def _array_move(problem, state, i):
     g = problem.partial_gradient(state, i)
-    l_eff = (problem.lipschitz[i] if rule.kind == "line_search"
-             else problem.lipschitz_max)
     gamma = problem.psi_reg.model_argmin(state.x[i:i + 1], np.array([g]),
-                                         l_eff)[0]
+                                         problem.lipschitz[i])[0]
     x_new = state.x[i] + gamma
     if gamma != 0.0:
         state.apply_step(problem.matrix, i, float(gamma))
-    if rule.kind == "line_search":
-        if problem.psi_reg.kind == "none":
-            return gamma, 0.0
-        if x_new != 0.0:
-            return gamma, -problem.psi_reg.lam * np.sign(x_new)
+    if problem.psi_reg.kind == "none":
+        return gamma, 0.0
+    if x_new != 0.0:
+        return gamma, -problem.psi_reg.lam * np.sign(x_new)
     return gamma, g if gamma == 0.0 else problem.partial_gradient(state, i)
 
 
@@ -151,46 +133,40 @@ class TestFloatStep:
 
     @staticmethod
     def _problem(kind, lam, c, b):
-        # coordinate 0 has L = c^2 (+ lam under l2); coordinate 1 sets
-        # lipschitz_max = 4 for the fixed update whenever c < 2
-        m = ColumnSparseMatrix.from_columns(
-            2, [(np.array([0]), np.array([c])),
-                (np.array([1]), np.array([2.0]))])
-        return CompositeProblem(m, np.array([b, 0.0]), Regularizer(kind, lam))
+        # one coordinate, with L = c^2 (+ lam under l2)
+        m = ColumnSparseMatrix.from_columns(1, [(np.array([0]),
+                                                 np.array([c]))])
+        return CompositeProblem(m, np.array([b]), Regularizer(kind, lam))
 
     @settings(max_examples=300, deadline=None)
     @given(kind=hst.sampled_from(["none", "l1", "l2"]),
-           update=hst.sampled_from(["fixed", "line_search"]),
            lam=hst.one_of(hst.just(0.0), hst.floats(0.01, 10.0)),
            c=hst.one_of(hst.just(1.0), hst.floats(0.1, 3.0)),
            x0=hst.one_of(hst.sampled_from([0.0, -0.0]),
                          hst.floats(-5.0, 5.0)),
            data=hst.data())
-    def test_bits_match_the_array_step(self, kind, update, lam, c, x0,
-                                       data):
+    def test_bits_match_the_array_step(self, kind, lam, c, x0, data):
         # with c = 1 and x0 = 0 the gradient is -b, so b = +-lam puts z on
-        # the soft-threshold boundary |z| = lam / L under either update
+        # the soft-threshold boundary |z| = lam / L
         edge = [lam, -lam, float(np.nextafter(lam, np.inf)),
                 float(np.nextafter(-lam, -np.inf))]
         b = data.draw(hst.one_of(hst.sampled_from(edge),
                                  hst.floats(-20.0, 20.0)))
-        self._check(kind, update, lam, c, x0, b)
+        self._check(kind, lam, c, x0, b)
 
-    @pytest.mark.parametrize("update", ["fixed", "line_search"])
     @pytest.mark.parametrize("b", [-1.0, 1.0])
-    def test_soft_threshold_boundary(self, update, b):
+    def test_soft_threshold_boundary(self, b):
         # x_0 = 0 and |z| = lam / L: gamma is a zero, -0.0 when z < 0
-        gamma, _ = self._check("l1", update, 1.0, 1.0, 0.0, b)
+        gamma, _ = self._check("l1", 1.0, 1.0, 0.0, b)
         assert gamma == 0.0 and np.signbit(gamma) == (b < 0)
 
-    def _check(self, kind, update, lam, c, x0, b):
+    def _check(self, kind, lam, c, x0, b):
         prob = self._problem(kind, lam, c, b)
-        rule = UpdateRule(update)
-        got_state = prob.residual_state(np.array([x0, 0.0]))
-        want_state = prob.residual_state(np.array([x0, 0.0]))
+        got_state = prob.residual_state(np.array([x0]))
+        want_state = prob.residual_state(np.array([x0]))
         f = prob.objective(got_state)
-        gamma, g_new, df = step(prob, got_state, 0, rule)
-        want_gamma, want_g, want_df = _array_step(prob, want_state, 0, rule)
+        gamma, g_new, df = step(prob, got_state, 0)
+        want_gamma, want_g, want_df = _array_step(prob, want_state, 0)
         assert type(gamma) is float and type(g_new) is float
         assert type(df) is float
         if gamma == 0.0:
@@ -210,19 +186,18 @@ class TestCarriedObjective:
 
     @settings(max_examples=200, deadline=None)
     @given(kind=hst.sampled_from(["none", "l1", "l2"]),
-           update=hst.sampled_from(["fixed", "line_search"]),
            lam=hst.one_of(hst.just(0.0), hst.floats(0.01, 20.0)),
            seed=hst.integers(0, 2 ** 16),
            x0=hst.lists(hst.one_of(hst.just(0.0), hst.floats(-3.0, 3.0)),
                         min_size=5, max_size=5))
-    def test_df_is_the_objective_change(self, kind, update, lam, seed, x0):
-        # dense columns of unequal norms, so that L_i < L_max under fixed;
-        # a large l1 weight puts the zeros of x0 in the dead zone
+    def test_df_is_the_objective_change(self, kind, lam, seed, x0):
+        # dense columns, so that each step moves every residual entry; a
+        # large l1 weight puts the zeros of x0 in the dead zone
         prob = random_problem(seed, d=8, n=5, reg=Regularizer(kind, lam))
         st = prob.residual_state(np.array(x0))
         for i in (0, 1, 2, 3, 4, 2):
             f = prob.objective(st)
-            gamma, _, df = step(prob, st, i, UpdateRule(update))
+            gamma, _, df = step(prob, st, i)
             if gamma == 0.0:
                 assert df == 0.0
             else:
@@ -238,7 +213,6 @@ class TestCarriedObjective:
         prob = _grid_problems()[name]
         n = prob.n
         res = run(RunConfig(problem=prob, steps=25 * n, rule=rule,
-                            update=UpdateRule("line_search"),
                             oracle=OracleSpec("g3"), seed=4,
                             init="true-gradient", diag_every=0))
         # useful steps carry f past the second refresh
@@ -317,16 +291,14 @@ class TestRun:
     def test_exactness_collapse(self):
         # the smooth picks equal the brute-force steepest picks; under l1
         # each pick is a brute-force gs-s maximiser up to a rounding tie
-        update = UpdateRule("line_search")
         for reg in (None, Regularizer("l1", 1.0)):
             prob = random_problem(3, reg=reg)
-            scd = run(RunConfig(problem=prob, steps=120, rule="scd",
-                                update=update, seed=5))
+            scd = run(RunConfig(problem=prob, steps=120, rule="scd", seed=5))
             if reg is None:
-                want, _ = steepest_descent(prob, 120, update)
+                want, _ = steepest_descent(prob, 120)
                 assert np.array_equal(scd.i, want)
             else:
-                _, short = steepest_descent(prob, 120, update, picks=scd.i)
+                _, short = steepest_descent(prob, 120, picks=scd.i)
                 assert short.max() <= ascd.driver.SOUNDNESS_SLACK
             assert scd.soundness_violations == 0, reg
 
@@ -346,16 +318,14 @@ class TestRun:
         assert res.final_f == 0.0
 
     def test_monotone_descent_all_rules(self):
-        for reg, update in ((None, UpdateRule("fixed")),
-                            (Regularizer("l2", 0.7), UpdateRule("line_search")),
-                            (Regularizer("l1", 0.4), UpdateRule("fixed"))):
+        for reg in (None, Regularizer("l2", 0.7), Regularizer("l1", 0.4)):
             prob = random_problem(7, reg=reg)
             for rule in RULES:
                 if rule == "ascd-gss" and reg is not None and reg.kind == "l2":
                     continue
                 res = run(RunConfig(problem=prob, steps=150, rule=rule,
-                                    update=update, oracle=OracleSpec("g3"),
-                                    seed=1, diag_every=0))
+                                    oracle=OracleSpec("g3"), seed=1,
+                                    diag_every=0))
                 drops = np.diff(np.append(res.f, res.final_f))
                 assert np.all(drops <= 1e-12 * (1 + np.abs(res.f))), rule
 
@@ -402,18 +372,17 @@ class TestRun:
         dead = CompositeProblem(lasso.matrix, lasso.target,
                                 Regularizer("l1", lam))
         kept, fell_through = Counter(), Counter()
-        for prob, rule, pick_mode, (kind, init), update in itertools.product(
+        for prob, rule, pick_mode, (kind, init) in itertools.product(
                 # scd runs the ascd-gss g1 true-gradient cells
                 (lasso, dead), [r for r in RULES if r not in ("ucd", "scd")],
                 ("argmax-lower", "uniform-set"),
-                (("g1", "true-gradient"), ("g4", "none")),
-                ("fixed", "line_search")):
+                (("g1", "true-gradient"), ("g4", "none"))):
             full.clear(), in_use.clear(), computed.clear()
             res = run(RunConfig(problem=prob, steps=3 * prob.n, rule=rule,
-                                pick=pick_mode, update=UpdateRule(update),
+                                pick=pick_mode,
                                 oracle=OracleSpec(kind, seed=2), seed=1,
                                 init=init, diag_every=1))
-            assert bad == [], (rule, pick_mode, kind, update)
+            assert bad == [], (rule, pick_mode, kind)
             assert len(in_use) == res.t.size
             # the first step and every step after a useful one recompute
             # the set
@@ -445,7 +414,6 @@ class TestRun:
                 ties.clear()
                 res = run(RunConfig(problem=prob, steps=3 * prob.n,
                                     rule=rule, pick=pick,
-                                    update=UpdateRule("line_search"),
                                     oracle=OracleSpec("g4", seed=2), seed=1,
                                     diag_every=0))
                 if rule == "ucd":
@@ -477,7 +445,6 @@ class TestRun:
         lam = 0.1 * float(np.max(np.abs(m.col_dots(b))))
         prob = CompositeProblem(m, b, Regularizer("l1", lam))
         res = run(RunConfig(problem=prob, steps=8 * prob.n, rule="ascd-gsq",
-                            update=UpdateRule("line_search"),
                             oracle=OracleSpec("g1"), seed=0,
                             init="true-gradient", diag_every=1))
         assert res.sandwich_violations == 0
@@ -495,7 +462,6 @@ class TestRun:
         m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=1))
         prob = CompositeProblem(m, b, Regularizer("l2", 1.0))
         res = run(RunConfig(problem=prob, steps=4 * prob.n, rule="ascd",
-                            update=UpdateRule("line_search"),
                             oracle=OracleSpec("g1"), seed=0,
                             init="true-gradient", diag_every=1))
         assert res.sandwich_violations == res.t.size
@@ -507,7 +473,6 @@ class TestRun:
         lam = 0.1 * float(np.max(np.abs(m.col_dots(b))))
         prob = CompositeProblem(m, b, Regularizer("l1", lam))
         configs = [RunConfig(problem=prob, steps=3 * prob.n, rule=rule,
-                             update=UpdateRule("line_search"),
                              oracle=OracleSpec(kind, epsilon=0.1, seed=1),
                              seed=4, init=init, pick=pick, diag_every=1)
                    for rule in ("ascd", "ascd-gss", "ascd-gsq")
@@ -550,7 +515,7 @@ class TestRun:
                                  ("ascd", OracleSpec("g4", seed=seed)),
                                  ("ucd", None)):
                 res = run(RunConfig(problem=prob, steps=50 * prob.n,
-                                    rule=rule, update=UpdateRule("line_search"),
+                                    rule=rule,
                                     oracle=oracle, seed=seed,
                                     init="true-gradient", diag_every=0))
                 fs[rule] = res.final_f
@@ -635,7 +600,6 @@ class TestRun:
         # epochs and exclusions begin
         prob = random_problem(13, d=30, n=16)
         res = run(RunConfig(problem=prob, steps=10 * prob.n, rule="ascd",
-                            update=UpdateRule("line_search"),
                             oracle=OracleSpec("g2", epsilon=0.05, seed=2),
                             seed=1, init="none", pick="uniform-set",
                             diag_every=0))
@@ -646,7 +610,6 @@ class TestRun:
     def test_true_init_starts_from_singleton(self):
         prob = random_problem(13, d=30, n=16)
         res = run(RunConfig(problem=prob, steps=40, rule="ascd",
-                            update=UpdateRule("line_search"),
                             oracle=OracleSpec("g2", epsilon=0.05, seed=2),
                             seed=1, init="true-gradient", diag_every=0))
         assert res.active_size[0] == 1
@@ -659,6 +622,9 @@ class TestRun:
             RunConfig(problem=prob, steps=5, rule="sgd")
         with pytest.raises(ValueError):
             RunConfig(problem=prob, steps=5, init="warm")
+        # line search is the one update rule
+        with pytest.raises(ValueError):
+            UpdateRule("fixed")
 
     @pytest.mark.parametrize("field", ["seed", "diag_every"])
     def test_rejects_negative_field(self, field):
@@ -677,7 +643,6 @@ class TestRun:
         lam = 0.1 * float(np.max(np.abs(matrix.col_dots(target))))
         prob = CompositeProblem(matrix, target, Regularizer("l1", lam))
         cfg = RunConfig(problem=prob, steps=300, rule="ascd-gss",
-                        update=UpdateRule("line_search"),
                         oracle=OracleSpec("g1"), seed=0, init="none",
                         diag_every=0)
 
@@ -710,24 +675,12 @@ class TestRun:
         # a target near the float limit overflows a partial gradient
         target = base.target / np.max(np.abs(base.target))
         prob = CompositeProblem(base.matrix, 1e308 * target)
-        cfg = RunConfig(problem=prob, steps=50, rule="ucd",
-                        update=UpdateRule("fixed"), seed=0, diag_every=0)
+        cfg = RunConfig(problem=prob, steps=50, rule="ucd", seed=0,
+                        diag_every=0)
         with np.errstate(all="ignore"):
             with pytest.raises((FloatingPointError, ValueError),
                                match=r"step \d+"):
                 run(cfg)
-
-    def test_theorem_rate_identity_quadratic(self):
-        # steepest fixed-step descent on 0.5*||x||^2 meets the 1/t rate
-        n = 50
-        prob = identity_problem(n)
-        res = run(RunConfig(problem=prob, steps=10 * n, rule="scd",
-                            update=UpdateRule("fixed"), x0=np.ones(n),
-                            seed=0, diag_every=0))
-        f0 = 0.5 * n
-        r1_sq = 2 * f0 * n
-        for t in range(1, 10 * n):
-            assert res.f[t] <= 2 * 1.0 * r1_sq / t + 1e-12
 
 
 def _grid_problems():
@@ -739,15 +692,15 @@ def _grid_problems():
             "lasso": CompositeProblem(m, b, Regularizer("l1", lam))}
 
 
-# (problem, rule, pick, oracle, init[, update][, steps]) -> the first 16
-# hex digits of the sha256 of the i, active_size and gamma columns, then
-# those of the sha256 of the f column.  Until the two were split, one
-# digest hashed all four columns: it was recorded before exact estimates
-# scored once, and the notes below on when a cell was recorded speak of
-# it.  Every f digest was re-recorded when the loop began to carry the
-# objective by each step's exact change between full evaluations: f moved
-# by at most 2.9e-13 of itself, and no first digest moved.  The g3 and g4
-# cells run the interval path.
+# (problem, rule, pick, oracle, init[, "line_search"][, steps]) -> the
+# first 16 hex digits of the sha256 of the i, active_size and gamma
+# columns, then those of the sha256 of the f column.  Until the two were
+# split, one digest hashed all four columns: it was recorded before exact
+# estimates scored once, and the notes below on when a cell was recorded
+# speak of it.  Every f digest was re-recorded when the loop began to
+# carry the objective by each step's exact change between full
+# evaluations: f moved by at most 2.9e-13 of itself, and no first digest
+# moved.  The g3 and g4 cells run the interval path.
 # The cells after the lasso g4 "none" one were recorded before a zero step
 # rescored only its coordinate; every lasso cell takes zero steps.  The
 # lasso ascd-gsq cells were re-recorded when gs-q began to rank by the
@@ -810,45 +763,27 @@ SAME_RESULTS = {
     # cell above draws 11 blocks and rewinds at 2 set size changes
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "none", "12n"):
         ("eda6fd6234edbc89", "a5d50900abcf2b19"),
-    # under the fixed update, recorded before a zero step rescored and
-    # stepped on Python floats; under fixed, argmax-lower ascd-gss g4 from
-    # "none" hammers one coordinate and takes no zero step, so that cell
-    # draws from the set
-    ("lasso", "ascd-gss", "uniform-set", "g4", "none", "fixed"):
-        ("bbe0602b6c599b5a", "43037fb62ac12430"),
-    ("lasso", "ascd-gsq", "argmax-lower", "g3", "true-gradient", "fixed"):
-        ("dea682a75a5da616", "b834d48e77c9f269"),
-    # the line-search twins of the two cells above, recorded after a zero
-    # step rescored and stepped on Python floats; both take zero steps
-    # (39 and 74 of 3n).  The ascd-gss cell's picks are ucd's, as are
-    # those of its argmax-lower twin above
+    # recorded after a zero step rescored and stepped on Python floats;
+    # both take zero steps (39 and 74 of 3n).  The ascd-gss cell's picks
+    # are ucd's, as are those of its argmax-lower twin above
     ("lasso", "ascd-gss", "uniform-set", "g4", "none"):
         ("0b22cd75d2bdf587", "2d8950116879110b"),
     ("lasso", "ascd-gsq", "argmax-lower", "g3", "true-gradient"):
         ("50e43accb1614b27", "d2703b5d479dc943"),
-    # scd reads no pick, oracle or init: it runs argmax-lower on g1 rows
-    # from a true-gradient start.  The ridge digests were recorded when scd
-    # recomputed the full gradient every step and are unchanged.  The lasso
-    # line_search digest moved when scd began to score with gs-s, the
-    # composite steepest rule, in place of the smooth gradient magnitude:
-    # it is the ascd-gss g1 true-gradient cell's.  The lasso fixed digest,
-    # over 5n steps so that it reaches its converged zero steps, is the same
-    # under either score
-    ("ridge", "scd", "uniform-set", "g4", "none", "fixed"):
-        ("f0e59cd6c0e51460", "ad77856225e8e3ee"),
+    # The scd and ucd cells end in "line_search", which names the one
+    # update and keeps their test ids.  scd reads no pick, oracle or init:
+    # it runs argmax-lower on g1 rows from a true-gradient start.  The
+    # ridge digest was recorded when scd recomputed the full gradient every
+    # step and is unchanged.  The lasso digest moved when scd began to
+    # score with gs-s, the composite steepest rule, in place of the smooth
+    # gradient magnitude: it is the ascd-gss g1 true-gradient cell's
     ("ridge", "scd", "uniform-set", "g4", "none", "line_search"):
         ("31c436765d041367", "e7e2b2b60b9ac1c3"),
-    ("lasso", "scd", "uniform-set", "g4", "none", "fixed", "5n"):
-        ("23f2def292882639", "98747f7e20a2beb8"),
     ("lasso", "scd", "uniform-set", "g4", "none", "line_search"):
         ("abd59c0d130319d9", "ecf2ca3f8be615e6"),
     # ucd reads no pick, oracle or init
-    ("ridge", "ucd", "uniform-set", "g1", "none", "fixed"):
-        ("52b2b9f7f61c1ab4", "121b5cbd0a774ee1"),
     ("ridge", "ucd", "uniform-set", "g1", "none", "line_search"):
         ("380568bc2745a7a8", "04ae38f6b87b04d6"),
-    ("lasso", "ucd", "uniform-set", "g1", "none", "fixed"):
-        ("bbe0602b6c599b5a", "43037fb62ac12430"),
     ("lasso", "ucd", "uniform-set", "g1", "none", "line_search"):
         ("0b22cd75d2bdf587", "2d8950116879110b"),
 }
@@ -865,15 +800,12 @@ class TestExactPath:
     @pytest.mark.parametrize("cell", list(SAME_RESULTS),
                              ids=["-".join(c) for c in SAME_RESULTS])
     def test_same_results(self, problems, cell):
-        # optional trailing elements: the update (default line_search) and
-        # the step count in epochs (default 3n)
+        # optional trailing elements: the update's name, and the step count
+        # in epochs (default 3n)
         name, rule, pick, kind, init, *extra = cell
         prob = problems[name]
-        update = next((e for e in extra if e in ("fixed", "line_search")),
-                      "line_search")
-        epochs = next((int(e[:-1]) for e in extra if e != update), 3)
+        epochs = next((int(e[:-1]) for e in extra if e != "line_search"), 3)
         res = run(RunConfig(problem=prob, steps=epochs * prob.n, rule=rule,
-                            update=UpdateRule(update),
                             oracle=OracleSpec(kind, seed=1), seed=4,
                             init=init, pick=pick, diag_every=1))
         picks = hashlib.sha256()
@@ -908,7 +840,6 @@ class TestExactPath:
         monkeypatch.setattr(ascd.driver, "active_set", spy)
         prob = random_problem(17)
         run(RunConfig(problem=prob, steps=20, rule="ascd",
-                      update=UpdateRule("line_search"),
                       oracle=OracleSpec(kind), init=init, diag_every=0))
         assert seen == [True] * exact_steps + [False] * (20 - exact_steps)
 
@@ -944,13 +875,11 @@ class TestZeroStepRescoring:
         problems = _grid_problems()
         lasso = problems["lasso"]
         configs = [RunConfig(problem=lasso, steps=3 * lasso.n, rule=rule,
-                             update=UpdateRule(update),
                              oracle=OracleSpec(kind, epsilon=0.1, seed=1),
                              seed=4, init=init, diag_every=0)
                    for rule in ("ascd", "ascd-gss", "ascd-gsq")
                    for kind in ORACLE_KINDS
-                   for init in ("none", "true-gradient")
-                   for update in ("fixed", "line_search")]
+                   for init in ("none", "true-gradient")]
         configs.append(RunConfig(problem=problems["ridge"],
                                  steps=3 * problems["ridge"].n,
                                  rule="ascd-gsq", oracle=OracleSpec("g3"),
@@ -960,8 +889,7 @@ class TestZeroStepRescoring:
         for cfg in configs:
             full.clear()
             res = run(cfg)
-            assert mismatches == [], (cfg.rule, cfg.oracle.kind, cfg.init,
-                                      cfg.update.kind)
+            assert mismatches == [], (cfg.rule, cfg.oracle.kind, cfg.init)
             # one full scoring to start, and one after every step that
             # moved x and was followed by another step
             assert len(full) == 1 + np.count_nonzero(res.gamma[:-1])
@@ -975,7 +903,6 @@ class TestZeroStepRescoring:
         lam = 0.1 * float(np.max(np.abs(m.col_dots(b))))
         prob = CompositeProblem(m, b, Regularizer("l1", lam))
         res = run(RunConfig(problem=prob, steps=3 * prob.n, rule="ascd-gss",
-                            update=UpdateRule("line_search"),
                             oracle=OracleSpec("g4"), seed=0, init="none",
                             diag_every=0))
         assert res.gamma[-1] == 0.0
