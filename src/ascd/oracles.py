@@ -35,6 +35,7 @@ buffers of its ``OracleContext``, and handed out as a fresh array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -112,13 +113,15 @@ class OracleContext:
     nothing is kept.  The copy's order is a stable argsort of the row ids
     cast to the narrowest unsigned type that holds ``n_rows - 1``: up to
     65536 rows numpy sorts those by radix, and the permutation is the one
-    an int64 sort gives.  Each row of the copy is held as two memoryview
-    slices, its column ids and its values, and a gather reads the slices of
-    the rows that a_i meets through one ``bytes.join`` per array, in
-    increasing row order.  A slice takes about 193 bytes, so with the row
-    pointer and entry count a row of A costs about 400 bytes besides its
-    entries, and on tall, narrow data (below about 50 columns) the copy
-    can outgrow the 8 * n bytes per row of a dense A.  The g2 and g4 kinds
+    an int64 sort gives.  Each row of the copy is held as two ``bytes``
+    objects, its column ids and its values, cut once from the sorted
+    arrays, which are then dropped.  A gather fetches the rows that a_i
+    meets with one ``operator.itemgetter`` and joins them with one
+    ``bytes.join`` per array, in increasing row order.  A ``bytes`` object
+    takes 33 bytes besides its data, so with the list slots and the entry
+    count a row of A costs about 90 bytes besides its entries, and on tall,
+    narrow data (below about 12 columns) the copy can outgrow the 8 * n
+    bytes per row of a dense A.  The g2 and g4 kinds
     keep the seed's mix, ``j`` and ``j * n`` for every column, and two
     uint64 scratch rows for the pair hash.
     """
@@ -144,18 +147,18 @@ class OracleContext:
         # stable: each row of A lists its entries in increasing column order
         narrow = np.min_scalar_type(matrix.n_rows - 1)
         order = np.argsort(matrix.rows.astype(narrow), kind="stable")
-        counts = np.bincount(matrix.rows, minlength=matrix.n_rows)
-        self._row_ptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._row_ptr[1:])
-        self._row_cols = matrix._nnz_col[order].astype(np.int32)
-        self._row_vals = matrix.vals[order]
+        ids = matrix._nnz_col[order].astype(np.int32)
+        values = matrix.vals[order]
+        # dropped before the rows are cut, to lower the build's peak
+        del order
         # each row's entry count, column ids and values, the last two as
-        # memoryview slices of the copy, which bytes.join reads directly
-        self._row_counts = counts
-        ptr = self._row_ptr.tolist()
-        cols, vals = memoryview(self._row_cols), memoryview(self._row_vals)
-        self._col_views = [cols[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
-        self._val_views = [vals[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+        # bytes objects cut once from the sorted copy, which is then
+        # dropped
+        self._row_counts = np.bincount(matrix.rows, minlength=matrix.n_rows)
+        ends = np.cumsum(self._row_counts).tolist()
+        spans = list(zip([0] + ends, ends))
+        self._row_ids = [ids[lo:hi].tobytes() for lo, hi in spans]
+        self._row_values = [values[lo:hi].tobytes() for lo, hi in spans]
 
     def _dot_row(self, i: int) -> np.ndarray:
         kept = self._kept
@@ -174,10 +177,15 @@ class OracleContext:
         if not rows.size:
             return np.zeros(self.matrix.n_cols)
         meets = rows.tolist()
-        cols = np.frombuffer(b"".join([self._col_views[r] for r in meets]),
-                             dtype=self._row_cols.dtype)
-        row_vals = np.frombuffer(b"".join([self._val_views[r] for r in meets]),
-                                 dtype=self._row_vals.dtype)
+        if len(meets) == 1:
+            ids, values = self._row_ids[meets[0]], self._row_values[meets[0]]
+        else:
+            # one C-level fetch of every row a_i meets, in increasing order
+            fetch = itemgetter(*meets)
+            ids = b"".join(fetch(self._row_ids))
+            values = b"".join(fetch(self._row_values))
+        cols = np.frombuffer(ids, dtype=np.int32)
+        row_vals = np.frombuffer(values, dtype=np.float64)
         weights = np.repeat(vals, self._row_counts[rows])
         weights *= row_vals
         return np.bincount(cols, weights=weights,

@@ -261,9 +261,12 @@ class TestOracleRow:
             g2 = OracleContext(OracleSpec("g2", epsilon=0.0), matrix)
             assert (g1._kept is None) == (g2._kept is None) == (not keep)
             for r in range(matrix.n_rows):
-                width = len(g1._col_views[r])
-                assert width == len(g1._val_views[r])
-                assert width == np.count_nonzero(matrix.rows == r)
+                # one bytes object each for a row's ids and values
+                width = np.count_nonzero(matrix.rows == r)
+                assert type(g1._row_ids[r]) is bytes
+                assert type(g1._row_values[r]) is bytes
+                assert len(g1._row_ids[r]) == 4 * width
+                assert len(g1._row_values[r]) == 8 * width
             for i in list(range(matrix.n_cols)) * 2:
                 ref = col_dots_row(matrix, i).tobytes()
                 assert oracle_row(g1, i)[0].tobytes() == ref
@@ -338,10 +341,13 @@ class TestOracleRow:
         m = ColumnSparseMatrix.from_columns(n_rows, columns)
         monkeypatch.setattr(ascd.oracles, "GRAM_LIMIT", 0)
         ctx = OracleContext(OracleSpec("g1"), m)
-        got = (ctx._row_ptr, ctx._row_cols, ctx._row_vals)
-        for have, want in zip(got, int64_row_major(m)):
-            assert have.dtype == want.dtype
-            assert have.tobytes() == want.tobytes()
+        ptr, cols, vals = int64_row_major(m)
+        assert np.array_equal(np.diff(ptr), ctx._row_counts)
+        # each row holds the bytes of its slice of the int32 ids and the
+        # float64 values
+        for r, (lo, hi) in enumerate(zip(ptr, ptr[1:])):
+            assert ctx._row_ids[r] == cols[lo:hi].tobytes()
+            assert ctx._row_values[r] == vals[lo:hi].tobytes()
 
     def test_row_deterministic(self):
         m = make_matrix(12)
