@@ -545,8 +545,18 @@ def cmd_ratio_sim(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose rejections raise ``ValueError``, which
+    ``main`` reports as one ``error:`` line with exit code 2; its
+    subparsers are of this class too.  ``--help`` still prints and exits
+    0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ascd",
         description="Coordinate descent with uniform, steepest and "
                     "approximate-steepest selection.")

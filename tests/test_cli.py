@@ -329,9 +329,18 @@ class TestRun:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_missing_required_flag(self, dataset):
-        with pytest.raises(SystemExit):
-            main(["run", "--data", str(dataset)])
+    def test_missing_required_flag(self, dataset, capsys):
+        assert main(["run", "--data", str(dataset)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --steps ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]],
+                             ids=["top", "run"])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: ascd" in capsys.readouterr().out
 
 
 class TestLibraryDefaults:
@@ -932,13 +941,11 @@ class TestRejectedInput:
         # rows that name no subcommand are run flags
         if argv[0].startswith("--"):
             argv = ["run", "--data", str(dataset), "--steps", "5", *argv]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        # below the usage text, one error line names the flag
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if "error:" in line]
-        assert len(errors) == 1 and flag in errors[0]
+        assert main(argv) == 2
+        # one error line, with no usage text, names the flag
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
 
     @pytest.mark.parametrize("overrides", [
         {"n_cols": 1}, {"sparsity_factor": 0.0}, {"sparsity_factor": -1.0},
