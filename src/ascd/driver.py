@@ -3,14 +3,18 @@
 One run executes a set budget of single-coordinate steps, each the exact
 minimiser of the objective along its coordinate (``step``).  Selection is
 uniform (``ucd``, with no estimate and all n as its set) or a tracked rule
-that runs the score, set and pick stages of ``selector``.  ``_scores`` is
-two-way: ``ascd-gsq`` compares bounds on the model decrease, every other
+that runs the score, set and pick stages of ``selector``.  Every score is
+in units of the step: it is scaled by the coordinate's own constant
+``L_i`` (``problem.lipschitz``), so the rules rank coordinates by the
+decrease an exact step on them gives.  ``_scores`` is two-way:
+``ascd-gsq`` compares bounds on the model decrease at ``L_i``, every other
 tracked rule runs the one segment-distance stage, ``compute_bounds``: gs-s
-at the penalty's ``lam`` for ``ascd-gss``, and its ``lam = 0`` case, the
-squared magnitude, for ``ascd``.  Every tracked rule then keeps the safe
-set.  With g1 and a true-gradient start the estimate stays exact, so the
-segment-distance rules score one array and their set is its maximisers:
-the steepest rule, which ``scd`` runs (``RunConfig.resolved``).  The pick
+over ``L_i`` at the penalty's ``lam`` for ``ascd-gss``, and its ``lam = 0``
+case, ``grad_i^2 / L_i`` (Gauss-Southwell-Lipschitz, GS-L), for ``ascd``.
+Every tracked rule then keeps the safe set.  With g1 and a true-gradient
+start the estimate stays exact, so the segment-distance rules score one
+array and their set is its maximisers: the steepest rule in units of the
+step, which ``scd`` runs (``RunConfig.resolved``).  The pick
 ``argmax-lower`` takes the best lower score (greedy; degenerates to
 hammering one coordinate when every other bound has collapsed), while
 ``uniform-set`` draws uniformly from the set, the regime the one-step
@@ -48,7 +52,9 @@ the step length ``gamma``, allocated once per run and filled in place, one
 row per step.  ``write_trace_csv`` writes them under ``TRACE_HEADER``.
 Diagnostics that need the true gradient (bound soundness, steepest
 containment, the one-step progress sandwich) fill their columns every
-``diag_every`` steps and leave NaN elsewhere.
+``diag_every`` steps and leave NaN elsewhere.  The ``tau_*`` columns are
+the exact step's decrease ``grad_i^2 / (2 L_i)``, and containment compares
+the GS-L score ``|grad_i| / sqrt(L_i)``, the units ``ascd`` ranks in.
 """
 
 from __future__ import annotations
@@ -172,19 +178,18 @@ def step(problem: CompositeProblem, state: ResidualState,
 
 
 def progress_tau(gradient: np.ndarray, active_indices: np.ndarray,
-                 lipschitz_max: float) -> tuple[float, float, float]:
-    """Expected one-step progress lower bounds of the three selection rules,
-    evaluated with the true gradient: mean over all coordinates, mean over
-    the active set, and the maximum, of ``grad_i^2 / (2L)``.  An exact
-    coordinate step decreases the objective by at least this for any
-    ``L >= L_i``, so ``lipschitz_max`` gives a bound for every coordinate.
+                 lipschitz: np.ndarray) -> tuple[float, float, float]:
+    """Expected one-step progress of the three selection rules, evaluated
+    with the true gradient: mean over all coordinates, mean over the active
+    set, and the maximum, of ``grad_i^2 / (2 L_i)`` with each coordinate's
+    own constant ``lipschitz[i]``.  On a smooth problem this is the exact
+    decrease of the coordinate step; under an l1 penalty it is the decrease
+    the smooth part alone would allow.
     """
-    gsq = np.square(gradient)
-    two_l = 2.0 * lipschitz_max
-    tau_ucd = float(gsq.mean() / two_l)
-    tau_ascd = float(gsq[active_indices].mean() / two_l)
-    tau_scd = float(gsq.max() / two_l)
-    return tau_ucd, tau_ascd, tau_scd
+    gain = np.square(gradient)
+    gain /= 2.0 * lipschitz
+    return (float(gain.mean()), float(gain[active_indices].mean()),
+            float(gain.max()))
 
 
 def progress_delta(f_prev: float, f_next: float, f_star: float) -> float:
@@ -225,7 +230,7 @@ class RunConfig:
     def resolved(self) -> tuple[str, OracleSpec | None, str, str]:
         """The score rule, oracle, init and pick the run executes: ``scd``
         runs g1 from a true-gradient start under ``argmax-lower``, scoring
-        the magnitude on a smooth problem and gs-s under l1; ``ucd`` reads
+        GS-L on a smooth problem and gs-s over ``L_i`` under l1; ``ucd`` reads
         no oracle (``None``) and no init, and runs the ``uniform-set`` pick
         on all n coordinates.  The oracle keeps its epsilon only if it is
         g2, the one kind that reads it."""
@@ -316,8 +321,9 @@ def _scores(rule: str, est: GradientEstimate, x: np.ndarray,
     """The score stage of a tracked rule, in the units the set compares."""
     reg = problem.psi_reg
     if rule == "ascd-gsq":
-        return gsq_bounds(est, x, problem.lipschitz_max, reg)
-    return compute_bounds(est, x, reg.lam if rule == "ascd-gss" else 0.0)
+        return gsq_bounds(est, x, problem.lipschitz, reg)
+    return compute_bounds(est, problem.lipschitz, x,
+                          reg.lam if rule == "ascd-gss" else 0.0)
 
 
 def run(config: RunConfig) -> RunResult:
@@ -364,7 +370,7 @@ def run(config: RunConfig) -> RunResult:
                 # a zero step changed only the last pick's g and r
                 lower, upper = score_one(
                     rule, float(est.g[i_t]), float(est.r[i_t]),
-                    float(state.x[i_t]), problem.lipschitz_max,
+                    float(state.x[i_t]), float(problem.lipschitz[i_t]),
                     problem.psi_reg)
                 # the same lower score, and an upper score reaching the
                 # best lower score before and after: every path of
@@ -392,31 +398,33 @@ def run(config: RunConfig) -> RunResult:
             cols["grad_inf"][t] = grad_inf
             cols["grad2sq"][t] = float(true_g @ true_g)
             tau_u, tau_a, tau_s = progress_tau(true_g, aset.indices,
-                                               problem.lipschitz_max)
+                                               problem.lipschitz)
             cols["tau_ucd"][t] = tau_u
             cols["tau_ascd"][t] = tau_a
             cols["tau_scd"][t] = tau_s
             tol = SOUNDNESS_SLACK * (1.0 + grad_inf)
             if tracked and np.any(np.abs(true_g - est.g) > est.r + tol):
                 sound_bad += 1
-            # only the safe set on squared magnitudes promises the sandwich
-            # and containment; ucd holds them by construction, the other
-            # scores need not
+            # only the safe set on GS-L scores promises the sandwich and
+            # containment; ucd holds them by construction, the other scores
+            # need not
             if rule == "ascd":
                 slack = SANDWICH_SLACK
                 if (tau_u > tau_a * (1 + slack) + 1e-300
                         or tau_a > tau_s * (1 + slack) + 1e-300):
                     sandwich_bad += 1
                 if len(aset) < n:
-                    # tie-tolerant: no excluded coordinate may be
-                    # meaningfully steeper than the best kept one (on l1
-                    # problems every solved coordinate sits exactly at the
-                    # penalty level, so the argmax is decided by ulp noise)
+                    # tie-tolerant: no excluded coordinate may have a GS-L
+                    # score above the best kept one once its gradient is
+                    # moved by the soundness slack towards zero
                     mask = np.zeros(n, dtype=bool)
                     mask[aset.indices] = True
-                    best_in = float(np.max(np.abs(true_g[mask])))
-                    best_out = float(np.max(np.abs(true_g[~mask])))
-                    if best_out > best_in + tol:
+                    steep = np.abs(true_g)
+                    root_l = np.sqrt(problem.lipschitz)
+                    best_in = float(np.max(steep[mask] / root_l[mask]))
+                    best_out = float(np.max((steep[~mask] - tol)
+                                            / root_l[~mask]))
+                    if best_out > best_in:
                         contain_bad += 1
 
         try:

@@ -153,7 +153,8 @@ class Regularizer:
     def model_argmin(self, x, slope, lipschitz):
         """Minimiser over y of ``slope*y + lipschitz/2 * y^2 + psi(x + y)``.
 
-        Vectorised over x/slope.  Requires ``lipschitz > 0``.
+        Vectorised over x, slope and lipschitz.  Requires
+        ``lipschitz > 0``.
         """
         if self.kind == "l1":
             z = x - slope / lipschitz
@@ -265,7 +266,6 @@ class CompositeProblem:
         self.psi_reg = (regularizer if regularizer.kind == "l1"
                         else Regularizer("none"))
         self.lipschitz = lipschitz
-        self.lipschitz_max = float(self.lipschitz.max())
 
     @property
     def n(self) -> int:

@@ -225,6 +225,9 @@ def ascd_embedding_dynamics(emb: LowDimEmbedding, steps: int, delta: float,
     x = emb.x0.copy()
     grad = emb.gradient(x)
     est = GradientEstimate.exact(grad)
+    # every support coordinate has the one curvature ``emb.inner.diag``, so
+    # unit constants rank as the coordinate constants would
+    unit = np.ones(n)
     member_prev = None
     exit_step = np.full(n, -1, dtype=np.int64)
     durations: list[int] = []
@@ -235,7 +238,7 @@ def ascd_embedding_dynamics(emb: LowDimEmbedding, steps: int, delta: float,
     exits = entries = 0
 
     for t in range(steps):
-        aset = active_set(compute_bounds(est))
+        aset = active_set(compute_bounds(est, unit))
         member = np.zeros(n, dtype=bool)
         member[aset.indices] = True
         if member_prev is not None:

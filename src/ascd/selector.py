@@ -4,23 +4,26 @@ Uniform selection only draws from all n.  The tracked rules keep, for every
 coordinate, an estimate of the smooth partial gradient with a certified
 error radius, and select in three stages; steepest selection is a tracked
 rule on an exact estimate.  The *score* stage brackets each coordinate's
-score in a ``Bounds`` interval, larger being better, in the units the set
-compares: the squared steepest directional derivative (gs-s) or the best
-model decrease (gs-q).  gs-s is one segment-distance stage,
-``compute_bounds``: the squared distance from the gradient to
-``-subdiff lam|x_i|``; the squared gradient magnitude of ``ascd`` is its
-``lam = 0`` case.  An exact estimate (every radius 0,
-``GradientEstimate.is_exact``) scores once: the stage evaluates the squared
-distance at ``g`` and returns that one array as both bounds
-(``lower is upper``).  gs-q keeps two bounds even then, because its lower
-bound keeps the ``y = 0`` fallback, a decrease of 0.  ``score_one`` scores one
-coordinate on Python floats, for the loop's rescoring after a zero step; it
-returns the bits the array stages give that coordinate, signed zeros
-included.  The *set* stage, ``active_set``, keeps the smallest prefix, in
-descending order of the lower score, that provably contains the best
-coordinate.  It tries, in order: all of [n] when every upper score reaches
-the best lower score, the maximisers of one array of scores, an O(n) screen
-for the prefix length, and a full sort as the fallback.  The *pick*,
+score in a ``Bounds`` interval, larger being better, in units of the
+decrease an exact step on the coordinate gives: every score is scaled by
+the coordinate's own constant ``L_i``.  gs-s is one segment-distance
+stage, ``compute_bounds``: the squared distance from the gradient to
+``-subdiff lam|x_i|``, over ``L_i``; its ``lam = 0`` case, the ``ascd``
+score, is ``grad_i^2 / L_i``, twice the decrease of the exact step, the
+Gauss-Southwell-Lipschitz (GS-L) rule.  gs-q brackets the best decrease of
+the coordinate model at ``L_i``, ``psi(x_i) - min_y V_i``, itself the exact
+step's decrease.  An exact estimate (every radius 0,
+``GradientEstimate.is_exact``) scores once: the stage evaluates the score
+at ``g`` and returns that one array as both bounds (``lower is upper``).
+gs-q keeps two bounds even then, because its lower bound keeps the
+``y = 0`` fallback, a decrease of 0.  ``score_one`` scores one coordinate
+on Python floats, for the loop's rescoring after a zero step; it returns
+the bits the array stages give that coordinate, signed zeros included.
+The *set* stage, ``active_set``, keeps the smallest prefix, in descending
+order of the lower score, that provably contains the best coordinate.  It
+tries, in order: all of [n] when every upper score reaches the best lower
+score, the maximisers of one array of scores, an O(n) screen for the
+prefix length, and a full sort as the fallback.  The *pick*,
 ``select_ascd``, draws among the best lower scores of the set; the safe set
 keeps every maximiser of the lower score, whose upper score reaches every
 prefix average.  The loop draws every rule's picks through one
@@ -86,9 +89,10 @@ class Bounds:
     """Per-coordinate score interval ``lower <= score_i <= upper``.
 
     Larger scores are better; every score stage returns its scores in the
-    units ``active_set`` compares, and ``compute_bounds`` this interval for
-    the squared gs-s scores, ``grad_i^2`` at ``lam = 0``.  Known scores are
-    one array given as both bounds (``lower is upper``).
+    units ``active_set`` compares, those of an exact step's decrease, and
+    ``compute_bounds`` this interval for the squared gs-s scores over
+    ``L_i``, ``grad_i^2 / L_i`` at ``lam = 0``.  Known scores are one array
+    given as both bounds (``lower is upper``).
     """
 
     upper: np.ndarray
@@ -117,27 +121,35 @@ class ActiveSet:
         return int(self.indices.size)
 
 
-def _distance_range(lo: np.ndarray, hi: np.ndarray, a, b) -> Bounds:
-    """Range of the squared distance from t in [lo, hi] to the segment
-    [a, b], computed in place: ``lo`` and ``hi`` must be fresh arrays,
-    and they are overwritten."""
-    lower = np.subtract(a, hi)
-    upper = np.subtract(a, lo)
-    np.maximum(lower, np.subtract(lo, b, out=lo), out=lower)
-    np.maximum(upper, np.subtract(hi, b, out=hi), out=upper)
-    np.maximum(lower, 0.0, out=lower)
-    np.maximum(upper, 0.0, out=upper)
-    return Bounds(upper=np.square(upper, out=upper),
-                  lower=np.square(lower, out=lower))
+def _distance_range(g: np.ndarray, r: np.ndarray, a, b,
+                    lipschitz: np.ndarray) -> Bounds:
+    """Range of the squared distance from t in ``[g - r, g + r]`` to the
+    segment ``[a, b]``, over ``lipschitz``.  Both bounds are rows of one
+    fresh ``(2, n)`` array, so each operation runs once on both:
+    ``max(a - hi, lo - b, 0)`` in row 0, the lower bound, and
+    ``max(a - lo, hi - b, 0)`` in row 1, the upper."""
+    ends = np.empty((2, g.size))
+    np.add(g, r, out=ends[0])
+    np.subtract(g, r, out=ends[1])
+    d = np.subtract(a, ends)
+    # (hi - b, lo - b), read in reverse
+    np.subtract(ends, b, out=ends)
+    np.maximum(d, ends[::-1], out=d)
+    np.maximum(d, 0.0, out=d)
+    np.square(d, out=d)
+    np.divide(d, lipschitz, out=d)
+    return Bounds(upper=d[1], lower=d[0])
 
 
-def compute_bounds(estimate: GradientEstimate, x: np.ndarray | None = None,
-                   lam: float = 0.0) -> Bounds:
-    """Bounds on the squared gs-s score: the squared distance from the
-    gradient to ``-subdiff lam|x_i|``, the segment ``[-lam, lam]`` when
+def compute_bounds(estimate: GradientEstimate, lipschitz: np.ndarray,
+                   x: np.ndarray | None = None, lam: float = 0.0) -> Bounds:
+    """Bounds on the gs-s score in units of the step: the squared distance
+    from the gradient to ``-subdiff lam|x_i|``, over the coordinate's
+    constant ``lipschitz[i]``.  The segment is ``[-lam, lam]`` when
     ``x_i = 0`` (so ``max(|g| - lam, 0)``) and the point
-    ``-lam * sign(x_i)`` otherwise.  ``lam = 0`` is the squared gradient
-    magnitude ``grad_i^2``, the ``ascd`` score; it reads no ``x``.
+    ``-lam * sign(x_i)`` otherwise.  ``lam = 0`` is ``grad_i^2 / L_i``,
+    the ``ascd`` score (GS-L): twice the decrease of an exact step on a
+    smooth problem; it reads no ``x``.
 
     With the gradient only known to lie in ``g +- r`` the score ranges over
     the distances from that interval: the lower bound is 0 when the
@@ -145,31 +157,37 @@ def compute_bounds(estimate: GradientEstimate, x: np.ndarray | None = None,
     lower) = (inf, 0)``.  The interval takes the scalar segment
     ``[-lam, lam]`` over all n and recomputes x's support with its point
     segment: elementwise, these are the operations of per-coordinate
-    segment arrays, so the same bits.
+    segment arrays, so the same bits.  Both bounds are divided by
+    ``lipschitz`` in place.
 
-    An exact estimate scores once, one fresh array as both bounds:
-    ``max(|g| - lam, 0)`` over all n, then ``|g + lam * sign(x_i)|`` on x's
-    support only, squared in place.  It has the bits of ``_distance_range``
-    at ``lo = hi = g``: at ``x_i = 0``, ``max(-lam - g, g - lam)`` is
-    exactly ``|g| - lam``, and at ``x_i != 0``, ``a - g`` is exactly
-    ``-(g + lam * sign(x_i))``, since rounding a sum commutes with negating
-    it; a zero score is ``+0.0`` either way.
+    An exact estimate scores once, one fresh array as both bounds.  At
+    ``lam = 0`` it squares ``g`` directly, the bits of squaring ``|g|``.
+    Otherwise it takes ``max(|g| - lam, 0)`` over all n, then
+    ``|g + lam * sign(x_i)|`` on x's support only, squared in place.  It
+    has the bits of ``_distance_range`` at ``r = 0``: at ``x_i = 0``,
+    ``max(-lam - g, g - lam)`` is exactly ``|g| - lam``, and at
+    ``x_i != 0``, ``a - g`` is exactly ``-(g + lam * sign(x_i))``, since
+    rounding a sum commutes with negating it; a zero score is ``+0.0``
+    either way.  The division follows, in place, as on the interval.
     """
     g, r = estimate.g, estimate.r
     nz = (x != 0.0).nonzero()[0] if lam else ()
     if estimate.is_exact:
-        d = np.abs(g)
         if lam:
+            d = np.abs(g)
             d -= lam
             np.maximum(d, 0.0, out=d)
             if len(nz):
                 d[nz] = np.abs(g[nz] + lam * np.sign(x[nz]))
-        np.square(d, out=d)
+            np.square(d, out=d)
+        else:
+            d = np.square(g)
+        np.divide(d, lipschitz, out=d)
         return Bounds(upper=d, lower=d)
-    scores = _distance_range(g - r, g + r, -lam, lam)
+    scores = _distance_range(g, r, -lam, lam, lipschitz)
     if len(nz):
         a = -lam * np.sign(x[nz])
-        on = _distance_range(g[nz] - r[nz], g[nz] + r[nz], a, a)
+        on = _distance_range(g[nz], r[nz], a, a, lipschitz[nz])
         scores.lower[nz], scores.upper[nz] = on.lower, on.upper
     return scores
 
@@ -357,10 +375,12 @@ def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,
 # ---------------------------------------------------------------------------
 
 
-def gsq_bounds(estimate: GradientEstimate, x: np.ndarray, lipschitz: float,
-               reg: Regularizer) -> Bounds:
+def gsq_bounds(estimate: GradientEstimate, x: np.ndarray,
+               lipschitz: np.ndarray, reg: Regularizer) -> Bounds:
     """Sandwich the best model decrease ``psi(x_i) - min_y V_i`` using the
     signed gradient interval; a larger decrease is a better coordinate.
+    The model of coordinate i has curvature ``lipschitz[i]``: at its own
+    ``L_i`` the decrease is that of the exact step.
 
     Evaluates the model at the minimisers for the two endpoint slopes; the
     upper score is ``psi(x_i)`` minus the better of the two values, the
@@ -423,14 +443,16 @@ def score_one(rule: str, g: float, r: float, x: float, lipschitz: float,
     The float counterpart of ``driver._scores``, in the same units:
     ``gsq_bounds`` for ``ascd-gsq``, else ``compute_bounds`` at ``reg.lam``
     for ``ascd-gss`` and at ``lam = 0`` for ``ascd``.  ``g`` and ``r`` are
-    one coordinate of a ``GradientEstimate``, ``x`` its iterate and ``reg``
-    the composite penalty (``none`` or ``l1``).  It returns the bits that a
-    full scoring gives the coordinate, signed zeros included: the array
-    stages are elementwise, ``_fmax`` and ``_fmin`` resolve ties as
-    ``np.maximum`` and ``np.minimum`` do, and a square is ``v * v``, as
-    ``np.square`` is.  At ``r = 0`` the segment distance of ``g - r`` and
-    ``g + r`` has the bits of an exact estimate's one array: a nonzero
-    ``g +- 0`` is ``g``, and every zero distance ends as ``+0.0``.
+    one coordinate of a ``GradientEstimate``, ``x`` its iterate,
+    ``lipschitz`` its constant ``L_i`` and ``reg`` the composite penalty
+    (``none`` or ``l1``).  It returns the bits that a full scoring gives
+    the coordinate, signed zeros included: the array stages are
+    elementwise, ``_fmax`` and ``_fmin`` resolve ties as ``np.maximum`` and
+    ``np.minimum`` do, a square is ``v * v``, as ``np.square`` is, and the
+    segment distance is divided by ``L_i`` as the array is.  At ``r = 0``
+    the segment distance of ``g - r`` and ``g + r`` has the bits of an
+    exact estimate's one array: a nonzero ``g +- 0`` is ``g``, squaring
+    ``g`` is squaring ``|g|``, and every zero distance ends as ``+0.0``.
     """
     if rule == "ascd-gsq":
         psi0 = reg.psi_one(x)
@@ -452,4 +474,5 @@ def score_one(rule: str, g: float, r: float, x: float, lipschitz: float,
         a, b = -lam, lam
     else:
         a = b = -lam * math.copysign(1.0, x)
-    return _distance_range_one(g - r, g + r, a, b)
+    lower, upper = _distance_range_one(g - r, g + r, a, b)
+    return lower / lipschitz, upper / lipschitz

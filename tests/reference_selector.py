@@ -4,13 +4,15 @@
 sorts only when the screen cannot decide; ``sorted_active_set`` here always
 runs the full stable sort, the definition the screen must reproduce.
 ``gss_exact_squared`` is the gs-s score of an exact estimate as the squared
-segment distance over all n, the units every score stage returns; the
-one-pass score of ``ascd.selector.compute_bounds``, the one segment-distance
-stage, must give its bits, under ``ascd-gss`` and under ``ascd``, its
-``lam = 0`` case.  ``gss_interval_squared`` is the gs-s score interval with
-per-coordinate segment arrays built by ``np.where`` and one fresh temporary
-per operation; the scalar segment and support patch of the in-place
-interval score must give its bits.
+segment distance over all n, divided by each coordinate's constant ``L_i``:
+the units of an exact step's decrease, which every score stage returns.
+The one-pass score of ``ascd.selector.compute_bounds``, the one
+segment-distance stage, must give its bits, under ``ascd-gss`` and under
+``ascd``, its ``lam = 0`` case (GS-L).  ``gss_interval_squared`` is the gs-s
+score interval with per-coordinate segment arrays built by ``np.where`` and
+one fresh temporary per operation, over ``L_i``; the scalar segment,
+support patch and in-place division of the interval score must give its
+bits.
 """
 
 import numpy as np
@@ -38,14 +40,15 @@ def sorted_active_set(scores: Bounds) -> ActiveSet:
     return ActiveSet(indices=np.sort(order[:k]), avg_score=float(av[k - 1]))
 
 
-def gss_exact_squared(g: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
+def gss_exact_squared(g: np.ndarray, x: np.ndarray, lam: float,
+                      lipschitz: np.ndarray) -> np.ndarray:
     """Squared distance from g to the segment ``[a, b] = -subdiff lam|x_i|``
-    of every coordinate."""
+    of every coordinate, over ``lipschitz``."""
     at_zero = x == 0.0
     a = np.where(at_zero, -lam, -lam * np.sign(x))
     b = np.where(at_zero, lam, a)
     d = np.maximum(np.maximum(a - g, g - b), 0.0)
-    return d ** 2
+    return d ** 2 / lipschitz
 
 
 def _distance_range(lo, hi, a, b) -> Bounds:
@@ -58,10 +61,12 @@ def _distance_range(lo, hi, a, b) -> Bounds:
 
 
 def gss_interval_squared(g: np.ndarray, r: np.ndarray, x: np.ndarray,
-                         lam: float) -> Bounds:
+                         lam: float, lipschitz: np.ndarray) -> Bounds:
     """Squared distance range from ``g +- r`` to the segment
-    ``-subdiff lam|x_i|`` of every coordinate."""
+    ``-subdiff lam|x_i|`` of every coordinate, over ``lipschitz``."""
     at_zero = x == 0.0
     a = np.where(at_zero, -lam, -lam * np.sign(x))
     b = np.where(at_zero, lam, a)
-    return _distance_range(g - r, g + r, a, b)
+    squared = _distance_range(g - r, g + r, a, b)
+    return Bounds(upper=squared.upper / lipschitz,
+                  lower=squared.lower / lipschitz)

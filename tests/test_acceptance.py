@@ -87,10 +87,11 @@ def test_criterion_02_containment(tracked_runs):
 
 def test_criterion_03_exactness_collapse():
     # scd is the tracked path on exact rows; the reference recomputes the
-    # full gradient every step.  On the ridge the picks must be equal.  On
-    # the lasso, solved coordinates tie at the penalty level up to
-    # rounding, so every scd pick must be a tie-tolerant brute-force gs-s
-    # maximiser; the smooth-magnitude argmax, the negative control, is not
+    # full gradient every step.  Both rank in units of the step, over
+    # sqrt(L_i).  On the ridge the picks must be equal.  On the lasso,
+    # solved coordinates sit at the penalty level up to rounding, so every
+    # scd pick must be a tie-tolerant brute-force gs-s maximiser; the
+    # smooth GS-L argmax (ascd), the negative control, is not
     magnitude_off = 0
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
@@ -122,7 +123,7 @@ def test_criterion_03_exactness_collapse():
     assert magnitude_off > 0
     print("\nACCEPTANCE 3 (exact oracle + true-gradient init reproduces "
           "brute-force steepest sequences, 10 ridge and 10 lasso instances "
-          f"x 10n steps; the smooth-magnitude argmax leaves the lasso's "
+          f"x 10n steps; the smooth GS-L argmax leaves the lasso's "
           f"steepest set on {magnitude_off}/10): PASS")
 
 
@@ -288,7 +289,8 @@ def test_criterion_08_active_set_vs_exhaustive():
         n = int(rng.integers(2, 9))
         g = rng.normal(0.0, 2.0, n)
         r = np.where(rng.random(n) < 0.1, np.inf, rng.uniform(0.0, 2.0, n))
-        bounds = compute_bounds(GradientEstimate(g=g, r=r))
+        bounds = compute_bounds(GradientEstimate(g=g, r=r),
+                                rng.uniform(0.1, 10.0, n))
         lsq, usq = bounds.lower, bounds.upper
         aset = active_set(bounds)
         # validity of the certificate is asserted unconditionally

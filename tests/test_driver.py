@@ -254,6 +254,24 @@ class TestProgressTau:
         tau_u, _, tau_s = progress_tau(g, np.arange(n), 1.0)
         assert tau_u == pytest.approx(tau_s / n)
 
+    def test_per_coordinate_constants(self):
+        # each gain is g_i^2 / (2 L_i), the exact step's decrease: 0.5 and
+        # 1.0 here, so the steeper gradient is the smaller gain
+        tau_u, tau_a, tau_s = progress_tau(np.array([3.0, 1.0]),
+                                           np.array([0]),
+                                           np.array([9.0, 0.5]))
+        assert (tau_u, tau_a, tau_s) == (0.75, 0.5, 1.0)
+
+    def test_gain_is_the_exact_step_decrease(self):
+        prob = random_problem(4, reg=Regularizer("l2", 0.3))
+        state = prob.residual_state(np.linspace(-1.0, 1.0, prob.n))
+        g = prob.full_gradient(state)
+        _, _, tau_s = progress_tau(g, np.arange(prob.n), prob.lipschitz)
+        i = int(np.argmax(np.square(g) / prob.lipschitz))
+        f = prob.objective(state)
+        step(prob, state, i)
+        assert f - prob.objective(state) == pytest.approx(tau_s, rel=1e-9)
+
 
 class TestProgressDelta:
     def test_halving(self):
@@ -272,7 +290,7 @@ class TestProgressDelta:
         prob = CompositeProblem(ColumnSparseMatrix.from_dense(A), b)
         xstar, *_ = np.linalg.lstsq(A, b, rcond=None)
         fstar = prob.objective(prob.residual_state(xstar))
-        L = prob.lipschitz_max
+        L = float(prob.lipschitz.max())
         st = prob.residual_state()
         f_prev = prob.objective(st)
         for _ in range(200):
@@ -354,12 +372,12 @@ class TestRun:
                 bad.append(("ties", len(in_use)))
             return i
 
-        def tau(gradient, indices, lipschitz_max):
+        def tau(gradient, indices, lipschitz):
             want = real_set(real_scores(*full[0]))
             if not np.array_equal(indices, want.indices):
                 bad.append(("set", len(in_use)))
             in_use.append(indices)
-            return progress_tau(gradient, indices, lipschitz_max)
+            return progress_tau(gradient, indices, lipschitz)
 
         for name, spy in (("_scores", scores), ("active_set", counted),
                           ("select_ascd", pick), ("progress_tau", tau)):
@@ -376,12 +394,12 @@ class TestRun:
                 # scd runs the ascd-gss g1 true-gradient cells
                 (lasso, dead), [r for r in RULES if r not in ("ucd", "scd")],
                 ("argmax-lower", "uniform-set"),
-                (("g1", "true-gradient"), ("g4", "none"))):
+                (("g1", "true-gradient"), ("g4", "none"), ("g2", "none"))):
             full.clear(), in_use.clear(), computed.clear()
             res = run(RunConfig(problem=prob, steps=3 * prob.n, rule=rule,
                                 pick=pick_mode,
-                                oracle=OracleSpec(kind, seed=2), seed=1,
-                                init=init, diag_every=1))
+                                oracle=OracleSpec(kind, epsilon=0.1, seed=2),
+                                seed=1, init=init, diag_every=1))
             assert bad == [], (rule, pick_mode, kind)
             assert len(in_use) == res.t.size
             # the first step and every step after a useful one recompute
@@ -391,7 +409,8 @@ class TestRun:
             assert set(range(res.t.size)) - after_zero <= set(computed)
             kept[rule] += len(after_zero - set(computed))
             fell_through[rule] += len(after_zero & set(computed))
-        # a gs-q zero step can change the picked coordinate's lower score
+        # a gs-q zero step can change the picked coordinate's lower score;
+        # scored at each L_i, it does so here on the g2 cells
         assert kept["ascd-gsq"] > 0 and fell_through["ascd-gsq"] > 0
         assert kept.total() > 0 and fell_through.total() > 0
 
@@ -438,9 +457,9 @@ class TestRun:
                 assert res.sandwich_violations == 0, (kind, init)
 
     def test_sandwich_counted_for_ascd_only(self):
-        # the gs-q set makes no promise about squared gradient magnitudes,
-        # so its runs report no sandwich violations even when the ordering
-        # fails on them
+        # the gs-q set makes no promise about GS-L scores, so its runs
+        # report no sandwich violations even when the ordering fails on
+        # them
         m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=1))
         lam = 0.1 * float(np.max(np.abs(m.col_dots(b))))
         prob = CompositeProblem(m, b, Regularizer("l1", lam))
@@ -705,32 +724,36 @@ def _grid_problems():
 # rescored only its coordinate; every lasso cell takes zero steps.  The
 # lasso ascd-gsq cells were re-recorded when gs-q began to rank by the
 # model decrease psi(x_i) - min V, in place of -min V: their picks moved.
-# The ridge ascd-gsq cells did not, since psi = 0 there
+# The ridge ascd-gsq cells did not, since psi = 0 there.  Every cell whose
+# picks moved was re-recorded when the scores took units of the step (each
+# score over its own L_i, gs-q at L_i in place of L_max): the ridge g1
+# cells and scd end 3n steps at f/f0 = 2.557e-4 where they ended at
+# 1.185e-3, and the ucd cells did not move
 SAME_RESULTS = {
     ("ridge", "ascd", "argmax-lower", "g1", "true-gradient"):
-        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
+        ("f5cd7b880a058a6e", "16e6cd06f6731d96"),
     ("ridge", "ascd", "uniform-set", "g1", "true-gradient"):
-        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
+        ("f5cd7b880a058a6e", "16e6cd06f6731d96"),
     ("ridge", "ascd-gss", "argmax-lower", "g1", "true-gradient"):
-        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
+        ("f5cd7b880a058a6e", "16e6cd06f6731d96"),
     ("ridge", "ascd-gss", "uniform-set", "g1", "true-gradient"):
-        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
+        ("f5cd7b880a058a6e", "16e6cd06f6731d96"),
     ("ridge", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
-        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
+        ("f5cd7b880a058a6e", "16e6cd06f6731d96"),
     ("ridge", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
-        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
+        ("f5cd7b880a058a6e", "16e6cd06f6731d96"),
     ("lasso", "ascd", "argmax-lower", "g1", "true-gradient"):
-        ("31b207cf4bb25a16", "ecf2ca3f8be615e6"),
+        ("8749b8291386a9e6", "96c567b669458c20"),
     ("lasso", "ascd", "uniform-set", "g1", "true-gradient"):
-        ("31b207cf4bb25a16", "ecf2ca3f8be615e6"),
+        ("8749b8291386a9e6", "96c567b669458c20"),
     ("lasso", "ascd-gss", "argmax-lower", "g1", "true-gradient"):
         ("abd59c0d130319d9", "ecf2ca3f8be615e6"),
     ("lasso", "ascd-gss", "uniform-set", "g1", "true-gradient"):
         ("abd59c0d130319d9", "ecf2ca3f8be615e6"),
     ("lasso", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
-        ("bbeefb616e138808", "ecf2ca3f8be615e6"),
+        ("92b5ee6b5c75d76e", "ecf2ca3f8be615e6"),
     ("lasso", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
-        ("bbeefb616e138808", "ecf2ca3f8be615e6"),
+        ("92b5ee6b5c75d76e", "ecf2ca3f8be615e6"),
     ("ridge", "ascd", "uniform-set", "g3", "true-gradient"):
         ("485964416a876b81", "f25aa42b309fb236"),
     ("lasso", "ascd-gss", "argmax-lower", "g4", "none"):
@@ -741,28 +764,32 @@ SAME_RESULTS = {
         ("7e463b7f5e240179", "4cf218d0b11230d4"),
     ("lasso", "ascd-gss", "argmax-lower", "g4", "true-gradient"):
         ("50e43accb1614b27", "d2703b5d479dc943"),
+    # every lower score is 0 here, so the picks are ucd's
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "none"):
-        ("dd1224f96d9f34dd", "0c0c451700e2299f"),
+        ("0b22cd75d2bdf587", "2d8950116879110b"),
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "true-gradient"):
         ("50e43accb1614b27", "d2703b5d479dc943"),
     ("lasso", "ascd-gsq", "uniform-set", "g3", "true-gradient"):
         ("50e43accb1614b27", "d2703b5d479dc943"),
     # 10n steps: ranked by the model decrease, this cell takes its first
-    # zero step at step 240
+    # zero step at step 120
     ("lasso", "ascd-gsq", "argmax-lower", "g2", "none", "10n"):
-        ("046ace7119ccd8d7", "3b513ebe26eda3c9"),
+        ("d7923d8c7d37d045", "19cc2a218da77b7f"),
     # 12n steps, recorded before a zero step kept the objective: a zero
     # step ends epoch 10, so the residual refresh alone must drop the
     # kept objective, whose bits it changes
     ("lasso", "ascd-gss", "argmax-lower", "g4", "true-gradient", "12n"):
         ("95396e371f031332", "8864938aa4ee9352"),
     ("lasso", "ascd-gsq", "uniform-set", "g4", "none", "12n"):
-        ("0078a09408ee359d", "2377b3777643bdc7"),
-    # 12n steps on g4 from "none": this cell draws 6 pick blocks and
-    # rewinds the generator at no pool size change, and the uniform-set
-    # cell above draws 11 blocks and rewinds at 2 set size changes
+        ("04e47178fc9b9b6b", "2377b3777643bdc7"),
+    # 12n steps on g4 from "none": this cell and the uniform-set cell
+    # above draw 6 pick blocks each and rewind the generator at no pool
+    # size change; the ascd cell below draws 9 blocks and rewinds at 2 set
+    # size changes
     ("lasso", "ascd-gsq", "argmax-lower", "g4", "none", "12n"):
-        ("eda6fd6234edbc89", "a5d50900abcf2b19"),
+        ("2d5e74345081373c", "1b1d059ac0934519"),
+    ("lasso", "ascd", "uniform-set", "g3", "true-gradient", "12n"):
+        ("bbe1b7d548d2d7c9", "62fdbef6a0587f50"),
     # recorded after a zero step rescored and stepped on Python floats;
     # both take zero steps (39 and 74 of 3n).  The ascd-gss cell's picks
     # are ucd's, as are those of its argmax-lower twin above
@@ -773,12 +800,13 @@ SAME_RESULTS = {
     # The scd and ucd cells end in "line_search", which names the one
     # update and keeps their test ids.  scd reads no pick, oracle or init:
     # it runs argmax-lower on g1 rows from a true-gradient start.  The
-    # ridge digest was recorded when scd recomputed the full gradient every
-    # step and is unchanged.  The lasso digest moved when scd began to
-    # score with gs-s, the composite steepest rule, in place of the smooth
-    # gradient magnitude: it is the ascd-gss g1 true-gradient cell's
+    # ridge digest moved when scd began to rank by grad_i^2 / L_i (GS-L)
+    # and is the ridge ascd g1 true-gradient cell's.  The lasso digest
+    # moved when scd began to score with gs-s, the composite steepest rule,
+    # in place of the smooth gradient magnitude: it is the ascd-gss g1
+    # true-gradient cell's, and it did not move under GS-L
     ("ridge", "scd", "uniform-set", "g4", "none", "line_search"):
-        ("31c436765d041367", "e7e2b2b60b9ac1c3"),
+        ("f5cd7b880a058a6e", "16e6cd06f6731d96"),
     ("lasso", "scd", "uniform-set", "g4", "none", "line_search"):
         ("abd59c0d130319d9", "ecf2ca3f8be615e6"),
     # ucd reads no pick, oracle or init

@@ -42,6 +42,12 @@ def kink_range(score, e, lam):
     return vals.min(axis=0), vals.max(axis=0)
 
 
+def _lipschitz(n):
+    """Coordinate constants from 1e-3 to 1e3, with exact ones."""
+    return arrays(np.float64, n, elements=st.one_of(st.just(1.0),
+                                                    st.floats(1e-3, 1e3)))
+
+
 def _estimates(n):
     """Estimates with some zero gradients and some zero or infinite radii."""
     grad = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
@@ -52,30 +58,36 @@ def _estimates(n):
 
 class TestComputeBounds:
     def test_plain_interval(self):
-        b = compute_bounds(est([2.0], [0.5]))
-        assert b.upper[0] == 6.25 and b.lower[0] == 2.25
+        # scores in units of the step: the squared interval over L_i = 2
+        b = compute_bounds(est([2.0], [0.5]), np.array([2.0]))
+        assert b.upper[0] == 3.125 and b.lower[0] == 1.125
 
     def test_straddling_zero(self):
-        b = compute_bounds(est([-1.0], [3.0]))
-        assert b.upper[0] == 16.0 and b.lower[0] == 0.0
+        b = compute_bounds(est([-1.0], [3.0]), np.array([4.0]))
+        assert b.upper[0] == 4.0 and b.lower[0] == 0.0
 
     def test_uninformed(self):
-        b = compute_bounds(GradientEstimate.uninformed(3))
+        b = compute_bounds(GradientEstimate.uninformed(3), np.full(3, 0.5))
         assert np.all(np.isinf(b.upper)) and np.all(b.lower == 0.0)
 
     def test_exact_collapse(self):
+        # GS-L: the exact score is grad_i^2 / L_i
         g = np.array([1.0, -2.0, 0.0])
-        b = compute_bounds(GradientEstimate.exact(g))
-        assert_allclose(b.upper, np.square(g))
-        assert_allclose(b.lower, np.square(g))
+        lipschitz = np.array([4.0, 2.0, 0.5])
+        b = compute_bounds(GradientEstimate.exact(g), lipschitz)
+        assert list(b.upper) == [0.25, 2.0, 0.0]
+        assert b.lower is b.upper
 
-    @given(st.integers(1, 20).flatmap(_estimates))
-    def test_tight(self, e):
-        # the interval is exactly the range of t^2, not just a cover of it
-        b = compute_bounds(e)
+    @given(st.integers(1, 20).flatmap(
+        lambda n: st.tuples(_estimates(n), _lipschitz(n))))
+    def test_tight(self, drawn):
+        # the interval is exactly the range of t^2 / L_i, not just a cover
+        # of it
+        e, lipschitz = drawn
+        b = compute_bounds(e, lipschitz)
         lower, upper = kink_range(np.square, e, 0.0)
-        assert np.array_equal(b.lower, lower)
-        assert np.array_equal(b.upper, upper)
+        assert np.array_equal(b.lower, lower / lipschitz)
+        assert np.array_equal(b.upper, upper / lipschitz)
 
 
 _FINITE = st.floats(-1e100, 1e100)
@@ -100,7 +112,7 @@ def _sound_estimate(n):
 
 class TestActiveSet:
     def test_all_unknown_keeps_everything(self):
-        b = compute_bounds(GradientEstimate.uninformed(5))
+        b = compute_bounds(GradientEstimate.uninformed(5), np.ones(5))
         assert list(active_set(b).indices) == list(range(5))
 
     def test_exact_separated(self):
@@ -123,22 +135,24 @@ class TestActiveSet:
             n = int(rng.integers(1, 9))
             g = rng.normal(0, 2, n)
             r = np.where(rng.random(n) < 0.15, np.inf, rng.uniform(0, 2, n))
-            b = compute_bounds(est(g, r))
+            b = compute_bounds(est(g, r), rng.uniform(0.1, 10.0, n))
             aset = active_set(b)
             outside = np.setdiff1d(np.arange(n), aset.indices)
             assert np.all(b.upper[outside] < aset.avg_score)
             assert int(np.argmax(b.upper)) in aset.indices
 
-    @given(st.integers(1, 30).flatmap(_sound_estimate))
+    @given(st.integers(1, 30).flatmap(
+        lambda n: st.tuples(_sound_estimate(n), _lipschitz(n))))
     def test_sound_intervals_keep_steepest_and_sandwich(self, drawn):
-        # the promise the driver's sandwich counter relies on, for any
-        # sound estimate: the steepest coordinate stays in the set and the
-        # in-set mean of g^2 is at least the overall mean
-        g_true, e = drawn
-        aset = active_set(compute_bounds(e))
-        ag = np.abs(g_true)
-        assert np.max(ag[aset.indices]) >= np.max(ag) * (1 - 1e-12)
-        tau_u, tau_a, _ = progress_tau(g_true, aset.indices, 1.0)
+        # the promise the driver's containment and sandwich counters rely
+        # on, for any sound estimate: the coordinate with the best GS-L
+        # score |g|/sqrt(L_i) stays in the set and the in-set mean of
+        # g^2/(2 L_i) is at least the overall mean
+        (g_true, e), lipschitz = drawn
+        aset = active_set(compute_bounds(e, lipschitz))
+        gain = np.square(g_true) / lipschitz
+        assert np.max(gain[aset.indices]) >= np.max(gain) * (1 - 1e-12)
+        tau_u, tau_a, _ = progress_tau(g_true, aset.indices, lipschitz)
         assert tau_u <= tau_a * (1 + SANDWICH_SLACK) + 1e-300
 
     @given(st.integers(1, 20).flatmap(lambda n: st.tuples(
@@ -155,7 +169,7 @@ class TestActiveSet:
         # average, so the safe set keeps it, and the pick over the set is a
         # uniform draw over all maximisers
         e, x, (kind, lam), seed = drawn
-        for scores in (compute_bounds(e),
+        for scores in (compute_bounds(e, np.full(x.size, 1.5)),
                        gsq_bounds(e, x, 1.5, Regularizer(kind, lam))):
             best = np.flatnonzero(scores.lower == scores.lower.max())
             aset = active_set(scores)
@@ -172,7 +186,8 @@ class TestActiveSet:
         trials = 300
         for _ in range(trials):
             n = int(rng.integers(2, 8))
-            b = compute_bounds(est(rng.normal(0, 2, n), rng.uniform(0, 2, n)))
+            b = compute_bounds(est(rng.normal(0, 2, n), rng.uniform(0, 2, n)),
+                               rng.uniform(0.1, 10.0, n))
             aset = active_set(b)
             lsq, usq = b.lower, b.upper
             order = np.argsort(-lsq, kind="stable")
@@ -206,9 +221,9 @@ def _tied_estimates(n):
 
 
 def _both_scores(drawn):
-    """Squared magnitude and gs-q scores of one estimate."""
+    """GS-L and gs-q scores of one estimate."""
     e, x, (kind, lam) = drawn
-    return (compute_bounds(e),
+    return (compute_bounds(e, np.full(x.size, 1.5)),
             gsq_bounds(e, x, 1.5, Regularizer(kind, lam)))
 
 
@@ -385,8 +400,11 @@ class TestExactEstimate:
         g, x = drawn
         exact, zero = GradientEstimate.exact(g), est(g, np.zeros_like(g))
         assert exact.is_exact and not zero.is_exact
-        pairs = [(compute_bounds(exact), compute_bounds(zero)),
-                 (compute_bounds(exact, x, 0.5), compute_bounds(zero, x, 0.5))]
+        lipschitz = np.linspace(0.5, 3.0, g.size)
+        pairs = [(compute_bounds(exact, lipschitz),
+                  compute_bounds(zero, lipschitz)),
+                 (compute_bounds(exact, lipschitz, x, 0.5),
+                  compute_bounds(zero, lipschitz, x, 0.5))]
         for got, want in pairs:
             assert got.lower is got.upper
             assert np.array_equal(got.lower, want.lower)
@@ -405,7 +423,7 @@ class TestExactEstimate:
         assert e.is_exact
         update_estimates(e, 0, 0.5, np.array([0.0, 4.0]), np.zeros(2), 0.25)
         assert not e.is_exact
-        b = compute_bounds(e)
+        b = compute_bounds(e, np.ones(2))
         assert b.lower is not b.upper
 
 
@@ -455,17 +473,19 @@ class TestPicks:
         assert draws.release().bit_generator.state == rng.bit_generator.state
 
     def test_ascd_exact_equals_scd(self):
+        # the pick is the GS-L maximiser, the best exact step
         rng = np.random.default_rng(5)
         for _ in range(50):
             g = rng.normal(0, 3, 12)
+            lipschitz = rng.uniform(0.1, 10.0, 12)
             e = GradientEstimate.exact(g)
-            b = compute_bounds(e)
+            b = compute_bounds(e, lipschitz)
             pick = select_ascd(b, active_set(b), rng)
-            assert pick == int(np.argmax(np.abs(g)))
+            assert pick == int(np.argmax(np.abs(g) / np.sqrt(lipschitz)))
 
     def test_ascd_uninformed_is_uniform(self):
         rng = np.random.default_rng(9)
-        b = compute_bounds(GradientEstimate.uninformed(10))
+        b = compute_bounds(GradientEstimate.uninformed(10), np.ones(10))
         aset = active_set(b)
         counts = np.bincount([select_ascd(b, aset, rng)
                               for _ in range(50_000)], minlength=10)
@@ -755,15 +775,13 @@ class TestGsq:
 class TestGssScores:
     def test_soft_threshold_at_zero(self):
         e = GradientEstimate.exact(np.array([3.0]))
-        q = compute_bounds(e, np.array([0.0]), 1.0)
-        assert q.lower[0] == pytest.approx(4.0)
-        assert q.upper[0] == pytest.approx(4.0)
+        q = compute_bounds(e, np.array([2.0]), np.array([0.0]), 1.0)
+        assert q.lower[0] == q.upper[0] == 2.0
 
     def test_subgradient_branch(self):
         e = GradientEstimate.exact(np.array([-3.0]))
-        q = compute_bounds(e, np.array([1.0]), 1.0)
-        assert q.lower[0] == pytest.approx(4.0)
-        assert q.upper[0] == pytest.approx(4.0)
+        q = compute_bounds(e, np.array([0.5]), np.array([1.0]), 1.0)
+        assert q.lower[0] == q.upper[0] == 8.0
 
     def test_containment_property(self):
         rng = np.random.default_rng(8)
@@ -778,7 +796,8 @@ class TestGssScores:
             g = float(rng.normal(0, 2))
             r = float(rng.uniform(0, 2))
             x = float(rng.choice([0.0, rng.normal()]))
-            q = compute_bounds(est([g], [r]), np.array([x]), reg.lam)
+            q = compute_bounds(est([g], [r]), np.ones(1), np.array([x]),
+                               reg.lam)
             for grad in np.linspace(g - r, g + r, 9):
                 s = score(grad, x)
                 assert q.lower[0] <= s + 1e-12
@@ -788,17 +807,18 @@ class TestGssScores:
         lambda n: st.tuples(_estimates(n),
                             arrays(np.float64, n, elements=st.one_of(
                                 st.just(0.0), st.floats(-10, 10))),
-                            st.one_of(st.just(0.0), st.floats(0, 1e3)))))
+                            st.one_of(st.just(0.0), st.floats(0, 1e3)),
+                            _lipschitz(n))))
     def test_tight(self, drawn):
-        e, x, lam = drawn
-        q = compute_bounds(e, x, lam)
+        e, x, lam, lipschitz = drawn
+        q = compute_bounds(e, lipschitz, x, lam)
         lower, upper = kink_range(lambda t: np.square(gss_exact(t, x, lam)),
                                   e, lam)
-        assert np.array_equal(q.lower, lower)
-        assert np.array_equal(q.upper, upper)
+        assert np.array_equal(q.lower, lower / lipschitz)
+        assert np.array_equal(q.upper, upper / lipschitz)
 
     def test_uninformed(self):
-        q = compute_bounds(GradientEstimate.uninformed(2),
+        q = compute_bounds(GradientEstimate.uninformed(2), np.ones(2),
                            np.array([0.0, 1.0]), 1.0)
         assert np.all(q.lower == 0.0) and np.all(np.isinf(q.upper))
 
@@ -847,7 +867,8 @@ class TestScoreOne:
     @example(rule="ascd", drawn=(-0.0, 0.0, True, -0.0, 1.0, Regularizer()))
     def test_bits_match_the_array_stages(self, rule, drawn):
         g, r, exact, x, lipschitz, reg = drawn
-        problem = SimpleNamespace(lipschitz_max=lipschitz, psi_reg=reg)
+        problem = SimpleNamespace(lipschitz=np.array([lipschitz]),
+                                  psi_reg=reg)
         one = GradientEstimate(np.array([g]), np.array([r]), exact)
         with np.errstate(all="ignore"):
             want = _scores(rule, one, np.array([x]), problem)
@@ -863,9 +884,9 @@ def _ulps(v):
 
 @st.composite
 def _exact_gss(draw):
-    """An exact gradient, its iterate and an l1 weight: x at the signed
-    zeros, +-lam and an ulp off lam; g at the signed zeros, +-lam, an ulp
-    off either, and +-inf; lam = 0 or not."""
+    """An exact gradient, its iterate, an l1 weight and the coordinate
+    constants: x at the signed zeros, +-lam and an ulp off lam; g at the
+    signed zeros, +-lam, an ulp off either, and +-inf; lam = 0 or not."""
     n = draw(st.integers(1, 16))
     lam = draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
     x = draw(arrays(np.float64, n, elements=st.one_of(
@@ -874,23 +895,26 @@ def _exact_gss(draw):
     g = draw(arrays(np.float64, n, elements=st.one_of(
         st.sampled_from([0.0, -0.0, INF, -INF, *_ulps(lam), *_ulps(-lam)]),
         st.floats(-20.0, 20.0), _ANY)))
-    return g, x, lam
+    lipschitz = draw(arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([1.0, 0.5, 3.0]), st.floats(1e-3, 1e3))))
+    return g, x, lam, lipschitz
 
 
 @st.composite
 def _interval_gss(draw):
     """``_exact_gss`` with radii at 0, finite, huge and inf."""
-    g, x, lam = draw(_exact_gss())
+    g, x, lam, lipschitz = draw(_exact_gss())
     r = draw(arrays(np.float64, g.size, elements=st.one_of(
         st.sampled_from([0.0, INF]), st.floats(0.0, 20.0),
         st.floats(0.0, 1e300))))
-    return g, r, x, lam
+    return g, r, x, lam, lipschitz
 
 
-def _segment_rule(rule, lam):
-    """A problem whose penalty weighs ``lam``, and the segment half-width
-    the rule scores at: ``ascd`` is gs-s at 0 whatever the penalty."""
-    problem = SimpleNamespace(lipschitz_max=1.0,
+def _segment_rule(rule, lam, lipschitz):
+    """A problem with constants ``lipschitz`` whose penalty weighs ``lam``,
+    and the segment half-width the rule scores at: ``ascd`` is gs-s at 0
+    whatever the penalty."""
+    problem = SimpleNamespace(lipschitz=lipschitz,
                               psi_reg=Regularizer("l1", lam))
     return problem, lam if rule == "ascd-gss" else 0.0
 
@@ -908,19 +932,20 @@ class TestIntervalGssScore:
     @given(_interval_gss())
     @example((np.array([-0.0, 0.0, 1.0, -1.0, INF, -INF, 2.0]),
               np.array([0.0, INF, 0.0, INF, INF, 0.0, 1.0]),
-              np.array([0.0, -0.0, 1.0, -1.0, 0.0, -1.0, 1.0]), 1.0))
+              np.array([0.0, -0.0, 1.0, -1.0, 0.0, -1.0, 1.0]), 1.0,
+              np.array([1.0, 2.0, 0.5, 1.0, 3.0, 1e-3, 7.0])))
     @example((np.array([-0.0, 0.0, 3.0, -INF, INF]),
               np.array([0.0, 0.0, INF, INF, 1.0]),
-              np.array([-0.0, 1.0, -1.0, -1.0, 0.0]), 0.0))
+              np.array([-0.0, 1.0, -1.0, -1.0, 0.0]), 0.0, np.ones(5)))
     def test_bits_match_the_segment_arrays(self, rule, drawn):
-        g, r, x, lam = drawn
-        problem, lam = _segment_rule(rule, lam)
+        g, r, x, lam, lipschitz = drawn
+        problem, lam = _segment_rule(rule, lam, lipschitz)
         e = GradientEstimate(g.copy(), r.copy())
         # NaN from inf - inf and squares beyond the float range on both
         # sides
         with np.errstate(all="ignore"):
             got = _scores(rule, e, x, problem)
-            want = gss_interval_squared(g, r, x, lam)
+            want = gss_interval_squared(g, r, x, lam, lipschitz)
         assert got.lower.tobytes() == want.lower.tobytes()
         assert got.upper.tobytes() == want.upper.tobytes()
         assert not np.shares_memory(got.lower, got.upper)
@@ -936,17 +961,18 @@ class TestExactGssScore:
     @settings(max_examples=400, deadline=None)
     @given(_exact_gss())
     @example((np.array([-0.0, 0.0, 1.0, -1.0, INF, -INF]),
-              np.array([0.0, -0.0, 1.0, -1.0, 0.0, 2.0]), 1.0))
+              np.array([0.0, -0.0, 1.0, -1.0, 0.0, 2.0]), 1.0,
+              np.array([1.0, 2.0, 0.5, 3.0, 1e-3, 7.0])))
     @example((np.array([-0.0, 0.0, 3.0, -INF]),
-              np.array([-0.0, 1.0, -1.0, -1.0]), 0.0))
+              np.array([-0.0, 1.0, -1.0, -1.0]), 0.0, np.ones(4)))
     def test_bits_match_the_segment_distance(self, rule, drawn):
-        g, x, lam = drawn
-        problem, lam = _segment_rule(rule, lam)
+        g, x, lam, lipschitz = drawn
+        problem, lam = _segment_rule(rule, lam, lipschitz)
         e = GradientEstimate.exact(g)
         # squares of the largest floats overflow to inf on both sides
         with np.errstate(over="ignore"):
             got = _scores(rule, e, x, problem)
-            want = gss_exact_squared(g, x, lam)
+            want = gss_exact_squared(g, x, lam, lipschitz)
         assert got.lower is got.upper
         assert got.lower.tobytes() == want.tobytes()
         # squared in place, on an array the estimate does not share
@@ -955,7 +981,7 @@ class TestExactGssScore:
     @pytest.mark.parametrize("rule", SEGMENT_RULES)
     def test_exact_scores_leave_the_estimate(self, rule):
         g = np.array([-2.0, 0.5, 0.0, 3.0])
-        problem = SimpleNamespace(lipschitz_max=2.0,
+        problem = SimpleNamespace(lipschitz=np.full(4, 2.0),
                                   psi_reg=Regularizer("l1", 1.0))
         e = GradientEstimate.exact(g)
         got = _scores(rule, e, np.array([0.0, 1.0, -1.0, 0.0]), problem)
