@@ -178,6 +178,7 @@ class OracleContext:
             return np.zeros(self.matrix.n_cols)
         meets = rows.tolist()
         if len(meets) == 1:
+            # an itemgetter of one key returns the item, not a tuple
             ids, values = self._row_ids[meets[0]], self._row_values[meets[0]]
         else:
             # one C-level fetch of every row a_i meets, in increasing order

@@ -895,9 +895,7 @@ def _exact_gss(draw):
     g = draw(arrays(np.float64, n, elements=st.one_of(
         st.sampled_from([0.0, -0.0, INF, -INF, *_ulps(lam), *_ulps(-lam)]),
         st.floats(-20.0, 20.0), _ANY)))
-    lipschitz = draw(arrays(np.float64, n, elements=st.one_of(
-        st.sampled_from([1.0, 0.5, 3.0]), st.floats(1e-3, 1e3))))
-    return g, x, lam, lipschitz
+    return g, x, lam, draw(_lipschitz(n))
 
 
 @st.composite
