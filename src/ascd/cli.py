@@ -111,14 +111,20 @@ RATIO_SUMMARY_SCHEMA = _summary_schema({
     "trace_csv": {"type": "string"},
 })
 
-GENERATE_SUMMARY_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "kind", "n_rows", "n_cols", "seed",
-                 "column_scale_factor", "sparsity_factor", "support_frac",
-                 "noise_sigma", "keep_probability", "nnz", "density",
-                 "svmlight"],
-    "properties": {**_COMMON},
-}
+GENERATE_SUMMARY_SCHEMA = _summary_schema({
+    **_COMMON,
+    "n_rows": {"type": "integer"},
+    "n_cols": {"type": "integer"},
+    "seed": {"type": "integer"},
+    "column_scale_factor": {"type": "number"},
+    "sparsity_factor": {"type": "number"},
+    "support_frac": {"type": "number"},
+    "noise_sigma": {"type": "number"},
+    "keep_probability": {"type": "number"},
+    "nnz": {"type": "integer"},
+    "density": {"type": "number"},
+    "svmlight": {"type": "string"},
+})
 
 SWEEP_SUMMARY_SCHEMA = _summary_schema({
     **_COMMON,

@@ -30,8 +30,10 @@ The loop keeps the score stage's bounds across steps.  After a step that
 moved x it scores all n coordinates with ``_scores``; after a zero step it
 rescores only the coordinate that step picked, since its ``g`` and ``r``
 are all the step changed, on Python floats with ``selector.score_one``.
-Every score stage is elementwise and ``score_one`` returns the bits the
-array stages give one coordinate, so the kept bounds hold the bits a full
+The step leaves that coordinate's radius 0, so its score is exact:
+``score_one`` reads no radius and evaluates no interval.  Every score
+stage is elementwise and ``score_one`` returns the bits the array stages
+give one coordinate at radius 0, so the kept bounds hold the bits a full
 scoring would.  ``step`` likewise takes the coordinate step on floats,
 with ``Regularizer.model_argmin_one``, which has the bits of the array
 ``model_argmin``.  A zero step also keeps the active set, and with it the
@@ -193,9 +195,13 @@ def progress_tau(gradient: np.ndarray, active_indices: np.ndarray,
 
 
 def progress_delta(f_prev: float, f_next: float, f_star: float) -> float:
-    """Inverse-gap progress ``1/(f_next - f*) - 1/(f_prev - f*)``."""
+    """Inverse-gap progress ``1/(f_next - f*) - 1/(f_prev - f*)``: ``inf``
+    once ``f_next`` reaches ``f*``, and ``-inf`` for a step that leaves it
+    (``f_prev == f* < f_next``), on Python and numpy floats alike."""
     if f_next <= f_star:
         return np.inf
+    if f_prev == f_star:
+        return -np.inf
     return 1.0 / (f_next - f_star) - 1.0 / (f_prev - f_star)
 
 
@@ -367,11 +373,11 @@ def run(config: RunConfig) -> RunResult:
                 scores = _scores(rule, est, state.x, problem)
                 aset = active_set(scores)
             else:
-                # a zero step changed only the last pick's g and r
+                # a zero step changed only the last pick's g, and left
+                # its radius 0
                 lower, upper = score_one(
-                    rule, float(est.g[i_t]), float(est.r[i_t]),
-                    float(state.x[i_t]), float(problem.lipschitz[i_t]),
-                    problem.psi_reg)
+                    rule, float(est.g[i_t]), float(state.x[i_t]),
+                    float(problem.lipschitz[i_t]), problem.psi_reg)
                 # the same lower score, and an upper score reaching the
                 # best lower score before and after: every path of
                 # active_set returns the same set

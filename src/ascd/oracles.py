@@ -12,7 +12,8 @@ Available kinds:
 * ``g2``   simulated sketch products: the exact value perturbed uniformly
            within ``eps * ||a_i|| * ||a_j||`` and clamped to the
            Cauchy-Schwarz interval,
-* ``g3``   the zero estimate with error ``||a_i|| * ||a_j||``,
+* ``g3``   the zero estimate with error ``||a_i|| * ||a_j||``; it returns
+           no estimate row (``None``),
 * ``g4``   a fixed pseudo-random value in the Cauchy-Schwarz interval; its
            certified error is the interval diameter ``2 ||a_i|| * ||a_j||``
            (the true product can sit at the opposite end of the interval,
@@ -215,11 +216,13 @@ class OracleContext:
 
 
 def oracle_row(ctx: OracleContext,
-               i: int) -> tuple[np.ndarray, np.ndarray | None]:
+               i: int) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Estimates and errors for all pairs ``(i, j)``, ``j`` in ``[n]``.
 
     g1 is exact and returns no error row (``None``), which
-    ``update_estimates`` reads as zero error.  The entry at j = i is
+    ``update_estimates`` reads as zero error; g3 estimates every change as
+    zero and returns no estimate row (``None``), which
+    ``update_estimates`` reads as a zero row.  The entry at j = i is
     computed like any other; the caller that tracks the active coordinate
     separately simply overwrites it.
     """
@@ -234,7 +237,7 @@ def oracle_row(ctx: OracleContext,
         np.add(ctx._dot_row(i), s, out=s)
         return np.clip(s, -bounds, bounds, out=s), error
     if spec.kind == "g3":
-        return np.zeros(ctx.matrix.n_cols), bounds
+        return None, bounds
     u = ctx._pair_uniform_row(i)
     u *= bounds
     bounds *= 2.0

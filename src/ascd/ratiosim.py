@@ -264,7 +264,7 @@ def ascd_embedding_dynamics(emb: LowDimEmbedding, steps: int, delta: float,
         if gamma != 0.0:
             x[i] += gamma
             grad = emb.gradient(x)
-        update_estimates(est, i, gamma, 0.0, delta, grad[i])
+        update_estimates(est, i, gamma, None, delta, grad[i])
 
     times = np.asarray(durations, dtype=np.float64)
     settled = times[times.size // 4:] if times.size else times

@@ -16,9 +16,11 @@ step's decrease.  An exact estimate (every radius 0,
 ``GradientEstimate.is_exact``) scores once: the stage evaluates the score
 at ``g`` and returns that one array as both bounds (``lower is upper``).
 gs-q keeps two bounds even then, because its lower bound keeps the
-``y = 0`` fallback, a decrease of 0.  ``score_one`` scores one coordinate
-on Python floats, for the loop's rescoring after a zero step; it returns
-the bits the array stages give that coordinate, signed zeros included.
+``y = 0`` fallback, a decrease of 0.  Interval scoring lives only in
+these array stages.  ``score_one`` gives the exact score of one coordinate
+at radius 0, on Python floats, for the loop's rescoring after a zero step,
+which leaves the picked coordinate's radius 0; it returns the bits the
+array stages give that coordinate, signed zeros included.
 The *set* stage, ``active_set``, keeps the smallest prefix, in descending
 order of the lower score, that provably contains the best coordinate.  It
 tries, in order: all of [n] when every upper score reaches the best lower
@@ -66,8 +68,8 @@ class GradientEstimate:
     zero-error rows since (``update_estimates`` with ``row_error=None``):
     every radius is 0, and ``compute_bounds`` evaluates one array instead
     of an interval.  ``r`` stays an array of zeros for readers of the
-    radii, and ``score_one`` reads only ``r``: at radius 0 it gives the one
-    array's bits.
+    radii.  ``score_one`` reads neither: it scores a coordinate at radius
+    0, which has the same bits with ``is_exact`` set or not.
     """
 
     g: np.ndarray
@@ -354,14 +356,16 @@ def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,
     delta_ij``; the active coordinate is overwritten with its exact new
     gradient ``g_new`` and radius zero.  A zero step leaves the passive
     entries untouched and needs no row (this also avoids 0 * inf).
-    ``row_error=None`` is an exact row (g1): the radii do not move, and an
-    exact estimate stays exact; any error row ends ``is_exact``.
+    ``row_estimate=None`` is the zero estimate row (g3): ``g`` does not
+    move.  ``row_error=None`` is an exact row (g1): the radii do not move,
+    and an exact estimate stays exact; any error row ends ``is_exact``.
     Mutates and returns ``estimate``.
     """
     if not math.isfinite(gamma):
         raise ValueError("non-finite step")
     if gamma != 0.0:
-        estimate.g += gamma * row_estimate
+        if row_estimate is not None:
+            estimate.g += gamma * row_estimate
         if row_error is not None:
             estimate.r += abs(gamma) * row_error
             estimate.is_exact = False
@@ -418,61 +422,31 @@ def gsq_bounds(estimate: GradientEstimate, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _fmax(a: float, b: float) -> float:
-    """``np.maximum`` on two floats: NaN wins, and a tie returns ``b``."""
-    return a if a > b or a != a else b
-
-
-def _fmin(a: float, b: float) -> float:
-    """``np.minimum`` on two floats: NaN wins, and a tie returns ``b``."""
-    return a if a < b or a != a else b
-
-
-def _distance_range_one(lo: float, hi: float, a: float,
-                        b: float) -> tuple[float, float]:
-    """``_distance_range`` on Python floats, as ``(lower, upper)``."""
-    lower = _fmax(_fmax(a - hi, lo - b), 0.0)
-    upper = _fmax(_fmax(a - lo, hi - b), 0.0)
-    return lower * lower, upper * upper
-
-
-def score_one(rule: str, g: float, r: float, x: float, lipschitz: float,
+def score_one(rule: str, g: float, x: float, lipschitz: float,
               reg: Regularizer) -> tuple[float, float]:
-    """``(lower, upper)`` score of one coordinate, on Python floats.
+    """``(lower, upper)`` exact score of one coordinate, on Python floats.
 
-    The float counterpart of ``driver._scores``, in the same units:
-    ``gsq_bounds`` for ``ascd-gsq``, else ``compute_bounds`` at ``reg.lam``
-    for ``ascd-gss`` and at ``lam = 0`` for ``ascd``.  ``g`` and ``r`` are
-    one coordinate of a ``GradientEstimate``, ``x`` its iterate,
-    ``lipschitz`` its constant ``L_i`` and ``reg`` the composite penalty
-    (``none`` or ``l1``).  It returns the bits that a full scoring gives
-    the coordinate, signed zeros included: the array stages are
-    elementwise, ``_fmax`` and ``_fmin`` resolve ties as ``np.maximum`` and
-    ``np.minimum`` do, a square is ``v * v``, as ``np.square`` is, and the
-    segment distance is divided by ``L_i`` as the array is.  At ``r = 0``
-    the segment distance of ``g - r`` and ``g + r`` has the bits of an
-    exact estimate's one array: a nonzero ``g +- 0`` is ``g``, squaring
-    ``g`` is squaring ``|g|``, and every zero distance ends as ``+0.0``.
+    ``driver._scores`` on a one-coordinate estimate at radius 0, exact or
+    not: the loop rescores only after a zero step, which leaves the
+    coordinate's radius 0.  ``g`` is its finite gradient estimate, ``x``
+    its iterate, ``lipschitz`` its ``L_i`` and ``reg`` the composite
+    penalty (``none`` or ``l1``).  The segment rules give
+    ``compute_bounds``' exact formula, one squared segment distance over
+    ``L_i`` as both bounds; ``ascd-gsq`` the decrease at the one model
+    minimiser, with the ``y = 0`` fallback in the lower bound.  The bits
+    are a full scoring's, signed zeros included: a zero distance is
+    ``+0.0`` and ``v * v`` is ``np.square``; ``gsq_bounds``' two ends at
+    radius 0 differ only in the sign of a zero slope, its slope-mismatch
+    term is a zero, and ``psi(x) >= +0.0`` absorbs the sign of a zero
+    model value, as on a tie of ``min``.
     """
     if rule == "ascd-gsq":
         psi0 = reg.psi_one(x)
-        if not math.isfinite(r):
-            return 0.0, math.inf
-        hi, lo = g + r, g - r
-        y_u = reg.model_argmin_one(x, hi, lipschitz)
-        y_l = reg.model_argmin_one(x, lo, lipschitz)
-        # model_value at both ends, then the slope-mismatch corrections
-        half = 0.5 * lipschitz
-        val_u = hi * y_u + half * (y_u * y_u) + reg.psi_one(x + y_u)
-        val_l = lo * y_l + half * (y_l * y_l) + reg.psi_one(x + y_l)
-        omega_u = val_u + _fmax(0.0, y_u * (lo - hi))
-        omega_l = val_l + _fmax(0.0, y_l * (hi - lo))
-        return (psi0 - _fmin(_fmin(omega_u, omega_l), psi0),
-                psi0 - _fmin(val_u, val_l))
+        y = reg.model_argmin_one(x, g, lipschitz)
+        val = g * y + (0.5 * lipschitz) * (y * y) + reg.psi_one(x + y)
+        return psi0 - min(val, psi0), psi0 - val
     lam = reg.lam if rule == "ascd-gss" else 0.0
-    if x == 0.0:
-        a, b = -lam, lam
-    else:
-        a = b = -lam * math.copysign(1.0, x)
-    lower, upper = _distance_range_one(g - r, g + r, a, b)
-    return lower / lipschitz, upper / lipschitz
+    d = (max(abs(g) - lam, 0.0) if x == 0.0
+         else abs(g + lam * math.copysign(1.0, x)))
+    d = d * d / lipschitz
+    return d, d

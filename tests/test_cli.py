@@ -74,6 +74,18 @@ class TestGenerate:
         jsonschema.validate(summary, GENERATE_SUMMARY_SCHEMA)
         assert summary["n_rows"] == 60 and summary["n_cols"] == 40
 
+    def test_sidecar_schema_checks_types(self, dataset):
+        # every field is typed: a number given as text, or text given as a
+        # number, fails
+        summary = read_json(dataset.parent / "syn.json")
+        properties = GENERATE_SUMMARY_SCHEMA["properties"]
+        assert set(properties) == set(summary)
+        for name, rule in properties.items():
+            wrong = 1 if rule["type"] == "string" else str(summary[name])
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**summary, name: wrong},
+                                    GENERATE_SUMMARY_SCHEMA)
+
     def test_reproducible_bytes(self, tmp_path, dataset):
         rc = main(["generate", "--rows", "60", "--cols", "40", "--seed", "7",
                    "--out", str(tmp_path), "--tag", "syn"])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -11,9 +12,9 @@ from hypothesis import given, settings, strategies as hst
 import ascd.driver
 import ascd.oracles
 from ascd.data import SynthConfig, generate_synthetic
-from ascd.driver import (RULES, RunConfig, UpdateRule, progress_delta,
-                         progress_tau, run, step, write_trace_csv,
-                         TRACE_COLUMNS, TRACE_HEADER)
+from ascd.driver import (INITS, PICKS, RULES, RunConfig, UpdateRule,
+                         progress_delta, progress_tau, run, step,
+                         write_trace_csv, TRACE_COLUMNS, TRACE_HEADER)
 from ascd.oracles import ORACLE_KINDS, OracleContext, OracleSpec
 from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
 from ascd.selector import ActiveSet, GradientEstimate
@@ -282,6 +283,15 @@ class TestProgressDelta:
 
     def test_exact_convergence(self):
         assert progress_delta(1.0, 0.0, 0.0) == np.inf
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_leaving_the_optimum(self, kind):
+        # a step up from f* has no finite inverse gap before it; neither a
+        # ZeroDivisionError nor a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta = progress_delta(kind(1.0), kind(2.0), kind(1.0))
+        assert delta == -np.inf
 
     def test_scd_delta_vs_displacement(self):
         rng = np.random.default_rng(1)
@@ -923,6 +933,51 @@ class TestZeroStepRescoring:
             assert len(full) == 1 + np.count_nonzero(res.gamma[:-1])
             zero_steps += np.count_nonzero(res.gamma[:-1] == 0)
         assert zero_steps > 0
+
+    def test_rescored_coordinate_is_at_radius_zero(self, monkeypatch):
+        # score_one reads no radius: every rescoring must see the last
+        # updated coordinate at radius 0, with the estimate's g and its
+        # own constant
+        last, seen, bad = [], [], []
+        real_update, real_one = (ascd.driver.update_estimates,
+                                 ascd.driver.score_one)
+
+        def update(estimate, i_t, *rest):
+            out = real_update(estimate, i_t, *rest)
+            last[:] = [estimate, i_t]
+            return out
+
+        def one(rule, g, x, lipschitz, reg):
+            est, i = last
+            seen.append(i)
+            if not (est.r[i] == 0.0 and lipschitz == prob.lipschitz[i]
+                    and np.float64(g).tobytes() == est.g[i].tobytes()):
+                bad.append((rule, i))
+            return real_one(rule, g, x, lipschitz, reg)
+
+        monkeypatch.setattr(ascd.driver, "update_estimates", update)
+        monkeypatch.setattr(ascd.driver, "score_one", one)
+        rescored = Counter()
+        b = np.random.default_rng(5).standard_normal(20)
+        for reg, make, rule, kind, init, pick in itertools.product(
+                (None, Regularizer("l1", 1.0), Regularizer("l2", 1.0)),
+                # a smooth step on the identity zeroes its gradient exactly,
+                # so a repeat pick is a zero step under every penalty
+                (lambda reg: random_problem(5, d=30, n=20, reg=reg),
+                 lambda reg: identity_problem(20, b, reg)),
+                ("ascd", "ascd-gss", "ascd-gsq"), ORACLE_KINDS,
+                INITS, PICKS):
+            prob = make(reg)
+            seen.clear()
+            res = run(RunConfig(problem=prob, steps=3 * prob.n, rule=rule,
+                                oracle=OracleSpec(kind, epsilon=0.1, seed=1),
+                                seed=2, init=init, pick=pick, diag_every=0))
+            assert bad == [], (reg, rule, kind, init, pick)
+            # one rescoring after every zero step that another step follows
+            zero = np.flatnonzero(res.gamma[:-1] == 0)
+            assert seen == res.i[zero].tolist()
+            rescored[None if reg is None else reg.kind] += len(seen)
+        assert min(rescored.values()) > 0 and len(rescored) == 3
 
     def test_full_scorings_count_useful_steps(self, monkeypatch):
         # the configuration of the lasso-g4 benchmark workload, small

@@ -168,11 +168,14 @@ class TestOracleRow:
         norms = np.sqrt(m.col_norms_sq())
         for i in (0, 3, 9):
             est, err = oracle_row(ctx, i)
-            # the exact kind returns no error row
+            # the exact kind returns no error row, and the zero estimate
+            # no estimate row
             assert (err is None) == (kind == "g1")
+            assert (est is None) == (kind == "g3")
             for j in range(m.n_cols):
                 out = oracle_estimate(spec, m, norms, i, j)
-                assert est[j] == pytest.approx(out.estimate, abs=1e-10)
+                assert (0.0 if est is None else est[j]) == pytest.approx(
+                    out.estimate, abs=1e-10)
                 assert (0.0 if err is None else err[j]) == pytest.approx(
                     out.error, abs=1e-12)
 
