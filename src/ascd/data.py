@@ -18,12 +18,21 @@ of a per-token parse bit for bit; feature indices beyond int64 are
 rejected where they enter.  The svmlight writer and the CSV writer
 convert their numbers to text a block of at most ``CHUNK_ENTRIES``
 entries at a time, so the text never takes more memory than one block.
+Beside an svmlight file the reader and the writer keep its binary twin,
+``<file>.npz``: what a load of the text returns, keyed by the SHA-256 of
+the text, so a text is parsed once and a text the writer wrote is never
+parsed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import io
 import math
+import os
+import stat
+import tempfile
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -238,74 +247,158 @@ def _parse_line(parts: list[str], where: str) -> tuple[float, list[int],
     return label, indices, values
 
 
-def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
-                                                         np.ndarray]:
-    """Load a ``label index:value ...`` text file into column form.
+# the binary twin ``<file>.npz`` of an svmlight file: what a load of the
+# text returns, keyed by the text's SHA-256.  Bump the version whenever
+# the twin's arrays change meaning.
+TWIN_VERSION = 1
+# name, dtype and number of dimensions of every array a twin holds
+_TWIN_ARRAYS = (("version", np.int64, 0), ("sha256", np.uint8, 1),
+                ("n_rows", np.int64, 0), ("indptr", np.int64, 1),
+                ("rows", np.int64, 1), ("vals", np.float64, 1),
+                ("target", np.float64, 1), ("empty", np.int64, 0))
+# the arrays after the key: what a load of the text returns
+_TWIN_LOADED = _TWIN_ARRAYS[2:]
+# bytes hashed per read when a twin is checked
+_HASH_BLOCK = 1 << 16
 
-    Feature indices are 1-based and at most ``INDEX_MAX`` (2**63 - 1).
-    Each line is one row of the matrix; the labels become the target
-    vector.  ``#`` starts a comment; blank lines are skipped.  Labels and
-    values must be finite and a line may name an index once; explicitly
-    zero-valued features are not stored, and a file that stores none is
-    rejected.  Columns without a single entry are dropped with a warning
-    (the remaining columns are re-indexed).  ``binarize`` maps every
-    stored value to 1, the usual bag-of-words treatment.  A rejected file
-    raises ``ValueError`` naming ``path:line`` and the first fault of that
-    line in token order.
 
-    The file is read a line at a time.  Each line is split, converted
-    and checked whole with builtins (``str.split``, ``map(int, ...)``,
-    ``map(float, ...)``, ``min``, ``set``) and appended to compact
-    ``array`` buffers.  Only a line that fails a check is parsed again
-    token by token, to name its fault, so the arrays, warnings and
-    messages are those of a per-token parse bit for bit.  At the end one
-    stable argsort of the column ids orders the entries by column, and
-    each entry-length temporary is dropped once used.
+class _Hashing(io.RawIOBase):
+    """An unbuffered file that feeds every byte read from or written to
+    ``raw`` to ``digest``, so a text layer above it hashes exactly the
+    bytes it parses or writes."""
+
+    def __init__(self, raw, digest):
+        super().__init__()
+        self._raw, self._digest = raw, digest
+
+    def readable(self):
+        return True
+
+    def writable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:n])
+        return n
+
+    def write(self, data):
+        n = self._raw.write(data)
+        self._digest.update(memoryview(data)[:n])
+        return n
+
+
+def _twin_path(path, raw) -> str | None:
+    """The name of the twin of ``path``, open as ``raw``, or None when
+    the file is not a regular file named by a path."""
+    if (isinstance(path, (str, bytes, os.PathLike))
+            and stat.S_ISREG(os.fstat(raw.fileno()).st_mode)):
+        return os.fsdecode(path) + ".npz"
+    return None
+
+
+def _read_twin(twin: str, raw) -> tuple | None:
+    """The arrays of ``twin`` if it is of this version and keyed by the
+    SHA-256 of the text that ``raw`` reads from its start, else None.
+
+    Any fault of the twin (missing, unreadable, truncated, another
+    version, another text, an array of the wrong type) means no twin.
     """
+    try:
+        # opened here: np.load leaves a file it opened itself open when
+        # the file is not a zip archive
+        with open(twin, "rb") as fh, np.load(fh) as npz:
+            if npz["version"] != TWIN_VERSION:
+                return None
+            digest = hashlib.sha256()
+            while block := raw.read(_HASH_BLOCK):
+                digest.update(block)
+            if npz["sha256"].tobytes() != digest.digest():
+                return None
+            arrays = [npz[name] for name, _, _ in _TWIN_LOADED]
+    # a damaged archive raises any of BadZipFile, ValueError, KeyError,
+    # EOFError, OSError, NotImplementedError and tokenize's TokenError
+    # (random truncations and byte flips); whatever it raises, the load
+    # goes on with the parse
+    except Exception:
+        return None
+    if any(a.dtype != dtype or a.ndim != ndim
+           for a, (_, dtype, ndim) in zip(arrays, _TWIN_LOADED)):
+        return None
+    n_rows, indptr, rows, vals, target, empty = arrays
+    return int(n_rows), indptr, rows, vals, target, int(empty)
+
+
+def _write_twin(twin: str, digest: bytes, n_rows: int, indptr: np.ndarray,
+                rows: np.ndarray, vals: np.ndarray, target: np.ndarray,
+                empty: int) -> None:
+    """Write ``twin`` best-effort: into a temporary file beside it, then
+    renamed over it.  Any ``OSError`` leaves no file behind and is not
+    raised."""
+    values = (TWIN_VERSION, np.frombuffer(digest, np.uint8), n_rows, indptr,
+              rows, vals, target, empty)
+    directory, name = os.path.split(twin)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp",
+                                   dir=directory or ".")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **{key: np.asarray(value, dtype)
+                            for (key, dtype, _), value
+                            in zip(_TWIN_ARRAYS, values)})
+        os.replace(tmp, twin)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _parse_svmlight(fh, path) -> tuple:
+    """Parse the text lines of ``fh`` into what a load returns: the row
+    count, the column arrays with the raw values, the target and the
+    number of empty columns dropped."""
     labels = array("d")
     counts = array("q")     # features on each row, explicit zeros included
     indices = array("q")
     values = array("d")
-    # undecodable bytes are kept as lone surrogates, so the line that
-    # holds one can be named
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    byte = ord(line[exc.start]) - 0xdc00
-                    raise ValueError(f"{path}:{lineno}: not UTF-8 text "
-                                     f"(byte 0x{byte:02x})") from None
-            line = line.partition("#")[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            # the tokens, split at their colons; rejoined, the pieces give
-            # the tokens back only if each holds one colon between two
-            # nonempty strings
-            feats = " ".join(parts[1:])
-            pieces = feats.replace(":", " ").split()
-            idx_s, val_s = pieces[0::2], pieces[1::2]
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii():
             try:
-                label = float(parts[0])
-                idx = list(map(int, idx_s))
-                val = list(map(float, val_s))
-            except ValueError:
-                ok = False
-            else:
-                ok = (" ".join(map(":".join, zip(idx_s, val_s))) == feats
-                      and math.isfinite(label)
-                      and all(map(math.isfinite, val))
-                      and (not idx or (min(idx) >= 1
-                                       and max(idx) <= INDEX_MAX
-                                       and len(set(idx)) == len(idx))))
-            if not ok:
-                label, idx, val = _parse_line(parts, f"{path}:{lineno}")
-            labels.append(label)
-            counts.append(len(idx))
-            indices.extend(idx)
-            values.extend(val)
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xdc00
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text "
+                                 f"(byte 0x{byte:02x})") from None
+        line = line.partition("#")[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        # the tokens, split at their colons; rejoined, the pieces give the
+        # tokens back only if each holds one colon between two nonempty
+        # strings
+        feats = " ".join(parts[1:])
+        pieces = feats.replace(":", " ").split()
+        idx_s, val_s = pieces[0::2], pieces[1::2]
+        try:
+            label = float(parts[0])
+            idx = list(map(int, idx_s))
+            val = list(map(float, val_s))
+        except ValueError:
+            ok = False
+        else:
+            ok = (" ".join(map(":".join, zip(idx_s, val_s))) == feats
+                  and math.isfinite(label)
+                  and all(map(math.isfinite, val))
+                  and (not idx or (min(idx) >= 1
+                                   and max(idx) <= INDEX_MAX
+                                   and len(set(idx)) == len(idx))))
+        if not ok:
+            label, idx, val = _parse_line(parts, f"{path}:{lineno}")
+        labels.append(label)
+        counts.append(len(idx))
+        indices.extend(idx)
+        values.extend(val)
     if not labels:
         raise ValueError(f"{path}: empty file")
 
@@ -331,15 +424,70 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
     indptr = np.concatenate(([0], np.flatnonzero(cols[1:] != cols[:-1]) + 1,
                              [cols.size]))
     del cols
-    empty = n_cols - (indptr.size - 1)
+    rows = rows[order]
+    vals = vals[order]
+    del order
+    return (len(labels), indptr, rows, vals, np.array(labels),
+            n_cols - (indptr.size - 1))
+
+
+def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
+                                                         np.ndarray]:
+    """Load a ``label index:value ...`` text file into column form.
+
+    Feature indices are 1-based and at most ``INDEX_MAX`` (2**63 - 1).
+    Each line is one row of the matrix; the labels become the target
+    vector.  ``#`` starts a comment; blank lines are skipped.  Labels and
+    values must be finite and a line may name an index once; explicitly
+    zero-valued features are not stored, and a file that stores none is
+    rejected.  Columns without a single entry are dropped with a warning
+    (the remaining columns are re-indexed).  ``binarize`` maps every
+    stored value to 1, the usual bag-of-words treatment.  A rejected file
+    raises ``ValueError`` naming ``path:line`` and the first fault of that
+    line in token order.
+
+    A regular file may have a binary twin, ``<path>.npz``, holding what
+    this function returns for it (the values before ``binarize``, and the
+    count of empty columns for the warning) keyed by the SHA-256 of the
+    text.  When the twin is of ``TWIN_VERSION`` and its key is the
+    digest of the text now, its arrays are returned and the text is not
+    parsed.  Otherwise the text is parsed, and a parse that succeeds
+    writes the twin, keyed by the digest of the bytes it parsed; a twin
+    that cannot be written (a read-only directory, a full disk) is
+    skipped.  Arrays, warnings and errors are the same either way.
+
+    The parse reads the file a line at a time.  Each line is split,
+    converted and checked whole with builtins (``str.split``,
+    ``map(int, ...)``, ``map(float, ...)``, ``min``, ``set``) and
+    appended to compact ``array`` buffers.  Only a line that fails a
+    check is parsed again token by token, to name its fault, so the
+    arrays, warnings and messages are those of a per-token parse bit for
+    bit.  At the end one stable argsort of the column ids orders the
+    entries by column, and each entry-length temporary is dropped once
+    used.
+    """
+    with open(path, "rb", buffering=0) as raw:
+        twin = _twin_path(path, raw)
+        loaded = _read_twin(twin, raw) if twin else None
+        if loaded is None:
+            if twin:
+                raw.seek(0)
+            digest = hashlib.sha256()
+            # undecodable bytes are kept as lone surrogates, so the line
+            # that holds one can be named
+            text = io.TextIOWrapper(io.BufferedReader(_Hashing(raw, digest)),
+                                    encoding="utf-8",
+                                    errors="surrogateescape")
+            loaded = _parse_svmlight(text, path)
+            if twin:
+                _write_twin(twin, digest.digest(), *loaded)
+    n_rows, indptr, rows, vals, target, empty = loaded
     if empty:
         warnings.warn(f"{path}: dropping {empty} empty column(s)",
                       stacklevel=2)
-    rows = rows[order]
-    vals = np.ones(rows.size) if binarize else vals[order]
-    del order
-    matrix = ColumnSparseMatrix(len(labels), indptr, rows, vals)
-    return matrix, np.array(labels)
+    if binarize:
+        vals = np.ones(rows.size)
+    return ColumnSparseMatrix(n_rows, indptr, rows, vals), target
 
 
 def save_svmlight(matrix: ColumnSparseMatrix, target: np.ndarray,
@@ -354,6 +502,12 @@ def save_svmlight(matrix: ColumnSparseMatrix, target: np.ndarray,
     time, at most ``CHUNK_ENTRIES`` entries and rows per block (a longer
     row is a block of its own), so the text never exists for more than
     one block.
+
+    When a load of the text would return ``matrix`` and the target (the
+    matrix stores an entry and has no empty column) and ``path`` names a
+    regular file, the binary twin that ``load_svmlight`` reads is written
+    beside it, keyed by the SHA-256 of the bytes written; a twin that
+    cannot be written is skipped.
     """
     labels = np.asarray(target, dtype=np.float64)
     if labels.shape != (matrix.n_rows,):
@@ -366,23 +520,31 @@ def save_svmlight(matrix: ColumnSparseMatrix, target: np.ndarray,
     order = np.argsort(matrix.rows, kind="stable")
     ends = np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows))
     lo = start = 0
-    with open(path, "w") as fh:
-        while lo < matrix.n_rows:
-            hi = int(np.searchsorted(ends, start + CHUNK_ENTRIES,
-                                     side="right"))
-            hi = min(max(hi, lo + 1), lo + CHUNK_ENTRIES)
-            stop = int(ends[hi - 1])
-            block = order[start:stop]
-            cols = (matrix._nnz_col[block] + 1).tolist()
-            vals = matrix.vals[block].tolist()
-            at = 0
-            for label, end in zip(labels[lo:hi].tolist(),
-                                  (ends[lo:hi] - start).tolist()):
-                fh.write(" ".join([repr(label), *map("{}:{!r}".format,
-                                                      cols[at:end],
-                                                      vals[at:end])]) + "\n")
-                at = end
-            lo, start = hi, stop
+    digest = hashlib.sha256()
+    with open(path, "wb", buffering=0) as raw:
+        twin = _twin_path(path, raw)
+        with io.TextIOWrapper(io.BufferedWriter(_Hashing(raw, digest)),
+                              encoding="utf-8") as fh:
+            while lo < matrix.n_rows:
+                hi = int(np.searchsorted(ends, start + CHUNK_ENTRIES,
+                                         side="right"))
+                hi = min(max(hi, lo + 1), lo + CHUNK_ENTRIES)
+                stop = int(ends[hi - 1])
+                block = order[start:stop]
+                cols = (matrix._nnz_col[block] + 1).tolist()
+                vals = matrix.vals[block].tolist()
+                at = 0
+                for label, end in zip(labels[lo:hi].tolist(),
+                                      (ends[lo:hi] - start).tolist()):
+                    fh.write(" ".join([repr(label),
+                                       *map("{}:{!r}".format, cols[at:end],
+                                            vals[at:end])]) + "\n")
+                    at = end
+                lo, start = hi, stop
+    del order, ends     # so the twin's write never holds them too
+    if twin and matrix.nnz and np.all(np.diff(matrix.indptr) > 0):
+        _write_twin(twin, digest.digest(), matrix.n_rows, matrix.indptr,
+                    matrix.rows, matrix.vals, labels, 0)
 
 
 def take_columns(matrix: ColumnSparseMatrix, k: int,

@@ -4,12 +4,14 @@ import subprocess
 import sys
 import warnings
 from dataclasses import asdict
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
 
 import ascd.cli
+import ascd.data
 import ascd.hardcase
 import reference_synthetic
 from ascd.cli import (GENERATE_SUMMARY_SCHEMA, HARDCASE_SUMMARY_SCHEMA,
@@ -91,6 +93,13 @@ class TestGenerate:
                    "--out", str(tmp_path), "--tag", "syn"])
         assert rc == 0
         assert (tmp_path / "syn.svm").read_bytes() == dataset.read_bytes()
+
+    def test_writes_the_twin(self, dataset):
+        # the run that follows loads the twin, not the text
+        with mock.patch.object(ascd.data, "_parse_svmlight") as parse:
+            matrix, _ = load_svmlight(dataset)
+        assert not parse.called
+        assert matrix.shape == (60, 40)
 
     def test_tiny_keep_probability_finishes(self, tmp_path):
         # almost every column keeps no entry of its one draw
@@ -176,6 +185,23 @@ class TestRun:
             (tmp_path / "b/x.csv").read_bytes()
         assert (tmp_path / "a/x.json").read_bytes() == \
             (tmp_path / "b/x.json").read_bytes()
+
+    def test_same_bytes_with_and_without_the_twin(self, dataset, tmp_path):
+        # generate wrote the twin; a run without it parses the text and
+        # writes it back
+        data = tmp_path / "syn.svm"
+        data.write_bytes(dataset.read_bytes())
+        twin = tmp_path / "syn.svm.npz"
+        twin.write_bytes((dataset.parent / "syn.svm.npz").read_bytes())
+        args = ["run", "--data", str(data), "--l2", "0.5", "--steps", "3n",
+                "--seed", "4", "--tag", "x"]
+        assert main(args + ["--out", str(tmp_path / "twin")]) == 0
+        twin.unlink()
+        assert main(args + ["--out", str(tmp_path / "text")]) == 0
+        assert twin.exists()
+        for name in ("x.csv", "x.json"):
+            assert (tmp_path / "twin" / name).read_bytes() == \
+                (tmp_path / "text" / name).read_bytes()
 
     def test_epsilon_reported_only_where_read(self, dataset, tmp_path):
         # only g2 reads epsilon: g4 runs the same at 0.5 as at 0 and
@@ -837,7 +863,7 @@ class TestRejectedInput:
             assert named in err
         written = os.listdir(out) if out.exists() else []
         assert not [f for f in written if f.endswith((".csv", ".json",
-                                                      ".svm"))]
+                                                      ".svm", ".npz"))]
 
     # each printed Python's conversion error: "nan" lost its last letter
     # to the multiple's suffix, the others failed int()
@@ -872,7 +898,7 @@ class TestRejectedInput:
         assert rc == 2 and refused
         assert err.startswith("error: --steps ") and err.count("\n") == 1
         assert not [f for f in os.listdir(out)
-                    if f.endswith((".csv", ".json"))]
+                    if f.endswith((".csv", ".json", ".npz"))]
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["sweep", "--data", "{data}", "--steps", "{steps}",
@@ -899,7 +925,8 @@ class TestRejectedInput:
         assert err == (f"error: --steps {steps}: a trace that long does not "
                        "fit in memory\n")
         written = os.listdir(out) if out.exists() else []
-        assert not [f for f in written if f.endswith((".csv", ".json"))]
+        assert not [f for f in written
+                    if f.endswith((".csv", ".json", ".npz"))]
 
     @pytest.mark.parametrize("rows,cols,flag", [
         (2, 2 ** 50, "--cols"),

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -199,14 +201,18 @@ class TestSvmlight:
         assert np.all(matrix.vals == 1.0)
 
     def test_round_trip_exact(self, tmp_path):
+        # through the text (the twin the save wrote is removed), then
+        # through the twin that parse wrote back
         m, b = generate_synthetic(SynthConfig(n_rows=25, n_cols=18, seed=9))
         path = tmp_path / "gen.svm"
         save_svmlight(m, b, path)
-        m2, b2 = load_svmlight(path)
-        assert np.array_equal(b, b2)
-        assert np.array_equal(m.indptr, m2.indptr)
-        assert np.array_equal(m.rows, m2.rows)
-        assert np.array_equal(m.vals, m2.vals)
+        _twin(path).unlink()
+        for _ in range(2):
+            m2, b2 = load_svmlight(path)
+            assert np.array_equal(b, b2)
+            assert np.array_equal(m.indptr, m2.indptr)
+            assert np.array_equal(m.rows, m2.rows)
+            assert np.array_equal(m.vals, m2.vals)
 
     def test_empty_column_dropped_with_warning(self, tmp_path):
         path = tmp_path / "gap.svm"
@@ -313,6 +319,7 @@ class TestSvmlight:
                                               seed=5))
         path = tmp_path / "big.svm"
         save_svmlight(m, b, path)
+        _twin(path).unlink()    # measure the parse, not the twin
         tracemalloc.start()
         try:
             load_svmlight(path)
@@ -320,6 +327,26 @@ class TestSvmlight:
         finally:
             tracemalloc.stop()
         assert peak < 3 * path.stat().st_size
+        assert _twin(path).exists()     # the parse wrote it back
+
+    def test_twin_load_peak_memory_bounded_by_output(self, tmp_path):
+        # the twin's arrays are read into the returned ones, a bounded
+        # block at a time: about 25 bytes per entry, against the parse's 41
+        m, b = generate_synthetic(SynthConfig(n_rows=1000, n_cols=1000,
+                                              seed=5))
+        path = tmp_path / "big.svm"
+        save_svmlight(m, b, path)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(ascd.data, "_parse_svmlight") as parse:
+                m2, b2 = load_svmlight(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not parse.called
+        output = sum(a.nbytes for a in (m2.indptr, m2.rows, m2.vals,
+                                        m2._nnz_col, b2))
+        assert peak < 1.25 * output
 
     def test_save_peak_memory_bounded_by_matrix(self, tmp_path):
         # one row order and a block of text, never every entry as Python
@@ -334,6 +361,7 @@ class TestSvmlight:
             tracemalloc.stop()
         assert peak < 1.5 * sum(a.nbytes for a in (m.rows, m.vals,
                                                    m._nnz_col))
+        assert _twin(tmp_path / "big.svm").exists()     # counted above
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_save_rejects_non_finite_target(self, tmp_path, bad):
@@ -353,6 +381,11 @@ class TestSvmlight:
         assert path.read_text() == f"-3.0 1:1.0\n{float(2 ** 62)!r} 1:2.0\n"
         assert np.array_equal(load_svmlight(path)[1],
                               target.astype(np.float64))
+
+
+def _twin(path):
+    """The binary twin of the svmlight file at ``path``."""
+    return path.with_name(path.name + ".npz")
 
 
 def _outcome(load, path, binarize):
@@ -437,10 +470,19 @@ class TestSvmlightMatchesReference:
     @example(b"3 1:0 2:-0.0\n4\r\n-1 5:2 # c\n", True)
     @example(b"1 1:1\n\xff 1:x\n", False)
     def test_load_matches_reference(self, tmp_path_factory, text, binarize):
+        # the twin an earlier example left is removed, so every example
+        # is parsed; a valid text's parse writes a twin, and a load from
+        # it shows the same
         path = tmp_path_factory.getbasetemp() / "parity.svm"
         path.write_bytes(text)
-        assert (_outcome(load_svmlight, path, binarize)
-                == _outcome(reference_load, path, binarize))
+        _twin(path).unlink(missing_ok=True)
+        want = _outcome(reference_load, path, binarize)
+        assert _outcome(load_svmlight, path, binarize) == want
+        assert _twin(path).exists() == (want[0][0] == "loaded")
+        with mock.patch.object(ascd.data, "_parse_svmlight",
+                               wraps=ascd.data._parse_svmlight) as parse:
+            assert _outcome(load_svmlight, path, binarize) == want
+        assert parse.called == (want[0][0] == "error")
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 30), st.integers(2, 30), st.integers(0, 2 ** 32),
@@ -472,6 +514,209 @@ class TestSvmlightMatchesReference:
         reference_save(m, b, base / "reference.svm")
         assert ((base / "blocks.svm").read_bytes()
                 == (base / "reference.svm").read_bytes())
+
+
+def _parsed(path, binarize=False):
+    """A load's outcome (as ``_outcome``) and whether it parsed the
+    text."""
+    with mock.patch.object(ascd.data, "_parse_svmlight",
+                           wraps=ascd.data._parse_svmlight) as parse:
+        shown = _outcome(load_svmlight, path, binarize)
+    return shown, parse.called
+
+
+def _rewrite_twin(path, **changes):
+    """Write the twin of ``path`` again with some arrays replaced."""
+    with np.load(_twin(path)) as npz:
+        arrays = {**npz, **changes}
+    with open(_twin(path), "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+_DENSE_VALUE = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e308]) | \
+    st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestTwin:
+    """The binary twin ``<file>.npz``: a load from it shows what the
+    parse of its text shows, and any twin that is not of this text and
+    this version is passed over for the parse."""
+
+    @pytest.mark.parametrize("binarize", [False, True])
+    @pytest.mark.parametrize("cols", [1000, 5000])
+    def test_twin_equals_parse(self, tmp_path, cols, binarize):
+        m, b = generate_synthetic(SynthConfig(n_rows=1000, n_cols=cols,
+                                              seed=cols))
+        path = tmp_path / "gen.svm"
+        save_svmlight(m, b, path)
+        shown, parsed = _parsed(path, binarize)
+        assert not parsed
+        _twin(path).unlink()
+        assert _parsed(path, binarize) == (shown, True)
+        assert _outcome(reference_load, path, binarize) == shown
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+        arrays(np.float64, st.tuples(st.just(d), st.integers(1, 6)),
+               elements=_DENSE_VALUE),
+        arrays(np.float64, d, elements=_DENSE_VALUE))))
+    def test_save_writes_the_parse_result(self, tmp_path_factory, data):
+        # a twin only when the text loads back as the matrix itself: some
+        # entry stored and no column empty
+        dense, target = data
+        m = ColumnSparseMatrix.from_dense(dense)
+        path = tmp_path_factory.getbasetemp() / "saved.svm"
+        _twin(path).unlink(missing_ok=True)
+        save_svmlight(m, target, path)
+        has_twin = m.nnz > 0 and bool(np.all(np.diff(m.indptr) > 0))
+        assert _twin(path).exists() == has_twin
+        if not has_twin:
+            return
+        for binarize in (False, True):
+            shown, parsed = _parsed(path, binarize)
+            assert not parsed
+            assert shown == _outcome(reference_load, path, binarize)
+        assert shown[0][2:] == tuple(
+            (a.dtype.str, a.tobytes())
+            for a in (m.indptr, m.rows, np.ones(m.nnz), target))
+
+    def test_edited_text_passes_over_the_stale_twin(self, tmp_path):
+        # one digit of the first label changes: same size, same mtime
+        m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=2))
+        path = tmp_path / "gen.svm"
+        save_svmlight(m, b, path)
+        text = path.read_bytes()
+        at = text.index(b" ") - 1
+        digit = b"8" if text[at:at + 1] == b"9" else b"9"
+        times = path.stat()
+        path.write_bytes(text[:at] + digit + text[at + 1:])
+        os.utime(path, ns=(times.st_atime_ns, times.st_mtime_ns))
+        assert path.stat().st_size == times.st_size
+        shown, parsed = _parsed(path)
+        assert parsed
+        assert shown == _outcome(reference_load, path, False)
+        assert shown[0][-1] != (b.dtype.str, b.tobytes())
+        # the twin was written again, for the edited text
+        assert _parsed(path) == (shown, False)
+
+    @pytest.mark.parametrize("fault", ["truncated", "version", "dtype",
+                                       "not-npz", "directory", "temp-file"])
+    def test_faulty_twin_falls_back_to_the_parse(self, tmp_path, fault):
+        m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=3))
+        path = tmp_path / "gen.svm"
+        save_svmlight(m, b, path)
+        twin = _twin(path)
+        if fault == "truncated":
+            twin.write_bytes(twin.read_bytes()[:-100])
+        elif fault == "version":
+            _rewrite_twin(path, version=ascd.data.TWIN_VERSION + 1)
+        elif fault == "dtype":
+            _rewrite_twin(path, rows=m.rows.astype(np.int32))
+        elif fault == "not-npz":
+            twin.write_bytes(b"1 1:1\n")
+        elif fault == "directory":
+            # the twin can be neither read nor written
+            twin.unlink()
+            twin.mkdir()
+        else:
+            # what a load cut short while writing its twin leaves
+            twin.rename(tmp_path / "gen.svm.npz.x1y2z3.tmp")
+        before = sorted(os.listdir(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shown, parsed = _parsed(path)
+        assert parsed
+        assert shown == _outcome(reference_load, path, False)
+        # a usable twin is back, and no temporary file is left
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            set(before) | {twin.name})
+        assert _parsed(path) == (shown, fault == "directory")
+
+    def test_read_only_directory(self, tmp_path, monkeypatch):
+        m, b = generate_synthetic(SynthConfig(n_rows=30, n_cols=20, seed=4))
+        path = tmp_path / "data" / "gen.svm"
+        path.parent.mkdir()
+        save_svmlight(m, b, path)
+        _twin(path).unlink()
+        want = _outcome(reference_load, path, False)
+        path.parent.chmod(0o555)
+        try:
+            if os.access(path.parent, os.W_OK):
+                # a superuser writes through the mode: refuse the file the
+                # way the system refuses everyone else
+                def refuse(*args, **kwargs):
+                    raise PermissionError(13, "Permission denied")
+                monkeypatch.setattr(ascd.data.tempfile, "mkstemp", refuse)
+            assert _parsed(path) == (want, True)
+            assert os.listdir(path.parent) == ["gen.svm"]
+        finally:
+            path.parent.chmod(0o755)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_gets_no_twin(self, tmp_path):
+        # a stream cannot be hashed again later: only regular files
+        # have twins
+        path = tmp_path / "pipe.svm"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text,
+                                  args=("1 1:2 2:3\n-1 2:1\n",),
+                                  daemon=True)
+        writer.start()
+        try:
+            matrix, target = load_svmlight(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert_allclose(matrix.to_dense(), [[2.0, 3.0], [0.0, 1.0]])
+        assert os.listdir(tmp_path) == ["pipe.svm"]
+
+    def test_empty_column_warning_replayed(self, tmp_path):
+        path = tmp_path / "gap.svm"
+        path.write_text("1 1:1 4:1\n2 4:2\n")
+        parsed = _parsed(path)
+        assert parsed[1]
+        assert parsed[0][1] == [(UserWarning,
+                                 f"{path}: dropping 2 empty column(s)")]
+        assert _parsed(path) == (parsed[0], False)
+        # the twin's warning names the caller's line, as the parse's does
+        _twin(path).unlink()
+        places = []
+        for _ in range(2):  # the parse, then the twin
+            with pytest.warns(UserWarning) as caught:
+                load_svmlight(path)
+            places.append((caught[0].filename, caught[0].lineno))
+        assert places[0] == places[1] and places[0][0] == __file__
+
+    @pytest.mark.parametrize("text", [
+        b"1 1:1\n2 7:x\n", b"", b"1 1:0\n2\n", b"1 1:1\n2 2:1 # caf\xe9\n",
+        b"1 1:1\n2 0:1\n", b"1 2:1 2:3\n"],
+        ids=["bad-feature", "empty", "no-nonzero", "not-utf8", "zero-index",
+             "duplicate"])
+    def test_invalid_text_gets_no_twin(self, tmp_path, text):
+        # rejected alone, and beside the twin of an earlier valid version
+        path = tmp_path / "bad.svm"
+        path.write_bytes(text)
+        want = _outcome(reference_load, path, False)
+        assert want[0][0] == "error"
+        assert _parsed(path) == (want, True)
+        assert not _twin(path).exists()
+        path.write_text("3 1:2 2:5\n")
+        load_svmlight(path)
+        assert _twin(path).exists()
+        path.write_bytes(text)
+        assert _parsed(path) == (want, True)
+
+    def test_missing_text_raises_as_before(self, tmp_path):
+        m, b = generate_synthetic(SynthConfig(n_rows=30, n_cols=20, seed=4))
+        path = tmp_path / "gone.svm"
+        save_svmlight(m, b, path)
+        path.unlink()
+        with pytest.raises(OSError) as want:
+            reference_load(path)
+        with pytest.raises(OSError) as got:
+            load_svmlight(path)
+        assert (type(got.value), str(got.value)) == (type(want.value),
+                                                     str(want.value))
 
 
 class TestTakeColumns:
