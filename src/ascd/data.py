@@ -19,9 +19,9 @@ rejected where they enter.  The svmlight writer and the CSV writer
 convert their numbers to text a block of at most ``CHUNK_ENTRIES``
 entries at a time, so the text never takes more memory than one block.
 Beside an svmlight file the reader and the writer keep its binary twin,
-``<file>.npz``: what a load of the text returns, keyed by the SHA-256 of
-the text, so a text is parsed once and a text the writer wrote is never
-parsed.
+``<file>.ascd-twin.npz``: what a load of the text returns, keyed by the
+SHA-256 of the text, so a text is parsed once and a text the writer wrote
+is never parsed.
 """
 
 from __future__ import annotations
@@ -247,10 +247,14 @@ def _parse_line(parts: list[str], where: str) -> tuple[float, list[int],
     return label, indices, values
 
 
-# the binary twin ``<file>.npz`` of an svmlight file: what a load of the
-# text returns, keyed by the text's SHA-256.  Bump the version whenever
-# the twin's arrays change meaning.
+# the binary twin ``<file>.ascd-twin.npz`` of an svmlight file: what a
+# load of the text returns, keyed by the text's SHA-256.  Bump the version
+# whenever what the parse returns or accepts changes (its arrays, the
+# syntax it takes, ``INDEX_MAX``, its handling of zeros), or old twins go
+# on returning the old result; tests/test_data.py fingerprints the parse
+# to catch a missed bump.
 TWIN_VERSION = 1
+TWIN_SUFFIX = ".ascd-twin.npz"
 # name, dtype and number of dimensions of every array a twin holds
 _TWIN_ARRAYS = (("version", np.int64, 0), ("sha256", np.uint8, 1),
                 ("n_rows", np.int64, 0), ("indptr", np.int64, 1),
@@ -258,48 +262,45 @@ _TWIN_ARRAYS = (("version", np.int64, 0), ("sha256", np.uint8, 1),
                 ("target", np.float64, 1), ("empty", np.int64, 0))
 # the arrays after the key: what a load of the text returns
 _TWIN_LOADED = _TWIN_ARRAYS[2:]
-# bytes hashed per read when a twin is checked
+# bytes hashed per read
 _HASH_BLOCK = 1 << 16
 
 
-class _Hashing(io.RawIOBase):
-    """An unbuffered file that feeds every byte read from or written to
-    ``raw`` to ``digest``, so a text layer above it hashes exactly the
-    bytes it parses or writes."""
-
-    def __init__(self, raw, digest):
-        super().__init__()
-        self._raw, self._digest = raw, digest
-
-    def readable(self):
-        return True
-
-    def writable(self):
-        return True
-
-    def readinto(self, buffer):
-        n = self._raw.readinto(buffer)
-        self._digest.update(memoryview(buffer)[:n])
-        return n
-
-    def write(self, data):
-        n = self._raw.write(data)
-        self._digest.update(memoryview(data)[:n])
-        return n
+def _twin_of(path, raw) -> tuple[str, os.stat_result] | None:
+    """The name of the twin of ``path``, open as ``raw``, and the text's
+    status now, or None when the file is not a regular file named by a
+    path."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        return None
+    status = os.fstat(raw.fileno())
+    if not stat.S_ISREG(status.st_mode):
+        return None
+    return os.fsdecode(path) + TWIN_SUFFIX, status
 
 
-def _twin_path(path, raw) -> str | None:
-    """The name of the twin of ``path``, open as ``raw``, or None when
-    the file is not a regular file named by a path."""
-    if (isinstance(path, (str, bytes, os.PathLike))
-            and stat.S_ISREG(os.fstat(raw.fileno()).st_mode)):
-        return os.fsdecode(path) + ".npz"
-    return None
+def _unchanged(before: os.stat_result, after: os.stat_result) -> bool:
+    """Whether a text's status shows no write between ``before`` and
+    ``after``."""
+    return ((before.st_size, before.st_mtime_ns, before.st_ctime_ns)
+            == (after.st_size, after.st_mtime_ns, after.st_ctime_ns))
 
 
-def _read_twin(twin: str, raw) -> tuple | None:
-    """The arrays of ``twin`` if it is of this version and keyed by the
-    SHA-256 of the text that ``raw`` reads from its start, else None.
+def _mode(status: os.stat_result) -> int:
+    """The permission bits of a twin whose text has ``status``."""
+    return stat.S_IMODE(status.st_mode) & 0o666
+
+
+def _hash_text(raw) -> bytes:
+    """The SHA-256 of what ``raw`` reads from where it stands."""
+    digest = hashlib.sha256()
+    while block := raw.read(_HASH_BLOCK):
+        digest.update(block)
+    return digest.digest()
+
+
+def _read_twin(twin: str, key: bytes) -> tuple | None:
+    """The arrays of ``twin`` if it is of this version and keyed by
+    ``key``, else None.
 
     Any fault of the twin (missing, unreadable, truncated, another
     version, another text, an array of the wrong type) means no twin.
@@ -308,12 +309,8 @@ def _read_twin(twin: str, raw) -> tuple | None:
         # opened here: np.load leaves a file it opened itself open when
         # the file is not a zip archive
         with open(twin, "rb") as fh, np.load(fh) as npz:
-            if npz["version"] != TWIN_VERSION:
-                return None
-            digest = hashlib.sha256()
-            while block := raw.read(_HASH_BLOCK):
-                digest.update(block)
-            if npz["sha256"].tobytes() != digest.digest():
+            if (npz["version"] != TWIN_VERSION
+                    or npz["sha256"].tobytes() != key):
                 return None
             arrays = [npz[name] for name, _, _ in _TWIN_LOADED]
     # a damaged archive raises any of BadZipFile, ValueError, KeyError,
@@ -329,13 +326,37 @@ def _read_twin(twin: str, raw) -> tuple | None:
     return int(n_rows), indptr, rows, vals, target, int(empty)
 
 
-def _write_twin(twin: str, digest: bytes, n_rows: int, indptr: np.ndarray,
-                rows: np.ndarray, vals: np.ndarray, target: np.ndarray,
-                empty: int) -> None:
-    """Write ``twin`` best-effort: into a temporary file beside it, then
-    renamed over it.  Any ``OSError`` leaves no file behind and is not
-    raised."""
-    values = (TWIN_VERSION, np.frombuffer(digest, np.uint8), n_rows, indptr,
+def _foreign(twin: str) -> bool:
+    """Whether a file that is no twin has the name ``twin``.
+
+    Every twin starts with the zip entry of its ``version`` array, so a
+    file whose first bytes are not that entry's header is someone
+    else's; an empty file and a twin cut short after that header are
+    not.
+    """
+    first = b"version.npy"
+    try:
+        with open(twin, "rb") as fh:
+            # a zip entry's header: 30 bytes, then the entry's name
+            head = fh.read(30 + len(first))
+    except FileNotFoundError:
+        return False
+    except OSError:
+        return True
+    return bool(head) and not (head[:4] == b"PK\x03\x04"
+                               and head[30:] == first)
+
+
+def _write_twin(twin: str, mode: int, key: bytes, n_rows: int,
+                indptr: np.ndarray, rows: np.ndarray, vals: np.ndarray,
+                target: np.ndarray, empty: int) -> None:
+    """Write ``twin`` best-effort, with the permission bits ``mode``: into
+    a temporary file beside it, then renamed over it.  A file of that
+    name that is no twin is left alone; any ``OSError`` leaves no file
+    behind and is not raised."""
+    if _foreign(twin):
+        return
+    values = (TWIN_VERSION, np.frombuffer(key, np.uint8), n_rows, indptr,
               rows, vals, target, empty)
     directory, name = os.path.split(twin)
     try:
@@ -345,8 +366,11 @@ def _write_twin(twin: str, digest: bytes, n_rows: int, indptr: np.ndarray,
         return
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **{key: np.asarray(value, dtype)
-                            for (key, dtype, _), value
+            # mkstemp makes the file its owner's alone; the twin is as
+            # readable as its text
+            os.chmod(tmp, mode)
+            np.savez(fh, **{field: np.asarray(value, dtype)
+                            for (field, dtype, _), value
                             in zip(_TWIN_ARRAYS, values)})
         os.replace(tmp, twin)
     except OSError:
@@ -446,15 +470,18 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
     raises ``ValueError`` naming ``path:line`` and the first fault of that
     line in token order.
 
-    A regular file may have a binary twin, ``<path>.npz``, holding what
-    this function returns for it (the values before ``binarize``, and the
-    count of empty columns for the warning) keyed by the SHA-256 of the
-    text.  When the twin is of ``TWIN_VERSION`` and its key is the
+    A regular file may have a binary twin, ``<path>.ascd-twin.npz``
+    (``TWIN_SUFFIX``), holding what this function returns for it (the
+    values before ``binarize``, and the count of empty columns for the
+    warning) keyed by the SHA-256 of the text.  When the twin is of ``TWIN_VERSION`` and its key is the
     digest of the text now, its arrays are returned and the text is not
     parsed.  Otherwise the text is parsed, and a parse that succeeds
-    writes the twin, keyed by the digest of the bytes it parsed; a twin
-    that cannot be written (a read-only directory, a full disk) is
-    skipped.  Arrays, warnings and errors are the same either way.
+    writes the twin, keyed by that digest, unless the text's size or
+    times changed since it was opened; a twin that cannot be written (a
+    read-only directory, a full disk) is skipped, and a file of the
+    twin's name that is no twin is never replaced.  The twin gets the
+    text's read and write permission bits.  Arrays, warnings and errors
+    are the same either way.
 
     The parse reads the file a line at a time.  Each line is split,
     converted and checked whole with builtins (``str.split``,
@@ -466,21 +493,23 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
     entries by column, and each entry-length temporary is dropped once
     used.
     """
-    with open(path, "rb", buffering=0) as raw:
-        twin = _twin_path(path, raw)
-        loaded = _read_twin(twin, raw) if twin else None
+    loaded = None
+    with open(path, "rb") as raw:
+        twin = _twin_of(path, raw)
+        if twin:
+            key = _hash_text(raw)
+            loaded = _read_twin(twin[0], key)
+            raw.seek(0)
         if loaded is None:
-            if twin:
-                raw.seek(0)
-            digest = hashlib.sha256()
             # undecodable bytes are kept as lone surrogates, so the line
             # that holds one can be named
-            text = io.TextIOWrapper(io.BufferedReader(_Hashing(raw, digest)),
-                                    encoding="utf-8",
+            text = io.TextIOWrapper(raw, encoding="utf-8",
                                     errors="surrogateescape")
             loaded = _parse_svmlight(text, path)
-            if twin:
-                _write_twin(twin, digest.digest(), *loaded)
+            # the key is that of the text parsed only if the text did not
+            # change in between
+            if twin and _unchanged(twin[1], os.fstat(raw.fileno())):
+                _write_twin(twin[0], _mode(twin[1]), key, *loaded)
     n_rows, indptr, rows, vals, target, empty = loaded
     if empty:
         warnings.warn(f"{path}: dropping {empty} empty column(s)",
@@ -506,8 +535,8 @@ def save_svmlight(matrix: ColumnSparseMatrix, target: np.ndarray,
     When a load of the text would return ``matrix`` and the target (the
     matrix stores an entry and has no empty column) and ``path`` names a
     regular file, the binary twin that ``load_svmlight`` reads is written
-    beside it, keyed by the SHA-256 of the bytes written; a twin that
-    cannot be written is skipped.
+    beside it, keyed by the SHA-256 of the bytes written, as
+    ``load_svmlight`` writes it.
     """
     labels = np.asarray(target, dtype=np.float64)
     if labels.shape != (matrix.n_rows,):
@@ -521,30 +550,30 @@ def save_svmlight(matrix: ColumnSparseMatrix, target: np.ndarray,
     ends = np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows))
     lo = start = 0
     digest = hashlib.sha256()
-    with open(path, "wb", buffering=0) as raw:
-        twin = _twin_path(path, raw)
-        with io.TextIOWrapper(io.BufferedWriter(_Hashing(raw, digest)),
-                              encoding="utf-8") as fh:
-            while lo < matrix.n_rows:
-                hi = int(np.searchsorted(ends, start + CHUNK_ENTRIES,
-                                         side="right"))
-                hi = min(max(hi, lo + 1), lo + CHUNK_ENTRIES)
-                stop = int(ends[hi - 1])
-                block = order[start:stop]
-                cols = (matrix._nnz_col[block] + 1).tolist()
-                vals = matrix.vals[block].tolist()
-                at = 0
-                for label, end in zip(labels[lo:hi].tolist(),
-                                      (ends[lo:hi] - start).tolist()):
-                    fh.write(" ".join([repr(label),
-                                       *map("{}:{!r}".format, cols[at:end],
-                                            vals[at:end])]) + "\n")
-                    at = end
-                lo, start = hi, stop
+    with open(path, "wb") as fh:
+        twin = _twin_of(path, fh)
+        while lo < matrix.n_rows:
+            hi = int(np.searchsorted(ends, start + CHUNK_ENTRIES,
+                                     side="right"))
+            hi = min(max(hi, lo + 1), lo + CHUNK_ENTRIES)
+            stop = int(ends[hi - 1])
+            block = order[start:stop]
+            cols = (matrix._nnz_col[block] + 1).tolist()
+            vals = matrix.vals[block].tolist()
+            at = 0
+            for label, end in zip(labels[lo:hi].tolist(),
+                                  (ends[lo:hi] - start).tolist()):
+                line = " ".join([repr(label),
+                                 *map("{}:{!r}".format, cols[at:end],
+                                      vals[at:end])]).encode() + b"\n"
+                digest.update(line)
+                fh.write(line)
+                at = end
+            lo, start = hi, stop
     del order, ends     # so the twin's write never holds them too
     if twin and matrix.nnz and np.all(np.diff(matrix.indptr) > 0):
-        _write_twin(twin, digest.digest(), matrix.n_rows, matrix.indptr,
-                    matrix.rows, matrix.vals, labels, 0)
+        _write_twin(twin[0], _mode(twin[1]), digest.digest(), matrix.n_rows,
+                    matrix.indptr, matrix.rows, matrix.vals, labels, 0)
 
 
 def take_columns(matrix: ColumnSparseMatrix, k: int,

@@ -191,8 +191,9 @@ class TestRun:
         # writes it back
         data = tmp_path / "syn.svm"
         data.write_bytes(dataset.read_bytes())
-        twin = tmp_path / "syn.svm.npz"
-        twin.write_bytes((dataset.parent / "syn.svm.npz").read_bytes())
+        twin = tmp_path / ("syn.svm" + ascd.data.TWIN_SUFFIX)
+        twin.write_bytes(
+            (dataset.parent / twin.name).read_bytes())
         args = ["run", "--data", str(data), "--l2", "0.5", "--steps", "3n",
                 "--seed", "4", "--tag", "x"]
         assert main(args + ["--out", str(tmp_path / "twin")]) == 0

@@ -1,5 +1,8 @@
+import hashlib
+import inspect
 import math
 import os
+import stat
 import threading
 import tracemalloc
 import warnings
@@ -385,7 +388,7 @@ class TestSvmlight:
 
 def _twin(path):
     """The binary twin of the svmlight file at ``path``."""
-    return path.with_name(path.name + ".npz")
+    return path.with_name(path.name + ascd.data.TWIN_SUFFIX)
 
 
 def _outcome(load, path, binarize):
@@ -538,9 +541,9 @@ _DENSE_VALUE = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e308]) | \
 
 
 class TestTwin:
-    """The binary twin ``<file>.npz``: a load from it shows what the
-    parse of its text shows, and any twin that is not of this text and
-    this version is passed over for the parse."""
+    """The binary twin ``<file>.ascd-twin.npz``: a load from it shows
+    what the parse of its text shows, and any twin that is not of this
+    text and this version is passed over for the parse."""
 
     @pytest.mark.parametrize("binarize", [False, True])
     @pytest.mark.parametrize("cols", [1000, 5000])
@@ -600,7 +603,7 @@ class TestTwin:
         assert _parsed(path) == (shown, False)
 
     @pytest.mark.parametrize("fault", ["truncated", "version", "dtype",
-                                       "not-npz", "directory", "temp-file"])
+                                       "empty", "directory", "temp-file"])
     def test_faulty_twin_falls_back_to_the_parse(self, tmp_path, fault):
         m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=3))
         path = tmp_path / "gen.svm"
@@ -612,15 +615,15 @@ class TestTwin:
             _rewrite_twin(path, version=ascd.data.TWIN_VERSION + 1)
         elif fault == "dtype":
             _rewrite_twin(path, rows=m.rows.astype(np.int32))
-        elif fault == "not-npz":
-            twin.write_bytes(b"1 1:1\n")
+        elif fault == "empty":
+            twin.write_bytes(b"")
         elif fault == "directory":
             # the twin can be neither read nor written
             twin.unlink()
             twin.mkdir()
         else:
             # what a load cut short while writing its twin leaves
-            twin.rename(tmp_path / "gen.svm.npz.x1y2z3.tmp")
+            twin.rename(tmp_path / (twin.name + ".x1y2z3.tmp"))
         before = sorted(os.listdir(tmp_path))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -631,6 +634,73 @@ class TestTwin:
         assert sorted(os.listdir(tmp_path)) == sorted(
             set(before) | {twin.name})
         assert _parsed(path) == (shown, fault == "directory")
+
+    @pytest.mark.parametrize("foreign", ["text", "npz", "short"])
+    def test_foreign_file_at_the_twin_name_survives(self, tmp_path,
+                                                    foreign):
+        # a user's own file that happens to have the twin's name is never
+        # replaced, by a save or by a load; every load then parses
+        m, b = generate_synthetic(SynthConfig(n_rows=20, n_cols=15, seed=6))
+        path = tmp_path / "gen.svm"
+        twin = _twin(path)
+        if foreign == "text":
+            twin.write_bytes(b"1 1:1\n")
+        elif foreign == "npz":
+            np.savez(twin, vals=m.vals)
+        else:
+            twin.write_bytes(b"PK\x03\x04")
+        kept = twin.read_bytes()
+        save_svmlight(m, b, path)
+        want = _outcome(reference_load, path, False)
+        for _ in range(2):
+            assert _parsed(path) == (want, True)
+        assert twin.read_bytes() == kept
+        assert sorted(os.listdir(tmp_path)) == ["gen.svm", twin.name]
+
+    def test_twin_as_readable_as_its_text(self, tmp_path):
+        # not mkstemp's owner-only mode: whoever reads the text reads the
+        # twin
+        m, b = generate_synthetic(SynthConfig(n_rows=20, n_cols=15, seed=7))
+        path = tmp_path / "gen.svm"
+        save_svmlight(m, b, path)
+        assert (stat.S_IMODE(_twin(path).stat().st_mode)
+                == stat.S_IMODE(path.stat().st_mode) & 0o666)
+        for mode in (0o644, 0o640, 0o604):
+            path.chmod(mode)
+            _twin(path).unlink()
+            load_svmlight(path)
+            assert stat.S_IMODE(_twin(path).stat().st_mode) == mode
+
+    def test_text_changed_during_the_parse_gets_no_twin(self, tmp_path):
+        # the key was taken before the parse, so it may not be the parsed
+        # text's: a load that sees the text change writes no twin
+        path = tmp_path / "gen.svm"
+        path.write_text("1 1:1\n")
+        real = ascd.data._parse_svmlight
+
+        def parse_while_appending(fh, where):
+            with open(path, "a") as out:
+                out.write("2 2:1\n")
+            return real(fh, where)
+
+        with mock.patch.object(ascd.data, "_parse_svmlight",
+                               parse_while_appending):
+            load_svmlight(path)
+        assert not _twin(path).exists()
+        # the next load parses the text as it stands and writes its twin
+        assert _parsed(path)[1]
+        assert not _parsed(path)[1]
+
+    def test_parse_fingerprint(self):
+        # a twin holds a parse's result: a change to the parse that does
+        # not bump TWIN_VERSION leaves old twins returning the old result.
+        # When this fails, bump TWIN_VERSION if the parse now returns or
+        # accepts anything differently, then record the new fingerprint.
+        source = "".join(inspect.getsource(f) for f in (
+            ascd.data._parse_svmlight, ascd.data._parse_line))
+        fingerprint = hashlib.sha256(
+            f"{source}{ascd.data.INDEX_MAX}".encode()).hexdigest()[:16]
+        assert (ascd.data.TWIN_VERSION, fingerprint) == (1, "227a6dc79a024c5b")
 
     def test_read_only_directory(self, tmp_path, monkeypatch):
         m, b = generate_synthetic(SynthConfig(n_rows=30, n_cols=20, seed=4))
