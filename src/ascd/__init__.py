@@ -2,7 +2,7 @@
 (steepest on exact gradients), plus the measurement tools around them."""
 
 from .problem import (ColumnSparseMatrix, CompositeProblem, Regularizer,
-                      ResidualState, model_value)
+                      ResidualState)
 from .oracles import OracleSpec
 from .selector import (ActiveSet, Bounds, GradientEstimate, active_set,
                        compute_bounds, select_ascd)
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ColumnSparseMatrix", "CompositeProblem", "Regularizer", "ResidualState",
-    "model_value", "OracleSpec",
+    "OracleSpec",
     "ActiveSet", "Bounds", "GradientEstimate", "active_set", "compute_bounds",
     "select_ascd", "RunConfig", "RunResult",
     "UpdateRule", "progress_delta", "progress_tau", "run", "write_trace_csv",

@@ -6,15 +6,14 @@ uniform (``ucd``, with no estimate and all n as its set) or a tracked rule
 that runs the score, set and pick stages of ``selector``.  Every score is
 in units of the step: it is scaled by the coordinate's own constant
 ``L_i`` (``problem.lipschitz``), so the rules rank coordinates by the
-decrease an exact step on them gives.  ``_scores`` is two-way:
-``ascd-gsq`` compares bounds on the model decrease at ``L_i``, every other
-tracked rule runs the one segment-distance stage, ``compute_bounds``: gs-s
-over ``L_i`` at the penalty's ``lam`` for ``ascd-gss``, and its ``lam = 0``
-case, ``grad_i^2 / L_i`` (Gauss-Southwell-Lipschitz, GS-L), for ``ascd``.
-Every tracked rule then keeps the safe set.  With g1 and a true-gradient
-start the estimate stays exact, so the segment-distance rules score one
-array and their set is its maximisers: the steepest rule in units of the
-step, which ``scd`` runs (``RunConfig.resolved``).  The pick
+decrease an exact step on them gives.  Every tracked rule runs the one
+segment-distance stage, ``compute_bounds``, at a ``lam`` fixed for the run:
+gs-s over ``L_i`` at the penalty's ``lam`` for ``ascd-gss``, and its
+``lam = 0`` case, ``grad_i^2 / L_i`` (Gauss-Southwell-Lipschitz, GS-L), for
+``ascd``.  Every tracked rule then keeps the safe set.  With g1 and a
+true-gradient start the estimate stays exact, so the rules score one array
+and their set is its maximisers: the steepest rule in units of the step,
+which ``scd`` runs (``RunConfig.resolved``).  The pick
 ``argmax-lower`` takes the best lower score (greedy; degenerates to
 hammering one coordinate when every other bound has collapsed), while
 ``uniform-set`` draws uniformly from the set, the regime the one-step
@@ -27,19 +26,20 @@ the step that draws a block carries that block's draw time in ``wall_ns``,
 on every rule.
 
 The loop keeps the score stage's bounds across steps.  After a step that
-moved x it scores all n coordinates with ``_scores``; after a zero step it
-rescores only the coordinate that step picked, since its ``g`` and ``r``
-are all the step changed, on Python floats with ``selector.score_one``.
-The step leaves that coordinate's radius 0, so its score is exact:
-``score_one`` reads no radius and evaluates no interval.  Every score
-stage is elementwise and ``score_one`` returns the bits the array stages
-give one coordinate at radius 0, so the kept bounds hold the bits a full
-scoring would.  ``step`` likewise takes the coordinate step on floats,
-with ``Regularizer.model_argmin_one``, which has the bits of the array
-``model_argmin``.  A zero step also keeps the active set, and with it the
-pick's tie pool, when the rescored coordinate keeps its lower score and its
-upper score reaches the best lower score before and after: the set stage
-then returns the same set on every path.
+moved x it scores all n coordinates with ``compute_bounds``; after a zero
+step it rescores only the coordinate that step picked, since its ``g`` and
+``r`` are all the step changed, on Python floats with
+``selector.score_one``.  The step leaves that coordinate's radius 0, so its
+score is exact: ``score_one`` reads no radius, evaluates no interval and
+returns one score, written as both bounds.  The score stage is elementwise
+and ``score_one`` returns the bits it gives one coordinate at radius 0, so
+the kept bounds hold the bits a full scoring would.  ``step`` likewise
+takes the coordinate step on floats, with ``Regularizer.model_argmin_one``,
+which has the bits of the array ``model_argmin``.  A zero step also keeps
+the active set, and with it the pick's tie pool, when the rescored
+coordinate keeps its lower score and its upper score reaches the best lower
+score before and after: the set stage then returns the same set on every
+path.
 
 The objective is evaluated in full only at the start, after each refresh
 of the residual ``w = Ax`` (every 10n steps) and for ``final_f``.  Between
@@ -70,9 +70,9 @@ import numpy as np
 from .data import trace_allocation, write_csv
 from .oracles import OracleContext, OracleSpec, oracle_row
 from .problem import CompositeProblem, ResidualState
-from .selector import (ActiveSet, Bounds, GradientEstimate, PickDraws,
-                       active_set, compute_bounds, gsq_bounds, score_one,
-                       select_ascd, update_estimates)
+from .selector import (ActiveSet, GradientEstimate, PickDraws, active_set,
+                       compute_bounds, score_one, select_ascd,
+                       update_estimates)
 
 __all__ = [
     "UpdateRule",
@@ -92,7 +92,7 @@ __all__ = [
     "write_trace_csv",
 ]
 
-RULES = ("ucd", "scd", "ascd", "ascd-gss", "ascd-gsq")
+RULES = ("ucd", "scd", "ascd", "ascd-gss")
 # estimate inits, set picks and the one update rule a run may name
 INITS = ("none", "true-gradient")
 PICKS = ("argmax-lower", "uniform-set")
@@ -322,16 +322,6 @@ def allocate_trace(steps: int, timed: bool = False) -> dict[str, np.ndarray]:
     return cols
 
 
-def _scores(rule: str, est: GradientEstimate, x: np.ndarray,
-            problem: CompositeProblem) -> Bounds:
-    """The score stage of a tracked rule, in the units the set compares."""
-    reg = problem.psi_reg
-    if rule == "ascd-gsq":
-        return gsq_bounds(est, x, problem.lipschitz, reg)
-    return compute_bounds(est, problem.lipschitz, x,
-                          reg.lam if rule == "ascd-gss" else 0.0)
-
-
 def run(config: RunConfig) -> RunResult:
     """Execute the configured descent and collect the per-step trace."""
     problem = config.problem
@@ -345,6 +335,9 @@ def run(config: RunConfig) -> RunResult:
 
     rule, spec, init, pick = config.resolved()
     tracked = spec is not None
+    # the segment half-width of every scoring: gs-s at the penalty's
+    # weight, GS-L at 0
+    lam = problem.psi_reg.lam if rule == "ascd-gss" else 0.0
     # every rule's picks: per-step draws, served from blocks
     draws = PickDraws(rng)
     est = ctx = None
@@ -370,21 +363,21 @@ def run(config: RunConfig) -> RunResult:
         tick = time.perf_counter_ns() if config.time_steps else 0
         if tracked:
             if scores is None:
-                scores = _scores(rule, est, state.x, problem)
+                scores = compute_bounds(est, problem.lipschitz, state.x,
+                                        lam)
                 aset = active_set(scores)
             else:
                 # a zero step changed only the last pick's g, and left
                 # its radius 0
-                lower, upper = score_one(
-                    rule, float(est.g[i_t]), float(state.x[i_t]),
-                    float(problem.lipschitz[i_t]), problem.psi_reg)
+                score = score_one(float(est.g[i_t]), float(state.x[i_t]),
+                                  float(problem.lipschitz[i_t]), lam)
                 # the same lower score, and an upper score reaching the
                 # best lower score before and after: every path of
                 # active_set returns the same set
-                keep = (lower == scores.lower[i_t] and upper >= aset.top
+                keep = (score == scores.lower[i_t] and score >= aset.top
                         and scores.upper[i_t] >= aset.top)
                 # in an exact estimate's one array, the same write twice
-                scores.lower[i_t], scores.upper[i_t] = lower, upper
+                scores.lower[i_t] = scores.upper[i_t] = score
                 if not keep:
                     aset = active_set(scores)
         if pick == "uniform-set":

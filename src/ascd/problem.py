@@ -19,7 +19,6 @@ __all__ = [
     "Regularizer",
     "CompositeProblem",
     "ResidualState",
-    "model_value",
 ]
 
 
@@ -142,14 +141,6 @@ class Regularizer:
         if self.kind == "none":
             self.lam = 0.0
 
-    def psi(self, v):
-        """Elementwise penalty value (scalar or array)."""
-        if self.kind == "l2":
-            return 0.5 * self.lam * np.square(v)
-        if self.kind == "l1":
-            return self.lam * np.abs(v)
-        return np.zeros_like(np.asarray(v, dtype=np.float64))
-
     def model_argmin(self, x, slope, lipschitz):
         """Minimiser over y of ``slope*y + lipschitz/2 * y^2 + psi(x + y)``.
 
@@ -183,20 +174,12 @@ class Regularizer:
         return -slope / lipschitz
 
     def psi_one(self, v: float) -> float:
-        """``psi`` on one Python float, with its bits (0.0 for ``none``)."""
+        """The penalty ``psi(v)`` of one Python float (0.0 for ``none``)."""
         if self.kind == "l2":
             return 0.5 * self.lam * (v * v)
         if self.kind == "l1":
             return self.lam * abs(v)
         return 0.0
-
-
-def model_value(x, y, slope, lipschitz, reg: Regularizer):
-    """Coordinate model ``slope*y + lipschitz/2 * y^2 + psi(x + y)``.
-
-    Evaluated elementwise; ``y = 0`` reduces to ``psi(x)``.
-    """
-    return slope * y + 0.5 * lipschitz * np.square(y) + reg.psi(x + y)
 
 
 @dataclass

@@ -3,24 +3,20 @@
 Uniform selection only draws from all n.  The tracked rules keep, for every
 coordinate, an estimate of the smooth partial gradient with a certified
 error radius, and select in three stages; steepest selection is a tracked
-rule on an exact estimate.  The *score* stage brackets each coordinate's
-score in a ``Bounds`` interval, larger being better, in units of the
-decrease an exact step on the coordinate gives: every score is scaled by
-the coordinate's own constant ``L_i``.  gs-s is one segment-distance
-stage, ``compute_bounds``: the squared distance from the gradient to
-``-subdiff lam|x_i|``, over ``L_i``; its ``lam = 0`` case, the ``ascd``
-score, is ``grad_i^2 / L_i``, twice the decrease of the exact step, the
-Gauss-Southwell-Lipschitz (GS-L) rule.  gs-q brackets the best decrease of
-the coordinate model at ``L_i``, ``psi(x_i) - min_y V_i``, itself the exact
-step's decrease.  An exact estimate (every radius 0,
-``GradientEstimate.is_exact``) scores once: the stage evaluates the score
-at ``g`` and returns that one array as both bounds (``lower is upper``).
-gs-q keeps two bounds even then, because its lower bound keeps the
-``y = 0`` fallback, a decrease of 0.  Interval scoring lives only in
-these array stages.  ``score_one`` gives the exact score of one coordinate
-at radius 0, on Python floats, for the loop's rescoring after a zero step,
-which leaves the picked coordinate's radius 0; it returns the bits the
-array stages give that coordinate, signed zeros included.
+rule on an exact estimate.  The *score* stage, ``compute_bounds``, brackets
+each coordinate's score in a ``Bounds`` interval, larger being better, in
+units of the decrease an exact step on the coordinate gives: every score is
+scaled by the coordinate's own constant ``L_i``.  It is the gs-s score, the
+squared distance from the gradient to ``-subdiff lam|x_i|``, over ``L_i``;
+its ``lam = 0`` case, the ``ascd`` score, is ``grad_i^2 / L_i``, twice the
+decrease of the exact step, the Gauss-Southwell-Lipschitz (GS-L) rule.  An
+exact estimate (every radius 0, ``GradientEstimate.is_exact``) scores once:
+the stage evaluates the score at ``g`` and returns that one array as both
+bounds (``lower is upper``).  Interval scoring lives only in this array
+stage.  ``score_one`` gives the exact score of one coordinate at radius 0,
+on Python floats, for the loop's rescoring after a zero step, which leaves
+the picked coordinate's radius 0; it returns the bits the array stage
+gives that coordinate, signed zeros included.
 The *set* stage, ``active_set``, keeps the smallest prefix, in descending
 order of the lower score, that provably contains the best coordinate.  It
 tries, in order: all of [n] when every upper score reaches the best lower
@@ -40,8 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import Regularizer, model_value
-
 __all__ = [
     "GradientEstimate",
     "Bounds",
@@ -51,7 +45,6 @@ __all__ = [
     "select_ascd",
     "PickDraws",
     "update_estimates",
-    "gsq_bounds",
     "score_one",
 ]
 
@@ -90,11 +83,11 @@ class GradientEstimate:
 class Bounds:
     """Per-coordinate score interval ``lower <= score_i <= upper``.
 
-    Larger scores are better; every score stage returns its scores in the
-    units ``active_set`` compares, those of an exact step's decrease, and
-    ``compute_bounds`` this interval for the squared gs-s scores over
-    ``L_i``, ``grad_i^2 / L_i`` at ``lam = 0``.  Known scores are one array
-    given as both bounds (``lower is upper``).
+    Larger scores are better.  ``compute_bounds`` returns this interval
+    for the squared gs-s scores over ``L_i``, ``grad_i^2 / L_i`` at
+    ``lam = 0``, in the units ``active_set`` compares, those of an exact
+    step's decrease.  Known scores are one array given as both bounds
+    (``lower is upper``).
     """
 
     upper: np.ndarray
@@ -375,78 +368,21 @@ def update_estimates(estimate: GradientEstimate, i_t: int, gamma: float,
 
 
 # ---------------------------------------------------------------------------
-# composite scores
-# ---------------------------------------------------------------------------
-
-
-def gsq_bounds(estimate: GradientEstimate, x: np.ndarray,
-               lipschitz: np.ndarray, reg: Regularizer) -> Bounds:
-    """Sandwich the best model decrease ``psi(x_i) - min_y V_i`` using the
-    signed gradient interval; a larger decrease is a better coordinate.
-    The model of coordinate i has curvature ``lipschitz[i]``: at its own
-    ``L_i`` the decrease is that of the exact step.
-
-    Evaluates the model at the minimisers for the two endpoint slopes; the
-    upper score is ``psi(x_i)`` minus the better of the two values, the
-    lower score corrects each endpoint value by the worst-case slope
-    mismatch and keeps the ``y = 0`` fallback, a decrease of 0.
-    Coordinates with infinite radius get the vacuous ``(lower, upper) =
-    (0, inf)``.  ``lower <= psi(x_i) - min_y V_i(x, y, grad_i) <= upper``
-    whenever the gradient estimate is sound.
-    """
-    if reg.kind not in ("none", "l1", "l2"):
-        raise ValueError(f"unsupported regularizer {reg.kind!r}")
-    g, r = estimate.g, estimate.r
-    hi = g + r
-    lo = g - r
-    finite = np.isfinite(r)
-    hi_f = np.where(finite, hi, 0.0)
-    lo_f = np.where(finite, lo, 0.0)
-
-    y_u = reg.model_argmin(x, hi_f, lipschitz)
-    y_l = reg.model_argmin(x, lo_f, lipschitz)
-    val_u = model_value(x, y_u, hi_f, lipschitz, reg)
-    val_l = model_value(x, y_l, lo_f, lipschitz, reg)
-    omega_u = val_u + np.maximum(0.0, y_u * (lo_f - hi_f))
-    omega_l = val_l + np.maximum(0.0, y_l * (hi_f - lo_f))
-    psi0 = reg.psi(x)
-
-    upper = psi0 - np.minimum(val_u, val_l)
-    lower = psi0 - np.minimum(np.minimum(omega_u, omega_l), psi0)
-    return Bounds(upper=np.where(finite, upper, np.inf),
-                  lower=np.where(finite, lower, 0.0))
-
-
-# ---------------------------------------------------------------------------
 # one coordinate on Python floats
 # ---------------------------------------------------------------------------
 
 
-def score_one(rule: str, g: float, x: float, lipschitz: float,
-              reg: Regularizer) -> tuple[float, float]:
-    """``(lower, upper)`` exact score of one coordinate, on Python floats.
+def score_one(g: float, x: float, lipschitz: float, lam: float) -> float:
+    """Exact score of one coordinate, on Python floats.
 
-    ``driver._scores`` on a one-coordinate estimate at radius 0, exact or
+    ``compute_bounds`` on a one-coordinate estimate at radius 0, exact or
     not: the loop rescores only after a zero step, which leaves the
     coordinate's radius 0.  ``g`` is its finite gradient estimate, ``x``
-    its iterate, ``lipschitz`` its ``L_i`` and ``reg`` the composite
-    penalty (``none`` or ``l1``).  The segment rules give
-    ``compute_bounds``' exact formula, one squared segment distance over
-    ``L_i`` as both bounds; ``ascd-gsq`` the decrease at the one model
-    minimiser, with the ``y = 0`` fallback in the lower bound.  The bits
-    are a full scoring's, signed zeros included: a zero distance is
-    ``+0.0`` and ``v * v`` is ``np.square``; ``gsq_bounds``' two ends at
-    radius 0 differ only in the sign of a zero slope, its slope-mismatch
-    term is a zero, and ``psi(x) >= +0.0`` absorbs the sign of a zero
-    model value, as on a tie of ``min``.
+    its iterate, ``lipschitz`` its ``L_i`` and ``lam`` the run's segment
+    half-width.  The one squared segment distance over ``L_i`` is both
+    bounds.  The bits are a full scoring's, signed zeros included: a zero
+    distance is ``+0.0`` and ``d * d`` is ``np.square``.
     """
-    if rule == "ascd-gsq":
-        psi0 = reg.psi_one(x)
-        y = reg.model_argmin_one(x, g, lipschitz)
-        val = g * y + (0.5 * lipschitz) * (y * y) + reg.psi_one(x + y)
-        return psi0 - min(val, psi0), psi0 - val
-    lam = reg.lam if rule == "ascd-gss" else 0.0
     d = (max(abs(g) - lam, 0.0) if x == 0.0
          else abs(g + lam * math.copysign(1.0, x)))
-    d = d * d / lipschitz
-    return d, d
+    return d * d / lipschitz

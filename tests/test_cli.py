@@ -552,19 +552,32 @@ class TestSweep:
         assert [row.split(",")[0] for row in rows] == [
             "ds_ucd_g1_eps0_seed4_none", "ds_ucd_g1_eps0_seed5_none"]
 
+    # (--rules, --oracles, the cells that fail, the cells that run)
+    REJECTED_CELLS = [
+        ("ucd,scd", "g3,g9",
+         ["ucd_g9_eps0_seed0_none", "scd_g9_eps0_seed0_none"],
+         ["ucd_g3_eps0_seed0_none", "scd_g3_eps0_seed0_none"]),
+        # a deleted rule
+        ("ascd-gss,ascd-gsq", "g3", ["ascd-gsq_g3_eps0_seed0_none"],
+         ["ascd-gss_g3_eps0_seed0_none"]),
+    ]
+
     def test_rejected_cells_fail_alone(self, dataset, tmp_path):
         # a cell whose flags are rejected is never folded into another
-        rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
-                   "--rules", "ucd,scd", "--oracles", "g3,g9",
-                   "--out", str(tmp_path), "--tag", "rj"])
-        assert rc == 1
-        summary = read_json(tmp_path / "rj_sweep.json")
-        assert summary["cells"] == 4
-        assert [item["tag"] for item in summary["failed"]] == [
-            "rj_ucd_g9_eps0_seed0_none", "rj_scd_g9_eps0_seed0_none"]
-        rows = (tmp_path / "rj_summary.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == [
-            "rj_ucd_g3_eps0_seed0_none", "rj_scd_g3_eps0_seed0_none"]
+        for k, (rules, oracles, failed, ran) in enumerate(
+                self.REJECTED_CELLS):
+            tag = f"rj{k}"
+            rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
+                       "--rules", rules, "--oracles", oracles,
+                       "--out", str(tmp_path), "--tag", tag])
+            assert rc == 1
+            summary = read_json(tmp_path / f"{tag}_sweep.json")
+            assert summary["cells"] == len(failed) + len(ran)
+            assert [item["tag"] for item in summary["failed"]] == [
+                f"{tag}_{cell}" for cell in failed]
+            rows = (tmp_path / f"{tag}_summary.csv").read_text()
+            assert [row.split(",")[0] for row in rows.splitlines()[1:]] == [
+                f"{tag}_{cell}" for cell in ran]
 
     def test_cell_cap(self, dataset, tmp_path):
         rc = main(["sweep", "--data", str(dataset), "--steps", "1n",
@@ -791,6 +804,9 @@ class TestRejectedInput:
                      id="run-epsilon-nan"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
                       "--seed", "-1"], "--seed", id="run-seed-negative"),
+        # a deleted rule
+        pytest.param(["run", "--data", "{data}", "--steps", "5",
+                      "--rule", "ascd-gsq"], "--rule", id="run-rule-ascd-gsq"),
         pytest.param(["run", "--data", "{data}", "--steps", "5",
                       "--diag-every", "-1"], "--diag-every",
                      id="run-diag-every-negative"),

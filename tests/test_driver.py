@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as hst
 import ascd.driver
 import ascd.oracles
 from ascd.data import SynthConfig, generate_synthetic
-from ascd.driver import (INITS, PICKS, RULES, RunConfig, UpdateRule,
-                         progress_delta, progress_tau, run, step,
+from ascd.driver import (INITS, PICKS, RULES, SANDWICH_SLACK, RunConfig,
+                         UpdateRule, progress_delta, progress_tau, run, step,
                          write_trace_csv, TRACE_COLUMNS, TRACE_HEADER)
 from ascd.oracles import ORACLE_KINDS, OracleContext, OracleSpec
 from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
@@ -361,14 +361,14 @@ class TestRun:
         # on every step the set in use, which progress_tau receives, and
         # the pick's tie pool are those of a fresh full scoring; a step
         # after a zero step may keep the last set or recompute it
-        real_scores, real_set = ascd.driver._scores, ascd.driver.active_set
+        real_scores, real_set = (ascd.driver.compute_bounds,
+                                 ascd.driver.active_set)
         real_pick = ascd.driver.select_ascd
         full, in_use, computed, bad = [], [], [], []
 
-        def scores(rule, est, x, problem):
-            if est.g.size == problem.n:
-                full.append((rule, est, x, problem))
-            return real_scores(rule, est, x, problem)
+        def scores(*args):
+            full.append(args)
+            return real_scores(*args)
 
         def counted(bounds):
             computed.append(len(in_use))
@@ -389,7 +389,7 @@ class TestRun:
             in_use.append(indices)
             return progress_tau(gradient, indices, lipschitz)
 
-        for name, spy in (("_scores", scores), ("active_set", counted),
+        for name, spy in (("compute_bounds", scores), ("active_set", counted),
                           ("select_ascd", pick), ("progress_tau", tau)):
             monkeypatch.setattr(ascd.driver, name, spy)
         lasso = _grid_problems()["lasso"]
@@ -419,9 +419,9 @@ class TestRun:
             assert set(range(res.t.size)) - after_zero <= set(computed)
             kept[rule] += len(after_zero - set(computed))
             fell_through[rule] += len(after_zero & set(computed))
-        # a gs-q zero step can change the picked coordinate's lower score;
-        # scored at each L_i, it does so here on the g2 cells
-        assert kept["ascd-gsq"] > 0 and fell_through["ascd-gsq"] > 0
+        # a zero step can change the picked coordinate's lower score
+        # under gs-s too
+        assert kept["ascd-gss"] > 0 and fell_through["ascd-gss"] > 0
         assert kept.total() > 0 and fell_through.total() > 0
 
     def test_mean_pick_pool(self, monkeypatch):
@@ -467,15 +467,18 @@ class TestRun:
                 assert res.sandwich_violations == 0, (kind, init)
 
     def test_sandwich_counted_for_ascd_only(self):
-        # the gs-q set makes no promise about GS-L scores, so its runs
+        # the gs-s set makes no promise about GS-L scores, so its runs
         # report no sandwich violations even when the ordering fails on
-        # them
+        # them, as it does here
         m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=1))
-        lam = 0.1 * float(np.max(np.abs(m.col_dots(b))))
+        lam = 0.02 * float(np.max(np.abs(m.col_dots(b))))
         prob = CompositeProblem(m, b, Regularizer("l1", lam))
-        res = run(RunConfig(problem=prob, steps=8 * prob.n, rule="ascd-gsq",
+        res = run(RunConfig(problem=prob, steps=8 * prob.n, rule="ascd-gss",
                             oracle=OracleSpec("g1"), seed=0,
                             init="true-gradient", diag_every=1))
+        slack = 1 + SANDWICH_SLACK
+        assert np.any((res.tau_ucd > res.tau_ascd * slack + 1e-300)
+                      | (res.tau_ascd > res.tau_scd * slack + 1e-300))
         assert res.sandwich_violations == 0
         assert res.soundness_violations == 0
 
@@ -504,7 +507,7 @@ class TestRun:
         configs = [RunConfig(problem=prob, steps=3 * prob.n, rule=rule,
                              oracle=OracleSpec(kind, epsilon=0.1, seed=1),
                              seed=4, init=init, pick=pick, diag_every=1)
-                   for rule in ("ascd", "ascd-gss", "ascd-gsq")
+                   for rule in ("ascd", "ascd-gss")
                    for kind in ("g1", "g2", "g4")
                    for init in ("none", "true-gradient")
                    for pick in ("argmax-lower", "uniform-set")]
@@ -518,7 +521,7 @@ class TestRun:
 
     def test_soundness_checks_the_sign(self, monkeypatch):
         # right magnitudes, wrong signs: the interval g +- r misses the true
-        # gradient, which the gs-s and gs-q scores rely on
+        # gradient, which the gs-s score relies on
         class Negated(GradientEstimate):
             @classmethod
             def exact(cls, gradient):
@@ -731,14 +734,11 @@ def _grid_problems():
 # evaluations: f moved by at most 2.9e-13 of itself, and no first digest
 # moved.  The g3 and g4 cells run the interval path.
 # The cells after the lasso g4 "none" one were recorded before a zero step
-# rescored only its coordinate; every lasso cell takes zero steps.  The
-# lasso ascd-gsq cells were re-recorded when gs-q began to rank by the
-# model decrease psi(x_i) - min V, in place of -min V: their picks moved.
-# The ridge ascd-gsq cells did not, since psi = 0 there.  Every cell whose
-# picks moved was re-recorded when the scores took units of the step (each
-# score over its own L_i, gs-q at L_i in place of L_max): the ridge g1
-# cells and scd end 3n steps at f/f0 = 2.557e-4 where they ended at
-# 1.185e-3, and the ucd cells did not move
+# rescored only its coordinate; every lasso cell takes zero steps.  Every
+# cell whose picks moved was re-recorded when the scores took units of the
+# step (each score over its own L_i): the ridge g1 cells and scd end 3n
+# steps at f/f0 = 2.557e-4 where they ended at 1.185e-3, and the ucd cells
+# did not move
 SAME_RESULTS = {
     ("ridge", "ascd", "argmax-lower", "g1", "true-gradient"):
         ("f5cd7b880a058a6e", "16e6cd06f6731d96"),
@@ -748,10 +748,6 @@ SAME_RESULTS = {
         ("f5cd7b880a058a6e", "16e6cd06f6731d96"),
     ("ridge", "ascd-gss", "uniform-set", "g1", "true-gradient"):
         ("f5cd7b880a058a6e", "16e6cd06f6731d96"),
-    ("ridge", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
-        ("f5cd7b880a058a6e", "16e6cd06f6731d96"),
-    ("ridge", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
-        ("f5cd7b880a058a6e", "16e6cd06f6731d96"),
     ("lasso", "ascd", "argmax-lower", "g1", "true-gradient"):
         ("8749b8291386a9e6", "96c567b669458c20"),
     ("lasso", "ascd", "uniform-set", "g1", "true-gradient"):
@@ -760,12 +756,9 @@ SAME_RESULTS = {
         ("abd59c0d130319d9", "ecf2ca3f8be615e6"),
     ("lasso", "ascd-gss", "uniform-set", "g1", "true-gradient"):
         ("abd59c0d130319d9", "ecf2ca3f8be615e6"),
-    ("lasso", "ascd-gsq", "argmax-lower", "g1", "true-gradient"):
-        ("92b5ee6b5c75d76e", "ecf2ca3f8be615e6"),
-    ("lasso", "ascd-gsq", "uniform-set", "g1", "true-gradient"):
-        ("92b5ee6b5c75d76e", "ecf2ca3f8be615e6"),
     ("ridge", "ascd", "uniform-set", "g3", "true-gradient"):
         ("485964416a876b81", "f25aa42b309fb236"),
+    # every lower score is 0 here, so the picks are ucd's
     ("lasso", "ascd-gss", "argmax-lower", "g4", "none"):
         ("0b22cd75d2bdf587", "2d8950116879110b"),
     ("lasso", "ascd", "argmax-lower", "g3", "none"):
@@ -774,39 +767,20 @@ SAME_RESULTS = {
         ("7e463b7f5e240179", "4cf218d0b11230d4"),
     ("lasso", "ascd-gss", "argmax-lower", "g4", "true-gradient"):
         ("50e43accb1614b27", "d2703b5d479dc943"),
-    # every lower score is 0 here, so the picks are ucd's
-    ("lasso", "ascd-gsq", "argmax-lower", "g4", "none"):
-        ("0b22cd75d2bdf587", "2d8950116879110b"),
-    ("lasso", "ascd-gsq", "argmax-lower", "g4", "true-gradient"):
-        ("50e43accb1614b27", "d2703b5d479dc943"),
-    ("lasso", "ascd-gsq", "uniform-set", "g3", "true-gradient"):
-        ("50e43accb1614b27", "d2703b5d479dc943"),
-    # 10n steps: ranked by the model decrease, this cell takes its first
-    # zero step at step 120
-    ("lasso", "ascd-gsq", "argmax-lower", "g2", "none", "10n"):
-        ("d7923d8c7d37d045", "19cc2a218da77b7f"),
     # 12n steps, recorded before a zero step kept the objective: a zero
     # step ends epoch 10, so the residual refresh alone must drop the
     # kept objective, whose bits it changes
     ("lasso", "ascd-gss", "argmax-lower", "g4", "true-gradient", "12n"):
         ("95396e371f031332", "8864938aa4ee9352"),
-    ("lasso", "ascd-gsq", "uniform-set", "g4", "none", "12n"):
-        ("04e47178fc9b9b6b", "2377b3777643bdc7"),
-    # 12n steps on g4 from "none": this cell and the uniform-set cell
-    # above draw 6 pick blocks each and rewind the generator at no pool
-    # size change; the ascd cell below draws 9 blocks and rewinds at 2 set
-    # size changes
-    ("lasso", "ascd-gsq", "argmax-lower", "g4", "none", "12n"):
-        ("2d5e74345081373c", "1b1d059ac0934519"),
+    # 12n steps: this cell draws 9 pick blocks and rewinds the generator
+    # at 2 set size changes
     ("lasso", "ascd", "uniform-set", "g3", "true-gradient", "12n"):
         ("bbe1b7d548d2d7c9", "62fdbef6a0587f50"),
-    # recorded after a zero step rescored and stepped on Python floats;
-    # both take zero steps (39 and 74 of 3n).  The ascd-gss cell's picks
-    # are ucd's, as are those of its argmax-lower twin above
+    # recorded after a zero step rescored and stepped on Python floats; it
+    # takes 39 zero steps of 3n.  Its picks are ucd's, as are those of its
+    # argmax-lower twin above
     ("lasso", "ascd-gss", "uniform-set", "g4", "none"):
         ("0b22cd75d2bdf587", "2d8950116879110b"),
-    ("lasso", "ascd-gsq", "argmax-lower", "g3", "true-gradient"):
-        ("50e43accb1614b27", "d2703b5d479dc943"),
     # The scd and ucd cells end in "line_search", which names the one
     # update and keeps their test ids.  scd reads no pick, oracle or init:
     # it runs argmax-lower on g1 rows from a true-gradient start.  The
@@ -890,13 +864,13 @@ class TestZeroStepRescoring:
     def _spy(monkeypatch):
         # the first full-length call's arguments are the estimate and the
         # iterate that the loop mutates in place
-        real_scores, real_set = ascd.driver._scores, ascd.driver.active_set
+        real_scores, real_set = (ascd.driver.compute_bounds,
+                                 ascd.driver.active_set)
         full, mismatches = [], []
 
-        def scores(rule, est, x, problem):
-            if est.g.size == problem.n:
-                full.append((rule, est, x, problem))
-            return real_scores(rule, est, x, problem)
+        def scores(*args):
+            full.append(args)
+            return real_scores(*args)
 
         def checked_set(bounds):
             want = real_scores(*full[0])
@@ -905,7 +879,7 @@ class TestZeroStepRescoring:
                 mismatches.append(len(full))
             return real_set(bounds)
 
-        monkeypatch.setattr(ascd.driver, "_scores", scores)
+        monkeypatch.setattr(ascd.driver, "compute_bounds", scores)
         monkeypatch.setattr(ascd.driver, "active_set", checked_set)
         return full, mismatches
 
@@ -915,12 +889,12 @@ class TestZeroStepRescoring:
         configs = [RunConfig(problem=lasso, steps=3 * lasso.n, rule=rule,
                              oracle=OracleSpec(kind, epsilon=0.1, seed=1),
                              seed=4, init=init, diag_every=0)
-                   for rule in ("ascd", "ascd-gss", "ascd-gsq")
+                   for rule in ("ascd", "ascd-gss")
                    for kind in ORACLE_KINDS
                    for init in ("none", "true-gradient")]
         configs.append(RunConfig(problem=problems["ridge"],
                                  steps=3 * problems["ridge"].n,
-                                 rule="ascd-gsq", oracle=OracleSpec("g3"),
+                                 rule="ascd", oracle=OracleSpec("g3"),
                                  seed=4, diag_every=0))
         full, mismatches = self._spy(monkeypatch)
         zero_steps = 0
@@ -947,13 +921,13 @@ class TestZeroStepRescoring:
             last[:] = [estimate, i_t]
             return out
 
-        def one(rule, g, x, lipschitz, reg):
+        def one(g, x, lipschitz, lam):
             est, i = last
             seen.append(i)
             if not (est.r[i] == 0.0 and lipschitz == prob.lipschitz[i]
                     and np.float64(g).tobytes() == est.g[i].tobytes()):
-                bad.append((rule, i))
-            return real_one(rule, g, x, lipschitz, reg)
+                bad.append(i)
+            return real_one(g, x, lipschitz, lam)
 
         monkeypatch.setattr(ascd.driver, "update_estimates", update)
         monkeypatch.setattr(ascd.driver, "score_one", one)
@@ -965,7 +939,7 @@ class TestZeroStepRescoring:
                 # so a repeat pick is a zero step under every penalty
                 (lambda reg: random_problem(5, d=30, n=20, reg=reg),
                  lambda reg: identity_problem(20, b, reg)),
-                ("ascd", "ascd-gss", "ascd-gsq"), ORACLE_KINDS,
+                ("ascd", "ascd-gss"), ORACLE_KINDS,
                 INITS, PICKS):
             prob = make(reg)
             seen.clear()

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from ascd.problem import (ColumnSparseMatrix, CompositeProblem, Regularizer,
-                          model_value)
+from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
 
 
 def identity_matrix(n):
@@ -193,21 +192,6 @@ class TestObjective:
                                 Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([2.0, 0.0]))
         assert prob.objective(st) == pytest.approx(4.0)
-
-
-class TestModelValue:
-    def test_zero_step_gives_penalty(self):
-        reg = Regularizer("l1", 2.0)
-        assert model_value(1.5, 0.0, 7.0, 3.0, reg) == pytest.approx(
-            reg.psi(1.5))
-
-    def test_smooth(self):
-        assert model_value(0.0, -2.0, 2.0, 1.0, Regularizer()) == \
-            pytest.approx(-2.0)
-
-    def test_l1(self):
-        reg = Regularizer("l1", 1.0)
-        assert model_value(0.0, -2.0, 3.0, 1.0, reg) == pytest.approx(-2.0)
 
 
 @st.composite

@@ -1,6 +1,5 @@
 from itertools import combinations
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +8,10 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from ascd import selector
-from ascd.driver import (SANDWICH_SLACK, RunConfig, _scores, progress_tau,
-                         run)
-from ascd.problem import (ColumnSparseMatrix, CompositeProblem, Regularizer,
-                          model_value)
+from ascd.driver import SANDWICH_SLACK, RunConfig, progress_tau, run
+from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
 from ascd.selector import (ActiveSet, Bounds, GradientEstimate, PickDraws,
-                           active_set, compute_bounds, gsq_bounds,
+                           active_set, compute_bounds,
                            score_one, select_ascd, update_estimates)
 from reference_selector import (gss_exact_squared, gss_interval_squared,
                                 sorted_active_set)
@@ -159,18 +156,18 @@ class TestActiveSet:
         _estimates(n),
         arrays(np.float64, n, elements=st.one_of(st.just(0.0),
                                                  st.floats(-10, 10))),
-        st.sampled_from([("none", 0.0), ("l1", 0.5), ("l2", 2.0)]),
+        st.sampled_from([0.0, 0.5, 2.0]),
         st.integers(0, 2 ** 32 - 1))))
-    # eleven gs-q lower scores of 1/3: their rounded mean is above 1/3
-    @example((est(np.ones(11), np.zeros(11)), np.zeros(11), ("none", 0.0), 0))
+    # eleven interval lower scores of 2/3: their rounded mean is above 2/3
+    @example((est(np.ones(11), np.zeros(11)), np.zeros(11), 0.0, 0))
     def test_keeps_every_lower_maximiser(self, drawn):
         # why argmax-lower needs no set of its own: a coordinate with the
         # best lower score has an upper score at least every prefix
         # average, so the safe set keeps it, and the pick over the set is a
         # uniform draw over all maximisers
-        e, x, (kind, lam), seed = drawn
+        e, x, lam, seed = drawn
         for scores in (compute_bounds(e, np.full(x.size, 1.5)),
-                       gsq_bounds(e, x, 1.5, Regularizer(kind, lam))):
+                       compute_bounds(e, np.full(x.size, 1.5), x, lam)):
             best = np.flatnonzero(scores.lower == scores.lower.max())
             aset = active_set(scores)
             assert np.all(np.isin(best, aset.indices))
@@ -221,10 +218,11 @@ def _tied_estimates(n):
 
 
 def _both_scores(drawn):
-    """GS-L and gs-q scores of one estimate."""
-    e, x, (kind, lam) = drawn
-    return (compute_bounds(e, np.full(x.size, 1.5)),
-            gsq_bounds(e, x, 1.5, Regularizer(kind, lam)))
+    """GS-L and gs-s scores of one estimate."""
+    e, x, lam = drawn
+    lipschitz = np.full(x.size, 1.5)
+    return (compute_bounds(e, lipschitz),
+            compute_bounds(e, lipschitz, x, lam))
 
 
 # only the two maximisers reach the top lower score
@@ -244,7 +242,7 @@ class TestActiveSetScreen:
         _tied_estimates(n),
         arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, -1.0,
                                                         2.0])),
-        st.sampled_from([("none", 0.0), ("l1", 0.5), ("l2", 2.0)])))
+        st.sampled_from([0.0, 0.5, 2.0])))
         .map(_both_scores))
     @example((MAXIMISERS_ONLY,))
     @example((ROUNDED_AVERAGE,))
@@ -650,137 +648,6 @@ class TestUpdateEstimates:
         assert np.isinf(e.r[1]) and e.r[0] == 0.0
 
 
-def _grid_min(x, slope, lipschitz, reg, pts=4001):
-    """Grid minimiser of the coordinate model with bracket refinement.
-
-    The refinement stages matter: an l1 minimiser can sit exactly on the
-    kink, where the grid error is linear (kink slope times half-spacing)
-    rather than quadratic, so a single dense pass cannot certify 1e-6.
-    Stays independent of the closed-form minimiser.
-    """
-    radius = (abs(slope) + reg.lam) / lipschitz + 2.0 * abs(x) + 1.0
-    lo, hi = -radius, radius
-    best = np.inf
-    for _ in range(3):
-        ys = np.linspace(lo, hi, pts)
-        vals = model_value(x, ys, slope, lipschitz, reg)
-        k = int(np.argmin(vals))
-        best = min(best, float(vals[k]))
-        spacing = (hi - lo) / (pts - 1)
-        lo, hi = ys[k] - 2 * spacing, ys[k] + 2 * spacing
-    return best
-
-
-class TestGsq:
-    def test_hand_example(self):
-        reg = Regularizer()
-        e = est([1.5], [0.5])  # signed interval [1, 2]
-        q = gsq_bounds(e, np.array([0.0]), 1.0, reg)
-        assert q.upper[0] == pytest.approx(2.0)
-        assert q.lower[0] == pytest.approx(0.5)
-
-    def test_exact_collapse(self):
-        rng = np.random.default_rng(3)
-        for kind, lam in (("none", 0.0), ("l1", 0.7), ("l2", 1.3)):
-            reg = Regularizer(kind, lam)
-            g = rng.normal(0, 2, 6)
-            x = rng.normal(0, 1, 6)
-            q = gsq_bounds(GradientEstimate.exact(g), x, 2.0, reg)
-            for i in range(6):
-                decrease = reg.psi(x[i]) - _grid_min(x[i], g[i], 2.0, reg)
-                assert q.upper[i] == pytest.approx(q.lower[i], abs=1e-12)
-                assert q.upper[i] == pytest.approx(decrease, abs=1e-5)
-
-    def test_sandwich_against_grid(self):
-        rng = np.random.default_rng(4)
-        for _ in range(300):
-            kind = ("none", "l1", "l2")[int(rng.integers(3))]
-            reg = Regularizer(kind, float(rng.uniform(0, 2.0)) if
-                              kind != "none" else 0.0)
-            L = float(rng.uniform(0.5, 4.0))
-            x = float(rng.normal(0, 1))
-            g = float(rng.normal(0, 2))
-            r = float(rng.uniform(0, 2))
-            q = gsq_bounds(est([g], [r]), np.array([x]), L, reg)
-            for grad in np.linspace(g - r, g + r, 7):
-                # the scores bracket the best decrease, psi(x) - min_y V
-                decrease = reg.psi(x) - _grid_min(x, grad, L, reg)
-                assert decrease - 1e-6 <= q.upper[0]
-                assert q.lower[0] - 1e-6 <= decrease
-
-    def test_infinite_radius(self):
-        reg = Regularizer("l1", 0.5)
-        q = gsq_bounds(est([0.0, 1.0], [np.inf, 0.5]),
-                       np.array([2.0, 0.0]), 1.0, reg)
-        # nothing known: only the y = 0 fallback, a decrease of 0
-        assert q.upper[0] == np.inf and q.lower[0] == 0.0
-        assert np.isfinite(q.upper[1]) and np.isfinite(q.lower[1])
-
-    def test_active_set_example(self):
-        q = gsq_bounds(GradientEstimate.exact(np.zeros(3)), np.zeros(3),
-                       1.0, Regularizer())
-        q.upper[:] = q.lower[:] = np.array([3.0, 1.0, 0.0])
-        aset = active_set(q)
-        assert list(aset.indices) == [0]
-
-    def test_exact_reduces_to_argmin(self):
-        rng = np.random.default_rng(5)
-        reg = Regularizer("l1", 0.4)
-        g = rng.normal(0, 2, 8)
-        x = rng.normal(0, 1, 8)
-        q = gsq_bounds(GradientEstimate.exact(g), x, 1.5, reg)
-        pick = select_ascd(q, active_set(q), rng)
-        assert pick == int(np.argmax(q.lower))
-
-    def test_set_mean_model_decrease_beats_uniform(self):
-        # with sound bounds, the in-set average of the exact best model
-        # decreases, psi(x) - min_y V, is at least the all-coordinate
-        # average
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            n = int(rng.integers(2, 12))
-            kind = ("none", "l1", "l2")[int(rng.integers(3))]
-            reg = Regularizer(kind, float(rng.uniform(0, 1.5))
-                              if kind != "none" else 0.0)
-            L = float(rng.uniform(0.5, 3.0))
-            x = rng.normal(0, 1, n)
-            true_g = rng.normal(0, 2, n)
-            r = rng.uniform(0, 2, n)
-            g = true_g + rng.uniform(-1, 1, n) * r  # sound by construction
-            aset = active_set(gsq_bounds(est(g, r), x, L, reg))
-            y_star = reg.model_argmin(x, true_g, L)
-            decrease = reg.psi(x) - model_value(x, y_star, true_g, L, reg)
-            assert decrease[aset.indices].mean() >= decrease.mean() - 1e-12
-
-    def test_prefix_valid_vs_brute_force(self):
-        # validity is asserted; minimality is only logged (smaller
-        # non-prefix certificates exist for a minority of instances)
-        rng = np.random.default_rng(6)
-        smaller = 0
-        trials = 200
-        for t in range(trials):
-            n = int(rng.integers(2, 8))
-            kind = ("none", "l1", "l2")[t % 3]
-            reg = Regularizer(kind, 0.8 if kind != "none" else 0.0)
-            q = gsq_bounds(est(rng.normal(0, 2, n), rng.uniform(0, 2, n)),
-                           rng.normal(0, 1, n), 1.5, reg)
-            aset = active_set(q)
-            outside = np.setdiff1d(np.arange(n), aset.indices)
-            assert np.all(q.upper[outside] < aset.avg_score)
-            assert int(np.argmax(q.lower)) in aset.indices
-            for k in range(1, len(aset)):
-                found = False
-                for sub in combinations(range(n), k):
-                    av = q.lower[list(sub)].mean()
-                    if all(q.upper[j] < av for j in range(n) if j not in sub):
-                        found = True
-                        break
-                if found:
-                    smaller += 1
-                    break
-        assert smaller < trials / 2
-
-
 class TestGssScores:
     def test_soft_threshold_at_zero(self):
         e = GradientEstimate.exact(np.array([3.0]))
@@ -832,18 +699,16 @@ class TestGssScores:
         assert np.all(q.lower == 0.0) and np.all(np.isinf(q.upper))
 
 
-TRACKED = ("ascd", "ascd-gss", "ascd-gsq")
 _ANY = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def _one_coordinate(draw):
     """One coordinate of an estimate at radius 0, exact or not, its
-    iterate and a loop penalty: g at the signed zeros, at +-lam exactly
-    and one ulp off, large or anywhere; x at the signed zeros or not."""
-    kind = draw(st.sampled_from(["none", "l1"]))
-    lam = (draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
-           if kind == "l1" else 0.0)
+    iterate and a segment half-width: g at the signed zeros, at +-lam
+    exactly and one ulp off, large or anywhere; x at the signed zeros or
+    not."""
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
     edge = [0.0, -0.0, 1e300, -1e300]
     for v in (lam, -lam):
         edge += [v, float(np.nextafter(v, INF)), float(np.nextafter(v, -INF))]
@@ -852,7 +717,7 @@ def _one_coordinate(draw):
     x = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0),
                        _ANY))
     lipschitz = draw(st.floats(0.01, 100.0))
-    return g, exact, x, lipschitz, Regularizer(kind, lam)
+    return g, exact, x, lipschitz, lam
 
 
 def _bits(v):
@@ -860,29 +725,24 @@ def _bits(v):
 
 
 class TestScoreOne:
-    """``score_one`` gives the bits of ``driver._scores`` on a one-element
+    """``score_one`` gives the bits of ``compute_bounds`` on a one-element
     estimate at radius 0, ``is_exact`` or not, so the rescoring after a
     zero step keeps a full scoring's bits; comparing bytes tells the
     signed zeros apart."""
 
     @settings(max_examples=400, deadline=None)
-    @given(rule=st.sampled_from(TRACKED), drawn=_one_coordinate())
-    @example(rule="ascd-gss", drawn=(1.0, True, 0.0, 2.0,
-                                     Regularizer("l1", 1.0)))
-    @example(rule="ascd-gsq", drawn=(-0.0, False, -0.0, 1.0,
-                                     Regularizer("l1", 1.0)))
-    @example(rule="ascd", drawn=(-0.0, True, -0.0, 1.0, Regularizer()))
-    def test_bits_match_the_array_stages(self, rule, drawn):
-        g, exact, x, lipschitz, reg = drawn
-        problem = SimpleNamespace(lipschitz=np.array([lipschitz]),
-                                  psi_reg=reg)
+    @given(drawn=_one_coordinate())
+    @example(drawn=(1.0, True, 0.0, 2.0, 1.0))
+    @example(drawn=(-0.0, True, -0.0, 1.0, 0.0))
+    def test_bits_match_the_array_stages(self, drawn):
+        g, exact, x, lipschitz, lam = drawn
         one = GradientEstimate(np.array([g]), np.zeros(1), exact)
         with np.errstate(all="ignore"):
-            want = _scores(rule, one, np.array([x]), problem)
-        lower, upper = score_one(rule, g, x, lipschitz, reg)
-        assert type(lower) is float and type(upper) is float
-        assert _bits(lower) == _bits(want.lower[0])
-        assert _bits(upper) == _bits(want.upper[0])
+            want = compute_bounds(one, np.array([lipschitz]), np.array([x]),
+                                  lam)
+        score = score_one(g, x, lipschitz, lam)
+        assert type(score) is float
+        assert _bits(score) == _bits(want.lower[0]) == _bits(want.upper[0])
 
 
 def _ulps(v):
@@ -915,13 +775,10 @@ def _interval_gss(draw):
     return g, r, x, lam, lipschitz
 
 
-def _segment_rule(rule, lam, lipschitz):
-    """A problem with constants ``lipschitz`` whose penalty weighs ``lam``,
-    and the segment half-width the rule scores at: ``ascd`` is gs-s at 0
-    whatever the penalty."""
-    problem = SimpleNamespace(lipschitz=lipschitz,
-                              psi_reg=Regularizer("l1", lam))
-    return problem, lam if rule == "ascd-gss" else 0.0
+def _segment_lam(rule, lam):
+    """The segment half-width a run of ``rule`` scores at under a penalty
+    of weight ``lam``: ``ascd`` is gs-s at 0 whatever the penalty."""
+    return lam if rule == "ascd-gss" else 0.0
 
 
 SEGMENT_RULES = ("ascd", "ascd-gss")
@@ -944,12 +801,12 @@ class TestIntervalGssScore:
               np.array([-0.0, 1.0, -1.0, -1.0, 0.0]), 0.0, np.ones(5)))
     def test_bits_match_the_segment_arrays(self, rule, drawn):
         g, r, x, lam, lipschitz = drawn
-        problem, lam = _segment_rule(rule, lam, lipschitz)
+        lam = _segment_lam(rule, lam)
         e = GradientEstimate(g.copy(), r.copy())
         # NaN from inf - inf and squares beyond the float range on both
         # sides
         with np.errstate(all="ignore"):
-            got = _scores(rule, e, x, problem)
+            got = compute_bounds(e, lipschitz, x, lam)
             want = gss_interval_squared(g, r, x, lam, lipschitz)
         assert got.lower.tobytes() == want.lower.tobytes()
         assert got.upper.tobytes() == want.upper.tobytes()
@@ -972,11 +829,11 @@ class TestExactGssScore:
               np.array([-0.0, 1.0, -1.0, -1.0]), 0.0, np.ones(4)))
     def test_bits_match_the_segment_distance(self, rule, drawn):
         g, x, lam, lipschitz = drawn
-        problem, lam = _segment_rule(rule, lam, lipschitz)
+        lam = _segment_lam(rule, lam)
         e = GradientEstimate.exact(g)
         # squares of the largest floats overflow to inf on both sides
         with np.errstate(over="ignore"):
-            got = _scores(rule, e, x, problem)
+            got = compute_bounds(e, lipschitz, x, lam)
             want = gss_exact_squared(g, x, lam, lipschitz)
         assert got.lower is got.upper
         assert got.lower.tobytes() == want.tobytes()
@@ -986,9 +843,9 @@ class TestExactGssScore:
     @pytest.mark.parametrize("rule", SEGMENT_RULES)
     def test_exact_scores_leave_the_estimate(self, rule):
         g = np.array([-2.0, 0.5, 0.0, 3.0])
-        problem = SimpleNamespace(lipschitz=np.full(4, 2.0),
-                                  psi_reg=Regularizer("l1", 1.0))
         e = GradientEstimate.exact(g)
-        got = _scores(rule, e, np.array([0.0, 1.0, -1.0, 0.0]), problem)
+        got = compute_bounds(e, np.full(4, 2.0),
+                             np.array([0.0, 1.0, -1.0, 0.0]),
+                             _segment_lam(rule, 1.0))
         assert got.lower is got.upper
         assert np.array_equal(e.g, g)
