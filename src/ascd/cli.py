@@ -520,7 +520,7 @@ def cmd_hardcase(args) -> int:
 
 def cmd_ratio_sim(args) -> int:
     flags = {"n": "--n", "s": "--s", "c": "--c", "t_inf": "--t-inf",
-             "steps": "--steps", "seed": "--seed"}
+             "steps": "--steps", "seed": "--seed", "reentry": "--reentry"}
     config = _named(flags, RatioSimConfig, n=args.n, s=args.s, c=args.c,
                     t_inf=args.t_inf, steps=args.steps, seed=args.seed,
                     reentry=args.reentry)

@@ -8,9 +8,9 @@ in units of the step: it is scaled by the coordinate's own constant
 ``L_i`` (``problem.lipschitz``), so the rules rank coordinates by the
 decrease an exact step on them gives.  Every tracked rule runs the one
 segment-distance stage, ``compute_bounds``, at a ``lam`` fixed for the run:
-gs-s over ``L_i`` at the penalty's ``lam`` for ``ascd-gss``, and its
-``lam = 0`` case, ``grad_i^2 / L_i`` (Gauss-Southwell-Lipschitz, GS-L), for
-``ascd``.  Every tracked rule then keeps the safe set.  With g1 and a
+gs-s over ``L_i`` at the l1 weight ``problem.l1`` for ``ascd-gss``, and
+its ``lam = 0`` case, ``grad_i^2 / L_i`` (Gauss-Southwell-Lipschitz, GS-L),
+for ``ascd``.  Every tracked rule then keeps the safe set.  With g1 and a
 true-gradient start the estimate stays exact, so the rules score one array
 and their set is its maximisers: the steepest rule in units of the step,
 which ``scd`` runs (``RunConfig.resolved``).  The pick
@@ -34,8 +34,8 @@ score is exact: ``score_one`` reads no radius, evaluates no interval and
 returns one score, written as both bounds.  The score stage is elementwise
 and ``score_one`` returns the bits it gives one coordinate at radius 0, so
 the kept bounds hold the bits a full scoring would.  ``step`` likewise
-takes the coordinate step on floats, with ``Regularizer.model_argmin_one``,
-which has the bits of the array ``model_argmin``.  A zero step also keeps
+takes the coordinate step on floats, with the bits of the array
+soft-threshold ``sign(z) * max(|z| - lam/L_i, 0)``.  A zero step also keeps
 the active set, and with it the pick's tie pool, when the rescored
 coordinate keeps its lower score and its upper score reaches the best lower
 score before and after: the set stage then returns the same set on every
@@ -136,8 +136,10 @@ def step(problem: CompositeProblem, state: ResidualState,
     nothing.  So the moved coordinate's radius is zero, and radii keep
     growing only through the passive-coordinate oracles.
 
-    ``df`` is the change of the objective, exact for this quadratic class:
-    ``gamma * (g_i + gamma/2 * L_i) + psi(x_i + gamma) - psi(x_i)`` with the
+    ``x_i + gamma`` is ``x_i - g_i/L_i`` soft-thresholded by ``l1/L_i``, at
+    the l1 weight ``l1 = problem.l1``.  ``df`` is the change of the
+    objective, exact for this quadratic class:
+    ``gamma * (g_i + gamma/2 * L_i) + l1 * (|x_i + gamma| - |x_i|)`` with the
     coordinate's own curvature ``L_i``, and 0.0 on a zero step.  The column
     is read once: one gather of ``w`` at its rows gives the gradient, the
     write-back and the gradient after the step.  The bits of ``gamma``,
@@ -151,8 +153,18 @@ def step(problem: CompositeProblem, state: ResidualState,
     if not math.isfinite(g_i):
         raise FloatingPointError(f"non-finite gradient on coordinate {i}")
     l_i = float(problem.lipschitz[i])
-    reg = problem.psi_reg
-    gamma = reg.model_argmin_one(x_i, g_i, l_i)
+    lam = problem.l1
+    if lam:
+        # the bits of sign(z) * max(|z| - lam/l_i, 0) - x_i, signed zeros
+        # included; a NaN shrunk takes copysign and is rejected below
+        z = x_i - g_i / l_i
+        shrunk = abs(z) - lam / l_i
+        if shrunk <= 0.0:
+            gamma = (-0.0 if z < 0.0 else 0.0) - x_i
+        else:
+            gamma = math.copysign(shrunk, z) - x_i
+    else:
+        gamma = -g_i / l_i
     x_new = x_i + gamma
     df = 0.0
     if gamma != 0.0:
@@ -164,16 +176,16 @@ def step(problem: CompositeProblem, state: ResidualState,
         state.x[i] = x_new
         state.w[rows] = w_rows
         df = gamma * (g_i + 0.5 * gamma * l_i)
-        if reg.lam:
-            df += reg.psi_one(x_new) - reg.psi_one(x_i)
-    if reg.kind == "none":
+        if lam:
+            df += lam * abs(x_new) - lam * abs(x_i)
+    if not lam:
         return gamma, 0.0, df
     # exact minimisation with a nonzero iterate pins the smooth gradient
     # at the subgradient-optimality value; reporting it exactly (not the
     # float recomputation) keeps the composite steepest score at exactly
     # zero for the refreshed coordinate
     if x_new != 0.0:
-        return gamma, -reg.lam * math.copysign(1.0, x_new), df
+        return gamma, -lam * math.copysign(1.0, x_new), df
     if gamma == 0.0:
         return gamma, g_i, df
     return gamma, float(vals @ (w_rows - b)) + problem.fold_lam * x_new, df
@@ -188,8 +200,8 @@ def progress_tau(gradient: np.ndarray, active_indices: np.ndarray,
     decrease of the coordinate step; under an l1 penalty it is the decrease
     the smooth part alone would allow.
     """
-    gain = np.square(gradient)
-    gain /= 2.0 * lipschitz
+    # 2 * L_i overflows above DBL_MAX / 2; halving the quotient is exact
+    gain = 0.5 * (np.square(gradient) / lipschitz)
     return (float(gain.mean()), float(gain[active_indices].mean()),
             float(gain.max()))
 
@@ -235,15 +247,14 @@ class RunConfig:
 
     def resolved(self) -> tuple[str, OracleSpec | None, str, str]:
         """The score rule, oracle, init and pick the run executes: ``scd``
-        runs g1 from a true-gradient start under ``argmax-lower``, scoring
-        GS-L on a smooth problem and gs-s over ``L_i`` under l1; ``ucd`` reads
-        no oracle (``None``) and no init, and runs the ``uniform-set`` pick
-        on all n coordinates.  The oracle keeps its epsilon only if it is
-        g2, the one kind that reads it."""
+        runs ``ascd-gss`` (GS-L at an l1 weight of 0) on g1 from a
+        true-gradient start under ``argmax-lower``; ``ucd`` reads no oracle
+        (``None``) and no init, and runs the ``uniform-set`` pick on all n
+        coordinates.  The oracle keeps its epsilon only if it is g2, the
+        one kind that reads it."""
         if self.rule == "scd":
-            l1 = self.problem.psi_reg.kind == "l1"
-            return ("ascd-gss" if l1 else "ascd", OracleSpec("g1"),
-                    "true-gradient", "argmax-lower")
+            return ("ascd-gss", OracleSpec("g1"), "true-gradient",
+                    "argmax-lower")
         if self.rule == "ucd":
             return "ucd", None, "none", "uniform-set"
         spec = self.oracle or OracleSpec()
@@ -335,9 +346,9 @@ def run(config: RunConfig) -> RunResult:
 
     rule, spec, init, pick = config.resolved()
     tracked = spec is not None
-    # the segment half-width of every scoring: gs-s at the penalty's
-    # weight, GS-L at 0
-    lam = problem.psi_reg.lam if rule == "ascd-gss" else 0.0
+    # the segment half-width of every scoring: gs-s at the l1 weight, GS-L
+    # at 0, where the sandwich and containment diagnostics apply
+    lam = problem.l1 if rule == "ascd-gss" else 0.0
     # every rule's picks: per-step draws, served from blocks
     draws = PickDraws(rng)
     est = ctx = None
@@ -405,9 +416,8 @@ def run(config: RunConfig) -> RunResult:
             if tracked and np.any(np.abs(true_g - est.g) > est.r + tol):
                 sound_bad += 1
             # only the safe set on GS-L scores promises the sandwich and
-            # containment; ucd holds them by construction, the other scores
-            # need not
-            if rule == "ascd":
+            # containment; ucd holds them by construction
+            if tracked and not lam:
                 slack = SANDWICH_SLACK
                 if (tau_u > tau_a * (1 + slack) + 1e-300
                         or tau_a > tau_s * (1 + slack) + 1e-300):

@@ -126,8 +126,8 @@ class ColumnSparseMatrix:
 class Regularizer:
     """Separable penalty ``Psi(x) = sum_i psi(x_i)``.
 
-    ``l2`` contributes ``lam/2 * x_i^2`` and ``l1`` contributes
-    ``lam * |x_i|``; ``none`` is the zero penalty.
+    ``l2`` adds ``lam/2 * x_i^2`` (``CompositeProblem.fold_lam``), ``l1``
+    adds ``lam * |x_i|`` (``CompositeProblem.l1``); ``none`` adds nothing.
     """
 
     kind: str = "none"
@@ -140,46 +140,6 @@ class Regularizer:
             raise ValueError("lambda must be nonnegative and finite")
         if self.kind == "none":
             self.lam = 0.0
-
-    def model_argmin(self, x, slope, lipschitz):
-        """Minimiser over y of ``slope*y + lipschitz/2 * y^2 + psi(x + y)``.
-
-        Vectorised over x, slope and lipschitz.  Requires
-        ``lipschitz > 0``.
-        """
-        if self.kind == "l1":
-            z = x - slope / lipschitz
-            t = self.lam / lipschitz
-            return np.sign(z) * np.maximum(np.abs(z) - t, 0.0) - x
-        if self.kind == "l2":
-            return -(slope + self.lam * np.asarray(x, dtype=np.float64)) / (
-                lipschitz + self.lam)
-        return -slope / lipschitz
-
-    def model_argmin_one(self, x: float, slope: float,
-                         lipschitz: float) -> float:
-        """``model_argmin`` on non-NaN Python floats, with the bits of the
-        vectorised formula, the sign of a zero included.
-        """
-        if self.kind == "l1":
-            z = x - slope / lipschitz
-            shrunk = abs(z) - self.lam / lipschitz
-            if shrunk <= 0.0:
-                # np.maximum gives 0.0, and np.sign(z) times it is -0.0
-                # for z < 0 and 0.0 for either zero
-                return (-0.0 if z < 0.0 else 0.0) - x
-            return math.copysign(shrunk, z) - x
-        if self.kind == "l2":
-            return -(slope + self.lam * x) / (lipschitz + self.lam)
-        return -slope / lipschitz
-
-    def psi_one(self, v: float) -> float:
-        """The penalty ``psi(v)`` of one Python float (0.0 for ``none``)."""
-        if self.kind == "l2":
-            return 0.5 * self.lam * (v * v)
-        if self.kind == "l1":
-            return self.lam * abs(v)
-        return 0.0
 
 
 @dataclass
@@ -211,7 +171,8 @@ class CompositeProblem:
     An ``l2`` regularizer is folded into the smooth part: partial gradients
     include the ``lam * x_i`` term and the coordinate Lipschitz constants are
     ``||a_i||^2 + lam``, so ridge problems run through the smooth-only code
-    path.  An ``l1`` penalty stays in the composite part.
+    path.  An ``l1`` penalty stays in the composite part as the weight
+    ``l1``: 0.0 under any other penalty, where the problem is smooth.
     """
 
     def __init__(self, matrix: ColumnSparseMatrix, target: np.ndarray,
@@ -245,9 +206,8 @@ class CompositeProblem:
         # gradient slices it instead of gathering b at the column's rows
         self._entry_target = target[matrix.rows]
         self.fold_lam = fold_lam
-        # penalty that remains in the composite part after folding
-        self.psi_reg = (regularizer if regularizer.kind == "l1"
-                        else Regularizer("none"))
+        # the weight of the penalty that remains in the composite part
+        self.l1 = regularizer.lam if regularizer.kind == "l1" else 0.0
         self.lipschitz = lipschitz
 
     @property
@@ -299,6 +259,6 @@ class CompositeProblem:
         f = 0.5 * float(res @ res)
         if self.fold_lam:
             f += 0.5 * self.fold_lam * float(state.x @ state.x)
-        if self.psi_reg.kind == "l1":
-            f += self.psi_reg.lam * float(np.abs(state.x).sum())
+        if self.l1:
+            f += self.l1 * float(np.abs(state.x).sum())
         return f

@@ -89,8 +89,9 @@ class RatioSimConfig:
 
     ``ceil(c*s)`` designated support coordinates are permanently active;
     picking an outside coordinate removes it from the set and it re-enters
-    after a mean of ``t_inf`` steps (geometrically by default, or after a
-    deterministic delay with ``reentry="fixed"``).
+    after a mean of ``t_inf >= 1`` steps (geometrically by default, or
+    after a deterministic delay of a whole ``t_inf`` steps with
+    ``reentry="fixed"``).
     """
 
     n: int
@@ -106,8 +107,12 @@ class RatioSimConfig:
             raise ValueError("need 1 <= s <= n")
         if not 0 < self.c <= 1:
             raise ValueError("need 0 < c <= 1")
-        if not (0 < self.t_inf < math.inf and self.steps >= 1):
-            raise ValueError("need 0 < t_inf < inf and steps >= 1")
+        # a removed coordinate waits at least one step
+        if not (1 <= self.t_inf < math.inf and self.steps >= 1):
+            raise ValueError("need 1 <= t_inf < inf and steps >= 1")
+        if self.reentry == "fixed" and self.t_inf % 1:
+            raise ValueError(f"reentry fixed needs a whole t_inf, not "
+                             f"{self.t_inf!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.reentry not in REENTRY_MODES:
@@ -138,12 +143,12 @@ def simulate_rho(config: RatioSimConfig) -> RatioTrace:
     rng = np.random.default_rng(config.seed)
     k = math.ceil(config.c * config.s)
     outside = config.n - config.s
-    delay = int(round(config.t_inf))
+    delay = int(config.t_inf)
     with _allocation(f"n {config.n}: the state of {outside} coordinates "
                      "outside the support does not fit in memory"):
         active = np.zeros(outside, dtype=bool)
         if config.reentry == "fixed" and outside:
-            reenter_at = rng.integers(0, max(delay, 1), size=outside)
+            reenter_at = rng.integers(0, delay, size=outside)
         else:
             reenter_at = np.full(outside, -1, dtype=np.int64)
     with trace_allocation(config.steps):

@@ -24,10 +24,10 @@ def steepest_scores(problem: CompositeProblem, gradient: np.ndarray,
                     x: np.ndarray) -> np.ndarray:
     """Steepest score of every coordinate at ``x`` over ``sqrt(L_i)``,
     unsquared."""
-    if problem.psi_reg.kind != "l1":
+    lam = problem.l1
+    if not lam:
         steep = np.abs(gradient)
     else:
-        lam = problem.psi_reg.lam
         steep = np.where(x == 0.0, np.maximum(np.abs(gradient) - lam, 0.0),
                          np.abs(gradient + lam * np.sign(x)))
     return steep / np.sqrt(problem.lipschitz)

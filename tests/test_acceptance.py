@@ -215,7 +215,7 @@ def test_criterion_08_active_set_vs_exhaustive():
 def _lasso_reference(prob, budget_epochs=100, tol=1e-10):
     """Cyclic exact-minimisation descent, independent of the driver."""
     matrix, b = prob.matrix, prob.target
-    lam = prob.psi_reg.lam
+    lam = prob.l1
     x = np.zeros(prob.n)
     w = np.zeros(prob.d)
     cols = [matrix.col(i) for i in range(prob.n)]

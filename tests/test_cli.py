@@ -315,6 +315,23 @@ class TestRun:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_l2_weight_near_the_float_limit(self, tmp_path):
+        # every L_i is above DBL_MAX / 2: 2 L_i overflowed in the tau
+        # diagnostics, which read 0.0 where g^2 / (2 L_i) is about 1e-302
+        assert main(["generate", "--rows", "30", "--cols", "20", "--seed",
+                     "0", "--out", str(tmp_path), "--tag", "h"]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["run", "--data", str(tmp_path / "h.svm"), "--l2",
+                       "1e308", "--steps", "2n", "--out", str(tmp_path),
+                       "--tag", "r"])
+        assert rc == 0
+        trace = np.genfromtxt(tmp_path / "r.csv", delimiter=",",
+                              names=True)
+        for column in ("tau_ucd", "tau_ascd", "tau_scd"):
+            tau = trace[column][~np.isnan(trace[column])]
+            assert tau.size == 2 and np.all(tau > 0.0), column
+
     def test_both_penalties_rejected(self, dataset, tmp_path):
         rc = main(["run", "--data", str(dataset), "--l1", "1", "--l2", "1",
                    "--steps", "5", "--out", str(tmp_path)])
@@ -838,6 +855,20 @@ class TestRejectedInput:
                       "--steps", "100"], None, id="ratio-sim-s"),
         pytest.param(["ratio-sim", "--n", "10", "--s", "2", "--t-inf", "inf",
                       "--steps", "100"], "--t-inf", id="ratio-sim-t-inf-inf"),
+        # a removed coordinate waits at least one step, so no mode
+        # realises a mean below 1
+        pytest.param(["ratio-sim", "--n", "10", "--s", "2", "--t-inf", "0.5",
+                      "--steps", "100"], "--t-inf",
+                     id="ratio-sim-t-inf-below-one"),
+        pytest.param(["ratio-sim", "--n", "10", "--s", "2", "--t-inf", "0.5",
+                      "--steps", "100", "--reentry", "fixed"], "--t-inf",
+                     id="ratio-sim-fixed-t-inf-below-one"),
+        # a fixed delay simulated round(t_inf) and reported the closed
+        # form of t_inf
+        pytest.param(["ratio-sim", "--n", "100", "--s", "10", "--t-inf",
+                      "2.5", "--steps", "100", "--reentry", "fixed"],
+                     "--reentry fixed needs a whole --t-inf",
+                     id="ratio-sim-fixed-t-inf-fractional"),
         pytest.param(["ratio-sim", "--n", "10", "--s", "2", "--t-inf", "50",
                       "--steps", "100", "--seed", "-1"], "--seed",
                      id="ratio-sim-seed-negative"),

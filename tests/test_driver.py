@@ -107,7 +107,7 @@ class TestStep:
 
 
 def _array_step(problem, state, i):
-    """The coordinate step through the array ``model_argmin`` and
+    """The coordinate step through the array soft-threshold and
     ``np.sign``: the reference for ``step``'s bits, with the objective's
     change from two full evaluations.  Moves ``state``."""
     f_before = problem.objective(state)
@@ -117,15 +117,22 @@ def _array_step(problem, state, i):
 
 def _array_move(problem, state, i):
     g = problem.partial_gradient(state, i)
-    gamma = problem.psi_reg.model_argmin(state.x[i:i + 1], np.array([g]),
-                                         problem.lipschitz[i])[0]
+    x, slope = state.x[i:i + 1], np.array([g])
+    lipschitz, lam = problem.lipschitz[i], problem.l1
+    if lam:
+        # the minimiser over y of slope*y + L/2 * y^2 + lam * |x + y|
+        z = x - slope / lipschitz
+        t = lam / lipschitz
+        gamma = (np.sign(z) * np.maximum(np.abs(z) - t, 0.0) - x)[0]
+    else:
+        gamma = (-slope / lipschitz)[0]
     x_new = state.x[i] + gamma
     if gamma != 0.0:
         state.apply_step(problem.matrix, i, float(gamma))
-    if problem.psi_reg.kind == "none":
+    if not lam:
         return gamma, 0.0
     if x_new != 0.0:
-        return gamma, -problem.psi_reg.lam * np.sign(x_new)
+        return gamma, -lam * np.sign(x_new)
     return gamma, g if gamma == 0.0 else problem.partial_gradient(state, i)
 
 
@@ -139,27 +146,36 @@ class TestFloatStep:
                                                  np.array([c]))])
         return CompositeProblem(m, np.array([b]), Regularizer(kind, lam))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(kind=hst.sampled_from(["none", "l1", "l2"]),
            lam=hst.one_of(hst.just(0.0), hst.floats(0.01, 10.0)),
-           c=hst.one_of(hst.just(1.0), hst.floats(0.1, 3.0)),
+           c=hst.one_of(hst.sampled_from([1.0, 2.0, 0.5]),
+                        hst.floats(0.1, 3.0)),
            x0=hst.one_of(hst.sampled_from([0.0, -0.0]),
                          hst.floats(-5.0, 5.0)),
            data=hst.data())
     def test_bits_match_the_array_step(self, kind, lam, c, x0, data):
-        # with c = 1 and x0 = 0 the gradient is -b, so b = +-lam puts z on
-        # the soft-threshold boundary |z| = lam / L
-        edge = [lam, -lam, float(np.nextafter(lam, np.inf)),
-                float(np.nextafter(-lam, -np.inf))]
-        b = data.draw(hst.one_of(hst.sampled_from(edge),
+        # with x0 = +-0 the gradient is -c b and z = b / c, exactly for a
+        # power-of-two c: b = c z puts z on the soft-threshold boundary
+        # |z| = lam / L under l1, or an ulp either side of it
+        edge = [c * float(v) for z in (lam / (c * c), -lam / (c * c))
+                for v in (z, np.nextafter(z, np.inf),
+                          np.nextafter(z, -np.inf))]
+        # b = c x0 - g / c gives about the gradient g, exactly g = 0; a
+        # gradient is never -0.0, as its dot product sums from +0.0
+        slopes = [c * x0 - g / c for g in (0.0, -0.0, lam, -lam)]
+        b = data.draw(hst.one_of(hst.sampled_from(edge + slopes),
                                  hst.floats(-20.0, 20.0)))
         self._check(kind, lam, c, x0, b)
 
     @pytest.mark.parametrize("b", [-1.0, 1.0])
     def test_soft_threshold_boundary(self, b):
-        # x_0 = 0 and |z| = lam / L: gamma is a zero, -0.0 when z < 0
-        gamma, _ = self._check("l1", 1.0, 1.0, 0.0, b)
-        assert gamma == 0.0 and np.signbit(gamma) == (b < 0)
+        # x_0 = +-0 and |z| = lam / L: gamma is a zero, -0.0 when z < 0
+        # and x_0 = 0.0, and 0.0 - (-0.0) = 0.0 when x_0 = -0.0
+        for x0 in (0.0, -0.0):
+            gamma, _ = self._check("l1", 1.0, 1.0, x0, b)
+            assert gamma == 0.0
+            assert np.signbit(gamma) == (b < 0 and not np.signbit(x0))
 
     def _check(self, kind, lam, c, x0, b):
         prob = self._problem(kind, lam, c, b)
@@ -330,6 +346,25 @@ class TestRun:
                 assert short.max() <= ascd.driver.SOUNDNESS_SLACK
             assert scd.soundness_violations == 0, reg
 
+    def test_l1_weight_zero_is_the_smooth_problem(self):
+        # an l1 weight of 0 runs as no penalty does: the same picks, steps,
+        # objectives and diagnostics, bit for bit
+        m, b = generate_synthetic(SynthConfig(n_rows=40, n_cols=30, seed=2))
+        problems = [CompositeProblem(m, b, reg)
+                    for reg in (Regularizer("l1", 0.0), Regularizer("none"))]
+        for rule in ("ucd", "scd", "ascd-gss"):
+            zero, smooth = (run(RunConfig(problem=prob, steps=90, rule=rule,
+                                          oracle=OracleSpec("g3"), seed=2,
+                                          init="true-gradient",
+                                          diag_every=1))
+                            for prob in problems)
+            for column in ("i", "gamma", "f"):
+                assert (getattr(zero, column).tobytes()
+                        == getattr(smooth, column).tobytes()), (rule, column)
+            assert [(r.soundness_violations, r.containment_violations,
+                     r.sandwich_violations) for r in (zero, smooth)] == [
+                (0, 0, 0)] * 2, rule
+
     def test_ucd_identity_converges_on_coverage(self):
         n = 8
         prob = identity_problem(n)
@@ -349,8 +384,6 @@ class TestRun:
         for reg in (None, Regularizer("l2", 0.7), Regularizer("l1", 0.4)):
             prob = random_problem(7, reg=reg)
             for rule in RULES:
-                if rule == "ascd-gss" and reg is not None and reg.kind == "l2":
-                    continue
                 res = run(RunConfig(problem=prob, steps=150, rule=rule,
                                     oracle=OracleSpec("g3"), seed=1,
                                     diag_every=0))
@@ -455,21 +488,22 @@ class TestRun:
                 assert res.mean_pick_pool == want, (rule, pick)
 
     def test_soundness_and_containment_every_oracle(self):
+        # on a ridge problem ascd-gss scores GS-L too, and is checked
         prob = random_problem(9, reg=Regularizer("l2", 0.2))
-        for kind in ORACLE_KINDS:
-            for init in ("none", "true-gradient"):
-                spec = OracleSpec(kind, epsilon=0.5, seed=4)
-                res = run(RunConfig(problem=prob, steps=150, rule="ascd",
-                                    oracle=spec, seed=3, init=init,
-                                    diag_every=1))
-                assert res.soundness_violations == 0, (kind, init)
-                assert res.containment_violations == 0, (kind, init)
-                assert res.sandwich_violations == 0, (kind, init)
+        for rule, kind, init in itertools.product(
+                ("ascd", "ascd-gss"), ORACLE_KINDS, INITS):
+            spec = OracleSpec(kind, epsilon=0.5, seed=4)
+            res = run(RunConfig(problem=prob, steps=150, rule=rule,
+                                oracle=spec, seed=3, init=init,
+                                diag_every=1))
+            assert res.soundness_violations == 0, (rule, kind, init)
+            assert res.containment_violations == 0, (rule, kind, init)
+            assert res.sandwich_violations == 0, (rule, kind, init)
 
-    def test_sandwich_counted_for_ascd_only(self):
-        # the gs-s set makes no promise about GS-L scores, so its runs
-        # report no sandwich violations even when the ordering fails on
-        # them, as it does here
+    def test_sandwich_counted_for_gsl_scores_only(self):
+        # the gs-s set at a nonzero l1 weight makes no promise about GS-L
+        # scores, so its runs report no sandwich violations even when the
+        # ordering fails on them, as it does here
         m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=1))
         lam = 0.02 * float(np.max(np.abs(m.col_dots(b))))
         prob = CompositeProblem(m, b, Regularizer("l1", lam))
@@ -493,10 +527,12 @@ class TestRun:
         monkeypatch.setattr(ascd.driver, "active_set", worst_only)
         m, b = generate_synthetic(SynthConfig(n_rows=50, n_cols=40, seed=1))
         prob = CompositeProblem(m, b, Regularizer("l2", 1.0))
-        res = run(RunConfig(problem=prob, steps=4 * prob.n, rule="ascd",
-                            oracle=OracleSpec("g1"), seed=0,
-                            init="true-gradient", diag_every=1))
-        assert res.sandwich_violations == res.t.size
+        # ascd-gss scores GS-L on a ridge problem, and is checked as ascd is
+        for rule in ("ascd", "ascd-gss"):
+            res = run(RunConfig(problem=prob, steps=4 * prob.n, rule=rule,
+                                oracle=OracleSpec("g1"), seed=0,
+                                init="true-gradient", diag_every=1))
+            assert res.sandwich_violations == res.t.size, rule
 
     def test_screened_set_matches_sorted_reference(self, monkeypatch):
         # the O(n) screen in active_set changes no pick, objective value,

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
@@ -192,42 +191,6 @@ class TestObjective:
                                 Regularizer("l1", 1.0))
         st = prob.residual_state(np.array([2.0, 0.0]))
         assert prob.objective(st) == pytest.approx(4.0)
-
-
-@st.composite
-def _soft_threshold_edge(draw):
-    """x, slope and L around the soft-threshold boundary |z| = lam/L."""
-    lam = draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
-    lipschitz = draw(st.sampled_from([1.0, 4.0, 0.3]))
-    x = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0)))
-    # slope = (x - z) L with z at +-lam/L, an ulp off it, or anywhere
-    z = draw(st.sampled_from([1.0, -1.0])) * lam / lipschitz
-    z = draw(st.sampled_from([z, float(np.nextafter(z, np.inf)),
-                              float(np.nextafter(z, -np.inf))]))
-    slope = draw(st.one_of(st.just((x - z) * lipschitz),
-                           st.sampled_from([0.0, -0.0, lam, -lam]),
-                           st.floats(-20.0, 20.0), st.just(np.inf),
-                           st.just(-np.inf)))
-    return lam, lipschitz, x, slope
-
-
-class TestModelArgminOne:
-    """The float coordinate step has the bits of the array formula."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(kind=st.sampled_from(["none", "l1", "l2"]),
-           drawn=_soft_threshold_edge())
-    # signed zeros of the dead zone: -0.0 for x = 0 and z < 0, 0.0 else
-    @example(kind="l1", drawn=(1.0, 1.0, 0.0, 1.0))
-    @example(kind="l1", drawn=(1.0, 1.0, -0.0, -1.0))
-    @example(kind="l1", drawn=(0.0, 1.0, 0.0, -0.0))
-    def test_bits_match_model_argmin(self, kind, drawn):
-        lam, lipschitz, x, slope = drawn
-        reg = Regularizer(kind, lam)
-        want = reg.model_argmin(np.array([x]), np.array([slope]), lipschitz)
-        got = reg.model_argmin_one(x, slope, lipschitz)
-        assert type(got) is float
-        assert np.float64(got).tobytes() == want[0].tobytes()
 
 
 class TestSmoothnessProbes:

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from ascd import selector
 from ascd.driver import SANDWICH_SLACK, RunConfig, progress_tau, run
-from ascd.problem import ColumnSparseMatrix, CompositeProblem, Regularizer
+from ascd.problem import ColumnSparseMatrix, CompositeProblem
 from ascd.selector import (ActiveSet, Bounds, GradientEstimate, PickDraws,
                            active_set, compute_bounds,
                            score_one, select_ascd, update_estimates)
@@ -661,19 +661,19 @@ class TestGssScores:
 
     def test_containment_property(self):
         rng = np.random.default_rng(8)
-        reg = Regularizer("l1", 0.9)
+        lam = 0.9
 
         def score(grad, x):
             if x == 0.0:
-                return max(abs(grad) - reg.lam, 0.0) ** 2
-            return abs(grad + reg.lam * np.sign(x)) ** 2
+                return max(abs(grad) - lam, 0.0) ** 2
+            return abs(grad + lam * np.sign(x)) ** 2
 
         for _ in range(500):
             g = float(rng.normal(0, 2))
             r = float(rng.uniform(0, 2))
             x = float(rng.choice([0.0, rng.normal()]))
             q = compute_bounds(est([g], [r]), np.ones(1), np.array([x]),
-                               reg.lam)
+                               lam)
             for grad in np.linspace(g - r, g + r, 9):
                 s = score(grad, x)
                 assert q.lower[0] <= s + 1e-12
