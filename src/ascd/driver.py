@@ -26,20 +26,27 @@ the step that draws a block carries that block's draw time in ``wall_ns``,
 on every rule.
 
 The loop keeps the score stage's bounds across steps.  After a step that
-moved x it scores all n coordinates with ``compute_bounds``; after a zero
-step it rescores only the coordinate that step picked, since its ``g`` and
-``r`` are all the step changed, on Python floats with
-``selector.score_one``.  The step leaves that coordinate's radius 0, so its
-score is exact: ``score_one`` reads no radius, evaluates no interval and
-returns one score, written as both bounds.  The score stage is elementwise
-and ``score_one`` returns the bits it gives one coordinate at radius 0, so
-the kept bounds hold the bits a full scoring would.  ``step`` likewise
-takes the coordinate step on floats, with the bits of the array
-soft-threshold ``sign(z) * max(|z| - lam/L_i, 0)``.  A zero step also keeps
-the active set, and with it the pick's tie pool, when the rescored
-coordinate keeps its lower score and its upper score reaches the best lower
-score before and after: the set stage then returns the same set on every
-path.
+moved x it fetches the oracle row, updates the estimate with
+``update_estimates`` and scores all n coordinates with ``compute_bounds``.
+A zero step fetches no row and changes only its coordinate's ``g`` and
+``r``: the loop writes the step's exact gradient and radius 0 there itself
+(what ``update_estimates`` would write) and rescores only that coordinate,
+on Python floats with ``selector.score_one``.  The step leaves that
+coordinate's radius 0, so its score is exact: ``score_one`` reads no
+radius, evaluates no interval and returns one score, written as both
+bounds.  The score stage is elementwise and ``score_one`` returns the bits
+it gives one coordinate at radius 0, so the kept bounds hold the bits a
+full scoring would.  ``step`` likewise takes the coordinate step on
+floats, with the bits of the array soft-threshold
+``sign(z) * max(|z| - lam/L_i, 0)``.  A zero step also keeps the active
+set, and with it the pick's tie pool, when the rescored coordinate keeps
+its lower score and its upper score reaches the best lower score before
+and after: the set stage then returns the same set on every path.  So a
+zero step costs the step itself, one ``score_one`` and the trace writes.
+The loop binds its per-run constants (the trace columns, the pick mode,
+the draw method, ``L``) to locals and keeps the set's size as an int,
+updated only when the set is rebuilt, so its own cost per step stays
+small next to the numpy work.
 
 The objective is evaluated in full only at the start, after each refresh
 of the residual ``w = Ax`` (every 10n steps) and for ``final_f``.  Between
@@ -144,15 +151,15 @@ def step(problem: CompositeProblem, state: ResidualState,
     is read once: one gather of ``w`` at its rows gives the gradient, the
     write-back and the gradient after the step.  The bits of ``gamma``,
     ``g_new``, ``x`` and ``w`` are those of ``partial_gradient`` before and
-    after ``apply_step``.
+    after ``apply_step``; all three results are Python floats.
     """
     rows, vals, b = problem.column(i)
     w_rows = state.w[rows]
-    x_i = float(state.x[i])
-    g_i = float(vals @ (w_rows - b)) + problem.fold_lam * x_i
+    x_i = state.x.item(i)
+    g_i = float(vals.dot(w_rows - b)) + problem.fold_lam * x_i
     if not math.isfinite(g_i):
         raise FloatingPointError(f"non-finite gradient on coordinate {i}")
-    l_i = float(problem.lipschitz[i])
+    l_i = problem.lipschitz.item(i)
     lam = problem.l1
     if lam:
         # the bits of sign(z) * max(|z| - lam/l_i, 0) - x_i, signed zeros
@@ -188,7 +195,7 @@ def step(problem: CompositeProblem, state: ResidualState,
         return gamma, -lam * math.copysign(1.0, x_new), df
     if gamma == 0.0:
         return gamma, g_i, df
-    return gamma, float(vals @ (w_rows - b)) + problem.fold_lam * x_new, df
+    return gamma, float(vals.dot(w_rows - b)) + problem.fold_lam * x_new, df
 
 
 def progress_tau(gradient: np.ndarray, active_indices: np.ndarray,
@@ -247,20 +254,23 @@ class RunConfig:
 
     def resolved(self) -> tuple[str, OracleSpec | None, str, str]:
         """The score rule, oracle, init and pick the run executes: ``scd``
-        runs ``ascd-gss`` (GS-L at an l1 weight of 0) on g1 from a
-        true-gradient start under ``argmax-lower``; ``ucd`` reads no oracle
-        (``None``) and no init, and runs the ``uniform-set`` pick on all n
-        coordinates.  The oracle keeps its epsilon only if it is g2, the
-        one kind that reads it."""
-        if self.rule == "scd":
-            return ("ascd-gss", OracleSpec("g1"), "true-gradient",
-                    "argmax-lower")
+        runs ``ascd-gss`` on g1 from a true-gradient start under
+        ``argmax-lower``; ``ucd`` reads no oracle (``None``) and no init,
+        and runs the ``uniform-set`` pick on all n coordinates.  At an l1
+        weight of 0 ``ascd-gss`` scores at ``lam = 0``, so it, and ``scd``,
+        run ``ascd``.  The oracle keeps its epsilon only if it is g2, the
+        one kind that reads it, and its seed only if it is g2 or g4."""
         if self.rule == "ucd":
             return "ucd", None, "none", "uniform-set"
+        rule = ("ascd" if self.rule == "ascd" or not self.problem.l1
+                else "ascd-gss")
+        if self.rule == "scd":
+            return rule, OracleSpec("g1"), "true-gradient", "argmax-lower"
         spec = self.oracle or OracleSpec()
-        if spec.kind != "g2":
-            spec = replace(spec, epsilon=0.0)
-        return self.rule, spec, self.init, self.pick
+        spec = replace(spec,
+                       epsilon=spec.epsilon if spec.kind == "g2" else 0.0,
+                       seed=spec.seed if spec.kind in ("g2", "g4") else 0)
+        return rule, spec, self.init, self.pick
 
 
 @dataclass
@@ -368,47 +378,60 @@ def run(config: RunConfig) -> RunResult:
     scores = None
     # carried by each step's exact change, recomputed after a refresh
     f = None
+    # the run's constants, bound once: the loop's fixed cost per step is
+    # of the order of its numpy work
+    col_i, col_f, col_size, col_gamma, col_wall = (
+        cols[name] for name in ("i", "f", "active_size", "gamma", "wall_ns"))
+    time_steps = config.time_steps
+    clock = time.perf_counter_ns
+    uniform = pick == "uniform-set"
+    integers = draws.integers
+    lipschitz = problem.lipschitz
+    refresh_every = 10 * n
+    # len(aset), updated only when the set is rebuilt
+    size = n
     t_start = time.perf_counter()
 
     for t in range(steps):
-        tick = time.perf_counter_ns() if config.time_steps else 0
+        tick = clock() if time_steps else 0
         if tracked:
             if scores is None:
-                scores = compute_bounds(est, problem.lipschitz, state.x,
-                                        lam)
+                scores = compute_bounds(est, lipschitz, state.x, lam)
                 aset = active_set(scores)
+                size = len(aset)
             else:
                 # a zero step changed only the last pick's g, and left
                 # its radius 0
-                score = score_one(float(est.g[i_t]), float(state.x[i_t]),
-                                  float(problem.lipschitz[i_t]), lam)
+                score = score_one(est.g.item(i_t), state.x.item(i_t),
+                                  lipschitz.item(i_t), lam)
                 # the same lower score, and an upper score reaching the
                 # best lower score before and after: every path of
                 # active_set returns the same set
-                keep = (score == scores.lower[i_t] and score >= aset.top
-                        and scores.upper[i_t] >= aset.top)
+                keep = (score == scores.lower.item(i_t) and score >= aset.top
+                        and scores.upper.item(i_t) >= aset.top)
                 # in an exact estimate's one array, the same write twice
                 scores.lower[i_t] = scores.upper[i_t] = score
                 if not keep:
                     aset = active_set(scores)
-        if pick == "uniform-set":
-            i_t = aset.indices.item(draws.integers(aset.indices.size))
+                    size = len(aset)
+        if uniform:
+            i_t = aset.indices.item(integers(size))
         else:
             i_t = select_ascd(scores, aset, draws)
             ties_total += aset.ties.size
 
-        cols["i"][t] = i_t
+        col_i[t] = i_t
         if f is None:
             f = problem.objective(state)
-        cols["f"][t] = f
-        cols["active_size"][t] = len(aset)
+        col_f[t] = f
+        col_size[t] = size
         if diag_every and t % diag_every == 0:
             true_g = problem.full_gradient(state)
             grad_inf = float(np.max(np.abs(true_g)))
             cols["grad_inf"][t] = grad_inf
             cols["grad2sq"][t] = float(true_g @ true_g)
             tau_u, tau_a, tau_s = progress_tau(true_g, aset.indices,
-                                               problem.lipschitz)
+                                               lipschitz)
             cols["tau_ucd"][t] = tau_u
             cols["tau_ascd"][t] = tau_a
             cols["tau_scd"][t] = tau_s
@@ -422,14 +445,14 @@ def run(config: RunConfig) -> RunResult:
                 if (tau_u > tau_a * (1 + slack) + 1e-300
                         or tau_a > tau_s * (1 + slack) + 1e-300):
                     sandwich_bad += 1
-                if len(aset) < n:
+                if size < n:
                     # tie-tolerant: no excluded coordinate may have a GS-L
                     # score above the best kept one once its gradient is
                     # moved by the soundness slack towards zero
                     mask = np.zeros(n, dtype=bool)
                     mask[aset.indices] = True
                     steep = np.abs(true_g)
-                    root_l = np.sqrt(problem.lipschitz)
+                    root_l = np.sqrt(lipschitz)
                     best_in = float(np.max(steep[mask] / root_l[mask]))
                     best_out = float(np.max((steep[~mask] - tol)
                                             / root_l[~mask]))
@@ -440,21 +463,24 @@ def run(config: RunConfig) -> RunResult:
             gamma, g_new, df = step(problem, state, i_t)
         except (FloatingPointError, ValueError) as exc:
             raise type(exc)(f"step {t}: {exc}") from exc
-        cols["gamma"][t] = gamma
+        col_gamma[t] = gamma
         f += df
-        moved = gamma != 0.0
-        if moved:
+        if gamma != 0.0:
             scores = None
-        if tracked:
-            row_g, row_d = oracle_row(ctx, i_t) if moved else (None, None)
-            update_estimates(est, i_t, gamma, row_g, row_d, g_new)
+            if tracked:
+                row_g, row_d = oracle_row(ctx, i_t)
+                update_estimates(est, i_t, gamma, row_g, row_d, g_new)
+        elif tracked:
+            # what update_estimates writes for a step that moved nothing
+            est.g[i_t] = g_new
+            est.r[i_t] = 0.0
 
-        if (t + 1) % (10 * n) == 0:
+        if (t + 1) % refresh_every == 0:
             state.refresh(problem.matrix)
             f = None
 
-        if config.time_steps:
-            cols["wall_ns"][t] = time.perf_counter_ns() - tick
+        if time_steps:
+            col_wall[t] = clock() - tick
 
     return RunResult(
         config=config,

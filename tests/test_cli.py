@@ -559,6 +559,25 @@ class TestSweep:
             "rc_scd_g1_eps0.5_seed0_none.csv", "rc_summary.csv",
             "rc_ucd_g1_eps0.5_seed0_none.csv"]
 
+    def test_gsl_rules_fold_on_a_ridge(self, dataset, tmp_path):
+        # at an l1 weight of 0 ascd-gss and scd score as ascd does, and g1
+        # reads no seed: the three rules are one run
+        rc = main(["sweep", "--data", str(dataset), "--l2", "0.5",
+                   "--steps", "2n", "--rules", "scd,ascd,ascd-gss",
+                   "--oracles", "g1", "--inits", "true-gradient",
+                   "--seeds", "3", "--out", str(tmp_path / "sw"),
+                   "--tag", "gl"])
+        assert rc == 0
+        assert read_json(tmp_path / "sw" / "gl_sweep.json")["cells"] == 1
+        swept = (tmp_path / "sw"
+                 / "gl_scd_g1_eps0_seed3_true-gradient.csv").read_bytes()
+        for rule in ("scd", "ascd", "ascd-gss"):
+            assert main(["run", "--data", str(dataset), "--l2", "0.5",
+                         "--steps", "2n", "--rule", rule, "--oracle", "g1",
+                         "--init", "true-gradient", "--seed", "3",
+                         "--out", str(tmp_path / "run"), "--tag", rule]) == 0
+            assert (tmp_path / "run" / f"{rule}.csv").read_bytes() == swept
+
     def test_distinct_cells_per_seed(self, dataset, tmp_path):
         # the seed keeps cells apart even where nothing else does
         rc = main(["sweep", "--data", str(dataset), "--steps", "1n",

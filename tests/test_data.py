@@ -863,19 +863,29 @@ class TestWriteCsv:
         write_csv(path, "a,b", ())
         assert path.read_text() == "a,b\n"
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    # 5 columns: a block of chunk // 5 rows, at least 1
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 23, 64])
     def test_blocks_match_one_pass(self, tmp_path, chunk):
+        # a float column with some NaNs, one with none (its edge values
+        # included) and one that is all NaN: each block of each takes its
+        # own path of the writer
         rng = np.random.default_rng(chunk)
         floats = rng.standard_normal(11)
         floats[::4] = np.nan
-        columns = (np.arange(11), floats, np.array(list("abcdefghijk")))
+        dense = rng.standard_normal(11)
+        dense[:5] = [-0.0, np.inf, -np.inf, 5e-324, 0.0]
+        columns = (np.arange(11), floats, np.array(list("abcdefghijk")),
+                   dense, np.full(11, np.nan))
         path = tmp_path / "blocks.csv"
         with mock.patch.object(ascd.data, "CHUNK_ENTRIES", chunk):
-            write_csv(path, "k,x,s", columns)
+            write_csv(path, "k,x,s,y,z", columns)
         expected = "".join(
-            f"{k},{'' if math.isnan(x) else repr(x)},{c}\n"
-            for k, x, c in zip(*(col.tolist() for col in columns)))
-        assert path.read_text() == "k,x,s\n" + expected
+            f"{k},{'' if math.isnan(x) else repr(x)},{c},{y!r},\n"
+            for k, x, c, y, _ in zip(*(col.tolist() for col in columns)))
+        text = path.read_text()
+        assert text == "k,x,s,y,z\n" + expected
+        assert [line.split(",")[3] for line in text.splitlines()[1:6]] == [
+            "-0.0", "inf", "-inf", "5e-324", "0.0"]
 
     def test_peak_memory_fixed_however_long_the_trace(self, tmp_path):
         # a trace-shaped table: int ids, dense floats, mostly-NaN

@@ -105,6 +105,22 @@ class TestStep:
                     == np.float64(g_before).tobytes())
         assert np.array_equal(st.x, x) and np.array_equal(st.w, w)
 
+    # (b, l1 weight, x0, the x the step lands on): a smooth step, an l1
+    # step to a nonzero point, an l1 zero step and an l1 step to zero
+    FLOAT_BRANCHES = [(3.0, 0.0, 5.0, 3.0), (3.0, 1.0, 0.0, 2.0),
+                      (0.5, 1.0, 0.0, 0.0), (0.5, 1.0, 1.0, 0.0)]
+
+    @pytest.mark.parametrize("b, lam, x0, x_new", FLOAT_BRANCHES)
+    def test_returns_python_floats(self, b, lam, x0, x_new):
+        # a numpy scalar would leak into the trace and the estimate, and
+        # under numpy 2 its repr is np.float64(...)
+        prob = identity_problem(1, b=np.array([b]),
+                                reg=Regularizer("l1", lam) if lam else None)
+        st = prob.residual_state(np.array([x0]))
+        out = step(prob, st, 0)
+        assert [type(v) for v in out] == [float, float, float]
+        assert st.x[0] == x_new and (out[0] == 0.0) == (x0 == x_new)
+
 
 def _array_step(problem, state, i):
     """The coordinate step through the array soft-threshold and
@@ -732,6 +748,51 @@ class TestRun:
             assert np.array_equal(result.i, reference.i)
             assert result.final_f == reference.final_f
 
+    def test_resolved_names_what_runs(self):
+        # ascd-gss and scd score at lam = 0 without an l1 weight, and only
+        # g2 and g4 read the oracle seed
+        smooth = random_problem(17, reg=Regularizer("l2", 1.0))
+        lasso = random_problem(17, reg=Regularizer("l1", 0.5))
+        for prob, gss in ((smooth, "ascd"), (lasso, "ascd-gss")):
+            for rule, want in (("ascd", "ascd"), ("ascd-gss", gss),
+                               ("scd", gss)):
+                cfg = RunConfig(problem=prob, steps=5, rule=rule,
+                                oracle=OracleSpec("g3", seed=4))
+                assert cfg.resolved()[0] == want
+        for kind, seed in (("g1", 0), ("g2", 4), ("g3", 0), ("g4", 4)):
+            cfg = RunConfig(problem=smooth, steps=5,
+                            oracle=OracleSpec(kind, seed=4))
+            assert cfg.resolved()[1].seed == seed
+
+    def test_rows_fetched_only_on_moved_steps(self, monkeypatch):
+        # the summary's oracle_rows is read off the trace: it must be the
+        # number of rows the run fetched, one per step that moved x
+        fetched = []
+        real_row = ascd.driver.oracle_row
+
+        def counted(ctx, i):
+            fetched.append(i)
+            return real_row(ctx, i)
+
+        monkeypatch.setattr(ascd.driver, "oracle_row", counted)
+        lasso_m, lasso_b = generate_synthetic(
+            SynthConfig(n_rows=60, n_cols=200, seed=3))
+        lam = 0.1 * float(np.max(np.abs(lasso_m.col_dots(lasso_b))))
+        lasso = CompositeProblem(lasso_m, lasso_b, Regularizer("l1", lam))
+        ridge = CompositeProblem(*generate_synthetic(
+            SynthConfig(n_rows=60, n_cols=40, seed=4)), Regularizer("l2", 1.0))
+        for prob, rule, kind, init in (
+                (lasso, "ascd-gss", "g4", "none"),
+                (ridge, "ascd", "g1", "true-gradient")):
+            fetched.clear()
+            res = run(RunConfig(problem=prob, steps=3 * prob.n, rule=rule,
+                                oracle=OracleSpec(kind), seed=0, init=init,
+                                diag_every=0))
+            assert len(fetched) == res.counters()["oracle_rows"] > 0
+            assert fetched == res.i[res.gamma != 0.0].tolist()
+            if kind == "g4":
+                assert len(fetched) < res.t.size     # it took zero steps
+
     def test_non_finite_x0_rejected_before_the_loop(self):
         # named as x0, not as a non-finite gradient at step 0
         prob = random_problem(16, n=3)
@@ -946,16 +1007,23 @@ class TestZeroStepRescoring:
 
     def test_rescored_coordinate_is_at_radius_zero(self, monkeypatch):
         # score_one reads no radius: every rescoring must see the last
-        # updated coordinate at radius 0, with the estimate's g and its
-        # own constant
-        last, seen, bad = [], [], []
-        real_update, real_one = (ascd.driver.update_estimates,
-                                 ascd.driver.score_one)
+        # stepped coordinate at radius 0, with the estimate's g and its
+        # own constant.  A zero step updates the estimate without
+        # update_estimates, so the coordinate comes from step and the
+        # estimate from the run's first scoring
+        last, seen, bad = [None, None], [], []
+        real_step, real_bounds, real_one = (ascd.driver.step,
+                                            ascd.driver.compute_bounds,
+                                            ascd.driver.score_one)
 
-        def update(estimate, i_t, *rest):
-            out = real_update(estimate, i_t, *rest)
-            last[:] = [estimate, i_t]
+        def stepped(problem, state, i):
+            out = real_step(problem, state, i)
+            last[1] = i
             return out
+
+        def bounds(estimate, *rest):
+            last[0] = estimate
+            return real_bounds(estimate, *rest)
 
         def one(g, x, lipschitz, lam):
             est, i = last
@@ -965,7 +1033,8 @@ class TestZeroStepRescoring:
                 bad.append(i)
             return real_one(g, x, lipschitz, lam)
 
-        monkeypatch.setattr(ascd.driver, "update_estimates", update)
+        monkeypatch.setattr(ascd.driver, "step", stepped)
+        monkeypatch.setattr(ascd.driver, "compute_bounds", bounds)
         monkeypatch.setattr(ascd.driver, "score_one", one)
         rescored = Counter()
         b = np.random.default_rng(5).standard_normal(20)
