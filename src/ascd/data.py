@@ -18,9 +18,9 @@ of a per-token parse bit for bit; feature indices beyond int64 are
 rejected where they enter.  The svmlight writer and the CSV writer
 convert their numbers to text a block of at most ``CHUNK_ENTRIES``
 entries at a time, so the text never takes more memory than one block.
-Both map ``repr`` and ``str`` over a block's ``tolist()`` at C level, so
-most of their time is the conversion itself; only a float CSV column with
-NaNs converts its other entries one Python step at a time.
+The CSV writer maps ``repr`` and ``str`` over a block's ``tolist()`` at C
+level, so most of its time is the conversion itself; only a float column
+with NaNs converts its other entries one Python step at a time.
 Beside an svmlight file the reader and the writer keep its binary twin,
 ``<file>.ascd-twin.npz``: what a load of the text returns, keyed by the
 SHA-256 of the text, so a text is parsed once and a text the writer wrote
@@ -39,7 +39,6 @@ import tempfile
 import warnings
 from array import array
 from dataclasses import dataclass
-from operator import add
 
 import numpy as np
 
@@ -531,12 +530,10 @@ def save_svmlight(matrix: ColumnSparseMatrix, target: np.ndarray,
     Values are written with ``repr``, full precision, so a load
     round-trips exactly.  A non-finite target, which a load would refuse,
     is rejected before the file is opened.  The entries are sorted by row
-    once; consecutive rows are then converted a block at a time, at most
-    ``CHUNK_ENTRIES`` entries and rows per block (a longer row is a block
-    of its own), and written a line at a time, so the text never exists
-    for more than one line.  A token is its column's ``"j:"``, from a
-    table of every column's prefix built once per call (about 60 bytes a
-    column), joined to the value's ``repr``.
+    once; consecutive rows are then converted and written a block at a
+    time, at most ``CHUNK_ENTRIES`` entries and rows per block (a longer
+    row is a block of its own), so the text never exists for more than
+    one block.
 
     When a load of the text would return ``matrix`` and the target (the
     matrix stores an entry and has no empty column) and ``path`` names a
@@ -554,8 +551,6 @@ def save_svmlight(matrix: ColumnSparseMatrix, target: np.ndarray,
     # stable: each row keeps its entries in column order
     order = np.argsort(matrix.rows, kind="stable")
     ends = np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows))
-    # the "j:" of every 0-based column id, so a token is one concatenation
-    prefix = [f"{j}:" for j in range(1, matrix.n_cols + 1)].__getitem__
     lo = start = 0
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -566,15 +561,14 @@ def save_svmlight(matrix: ColumnSparseMatrix, target: np.ndarray,
             hi = min(max(hi, lo + 1), lo + CHUNK_ENTRIES)
             stop = int(ends[hi - 1])
             block = order[start:stop]
-            cols = matrix._nnz_col[block].tolist()
+            cols = (matrix._nnz_col[block] + 1).tolist()
             vals = matrix.vals[block].tolist()
             at = 0
             for label, end in zip(labels[lo:hi].tolist(),
                                   (ends[lo:hi] - start).tolist()):
                 line = " ".join([repr(label),
-                                 *map(add, map(prefix, cols[at:end]),
-                                      map(repr, vals[at:end]))]
-                                ).encode() + b"\n"
+                                 *map("{}:{!r}".format, cols[at:end],
+                                      vals[at:end])]).encode() + b"\n"
                 digest.update(line)
                 fh.write(line)
                 at = end
@@ -608,13 +602,10 @@ def trace_allocation(steps: int):
 
 def _csv_fields(values: np.ndarray):
     """The CSV fields of one block of a column: ``str`` or ``repr`` mapped
-    lazily over the block, or, for a float block with NaNs, a list of
-    empty fields with only the other entries converted."""
-    kind = values.dtype.kind
-    if kind in "iuU":
+    lazily over the block, or, for a block with NaNs, a list of empty
+    fields with only the other entries converted."""
+    if values.dtype.kind in "iuU":
         return map(str, values.tolist())
-    if kind != "f":
-        return ["" if math.isnan(v) else repr(v) for v in values.tolist()]
     nan = np.isnan(values)
     if not nan.any():
         return map(repr, values.tolist())

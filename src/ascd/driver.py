@@ -28,25 +28,25 @@ on every rule.
 The loop keeps the score stage's bounds across steps.  After a step that
 moved x it fetches the oracle row, updates the estimate with
 ``update_estimates`` and scores all n coordinates with ``compute_bounds``.
-A zero step fetches no row and changes only its coordinate's ``g`` and
-``r``: the loop writes the step's exact gradient and radius 0 there itself
-(what ``update_estimates`` would write) and rescores only that coordinate,
-on Python floats with ``selector.score_one``.  The step leaves that
-coordinate's radius 0, so its score is exact: ``score_one`` reads no
-radius, evaluates no interval and returns one score, written as both
-bounds.  The score stage is elementwise and ``score_one`` returns the bits
-it gives one coordinate at radius 0, so the kept bounds hold the bits a
-full scoring would.  ``step`` likewise takes the coordinate step on
-floats, with the bits of the array soft-threshold
+A zero step fetches no row: ``update_estimates`` then changes only its
+coordinate's ``g`` and ``r``, to the step's exact gradient and radius 0,
+and the loop rescores only that coordinate, on Python floats with
+``selector.score_one``.  Its radius is 0, so its score is exact:
+``score_one`` reads no radius, evaluates no interval and returns one
+score, written as both bounds.  The score stage is elementwise and
+``score_one`` returns the bits it gives one coordinate at radius 0, so the
+kept bounds hold the bits a full scoring would.  ``step`` likewise takes
+the coordinate step on floats, with the bits of the array soft-threshold
 ``sign(z) * max(|z| - lam/L_i, 0)``.  A zero step also keeps the active
 set, and with it the pick's tie pool, when the rescored coordinate keeps
 its lower score and its upper score reaches the best lower score before
 and after: the set stage then returns the same set on every path.  So a
-zero step costs the step itself, one ``score_one`` and the trace writes.
-The loop binds its per-run constants (the trace columns, the pick mode,
-the draw method, ``L``) to locals and keeps the set's size as an int,
-updated only when the set is rebuilt, so its own cost per step stays
-small next to the numpy work.
+zero step costs the step itself, an ``update_estimates`` that writes one
+coordinate, one ``score_one`` and the trace writes.  The loop binds its
+per-run constants (the trace columns, the pick mode, the draw method,
+``L``) to locals and keeps the set's size as an int, updated only when the
+set is rebuilt, so its own cost per step stays small next to the numpy
+work.
 
 The objective is evaluated in full only at the start, after each refresh
 of the residual ``w = Ax`` (every 10n steps) and for ``final_f``.  Between
@@ -465,15 +465,12 @@ def run(config: RunConfig) -> RunResult:
             raise type(exc)(f"step {t}: {exc}") from exc
         col_gamma[t] = gamma
         f += df
-        if gamma != 0.0:
+        moved = gamma != 0.0
+        if moved:
             scores = None
-            if tracked:
-                row_g, row_d = oracle_row(ctx, i_t)
-                update_estimates(est, i_t, gamma, row_g, row_d, g_new)
-        elif tracked:
-            # what update_estimates writes for a step that moved nothing
-            est.g[i_t] = g_new
-            est.r[i_t] = 0.0
+        if tracked:
+            row_g, row_d = oracle_row(ctx, i_t) if moved else (None, None)
+            update_estimates(est, i_t, gamma, row_g, row_d, g_new)
 
         if (t + 1) % refresh_every == 0:
             state.refresh(problem.matrix)

@@ -366,6 +366,30 @@ class TestSvmlight:
                                                    m._nnz_col))
         assert _twin(tmp_path / "big.svm").exists()     # counted above
 
+    def test_save_peak_memory_bounded_on_wide_columns(self, tmp_path):
+        # two entries a column: anything the writer held per column, such
+        # as a table of "j:" strings (~60 bytes against a column's 48
+        # bytes of arrays), would outgrow the matrix; small blocks keep
+        # what it holds per block small next to it
+        n = 20_000
+        rng = np.random.default_rng(7)
+        first = rng.integers(0, 999, n)
+        rows = np.column_stack([first, rng.integers(first + 1, 1000)])
+        m = ColumnSparseMatrix(1000, np.arange(0, 2 * n + 1, 2),
+                               rows.ravel(), rng.uniform(1.0, 2.0, 2 * n))
+        path = tmp_path / "wide.svm"
+        with mock.patch.object(ascd.data, "CHUNK_ENTRIES", 1 << 10):
+            tracemalloc.start()
+            try:
+                save_svmlight(m, rng.standard_normal(1000), path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.5 * sum(a.nbytes for a in (m.rows, m.vals,
+                                                   m._nnz_col))
+        assert _twin(path).exists()     # counted above
+        assert np.array_equal(load_svmlight(path)[0].vals, m.vals)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_save_rejects_non_finite_target(self, tmp_path, bad):
         # used to write a label that the loader then refused

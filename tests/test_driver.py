@@ -1007,23 +1007,16 @@ class TestZeroStepRescoring:
 
     def test_rescored_coordinate_is_at_radius_zero(self, monkeypatch):
         # score_one reads no radius: every rescoring must see the last
-        # stepped coordinate at radius 0, with the estimate's g and its
-        # own constant.  A zero step updates the estimate without
-        # update_estimates, so the coordinate comes from step and the
-        # estimate from the run's first scoring
-        last, seen, bad = [None, None], [], []
-        real_step, real_bounds, real_one = (ascd.driver.step,
-                                            ascd.driver.compute_bounds,
-                                            ascd.driver.score_one)
+        # updated coordinate at radius 0, with the estimate's g and its
+        # own constant
+        last, seen, bad = [], [], []
+        real_update, real_one = (ascd.driver.update_estimates,
+                                 ascd.driver.score_one)
 
-        def stepped(problem, state, i):
-            out = real_step(problem, state, i)
-            last[1] = i
+        def update(estimate, i_t, *rest):
+            out = real_update(estimate, i_t, *rest)
+            last[:] = [estimate, i_t]
             return out
-
-        def bounds(estimate, *rest):
-            last[0] = estimate
-            return real_bounds(estimate, *rest)
 
         def one(g, x, lipschitz, lam):
             est, i = last
@@ -1033,8 +1026,7 @@ class TestZeroStepRescoring:
                 bad.append(i)
             return real_one(g, x, lipschitz, lam)
 
-        monkeypatch.setattr(ascd.driver, "step", stepped)
-        monkeypatch.setattr(ascd.driver, "compute_bounds", bounds)
+        monkeypatch.setattr(ascd.driver, "update_estimates", update)
         monkeypatch.setattr(ascd.driver, "score_one", one)
         rescored = Counter()
         b = np.random.default_rng(5).standard_normal(20)
