@@ -476,15 +476,15 @@ def load_svmlight(path, binarize: bool = False) -> tuple[ColumnSparseMatrix,
     A regular file may have a binary twin, ``<path>.ascd-twin.npz``
     (``TWIN_SUFFIX``), holding what this function returns for it (the
     values before ``binarize``, and the count of empty columns for the
-    warning) keyed by the SHA-256 of the text.  When the twin is of ``TWIN_VERSION`` and its key is the
-    digest of the text now, its arrays are returned and the text is not
-    parsed.  Otherwise the text is parsed, and a parse that succeeds
-    writes the twin, keyed by that digest, unless the text's size or
-    times changed since it was opened; a twin that cannot be written (a
-    read-only directory, a full disk) is skipped, and a file of the
-    twin's name that is no twin is never replaced.  The twin gets the
-    text's read and write permission bits.  Arrays, warnings and errors
-    are the same either way.
+    warning) keyed by the SHA-256 of the text.  When the twin is of
+    ``TWIN_VERSION`` and its key is the digest of the text now, its arrays
+    are returned and the text is not parsed.  Otherwise the text is
+    parsed, and a parse that succeeds writes the twin, keyed by that
+    digest, unless the text's size or times changed since it was opened;
+    a twin that cannot be written (a read-only directory, a full disk) is
+    skipped, and a file of the twin's name that is no twin is never
+    replaced.  The twin gets the text's read and write permission bits.
+    Arrays, warnings and errors are the same either way.
 
     The parse reads the file a line at a time.  Each line is split,
     converted and checked whole with builtins (``str.split``,
@@ -533,13 +533,16 @@ def save_svmlight(matrix: ColumnSparseMatrix, target: np.ndarray,
     once; consecutive rows are then converted and written a block at a
     time, at most ``CHUNK_ENTRIES`` entries and rows per block (a longer
     row is a block of its own), so the text never exists for more than
-    one block.
+    one block.  Each row is formatted with one ``%`` over its block's
+    column ids and values, converted with one ``tolist`` each.
 
     When a load of the text would return ``matrix`` and the target (the
     matrix stores an entry and has no empty column) and ``path`` names a
     regular file, the binary twin that ``load_svmlight`` reads is written
     beside it, keyed by the SHA-256 of the bytes written, as
-    ``load_svmlight`` writes it.
+    ``load_svmlight`` writes it.  The row order and the last block are
+    gone by then, so the twin's write holds none of them: the save peaks
+    while the rows are written, at about 12 bytes per entry.
     """
     labels = np.asarray(target, dtype=np.float64)
     if labels.shape != (matrix.n_rows,):
@@ -548,35 +551,50 @@ def save_svmlight(matrix: ColumnSparseMatrix, target: np.ndarray,
     if bad.size:
         raise ValueError(f"non-finite target {float(labels[bad[0]])!r} in "
                          f"row {bad[0]}")
-    # stable: each row keeps its entries in column order
-    order = np.argsort(matrix.rows, kind="stable")
+    with open(path, "wb") as fh:
+        twin = _twin_of(path, fh)
+        key = _write_rows(fh, matrix, labels)
+    if twin and matrix.nnz and np.all(np.diff(matrix.indptr) > 0):
+        _write_twin(twin[0], _mode(twin[1]), key, matrix.n_rows,
+                    matrix.indptr, matrix.rows, matrix.vals, labels, 0)
+
+
+def _write_rows(fh, matrix: ColumnSparseMatrix, labels: np.ndarray) -> bytes:
+    """Write the svmlight lines of ``save_svmlight`` to ``fh`` a block at a
+    time and return the SHA-256 of the bytes written.  A function of its
+    own so that the row order and the last block's lists are freed on
+    return, before the twin is written."""
+    # stable: each row keeps its entries in column order.  The row ids in
+    # the narrowest type that holds them sort as the int64 ids do, and up
+    # to 65536 rows numpy radix-sorts them
+    order = np.argsort(
+        matrix.rows.astype(np.min_scalar_type(matrix.n_rows - 1)),
+        kind="stable")
     ends = np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows))
     lo = start = 0
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        twin = _twin_of(path, fh)
-        while lo < matrix.n_rows:
-            hi = int(np.searchsorted(ends, start + CHUNK_ENTRIES,
-                                     side="right"))
-            hi = min(max(hi, lo + 1), lo + CHUNK_ENTRIES)
-            stop = int(ends[hi - 1])
-            block = order[start:stop]
-            cols = (matrix._nnz_col[block] + 1).tolist()
-            vals = matrix.vals[block].tolist()
-            at = 0
-            for label, end in zip(labels[lo:hi].tolist(),
-                                  (ends[lo:hi] - start).tolist()):
-                line = " ".join([repr(label),
-                                 *map("{}:{!r}".format, cols[at:end],
-                                      vals[at:end])]).encode() + b"\n"
-                digest.update(line)
-                fh.write(line)
-                at = end
-            lo, start = hi, stop
-    del order, ends     # so the twin's write never holds them too
-    if twin and matrix.nnz and np.all(np.diff(matrix.indptr) > 0):
-        _write_twin(twin[0], _mode(twin[1]), digest.digest(), matrix.n_rows,
-                    matrix.indptr, matrix.rows, matrix.vals, labels, 0)
+    update, write = digest.update, fh.write
+    while lo < matrix.n_rows:
+        hi = int(np.searchsorted(ends, start + CHUNK_ENTRIES, side="right"))
+        hi = min(max(hi, lo + 1), lo + CHUNK_ENTRIES)
+        stop = int(ends[hi - 1])
+        block = order[start:stop]
+        # each entry's 1-based column id, then its value
+        fields = [None] * (2 * block.size)
+        fields[::2] = (matrix._nnz_col[block] + 1).tolist()
+        fields[1::2] = matrix.vals[block].tolist()
+        at = 0
+        for label, end in zip(labels[lo:hi].tolist(),
+                              (2 * (ends[lo:hi] - start)).tolist()):
+            # built per row, not cached: a cache keyed by row length
+            # would hold O(L**2) characters over L lengths
+            line = (("%r" + " %s:%r" * ((end - at) // 2) + "\n")
+                    % (label, *fields[at:end])).encode()
+            update(line)
+            write(line)
+            at = end
+        lo, start = hi, stop
+    return digest.digest()
 
 
 def take_columns(matrix: ColumnSparseMatrix, k: int,

@@ -200,5 +200,6 @@ class LowDimEmbedding:
 
 def embed_lowdim(hc: HardCase, n_ambient: int) -> LowDimEmbedding:
     if n_ambient < hc.n:
-        raise ValueError("ambient dimension must be at least the intrinsic one")
+        raise ValueError("ambient dimension must be at least the intrinsic "
+                         "one")
     return LowDimEmbedding(s=hc.n, n=n_ambient, inner=hc)

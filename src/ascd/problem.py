@@ -162,7 +162,8 @@ class ResidualState:
         self.w = matrix.matvec(self.x)
 
     def drift(self, matrix: ColumnSparseMatrix) -> float:
-        return float(np.max(np.abs(self.w - matrix.matvec(self.x)), initial=0.0))
+        return float(np.max(np.abs(self.w - matrix.matvec(self.x)),
+                            initial=0.0))
 
 
 class CompositeProblem:

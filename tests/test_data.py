@@ -390,6 +390,31 @@ class TestSvmlight:
         assert _twin(path).exists()     # counted above
         assert np.array_equal(load_svmlight(path)[0].vals, m.vals)
 
+    def test_save_peak_memory_bounded_on_every_row_length(self, tmp_path):
+        # rows of every length from 1 to k: a template cached per row
+        # length would hold about 3 bytes per entry (k**2 / 2 entries)
+        # beside one row order and one block, 0.86x the arrays against
+        # 0.62x without
+        k = 600
+        rows = np.concatenate([np.arange(j, k) for j in range(k)])
+        indptr = np.concatenate(([0], np.cumsum(np.arange(k, 0, -1))))
+        rng = np.random.default_rng(11)
+        m = ColumnSparseMatrix(k, indptr, rows,
+                               rng.uniform(1.0, 2.0, rows.size))
+        path = tmp_path / "lengths.svm"
+        tracemalloc.start()
+        try:
+            save_svmlight(m, rng.standard_normal(k), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * sum(a.nbytes for a in (m.rows, m.vals,
+                                                    m._nnz_col))
+        assert _twin(path).exists()     # counted above
+        lengths = [line.count(b":") for line in path.read_bytes().split(
+            b"\n")[:-1]]
+        assert lengths == list(range(1, k + 1))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_save_rejects_non_finite_target(self, tmp_path, bad):
         # used to write a label that the loader then refused
@@ -541,6 +566,53 @@ class TestSvmlightMatchesReference:
         reference_save(m, b, base / "reference.svm")
         assert ((base / "blocks.svm").read_bytes()
                 == (base / "reference.svm").read_bytes())
+
+    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 65535, 65536,
+                                        65537])
+    def test_narrow_sort_keeps_the_int64_order(self, tmp_path, n_rows):
+        # row ids one below, at and above the 8- and 16-bit limits, with
+        # rows every column shares, so the sort's stability shows; more
+        # rows than a block holds split the file
+        rng = np.random.default_rng(n_rows)
+        columns = []
+        for _ in range(8):
+            rows = np.unique(np.concatenate(
+                [[0, n_rows - 1], rng.integers(n_rows, size=4)]))
+            columns.append((rows, rng.uniform(-2.0, 2.0, rows.size)))
+        m = ColumnSparseMatrix.from_columns(n_rows, columns)
+        b = rng.standard_normal(n_rows)
+        save_svmlight(m, b, tmp_path / "new.svm")
+        reference_save(m, b, tmp_path / "reference.svm")
+        assert ((tmp_path / "new.svm").read_bytes()
+                == (tmp_path / "reference.svm").read_bytes())
+
+    @pytest.mark.parametrize("chunk", [1 << 14, 4])
+    def test_save_edge_values_match_reference_bytes(self, tmp_path, chunk):
+        # the shortest and longest reprs, exponent forms, column ids on
+        # both sides of a digit change, an empty row and, under 4-entry
+        # blocks, a row longer than a block (a stored value is never
+        # zero, so -0.0 is a label only)
+        edge = [5e-324, 1e-05, 0.1, 1e16, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+        ids = [8, 9, 98, 99, 998, 999]
+        dense = np.zeros((7, 1000))
+        dense[0, ids] = edge
+        dense[2, ids] = edge[::-1]
+        dense[3:, [0, 999]] = [-0.5, 2.0]
+        labels = np.array([-0.0, *edge])
+        m = ColumnSparseMatrix.from_dense(dense)
+        with mock.patch.object(ascd.data, "CHUNK_ENTRIES", chunk):
+            save_svmlight(m, labels, tmp_path / "new.svm")
+        reference_save(m, labels, tmp_path / "reference.svm")
+        text = (tmp_path / "new.svm").read_bytes()
+        assert text == (tmp_path / "reference.svm").read_bytes()
+        assert text.splitlines()[:2] == [
+            b"-0.0 9:5e-324 10:1e-05 99:0.1 100:1e+16 "
+            b"999:1.7976931348623157e+308 1000:-1.7976931348623157e+308",
+            b"5e-324"]
+        with pytest.warns(UserWarning, match="dropping 993 empty column"):
+            loaded = load_svmlight(tmp_path / "new.svm")[1]
+        assert loaded.tobytes() == labels.tobytes()     # -0.0 kept
 
 
 def _parsed(path, binarize=False):
